@@ -25,7 +25,7 @@ from .engines.language import make_language_engine
 from .engines.prefix import make_prefix_engine
 from .engines.sg import make_sg_engine
 from .engines.zg import make_zg_engine
-from .errors import EngineError, PositionOutOfRange
+from .errors import AlgebraError, EngineError, InternalError, VebError
 from .gallery import gallery
 from .jsonio import language_from_json, load_json, semigroup_from_json
 from .syntactic.classify import classify_language
@@ -311,7 +311,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (EngineError, ValueError, KeyError, OSError) as exc:
+    except (AlgebraError, EngineError, InternalError, VebError, ValueError,
+            KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,22 @@
-"""Fenwick-style tree with branching k ~ log n and packed node codes.
+"""k-ary tree of packed codes, branching k ~ log n, one flat list per level.
 
-Nodes hold up to k child values packed as a base-|M| integer. Node values and
-all inner factor products are precomputed for every code, so one update
-rewrites one digit per level via integer arithmetic and one query reads the
-root table. The branching factor is the largest k >= 2 with |M|^k * k^2
-bounded by ceil(sqrt(n)); tiny n degrade to a binary tree.
+Level 1 holds, for each run of k consecutive letters, their packed base-|M|
+code; level l + 1 holds the codes of k consecutive level-l values, and the top
+level holds a single code. Every level is padded to a multiple of k with the
+adjoined identity, so every node has exactly k digits and one pair of tables
+serves all of them: value[code] is the product of the k digits and
+inf[code*k*k + i*k + j] the product of digits i..j. An update rewrites one
+digit per level, climbing from the leaf and stopping at the first level whose
+digit is unchanged; a query reads the top code. The branching factor is the
+largest k >= 2 with |M|^k * k^2 bounded by ceil(sqrt(n)); tiny n degrade to a
+binary tree, and the height is ceil(log_k n) (one level when n = 1).
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ..algebra.core import adjoin_identity
 from ..errors import PositionOutOfRange
@@ -34,51 +41,29 @@ _table_cache = {}
 
 
 def _tables(monoid, k):
-    """value[l][code]: product of the l digits; inf[l][code][i*l+j]: d_i..d_j.
+    """(value, inf) for k-digit codes: value[code] is the product of the
+    digits, inf[code*k*k + i*k + j] the product of digits i..j (i <= j).
 
-    Cached per (table, k): the flat arrays realize the O(1) per-level lookups
-    and are shared by every engine over the same monoid.
+    Cached per (table, k), so every engine over the same monoid shares them.
     """
     key = (tuple(tuple(r) for r in monoid.table), k)
     hit = _table_cache.get(key)
     if hit is not None:
         return hit
-    b, t = monoid.size, monoid.table
-    value = [None, list(range(b))]
-    inf = [None, [(v,) for v in range(b)]]
-    for l in range(2, k + 1):
-        cnt = b**l
-        val = [0] * cnt
-        infl = [None] * cnt
-        for c in range(cnt):
-            digits = []
-            x = c
-            for _ in range(l):
-                digits.append(x % b)
-                x //= b
-            out = [0] * (l * l)
-            for i in range(l):
-                acc = digits[i]
-                out[i * l + i] = acc
-                for j in range(i + 1, l):
-                    acc = t[acc][digits[j]]
-                    out[i * l + j] = acc
-            val[c] = out[l - 1]
-            infl[c] = tuple(out)
-        value.append(val)
-        inf.append(infl)
-    _table_cache[key] = (value, inf)
-    return value, inf
-
-
-class _Scheme:
-    __slots__ = ("chunk", "children", "code", "length")
-
-    def __init__(self, chunk, children, code, length):
-        self.chunk = chunk        # letters per child (a power of k), 0 at leaves
-        self.children = children  # list of _Scheme, or None at leaves
-        self.code = code          # packed child values (or letters, at leaves)
-        self.length = length      # number of digits in code
+    b = monoid.size
+    t = np.asarray(monoid.table, dtype=np.int64)
+    codes = np.arange(b**k, dtype=np.int64)
+    digits = [codes // b**i % b for i in range(k)]
+    inf = np.zeros((b**k, k, k), dtype=np.int64)
+    for i in range(k):
+        acc = digits[i]
+        inf[:, i, i] = acc
+        for j in range(i + 1, k):
+            acc = t[acc, digits[j]]
+            inf[:, i, j] = acc
+    hit = (inf[:, 0, k - 1].tolist(), inf.ravel().tolist())
+    _table_cache[key] = hit
+    return hit
 
 
 class KaryEngine(Engine):
@@ -88,66 +73,52 @@ class KaryEngine(Engine):
         monoid = adjoin_identity(monoid)
         super().__init__(monoid, word)
         self.config = config or KAryConfig(monoid.size, max(self.n, 1))
-        self.k = self.config.k
-        self._b = monoid.size
-        self.value, self.inf = _tables(monoid, self.k)
-        self.root = self._build(0, self.n) if self.n else None
-
-    def _build(self, lo, size):
-        k, b = self.k, self._b
-        if size <= k:
-            code = 0
-            for i in range(size):
-                code += self.word[lo + i] * b**i
-            return _Scheme(0, None, code, size)
-        chunk = k
-        while chunk * k < size:
-            chunk *= k
-        children = []
-        code = 0
-        pos = lo
-        i = 0
-        while pos < lo + size:
-            csize = min(chunk, lo + size - pos)
-            child = self._build(pos, csize)
-            children.append(child)
-            code += self.value[child.length][child.code] * b**i
-            pos += csize
-            i += 1
-        return _Scheme(chunk, children, code, len(children))
+        self.k = k = self.config.k
+        self._b = b = monoid.size
+        self._pow = [b**i for i in range(k)]
+        self.value, self.inf = _tables(monoid, k)
+        # levels[0] packs the letters; levels[-1] is the single top code.
+        # Lists, not arrays: the per-edit loop indexes scalars.
+        self.levels = []
+        if not self.n:
+            return
+        value = np.asarray(self.value, dtype=np.int64)
+        weights = np.asarray(self._pow, dtype=np.int64)
+        vals = np.asarray(self.word, dtype=np.int64)
+        while True:
+            pad = -len(vals) % k
+            if pad:
+                vals = np.concatenate([vals, np.full(pad, monoid.identity, dtype=np.int64)])
+            codes = vals.reshape(-1, k) @ weights
+            self.levels.append(codes.tolist())
+            if len(codes) == 1:
+                break
+            vals = value[codes]
 
     def update(self, pos, letter):
         self._check(pos, letter)
         self.word[pos] = letter
-        b = self._b
-        node = self.root
-        off = pos
-        path = []
-        while node.children is not None:
-            self._steps += 1
-            i = off // node.chunk
-            path.append((node, i))
-            off -= i * node.chunk
-            node = node.children[i]
-        self._steps += 1
-        d = b**off
-        old = (node.code // d) % b
-        node.code += (letter - old) * d
-        child_val = self.value[node.length][node.code]
-        for parent, i in reversed(path):
-            self._steps += 1
-            d = b**i
-            old = (parent.code // d) % b
-            if old == child_val:
+        k, b, pw, value = self.k, self._b, self._pow, self.value
+        v, j = letter, pos
+        steps = 0
+        for codes in self.levels:
+            steps += 1
+            d = pw[j % k]
+            j //= k
+            code = codes[j]
+            old = code // d % b
+            if old == v:
                 break
-            parent.code += (child_val - old) * d
-            child_val = self.value[parent.length][parent.code]
+            code += (v - old) * d
+            codes[j] = code
+            v = value[code]
+        self._steps += steps
 
     def query(self):
         self._steps += 1
-        if self.root is None:
+        if not self.levels:
             return None
-        return self.value[self.root.length][self.root.code]
+        return self.value[self.levels[-1][0]]
 
     def prefix(self, length):
         """Evaluation of the first `length` letters (identity for length 0)."""
@@ -159,49 +130,29 @@ class KaryEngine(Engine):
         return self.infix(0, length - 1)
 
     def infix(self, i, j):
-        """Evaluation of letters i..j inclusive (0-based)."""
+        """Evaluation of letters i..j inclusive (0-based).
+
+        Climbs the levels folding the partial left node into `left` and the
+        partial right node into `right`; the nodes strictly between them are
+        whole, so they become the range i..j one level up.
+        """
         if not (0 <= i <= j < self.n):
             raise PositionOutOfRange(f"infix ({i},{j}) invalid for n={self.n}")
-        return self._infix(self.root, i, j)
-
-    def _infix(self, node, i, j):
-        self._steps += 1
-        if node.children is None:
-            return self.inf[node.length][node.code][i * node.length + j]
-        t = self.semigroup.table
-        ci, cj = i // node.chunk, j // node.chunk
-        if ci == cj:
-            return self._infix(node.children[ci], i - ci * node.chunk, j - ci * node.chunk)
-        left = self._suffix(node.children[ci], i - ci * node.chunk)
-        right = self._prefix_in(node.children[cj], j - cj * node.chunk)
-        if cj - ci >= 2:
-            mid = self.inf[node.length][node.code][(ci + 1) * node.length + (cj - 1)]
-            return t[t[left][mid]][right]
-        return t[left][right]
-
-    def _prefix_in(self, node, j):
-        self._steps += 1
-        if node.children is None:
-            return self.inf[node.length][node.code][j]
-        cj = j // node.chunk
-        right = self._prefix_in(node.children[cj], j - cj * node.chunk)
-        if cj == 0:
-            return right
-        mid = self.inf[node.length][node.code][cj - 1]
-        return self.semigroup.table[mid][right]
-
-    def _suffix(self, node, i):
-        self._steps += 1
-        if node.children is None:
-            l = node.length
-            return self.inf[node.length][node.code][i * l + (l - 1)]
-        ci = i // node.chunk
-        left = self._suffix(node.children[ci], i - ci * node.chunk)
-        if ci == node.length - 1:
-            return left
-        l = node.length
-        mid = self.inf[node.length][node.code][(ci + 1) * l + (l - 1)]
-        return self.semigroup.table[left][mid]
+        k, inf, t = self.k, self.inf, self.semigroup.table
+        kk = k * k
+        left = right = self.semigroup.identity
+        for codes in self.levels:
+            self._steps += 1
+            ni, di = divmod(i, k)
+            nj, dj = divmod(j, k)
+            if ni == nj:
+                mid = inf[codes[ni] * kk + di * k + dj]
+                return t[t[left][mid]][right]
+            left = t[left][inf[codes[ni] * kk + di * k + k - 1]]
+            right = t[inf[codes[nj] * kk + dj]][right]
+            i, j = ni + 1, nj - 1
+            if i > j:
+                return t[left][right]
 
 
 def make_kary_engine(semigroup, word, config=None):

@@ -26,6 +26,12 @@ from ..veb import VebMap
 from .base import Engine
 
 
+def _require(ok, message):
+    """Invariant check for validate(); raises, so it also holds under -O."""
+    if not ok:
+        raise InternalError(message)
+
+
 class _ReesView:
     """Rees data of one layer, translated to ambient element ids."""
 
@@ -83,7 +89,7 @@ class _BaseLayer:
         return [self.inp]
 
     def validate(self):
-        assert self.count == len(self.inp)
+        _require(self.count == len(self.inp), "base layer count out of sync")
 
 
 class _PairLayer:
@@ -236,10 +242,11 @@ class _PairLayer:
 
     def validate(self):
         items = self.inp.items()
-        assert self.count == len(items)
+        _require(self.count == len(items), "pair layer count out of sync")
         groups = self.down.inp.items()
         if self.count <= 1:
-            assert groups == []
+            _require(groups == [], "pair layer groups a single letter")
+            self.down.validate()
             return
         keys = [k for k, _ in items]
         gi = 0
@@ -247,15 +254,15 @@ class _PairLayer:
         for gkey, glabel in groups:
             members = [k for k in keys[start:] if k <= gkey]
             members = keys[start : start + len(members)]
-            assert 2 <= len(members) <= 3, (gkey, members)
-            assert members[-1] == gkey
+            _require(2 <= len(members) <= 3, (gkey, members))
+            _require(members[-1] == gkey, (gkey, members))
             label = self.inp.retrieve(members[0])
             for k in members[1:]:
                 label = self.table[label][self.inp.retrieve(k)]
-            assert label == glabel
+            _require(label == glabel, (gkey, label, glabel))
             start += len(members)
             gi += 1
-        assert start == len(keys)
+        _require(start == len(keys), "pair layer leaves letters ungrouped")
         self.down.validate()
 
 
@@ -555,11 +562,11 @@ class _RunLayer:
 
     def validate(self):
         items = self.inp.items()
-        assert self.count == len(items)
+        _require(self.count == len(items), "run layer count out of sync")
         entries = self.down.inp.items()
-        assert [k for k, _ in self.cset.items()] == [
+        _require([k for k, _ in self.cset.items()] == [
             k for k, lab in entries if lab in self.cls
-        ], "cset out of sync with run entries"
+        ], "cset out of sync with run entries")
         # recompute the exact collapse and compare skeletons + global eval
         expected = []
         run = None
@@ -580,15 +587,15 @@ class _RunLayer:
                 expected.append((key, a))
         if run is not None:
             expected.append((run[3], run[0], run[2]))
-        assert len(entries) == len(expected), (entries, expected)
+        _require(len(entries) == len(expected), (entries, expected))
         for got, want in zip(entries, expected):
             key, label = got
             if len(want) == 2:
-                assert (key, label) == want
+                _require((key, label) == want, (got, want))
             else:
                 wkey, wi, wj = want
                 gi, _, gj = self.rv.coord[label]
-                assert key == wkey and gi == wi and gj == wj, (got, want)
+                _require(key == wkey and gi == wi and gj == wj, (got, want))
         lhs = [a for _, a in items]
         rhs = [lab for _, lab in entries]
         t = self.table
@@ -599,7 +606,7 @@ class _RunLayer:
             for x in seq[1:]:
                 acc = t[acc][x]
             return acc
-        assert fold(lhs) == fold(rhs), "run layer lost the global evaluation"
+        _require(fold(lhs) == fold(rhs), "run layer lost the global evaluation")
         # total group mass over all runs matches the exact collapse
         rv = self.rv
         want_total = rv.gid
@@ -624,7 +631,7 @@ class _RunLayer:
         for _, lab in entries:
             if lab in self.cls:
                 got_total = rv.gmul(got_total, rv.coord[lab][1])
-        assert got_total == want_total, "run layer total mass drifted"
+        _require(got_total == want_total, "run layer total mass drifted")
         self.down.validate()
 
 

@@ -24,6 +24,7 @@ import re
 import subprocess
 import sys
 import time
+import zlib
 
 import pytest
 
@@ -79,7 +80,7 @@ def _random_clause(gal):
     for name, s in sorted(gal.items()):
         for kind, factory in eligible_engines(s):
             for n in (17, 64, 1000, 4096):
-                rng = random.Random((SEED, name, kind, n).__hash__() & 0xFFFFFFF)
+                rng = random.Random(zlib.crc32(f"{SEED}:{name}:{kind}:{n}".encode()))
                 word = [rng.randrange(s.size) for _ in range(n)]
                 eng = factory(s, list(word))
                 oracle = FoldOracle(s, list(word))

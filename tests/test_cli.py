@@ -157,6 +157,34 @@ def test_bad_input_exit_code(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("args,stream", [
+    # non-associative table: AssociativityViolation
+    (["algebra", "{dir}/nonassoc.json"], None),
+    (["algebra", "{dir}/abstar.json"], None),
+    (["run", "{dir}/nonassoc.json", "--word", "0"], "Q\n"),
+    # update or initial letter outside the alphabet: RangeError
+    (["run", "{dir}/abstar.json", "--word", "aaaa"], "U 1 c\nQ\n"),
+    (["run", "{dir}/abstar.json", "--word", "abca"], "Q\n"),
+    (["run", "{dir}/abse.json", "--word", "a x"], "Q\n"),
+    (["run", "{dir}/abse.json", "--word", "a b"], "U 0 x\n"),
+    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "P 9\n"),
+    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "I 1 0\n"),
+    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "count"], "Q\n"),
+    (["run", "{dir}/abstar.json", "--word", "aaaa"], "X 1\n"),
+    (["classify", "{dir}/missing.json"], None),
+])
+def test_bad_input_matrix_exit_code_2(files, args, stream):
+    (files / "nonassoc.json").write_text(json.dumps({"table": [[1, 0], [1, 1]]}))
+    args = [a.format(dir=files) for a in args]
+    if stream is not None:
+        (files / "bad_stream.txt").write_text(stream)
+        args += ["--stream", str(files / "bad_stream.txt")]
+    r = run_cli(args)
+    assert r.returncode == 2, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
 def test_classify_dfa_input_s3_language(tmp_path):
     import itertools
 

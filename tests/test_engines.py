@@ -1,11 +1,14 @@
 import random
+import zlib
 
 import pytest
 
 from helpers import FoldOracle, eligible_engines, run_differential
 
+from dynreg.algebra.core import adjoin_identity
 from dynreg.engines import (
     DivisionEngine,
+    KAryConfig,
     ProductEngine,
     make_count_engine,
     make_kary_engine,
@@ -83,6 +86,47 @@ def test_kary_infix_consistency():
             right = e.infix(j + 1, l)
             assert s.table[left][right] == e.infix(i, l)
         e.update(rng.randrange(n), rng.randrange(6))
+
+
+def _height(k, n):
+    """Levels of the flat k-ary tree: ceil(log_k n), and 1 for n = 1."""
+    h, span = 1, k
+    while span < n:
+        h, span = h + 1, span * k
+    return h
+
+
+@pytest.mark.parametrize("name", ["S3", "abstar"])
+@pytest.mark.parametrize("forced_k", [None, 2, 3, 5])
+def test_kary_levels_match_naive(gal, name, forced_k):
+    s = adjoin_identity(gal[name])
+    rng = random.Random(zlib.crc32(f"{name}:{forced_k}".encode()))
+    k = forced_k or KAryConfig(s.size, 4097).k
+    for n in sorted({1, 2, k, k + 1, 255, 257, 1000, 4097}):
+        config = None
+        if forced_k is not None:
+            config = KAryConfig(s.size, n)
+            config.k = forced_k
+        word = [rng.randrange(s.size) for _ in range(n)]
+        eng = make_kary_engine(s, list(word), config=config)
+        ora = make_naive_engine(s, list(word))
+        assert eng.k == k
+        height = _height(k, n)
+        for _ in range(150):
+            p, a = rng.randrange(n), rng.randrange(s.size)
+            before = eng.op_count
+            eng.update(p, a)
+            assert eng.op_count - before <= height
+            ora.update(p, a)
+            assert eng.query() == ora.query()
+            i = rng.randrange(n)
+            j = rng.randrange(i, n)
+            assert eng.infix(i, j) == ora.infix(i, j), (n, i, j)
+        acc = s.identity
+        assert eng.prefix(0) == acc
+        for length, letter in enumerate(ora.word, 1):
+            acc = s.table[acc][letter]
+            assert eng.prefix(length) == acc, (n, length)
 
 
 # -- count ----------------------------------------------------------------------

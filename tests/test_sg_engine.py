@@ -1,5 +1,6 @@
 import math
 import random
+import zlib
 
 import pytest
 
@@ -7,7 +8,7 @@ from helpers import FoldOracle
 
 from dynreg.algebra import FiniteSemigroup
 from dynreg.engines import make_naive_engine, make_sg_engine
-from dynreg.errors import NotSg
+from dynreg.errors import InternalError, NotSg
 from dynreg.gallery import ab_star_semigroup, s3
 
 
@@ -63,6 +64,19 @@ def test_single_letter_word():
     assert e.query() == s.id_of("0")
 
 
+def test_validate_raises_internal_error_on_corrupt_count():
+    # validate() raises rather than asserts, so the checks also run under -O
+    s = ab_star_semigroup()
+    ids = {n: s.id_of(n) for n in s.names}
+    e = make_sg_engine(s, [ids[c] for c in "aabbab"], debug_checks=True)
+    for layer in e._layers:
+        layer.count += 1
+        with pytest.raises(InternalError, match="count out of sync"):
+            e.top.validate()
+        layer.count -= 1
+    e.top.validate()
+
+
 def test_empty_word():
     s = ab_star_semigroup()
     e = make_sg_engine(s, [])
@@ -74,7 +88,7 @@ def test_empty_word():
 ])
 def test_gallery_differential_with_debug_checks(gal, name):
     s = gal[name]
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(zlib.crc32(name.encode()))
     for n in (1, 2, 3, 7, 33):
         word = [rng.randrange(s.size) for _ in range(n)]
         eng = make_sg_engine(s, list(word), debug_checks=True)
