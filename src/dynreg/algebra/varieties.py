@@ -17,7 +17,7 @@ check_variety returns a bool; find_violation returns a witness tuple or None.
 
 from __future__ import annotations
 
-from ..errors import UnsupportedVariety
+from ..errors import InternalError, UnsupportedVariety
 from .green import local_monoids
 
 _SIMPLE = {
@@ -121,7 +121,8 @@ def find_violation(s, v):
 
 def nilpotency_degree(s):
     """Least k with S^k = {0} for a nilpotent semigroup s."""
-    assert s.zero is not None
+    if s.zero is None:
+        raise InternalError("nilpotency degree of a semigroup without zero")
     level = set(range(s.size))
     k = 1
     while level != {s.zero}:

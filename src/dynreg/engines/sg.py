@@ -58,13 +58,14 @@ class _BaseLayer:
     """Word over the zero class: only the letter count matters."""
 
     def __init__(self, span, zero_id):
-        self.inp = VebMap(span)
+        self.span = span
+        self.inp = None  # built by load()
         self.zero_id = zero_id
         self.count = 0
         self.steps = 0
 
     def load(self, entries):
-        self.inp = VebMap.build(self.inp.span, entries)
+        self.inp = VebMap.build(self.span, entries)
         self.count = len(entries)
 
     def insert(self, key, letter):
@@ -96,7 +97,8 @@ class _PairLayer:
     """Groups 2-3 adjacent letters per entry; products land in S minus C."""
 
     def __init__(self, span, table, down):
-        self.inp = VebMap(span)
+        self.span = span
+        self.inp = None  # built by load()
         self.table = table  # ambient composition table
         self.down = down
         self.count = 0
@@ -104,23 +106,28 @@ class _PairLayer:
 
     # -- helpers -----------------------------------------------------------
 
-    def _group_key(self, pos):
-        out = self.down.inp
-        q = out.find_next(pos)
-        return q if q is not None else out.find_prev(pos)
+    def _group(self, key):
+        """(gkey, members) of the group entry holding the input key.
 
-    def _members(self, gkey):
-        """Keys of the group entry at gkey, in increasing order (2..4 keys)."""
-        out = self.down.inp
-        prev_g = out.find_prev(gkey - 1)
-        lo = 0 if prev_g is None else prev_g
+        The members are the input keys in (previous group key, gkey], in
+        increasing order (2..4 keys): walk from key both ways up to a key
+        that is itself a group key. gkey is None if no group key is >= key.
+        """
+        inp, out = self.inp, self.down.inp
         ms = []
-        k = self.inp.find_prev(gkey)
-        while k is not None and k > lo:
+        k = inp.find_prev(key - 1)
+        while k is not None and out.retrieve(k) is None:
             ms.append(k)
-            k = self.inp.find_prev(k - 1)
+            k = inp.find_prev(k - 1)
         ms.reverse()
-        return ms
+        k = key
+        ms.append(k)
+        while out.retrieve(k) is None:
+            k = inp.find_next(k + 1)
+            if k is None:
+                return None, ms
+            ms.append(k)
+        return k, ms
 
     def _label(self, members):
         t = self.table
@@ -142,6 +149,10 @@ class _PairLayer:
                 down.insert(newkey, label)
         else:
             m1, m2, m3, m4 = members
+            if gkey == m4:  # the second half keeps the entry
+                down.insert(m2, self._label([m1, m2]))
+                down.update(m4, self._label([m3, m4]))
+                return
             down.delete(gkey)
             down.insert(m2, self._label([m1, m2]))
             down.insert(m4, self._label([m3, m4]))
@@ -149,7 +160,7 @@ class _PairLayer:
     # -- word operations -----------------------------------------------------
 
     def load(self, entries):
-        self.inp = VebMap.build(self.inp.span, entries)
+        self.inp = VebMap.build(self.span, entries)
         self.count = len(entries)
         m = len(entries)
         groups = []
@@ -177,13 +188,10 @@ class _PairLayer:
             k2 = self.inp.find_next(k1 + 1)
             self.down.insert(k2, self._label([k1, k2]))
             return
-        out = self.down.inp
-        gkey = out.find_next(key)
-        if gkey is None:
-            gkey = out.find_prev(key)
-            members = self._members(gkey) + [key]
-        else:
-            members = self._members(gkey)
+        gkey, members = self._group(key)
+        if gkey is None:  # key follows the last group: it joins that group
+            gkey, members = self._group(self.inp.find_prev(key - 1))
+            members.append(key)
         self._regroup(gkey, members)
 
     def delete(self, key):
@@ -192,28 +200,26 @@ class _PairLayer:
             self.inp.delete(key)
             self.count = 0
             return
+        gkey, members = self._group(key)
         if self.count == 2:
-            gkey = self._group_key(key)
             self.down.delete(gkey)
             self.inp.delete(key)
             self.count = 1
             return
-        gkey = self._group_key(key)
-        members = self._members(gkey)
         members.remove(key)
         self.inp.delete(key)
         self.count -= 1
         if len(members) >= 2:
             self._regroup(gkey, members)
             return
-        # orphaned single member: dissolve and re-attach to a neighbor group
+        # orphaned single member: dissolve and re-attach to a neighbor group,
+        # preferably the next one, whose entry then keeps its key
         orphan = members[0]
         self.down.delete(gkey)
-        nb = self.inp.find_prev(orphan - 1)
+        nb = self.inp.find_next(orphan + 1)
         if nb is None:
-            nb = self.inp.find_next(orphan + 1)
-        nkey = self._group_key(nb)
-        nmembers = self._members(nkey)
+            nb = self.inp.find_prev(orphan - 1)
+        nkey, nmembers = self._group(nb)
         if orphan not in nmembers:
             nmembers = sorted(nmembers + [orphan])
         self._regroup(nkey, nmembers)
@@ -225,8 +231,7 @@ class _PairLayer:
         self.inp.update(key, letter)
         if self.count == 1:
             return
-        gkey = self._group_key(key)
-        members = self._members(gkey)
+        gkey, members = self._group(key)
         self.down.update(gkey, self._label(members))
 
     def eval(self):
@@ -275,15 +280,19 @@ class _RunLayer:
     single-letter run is deleted the difference between its stored mass and
     its true letter mass is pushed onto any other surviving run entry (found
     through cset); if none survives the difference is necessarily trivial.
+
+    A letter moving into or out of C is relabelled in place: the runs next
+    to it are joined or split directly, not by a delete and a re-insert.
     """
 
     def __init__(self, span, table, cls, rv, down):
-        self.inp = VebMap(span)
+        self.span = span
+        self.inp = None     # built by load(), as is cset
         self.table = table
         self.cls = cls      # frozenset of ambient ids in the class C
         self.rv = rv        # _ReesView
         self.down = down
-        self.cset = VebMap(span)
+        self.cset = None
         self.count = 0
         self.steps = 0
 
@@ -316,7 +325,7 @@ class _RunLayer:
         self.down.update(key, label)
 
     def load(self, entries):
-        self.inp = VebMap.build(self.inp.span, entries)
+        self.inp = VebMap.build(self.span, entries)
         self.count = len(entries)
         out = []
         run = None  # (i0, g, last_j, last_key)
@@ -338,103 +347,115 @@ class _RunLayer:
         if run is not None:
             out.append((run[3], self.rv.uncoord[(run[0], run[1], run[2])]))
         self.cset = VebMap.build(
-            self.cset.span, [(k, 1) for k, lab in out if lab in self.cls]
+            self.span, [(k, 1) for k, lab in out if lab in self.cls]
         )
         self.down.load(out)
 
-    def _locate(self, key):
-        """Covering entry and neighbor data for a key not present in inp."""
-        out = self.down.inp
-        q = out.find_next(key)
-        qprev = out.find_prev(key)
-        m_minus = self.inp.find_prev(key)
-        m_plus = self.inp.find_next(key)
-        inside = (
-            q is not None
-            and out.retrieve(q) in self.cls
-            and m_minus is not None
-            and (qprev is None or qprev < m_minus)
-        )
-        return q, qprev, m_minus, m_plus, inside
-
     def insert(self, key, a):
         self.steps += 1
-        rv = self.rv
-        down = self.down
-        q, qprev, m_minus, m_plus, inside = self._locate(key)
+        cls = self.cls
+        out = self.down.inp
+        q = out.find_next(key)
+        lq = None if q is None else out.retrieve(q)
+        if lq not in cls and a not in cls:
+            # no run covers key and a starts none: a separator entry
+            self.inp.insert(key, a)
+            self.count += 1
+            self._dins(key, a)
+            return
+        m_minus = self.inp.find_prev(key)
+        # m_minus ends the entry before key, unless key falls inside q's run
+        lm = None if m_minus is None else out.retrieve(m_minus)
         self.inp.insert(key, a)
         self.count += 1
-        if a not in self.cls:
-            if not inside:
-                self._dins(key, a)
-                return
-            # split the run around the new non-C letter
-            i, g, j = self._entry(q)
-            j_m = rv.coord[self.inp.retrieve(m_minus)][2]
-            i_p = rv.coord[self.inp.retrieve(m_plus)][0]
-            g1 = rv.gmul(g, rv.ginv(self._p(j_m, i_p)))
-            self._dins(m_minus, rv.uncoord[(i, g1, j_m)])
+        if lq in cls and m_minus is not None and lm is None:
+            self._insert_inside(key, a, q, lq, m_minus)
+        elif a in cls:
+            self._join(key, a, m_minus, lm, q, lq, present=False)
+        else:
+            self._dins(key, a)
+
+    def _insert_inside(self, key, a, q, lq, m_minus):
+        """Insert a between the letters m_minus and m_plus of q's run."""
+        rv = self.rv
+        m_plus = self.inp.find_next(key + 1)
+        i, g, j = rv.coord[lq]
+        j_m = rv.coord[self.inp.retrieve(m_minus)][2]
+        i_p = rv.coord[self.inp.retrieve(m_plus)][0]
+        g = rv.gmul(g, rv.ginv(self._p(j_m, i_p)))  # step (*)
+        if a in self.cls:
+            ia, ga, ja = rv.coord[a]
+            p1, p2 = self._p(j_m, ia), self._p(ja, i_p)
+        else:  # a separator joins neither fragment
+            p1 = p2 = None
+        if p1 is not None and p2 is not None:
+            g = rv.gmul(g, p1, ga, p2)
+            self._dupd(q, rv.uncoord[(i, g, j)])
+        elif p1 is None and p2 is None:
+            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
             self._dins(key, a)
             self._dupd(q, rv.uncoord[(i_p, rv.gid, j)])
-            return
+        elif p1 is not None:  # p2 is None: left fragment absorbs the letter
+            self._dins(key, rv.uncoord[(i, rv.gmul(g, p1, ga), ja)])
+            self._dupd(q, rv.uncoord[(i_p, rv.gid, j)])
+        else:  # p1 is None: right fragment absorbs the letter
+            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
+            self._dupd(q, rv.uncoord[(ia, rv.gmul(ga, p2), j)])
 
+    def _join(self, key, a, m_minus, lm, q, lq, present):
+        """Enter the C-letter a at key, which lies inside no run: join it to
+        the run entry at m_minus (label lm) before it and the one at q (label
+        lq) after it, as far as the sandwich matrix allows. present: key
+        already has its own entry in the collapsed word."""
+        rv = self.rv
         ia, ga, ja = rv.coord[a]
-        if inside:
-            i, g, j = self._entry(q)
-            j_m = rv.coord[self.inp.retrieve(m_minus)][2]
-            i_p = rv.coord[self.inp.retrieve(m_plus)][0]
-            g = rv.gmul(g, rv.ginv(self._p(j_m, i_p)))  # step (*)
-            p1 = self._p(j_m, ia)
-            p2 = self._p(ja, i_p)
-            if p1 is not None and p2 is not None:
-                g = rv.gmul(g, p1, ga, p2)
-                self._dupd(q, rv.uncoord[(i, g, j)])
-            elif p1 is None and p2 is None:
-                self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-                self._dins(key, a)
-                self._dupd(q, rv.uncoord[(i_p, rv.gid, j)])
-            elif p1 is not None:  # p2 is None: left fragment absorbs the letter
-                self._dins(key, rv.uncoord[(i, rv.gmul(g, p1, ga), ja)])
-                self._dupd(q, rv.uncoord[(i_p, rv.gid, j)])
-            else:  # p1 is None: right fragment absorbs the letter
-                self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-                self._dupd(q, rv.uncoord[(ia, rv.gmul(ga, p2), j)])
-            return
-
-        b_minus = self.inp.retrieve(m_minus) if m_minus is not None else None
-        b_plus = self.inp.retrieve(m_plus) if m_plus is not None else None
-        left = None
-        if b_minus is not None and b_minus in self.cls:
-            i1, g1, j1 = self._entry(m_minus)
+        i0, g0 = ia, ga
+        if lm in self.cls:
+            i1, g1, j1 = rv.coord[lm]
             pl = self._p(j1, ia)
             if pl is not None:
-                left = (i1, g1, j1, pl)
-        right = None
-        if b_plus is not None and b_plus in self.cls:
-            i2, g2, j2 = self._entry(q)
+                self._ddel(m_minus)
+                i0, g0 = i1, rv.gmul(g1, pl, ga)
+        pr = None
+        if lq in self.cls:
+            i2, g2, j2 = rv.coord[lq]
             pr = self._p(ja, i2)
-            if pr is not None:
-                right = (i2, g2, j2, pr)
-        if left is None and right is None:
-            self._dins(key, a)
-        elif left is not None and right is None:
-            i1, g1, j1, pl = left
-            self._ddel(m_minus)
-            self._dins(key, rv.uncoord[(i1, rv.gmul(g1, pl, ga), ja)])
-        elif left is None and right is not None:
-            i2, g2, j2, pr = right
-            self._dupd(q, rv.uncoord[(ia, rv.gmul(ga, pr, g2), j2)])
-        else:
-            i1, g1, j1, pl = left
-            i2, g2, j2, pr = right
-            self._ddel(m_minus)
-            self._dupd(q, rv.uncoord[(i1, rv.gmul(g1, pl, ga, pr, g2), j2)])
+        if pr is None:
+            label = rv.uncoord[(i0, g0, ja)]
+            if present:
+                self._dupd(key, label)
+            else:
+                self._dins(key, label)
+            return
+        if present:
+            self._ddel(key)
+        self._dupd(q, rv.uncoord[(i0, rv.gmul(g0, pr, g2), j2)])
+
+    def _split(self, key):
+        """Covering run entry of the C-letter at key and where key sits in it:
+        (q, (i, g, j), m_minus, left_in, right_in)."""
+        out = self.down.inp
+        q = out.find_next(key)
+        m_minus = self.inp.find_prev(key - 1)
+        # down keys are input keys, so m_minus is in key's run iff no entry
+        # ends there
+        left_in = m_minus is not None and out.retrieve(m_minus) is None
+        return q, self._entry(q), m_minus, left_in, key != q
+
+    def _discharge(self, delta):
+        """Push a group-mass difference onto any surviving run entry."""
+        rv = self.rv
+        if delta == rv.gid:
+            return
+        other = self.cset.find_next(1)
+        if other is not None:
+            i2, g2, j2 = self._entry(other)
+            self._dupd(other, rv.uncoord[(i2, rv.gmul(g2, delta), j2)])
 
     def delete(self, key):
         self.steps += 1
         rv = self.rv
-        down = self.down
-        out = down.inp
+        out = self.down.inp
         b = self.inp.retrieve(key)
         if b not in self.cls:
             self._ddel(key)
@@ -442,72 +463,52 @@ class _RunLayer:
             self.count -= 1
             self._merge_check(key)
             return
-        q = out.find_next(key)
-        i, g, j = self._entry(q)
-        prevkey = out.find_prev(key - 1)
-        m_minus = self.inp.find_prev(key - 1)
-        m_plus = self.inp.find_next(key + 1)
-        left_in = m_minus is not None and (prevkey is None or m_minus > prevkey)
-        right_in = m_plus is not None and m_plus <= q
+        q, (i, g, j), m_minus, left_in, right_in = self._split(key)
         ip, gp, jp = rv.coord[b]
         self.inp.delete(key)
         self.count -= 1
+        g = rv.gmul(g, rv.ginv(gp))
         if not left_in and not right_in:
             # single-letter run: discharge the mass drift onto another run
             self._ddel(q)
-            delta = rv.gmul(g, rv.ginv(gp))
-            if delta != rv.gid:
-                other = self.cset.find_next(1)
-                if other is not None:
-                    i2, g2, j2 = self._entry(other)
-                    self._dupd(other, rv.uncoord[(i2, rv.gmul(g2, delta), j2)])
+            self._discharge(g)
             self._merge_check(key)
             return
         if not left_in:  # first letter of a longer run
-            i2 = rv.coord[self.inp.retrieve(m_plus)][0]
-            g2 = rv.gmul(g, rv.ginv(gp), rv.ginv(self._p(jp, i2)))
-            self._dupd(q, rv.uncoord[(i2, g2, j)])
-            if prevkey is not None and out.retrieve(prevkey) in self.cls:
-                self._merge(prevkey, q)
+            i2 = rv.coord[self.inp.retrieve(self.inp.find_next(key + 1))][0]
+            self._dupd(q, rv.uncoord[(i2, rv.gmul(g, rv.ginv(self._p(jp, i2))), j)])
+            if m_minus is not None and out.retrieve(m_minus) in self.cls:
+                self._merge(m_minus, q)
             return
+        j_m = rv.coord[self.inp.retrieve(m_minus)][2]
+        g = rv.gmul(g, rv.ginv(self._p(j_m, ip)))
         if not right_in:  # last letter of a longer run
-            j2 = rv.coord[self.inp.retrieve(m_minus)][2]
-            g2 = rv.gmul(g, rv.ginv(gp), rv.ginv(self._p(j2, ip)))
             self._ddel(q)
-            self._dins(m_minus, rv.uncoord[(i, g2, j2)])
+            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
             nk = out.find_next(m_minus + 1)
             if nk is not None and out.retrieve(nk) in self.cls:
                 self._merge(m_minus, nk)
             return
         # interior letter
-        j_m = rv.coord[self.inp.retrieve(m_minus)][2]
-        i_p = rv.coord[self.inp.retrieve(m_plus)][0]
-        g2 = rv.gmul(
-            g, rv.ginv(gp), rv.ginv(self._p(j_m, ip)), rv.ginv(self._p(jp, i_p))
-        )
+        i_p = rv.coord[self.inp.retrieve(self.inp.find_next(key + 1))][0]
+        g = rv.gmul(g, rv.ginv(self._p(jp, i_p)))
         pm = self._p(j_m, i_p)
         if pm is not None:
-            self._dupd(q, rv.uncoord[(i, rv.gmul(g2, pm), j)])
+            self._dupd(q, rv.uncoord[(i, rv.gmul(g, pm), j)])
         else:
-            self._dins(m_minus, rv.uncoord[(i, g2, j_m)])
+            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
             self._dupd(q, rv.uncoord[(i_p, rv.gid, j)])
 
     def _merge_check(self, key):
-        """After removing a separator at key, join newly adjacent runs."""
+        """After removing the separator entry at key, join the runs it
+        separated."""
         out = self.down.inp
-        m_minus = self.inp.find_prev(key)
-        m_plus = self.inp.find_next(key)
-        if m_minus is None or m_plus is None:
+        m_minus = self.inp.find_prev(key)  # ends the entry before key
+        if m_minus is None or out.retrieve(m_minus) not in self.cls:
             return
-        if self.inp.retrieve(m_minus) not in self.cls:
-            return
-        if self.inp.retrieve(m_plus) not in self.cls:
-            return
-        k1 = out.find_next(m_minus)
-        k2 = out.find_next(m_plus)
-        if k1 == k2:
-            return
-        self._merge(k1, k2)
+        q = out.find_next(key)
+        if q is not None and out.retrieve(q) in self.cls:
+            self._merge(m_minus, q)
 
     def _merge(self, k1, k2):
         """Join run entries at k1 < k2 when the sandwich entry is nonzero."""
@@ -519,6 +520,41 @@ class _RunLayer:
             return
         self._ddel(k1)
         self._dupd(k2, rv.uncoord[(i1, rv.gmul(g1, p, g2), j2)])
+
+    def _enter(self, key, a):
+        """Relabel the separator at key to the C-letter a in place."""
+        out = self.down.inp
+        self.inp.update(key, a)
+        m_minus = self.inp.find_prev(key - 1)
+        lm = None if m_minus is None else out.retrieve(m_minus)
+        q = out.find_next(key + 1)
+        lq = None if q is None else out.retrieve(q)
+        self._join(key, a, m_minus, lm, q, lq, present=True)
+
+    def _leave(self, key, old, a):
+        """Relabel the C-letter old at key to the separator a in place: the
+        run splits around key, and its fragments keep the run's mass."""
+        rv = self.rv
+        q, (i, g, j), m_minus, left_in, right_in = self._split(key)
+        ip, gp, jp = rv.coord[old]
+        self.inp.update(key, a)
+        g = rv.gmul(g, rv.ginv(gp))
+        if left_in:
+            j_m = rv.coord[self.inp.retrieve(m_minus)][2]
+            g = rv.gmul(g, rv.ginv(self._p(j_m, ip)))
+        if right_in:
+            i_p = rv.coord[self.inp.retrieve(self.inp.find_next(key + 1))][0]
+            g = rv.gmul(g, rv.ginv(self._p(jp, i_p)))
+        if left_in:
+            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
+            g = rv.gid
+        if right_in:
+            self._dins(key, a)
+            self._dupd(q, rv.uncoord[(i_p, g, j)])
+            return
+        self._dupd(key, a)
+        if not left_in:  # key was a single-letter run
+            self._discharge(g)
 
     def update(self, key, a):
         self.steps += 1
@@ -532,20 +568,25 @@ class _RunLayer:
             self.inp.update(key, a)
             self.down.update(key, a)
             return
-        if in_c_old and in_c_new:
-            rv = self.rv
-            io, go, jo = rv.coord[old]
-            ia, ga, ja = rv.coord[a]
-            if io == ia and jo == ja:
-                # same egg-box cell: every sandwich entry stays put, only the
-                # group annotation of the covering entry moves
-                self.inp.update(key, a)
-                q = self.down.inp.find_next(key)
-                i, g, j = self._entry(q)
-                g2 = rv.gmul(g, rv.ginv(go), ga)
-                if g2 != g:
-                    self.down.update(q, rv.uncoord[(i, g2, j)])
-                return
+        if not in_c_old:
+            self._enter(key, a)
+            return
+        if not in_c_new:
+            self._leave(key, old, a)
+            return
+        rv = self.rv
+        io, go, jo = rv.coord[old]
+        ia, ga, ja = rv.coord[a]
+        if io == ia and jo == ja:
+            # same egg-box cell: every sandwich entry stays put, only the
+            # group annotation of the covering entry moves
+            self.inp.update(key, a)
+            q = self.down.inp.find_next(key)
+            i, g, j = self._entry(q)
+            g2 = rv.gmul(g, rv.ginv(go), ga)
+            if g2 != g:
+                self.down.update(q, rv.uncoord[(i, g2, j)])
+            return
         self.delete(key)
         self.insert(key, a)
 

@@ -11,7 +11,7 @@ from .algebra.varieties import find_violation
 from .engines.dispatch import make_auto_engine
 from .engines.language import make_language_engine
 from .engines.prefix import make_prefix_engine
-from .errors import NotAWitness, PositionOutOfRange, RangeError
+from .errors import InternalError, NotAWitness, PositionOutOfRange, RangeError
 from .syntactic.classify import classify_language
 from .syntactic.dfa import Dfa, minimize_dfa
 from .syntactic.monoid import syntactic_monoid
@@ -127,6 +127,16 @@ def _lang_engine_for(regex_text, alphabet, word):
     return make_language_engine(m, sd, rep, word), (m, sd, rep)
 
 
+def _require_direction(adapter, direction):
+    """Each adapter query exists in one direction only; raises rather than
+    asserts, so the check also holds under python -O."""
+    if adapter.direction != direction:
+        raise InternalError(
+            f"{type(adapter).__name__} built {adapter.direction!r} has no "
+            f"{direction!r} query"
+        )
+
+
 class LangU2Adapter:
     """Both directions of the prefix-U2 <-> membership-in-L_U2 equivalence,
     L_U2 = (a+b+c)*bc*x(a+b+c)*."""
@@ -175,7 +185,7 @@ class LangU2Adapter:
 
     def prefix_query(self, k):
         """Last non-neutral among the first k letters: '1', 'a', or 'b'."""
-        assert self.direction == "problem-to-language"
+        _require_direction(self, "problem-to-language")
         if not (1 <= k <= len(self.w)):
             raise PositionOutOfRange(f"prefix {k} outside 1..{len(self.w)}")
         self.queries += 1
@@ -202,7 +212,7 @@ class LangU2Adapter:
 
     def member_query(self):
         """Is the maintained word in L_U2?"""
-        assert self.direction == "language-to-problem"
+        _require_direction(self, "language-to-problem")
         self.queries += 1
         if len(self.x_positions) != 1:
             return False
@@ -251,7 +261,7 @@ class LangU1Adapter:
 
     def prefix_query(self, j):
         """True iff some position < j holds a 0 (prefix of length j)."""
-        assert self.direction == "problem-to-language"
+        _require_direction(self, "problem-to-language")
         if not (1 <= j <= len(self.w)):
             raise PositionOutOfRange(f"prefix {j} outside 1..{len(self.w)}")
         self.queries += 1
@@ -265,7 +275,7 @@ class LangU1Adapter:
 
     def member_query(self):
         """Is the maintained word in L_U1?"""
-        assert self.direction == "language-to-problem"
+        _require_direction(self, "language-to-problem")
         self.queries += 1
         if len(self.x_positions) != 1:
             return False

@@ -11,14 +11,31 @@ The recursive tree bottoms out at universes of at most 64 in a single machine
 word (Python int) scanned with bit tricks.
 
 probes counts memory-cell-level accesses; writes counts cells written during
-construction. Both exist so tests can assert the complexity claims.
+construction. Both exist so tests can assert the complexity claims. How
+probes are charged:
+
+- insert and delete: 2 (the label cell and the bucket count) plus the
+  summary vEB's probes when a bucket turns non-empty or empty; retrieve and
+  update: 1.
+- find_prev/find_next read label cells one at a time from the key towards
+  the end of its bucket and charge one probe per cell read: a hit at
+  distance d costs d + 1, a miss the whole rest of the bucket. A miss then
+  adds the summary vEB's probes and the cells read in the bucket it names,
+  again up to and including the hit. find_prev below 1 and find_next above
+  span answer None at once (0 probes); a key past the other end is clamped
+  to 1..span first.
+- In the summary vEB every node visited costs 1; a _Node's min and max are
+  kept at the node and cost nothing more to read, a bitmask leaf's cost 1.
+
+The scans add the cells read in one step, not one by one, so the counts are
+those of a cell-by-cell scan at a fraction of its interpreter cost.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DuplicateKey, KeyOrderError, KeyRangeError, MissingKey
+from .errors import DuplicateKey, InternalError, KeyOrderError, KeyRangeError, MissingKey
 
 _MISSING = object()
 
@@ -60,14 +77,14 @@ class _Bits:
         owner.probes += 1
         return (self.mask >> x) & 1 == 1
 
-    def min(self, owner):
+    def first(self, owner):
         owner.probes += 1
         m = self.mask
         if m == 0:
             return None
         return (m & -m).bit_length() - 1
 
-    def max(self, owner):
+    def last(self, owner):
         owner.probes += 1
         if self.mask == 0:
             return None
@@ -89,7 +106,12 @@ class _Bits:
 
 
 class _Node:
-    """Classic vEB node over universe 2**bits (bits > 6)."""
+    """Classic vEB node over universe 2**bits (bits > 6).
+
+    min and max are stored at the node, so first()/last() read them without
+    a probe, while a _Bits leaf charges one; both kinds answer the same
+    calls, so no step dispatches on the node type.
+    """
 
     __slots__ = ("bits", "lo_bits", "lo_mask", "min", "max", "summary", "clusters")
 
@@ -103,6 +125,12 @@ class _Node:
         self.summary = _make(hi_bits)
         self.clusters = [_make(self.lo_bits) for _ in range(1 << hi_bits)]
 
+    def first(self, owner):
+        return self.min
+
+    def last(self, owner):
+        return self.max
+
     def insert(self, x, owner):
         owner.probes += 1
         if self.min is None:
@@ -114,7 +142,7 @@ class _Node:
             self.max = x
         h, l = x >> self.lo_bits, x & self.lo_mask
         cluster = self.clusters[h]
-        if _min(cluster, owner) is None:
+        if cluster.first(owner) is None:
             self.summary.insert(h, owner)
         cluster.insert(l, owner)
 
@@ -124,21 +152,21 @@ class _Node:
             self.min = self.max = None
             return
         if x == self.min:
-            h = _min(self.summary, owner)
-            l = _min(self.clusters[h], owner)
+            h = self.summary.first(owner)
+            l = self.clusters[h].first(owner)
             x = (h << self.lo_bits) | l
             self.min = x
         h, l = x >> self.lo_bits, x & self.lo_mask
         cluster = self.clusters[h]
         cluster.delete(l, owner)
-        if _min(cluster, owner) is None:
+        if cluster.first(owner) is None:
             self.summary.delete(h, owner)
         if x == self.max:
-            hs = _max(self.summary, owner)
+            hs = self.summary.last(owner)
             if hs is None:
                 self.max = self.min
             else:
-                self.max = (hs << self.lo_bits) | _max(self.clusters[hs], owner)
+                self.max = (hs << self.lo_bits) | self.clusters[hs].last(owner)
 
     def member(self, x, owner):
         owner.probes += 1
@@ -149,83 +177,48 @@ class _Node:
         h, l = x >> self.lo_bits, x & self.lo_mask
         return self.clusters[h].member(l, owner)
 
-    def min_(self):
-        return self.min
-
-    def max_(self):
-        return self.max
-
     def pred_lt(self, x, owner):
         owner.probes += 1
-        if self.min is None or x <= self.min:
+        lo = self.min
+        if lo is None or x <= lo:
             return None
         if x > self.max:
             return self.max
-        h, l = x >> self.lo_bits, x & self.lo_mask
+        bits = self.lo_bits
+        h = x >> bits
         cluster = self.clusters[h]
-        lo_min = _min(cluster, owner)
+        lo_min = cluster.first(owner)
+        l = x & self.lo_mask
         if lo_min is not None and l > lo_min:
-            return (h << self.lo_bits) | cluster.pred_lt(l, owner)
+            return (h << bits) | cluster.pred_lt(l, owner)
         hp = self.summary.pred_lt(h, owner)
         if hp is None:
-            return self.min
-        return (hp << self.lo_bits) | _max(self.clusters[hp], owner)
+            return lo
+        return (hp << bits) | self.clusters[hp].last(owner)
 
     def succ_gt(self, x, owner):
         owner.probes += 1
-        if self.max is None or x >= self.max:
+        hi = self.max
+        if hi is None or x >= hi:
             return None
         if x < self.min:
             return self.min
-        h, l = x >> self.lo_bits, x & self.lo_mask
+        bits = self.lo_bits
+        h = x >> bits
         cluster = self.clusters[h]
-        lo_max = _max(cluster, owner)
+        lo_max = cluster.last(owner)
+        l = x & self.lo_mask
         if lo_max is not None and l < lo_max:
-            return (h << self.lo_bits) | cluster.succ_gt(l, owner)
+            return (h << bits) | cluster.succ_gt(l, owner)
         hs = self.summary.succ_gt(h, owner)
         if hs is None:
-            # x < max but no later cluster: max sits in x's cluster? no --
-            # max is tracked here, so answer is the stored max
-            return self.max
-        return (hs << self.lo_bits) | _min(self.clusters[hs], owner)
+            # no later cluster holds a key, so the answer is the max kept here
+            return hi
+        return (hs << bits) | self.clusters[hs].first(owner)
 
 
 def _make(bits):
     return _Bits() if bits <= 6 else _Node(bits)
-
-
-def _min(node, owner):
-    return node.min(owner) if isinstance(node, _Bits) else node.min
-
-
-def _max(node, owner):
-    return node.max(owner) if isinstance(node, _Bits) else node.max
-
-
-class _InnerVeb:
-    """Unlabeled integer set over 0..universe-1 with min/max at the node."""
-
-    def __init__(self, universe, owner):
-        bits = max(1, (max(universe - 1, 1)).bit_length())
-        self.root = _make(bits)
-        self.owner = owner
-        self.size = 0
-
-    def insert(self, x):
-        self.root.insert(x, self.owner)
-        self.size += 1
-
-    def delete(self, x):
-        self.root.delete(x, self.owner)
-        self.size -= 1
-
-    def pred_le(self, x):
-        return self.root.pred_lt(x + 1, self.owner)
-
-    def succ_ge(self, x):
-        # x - 1 may be -1; both node kinds answer succ_gt(-1) correctly
-        # since a non-empty node returns its min before any bit arithmetic
-        return self.root.succ_gt(x - 1, self.owner)
 
 
 class VebMap:
@@ -243,18 +236,19 @@ class VebMap:
         self.n_buckets = self.ktab[span]
         self.labels = [_MISSING] * (span + 1)
         self.bucket_count = [0] * (self.n_buckets + 1)
-        self.inner = _InnerVeb(self.n_buckets + 1, self)
+        # recursive vEB over the indices 0..n_buckets of non-empty buckets
+        self.occupied = _make(max(self.n_buckets, 1).bit_length())
         self.size = 0
         self.writes += span + self.n_buckets + 1     # label + bucket arrays
 
     # -- core operations ---------------------------------------------------
 
-    def _check_key(self, key):
-        if not (1 <= key <= self.span):
-            raise KeyRangeError(f"key {key} outside 1..{self.span}")
+    def _range_error(self, key):
+        return KeyRangeError(f"key {key} outside 1..{self.span}")
 
     def insert(self, key, label):
-        self._check_key(key)
+        if not 1 <= key <= self.span:
+            raise self._range_error(key)
         self.probes += 1
         if self.labels[key] is not _MISSING:
             raise DuplicateKey(f"key {key} already present")
@@ -263,12 +257,13 @@ class VebMap:
         b = self.ktab[key]
         self.probes += 1
         if self.bucket_count[b] == 0:
-            self.inner.insert(b)
+            self.occupied.insert(b, self)
         self.bucket_count[b] += 1
         self.size += 1
 
     def delete(self, key):
-        self._check_key(key)
+        if not 1 <= key <= self.span:
+            raise self._range_error(key)
         self.probes += 1
         if self.labels[key] is _MISSING:
             raise MissingKey(f"key {key} not present")
@@ -278,18 +273,20 @@ class VebMap:
         self.probes += 1
         self.bucket_count[b] -= 1
         if self.bucket_count[b] == 0:
-            self.inner.delete(b)
+            self.occupied.delete(b, self)
         self.size -= 1
 
     def retrieve(self, key):
-        self._check_key(key)
+        if not 1 <= key <= self.span:
+            raise self._range_error(key)
         self.probes += 1
         v = self.labels[key]
         return None if v is _MISSING else v
 
     def update(self, key, label):
         """Relabel an existing key in O(1)."""
-        self._check_key(key)
+        if not 1 <= key <= self.span:
+            raise self._range_error(key)
         self.probes += 1
         if self.labels[key] is _MISSING:
             raise MissingKey(f"key {key} not present")
@@ -300,43 +297,65 @@ class VebMap:
         """Largest present key <= key, or None."""
         if key < 1:
             return None
-        key = min(key, self.span)
+        if key > self.span:
+            key = self.span
+        labels = self.labels
         b = self.ktab[key]
         lo = (b - 1) * self.width + 1
-        for x in range(key, lo - 1, -1):
-            self.probes += 1
-            if self.labels[x] is not _MISSING:
+        x = key
+        while x >= lo:
+            if labels[x] is not _MISSING:
+                self.probes += key - x + 1
                 return x
-        p = self.inner.pred_le(b - 1)
-        if p is None or p == 0:
+            x -= 1
+        self.probes += key - lo + 1
+        p = self.occupied.pred_lt(b, self)
+        if not p:  # None, or the never-occupied bucket 0
             return None
-        hi = min(p * self.width, self.span)
-        for x in range(hi, (p - 1) * self.width, -1):
-            self.probes += 1
-            if self.labels[x] is not _MISSING:
+        hi = p * self.width
+        if hi > self.span:
+            hi = self.span
+        x = hi
+        stop = (p - 1) * self.width
+        while x > stop:
+            if labels[x] is not _MISSING:
+                self.probes += hi - x + 1
                 return x
-        return None
+            x -= 1
+        raise InternalError(f"bucket {p} marked occupied but empty")
 
     def find_next(self, key):
         """Smallest present key >= key, or None."""
         if key > self.span:
             return None
-        key = max(key, 1)
+        if key < 1:
+            key = 1
+        labels = self.labels
         b = self.ktab[key]
-        hi = min(b * self.width, self.span)
-        for x in range(key, hi + 1):
-            self.probes += 1
-            if self.labels[x] is not _MISSING:
+        hi = b * self.width
+        if hi > self.span:
+            hi = self.span
+        x = key
+        while x <= hi:
+            if labels[x] is not _MISSING:
+                self.probes += x - key + 1
                 return x
-        s = self.inner.succ_ge(b + 1)
+            x += 1
+        self.probes += hi - key + 1
+        s = self.occupied.succ_gt(b, self)
         if s is None:
             return None
         lo = (s - 1) * self.width + 1
-        for x in range(lo, min(s * self.width, self.span) + 1):
-            self.probes += 1
-            if self.labels[x] is not _MISSING:
+        hi = s * self.width
+        if hi > self.span:
+            hi = self.span
+        x = lo
+        while x <= hi:
+            if labels[x] is not _MISSING:
+                self.probes += x - lo + 1
                 return x
-        return None
+            x += 1
+        raise InternalError(f"bucket {s} marked occupied but empty")
 
     # -- bulk construction ---------------------------------------------------
 
@@ -361,7 +380,7 @@ class VebMap:
             m.writes += 1
             m.size += 1
         for b in buckets:
-            m.inner.insert(b)
+            m.occupied.insert(b, m)
         return m
 
     # -- helpers -------------------------------------------------------------

@@ -12,10 +12,17 @@ from dynreg.algebra import (
     generated_subsemigroup,
     green_j,
     local_monoids,
+    nilpotency_degree,
     omega,
     quotient,
 )
-from dynreg.errors import AssociativityViolation, RangeError, TooLarge, UnsupportedVariety
+from dynreg.errors import (
+    AssociativityViolation,
+    InternalError,
+    RangeError,
+    TooLarge,
+    UnsupportedVariety,
+)
 from dynreg.gallery import a_squared_zero, ab_star_semigroup, cyclic, u1, u2, zg_monoid5
 
 
@@ -195,3 +202,10 @@ def test_associativity_holds_for_every_gallery_table(gal):
                 xy = t[x][y]
                 for z in range(n):
                     assert t[xy][z] == t[x][t[y][z]], (name, x, y, z)
+
+
+def test_nilpotency_degree_without_zero_raises_internal_error():
+    # a raise, not an assert, so the check also holds under python -O
+    assert nilpotency_degree(build_semigroup([[1, 1], [1, 1]])) == 2
+    with pytest.raises(InternalError, match="without zero"):
+        nilpotency_degree(cyclic(3))

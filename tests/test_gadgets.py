@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from dynreg.errors import NotAWitness, RangeError
+from dynreg.errors import InternalError, NotAWitness, RangeError
 from dynreg.gadgets import (
     InfixAdapter,
     LangU1Adapter,
@@ -162,3 +162,17 @@ def test_infix_adapter_random_n64():
         p, c = rng.randrange(64), rng.choice("ab")
         ad.set_letter(p, c)
         w[p] = c
+
+
+@pytest.mark.parametrize("adapter,direction,word,query", [
+    (LangU2Adapter, "language-to-problem", list("abx"), lambda ad: ad.prefix_query(1)),
+    (LangU2Adapter, "problem-to-language", list("1ab"), lambda ad: ad.member_query()),
+    (LangU1Adapter, "language-to-problem", list("acx"), lambda ad: ad.prefix_query(1)),
+    (LangU1Adapter, "problem-to-language", [0, 1, 1], lambda ad: ad.member_query()),
+])
+def test_query_in_the_wrong_direction_raises_internal_error(adapter, direction, word, query):
+    # a raise, not an assert, so the check also holds under python -O
+    ad = adapter(direction, word)
+    with pytest.raises(InternalError, match="has no"):
+        query(ad)
+    assert ad.queries == 0

@@ -174,3 +174,37 @@ def test_structural_invariants_after_every_mutation(gal):
     for _ in range(300):
         eng.update(rng.randrange(24), rng.randrange(s.size))
     assert eng.query() == make_naive_engine(s, eng.snapshot()).query()
+
+
+def _edit_sg_semigroup():
+    from dynreg.syntactic import analyze_regex
+
+    _, sd, _ = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")
+    return sd.stable
+
+
+def test_edge_paths_differential_on_edit_sg_semigroup():
+    # The stable semigroup of (a+b+c)*bc*x(a+b+c)* peels J-classes {0} and
+    # {1, 2} as run layers. Edits are biased to move a letter into or out of
+    # those classes, which drives the in-place C relabels, run splits and
+    # merges, the pair layer's count <= 2 branches and its orphan re-attach.
+    s = _edit_sg_semigroup()
+    classes = [{0}, {1, 2}]
+    rng = random.Random(zlib.crc32(b"edit-sg edge paths"))
+    for n in (1, 2, 3, 4, 5, 7, 65):
+        word = [rng.randrange(s.size) for _ in range(n)]
+        eng = make_sg_engine(s, list(word), debug_checks=True)
+        ora = make_naive_engine(s, list(word))
+        assert eng.query() == ora.query()
+        for _ in range(400):
+            p = rng.randrange(n)
+            cls = rng.choice(classes)
+            if rng.random() < 0.8:
+                inside = word[p] in cls
+                a = rng.choice([x for x in range(s.size) if (x in cls) != inside])
+            else:
+                a = rng.randrange(s.size)
+            word[p] = a
+            eng.update(p, a)
+            ora.update(p, a)
+            assert eng.query() == ora.query(), (n, p, a)

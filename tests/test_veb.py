@@ -150,3 +150,76 @@ def test_hypothesis_matches_dict(ops):
         assert m.find_prev(k) == max((x for x in ref if x <= k), default=None)
         assert m.find_next(k) == min((x for x in ref if x >= k), default=None)
     assert m.items() == sorted(ref.items())
+
+
+# -- probe accounting: a scan charges one probe per label cell it reads ------
+
+
+def _probed(m, op, key):
+    before = m.probes
+    return op(key), m.probes - before
+
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_probes_hit_in_own_bucket_cost_distance_plus_one(d):
+    m = VebMap.build(256, [(7, "a"), (12, "b")])  # width 3: buckets 7..9, 10..12
+    assert m.width == 3
+    assert _probed(m, m.find_prev, 7 + d) == (7, d + 1)
+    assert _probed(m, m.find_next, 12 - d) == (12, d + 1)
+
+
+def test_probes_miss_falls_through_to_bucket_summary():
+    # span 64: width 3 and 22 buckets, so the summary of non-empty buckets
+    # is one bitmask word and each of its searches costs exactly one probe
+    m = VebMap.build(64, [(5, "a"), (40, "b")])  # buckets 4..6 and 40..42
+    assert (m.width, m.n_buckets) == (3, 22)
+    # own bucket 31..33 read from 32 down (2), summary (1), bucket 4..6 from
+    # 6 down to the hit at 5 (2)
+    assert _probed(m, m.find_prev, 32) == (5, 5)
+    # own bucket 7..9 read from 8 up (2), summary (1), bucket 40 hit at once (1)
+    assert _probed(m, m.find_next, 8) == (40, 4)
+    # misses with nothing beyond: the own bucket (3) plus one summary search
+    assert _probed(m, m.find_prev, 3) == (None, 4)
+    assert _probed(m, m.find_next, 43) == (None, 4)
+
+
+def test_probes_miss_through_a_recursive_summary():
+    # span 1024: width 4 and 256 buckets; occupied buckets 1, 125 and 250.
+    # The root vEB node keeps bucket 1 as its min, 250 as its max, and
+    # buckets 125 and 250 in clusters 7 and 15 of bitmask leaves.
+    m = VebMap.build(1024, [(2, "a"), (500, "b"), (1000, "c")])
+    assert (m.width, m.n_buckets) == (4, 256)
+    # bucket 997..1000 read at 997 (1); root (1), cluster 15 min (1),
+    # summary pred (1), cluster 7 max (1); bucket 497..500 hit at 500 (1)
+    assert _probed(m, m.find_prev, 997) == (500, 6)
+    # bucket 1..4 read at 3, 4 (2); root (1), cluster 0 max (1), summary
+    # succ (1), cluster 7 min (1); bucket 497..500 read up to 500 (4)
+    assert _probed(m, m.find_next, 3) == (500, 10)
+
+
+def test_probes_for_keys_outside_the_span():
+    m = VebMap.build(64, [(1, "a"), (64, "b")])
+    assert _probed(m, m.find_prev, 0) == (None, 0)
+    assert _probed(m, m.find_prev, -3) == (None, 0)
+    assert _probed(m, m.find_next, 65) == (None, 0)
+    # out-of-range keys on the other side clamp to the span's ends
+    assert _probed(m, m.find_prev, 99) == (64, 1)
+    assert _probed(m, m.find_next, -3) == (1, 1)
+
+
+def test_probes_in_a_partial_last_bucket():
+    # span 65 = 21 * 3 + 2: the last bucket holds only keys 64 and 65
+    m = VebMap.build(65, [(10, "a"), (65, "b")])
+    assert (m.width, m.n_buckets) == (3, 22)
+    assert _probed(m, m.find_prev, 65) == (65, 1)
+    assert _probed(m, m.find_next, 64) == (65, 2)
+    # bucket 61..63 read at 63 (1), summary (1), last bucket 64..65 (2)
+    assert _probed(m, m.find_next, 63) == (65, 4)
+    m.delete(65)
+    m.insert(64, "c")
+    # a scan clamped to the span still reads the partial bucket from 65
+    assert _probed(m, m.find_prev, 65) == (64, 2)
+    m.delete(64)
+    # last bucket 65, 64 (2), summary (1), bucket 10..12 from 12 down (3)
+    assert _probed(m, m.find_prev, 65) == (10, 6)
+    assert _probed(m, m.find_next, 11) == (None, 3)
