@@ -19,12 +19,14 @@ from ..errors import (
 
 @dataclass(frozen=True)
 class OmegaData:
-    """Idempotent-power data of a single element."""
+    """Idempotent-power data of a single element: x^exponent is the idempotent
+    element, and the powers of x from there on cycle with length period."""
 
     exponent: int
     element: int
     plus_one: int
     is_group_element: bool
+    period: int
 
 
 class FiniteSemigroup:
@@ -95,7 +97,11 @@ class FiniteSemigroup:
                     # cannot happen on an associative table
                     raise RangeError(f"no idempotent power for element {x}")
             plus_one = self.table[p][x]
-            out.append(OmegaData(k, p, plus_one, plus_one == x))
+            period, v = 1, plus_one
+            while v != p:
+                v = self.table[v][x]
+                period += 1
+            out.append(OmegaData(k, p, plus_one, plus_one == x, period))
         return tuple(out)
 
     # -- basic access -----------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..errors import NotZg, TooLarge
-from .congruence import DEFAULT_ENUM_BOUND, Congruence, enumerate_congruences
+from .congruence import DEFAULT_ENUM_BOUND, enumerate_congruences
 from .core import quotient
 from .varieties import check_variety
 

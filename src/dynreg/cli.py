@@ -13,18 +13,12 @@ import random
 import sys
 import time
 
-from .algebra.core import adjoin_identity
 from .algebra.green import green_j, local_monoids
 from .algebra.rees import rees_decompose
 from .algebra.varieties import check_variety
 from .engines.base import make_naive_engine
-from .engines.dispatch import make_auto_engine
-from .engines.counting import CountEngine, NilpotentEngine
-from .engines.kary import make_kary_engine
+from .engines.dispatch import ENGINES, make_auto_engine
 from .engines.language import make_language_engine
-from .engines.prefix import make_prefix_engine
-from .engines.sg import make_sg_engine
-from .engines.zg import make_zg_engine
 from .errors import AlgebraError, EngineError, InternalError, VebError
 from .gallery import gallery
 from .jsonio import language_from_json, load_json, semigroup_from_json
@@ -72,16 +66,7 @@ def _resolve_input(obj):
 def _semigroup_engine(s, word, kind):
     if kind == "auto":
         return make_auto_engine(s, word)
-    makers = {
-        "naive": make_naive_engine,
-        "kary": make_kary_engine,
-        "count": CountEngine,
-        "nilpotent": NilpotentEngine,
-        "zg": make_zg_engine,
-        "sg": make_sg_engine,
-        "prefix": make_prefix_engine,
-    }
-    return makers[kind](s, word)
+    return ENGINES[kind].factory(s, word)
 
 
 def cmd_run(args):
@@ -293,9 +278,7 @@ def main(argv=None):
     p.add_argument("--stream", required=True, help="update/query stream file")
     p.add_argument("--check", action="store_true",
                    help="shadow with the naive oracle; exit 1 on mismatch")
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "naive", "kary", "count", "nilpotent",
-                            "zg", "sg", "prefix"])
+    p.add_argument("--engine", default="auto", choices=["auto", *ENGINES])
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="operation-count benchmarks to CSV")

@@ -1,12 +1,7 @@
 from .base import Engine, NaiveEngine, make_naive_engine
-from .combinators import (
-    DivisionEngine,
-    ProductEngine,
-    make_division_engine,
-    make_product_engine,
-)
+from .combinators import DivisionEngine, ProductEngine
 from .counting import CountEngine, NilpotentEngine, make_count_engine, make_nilpotent_engine
-from .dispatch import make_auto_engine
+from .dispatch import REGISTRY, eligible_engines, make_auto_engine
 from .kary import KAryConfig, KaryEngine, make_kary_engine
 from .language import LanguageEngine, make_language_engine
 from .prefix import VebPrefixEngine, make_prefix_engine
@@ -29,6 +24,7 @@ __all__ = [
     "LanguageEngine",
     "NaiveEngine",
     "NilpotentEngine",
+    "REGISTRY",
     "ProductEngine",
     "SemidirectEngine",
     "SemidirectSpec",
@@ -36,15 +32,14 @@ __all__ = [
     "VebPrefixEngine",
     "WindowStatsEngine",
     "WindowStatsPlan",
+    "eligible_engines",
     "make_auto_engine",
     "make_count_engine",
-    "make_division_engine",
     "make_kary_engine",
     "make_language_engine",
     "make_naive_engine",
     "make_nilpotent_engine",
     "make_prefix_engine",
-    "make_product_engine",
     "make_semidirect_engine",
     "make_sg_engine",
     "make_windowstats_engine",

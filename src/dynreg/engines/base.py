@@ -4,12 +4,15 @@ Every engine maintains a fixed-length word of semigroup element ids under
 letter substitutions (0-based positions) and answers evaluation queries.
 query() returns None exactly when the word is empty. op_count is a monotone
 counter of elementary steps and structure probes, used by the complexity
-assertions; it never feeds back into the answers.
+assertions; it never feeds back into the answers. It is the engine's own
+_steps plus the counters of the parts it lists in _parts(): a sub-engine's
+op_count, a VebMap's probes, a layer's steps.
 """
 
 from __future__ import annotations
 
 from ..errors import PositionOutOfRange, RangeError
+from ..veb import VebMap
 
 
 class Engine:
@@ -36,9 +39,21 @@ class Engine:
     def query(self):
         raise NotImplementedError
 
+    def _parts(self):
+        """Sub-engines, layers and VebMaps whose counters op_count adds."""
+        return ()
+
     @property
     def op_count(self):
-        return self._steps
+        total = self._steps
+        for part in self._parts():
+            if isinstance(part, Engine):
+                total += part.op_count
+            elif isinstance(part, VebMap):
+                total += part.probes
+            else:
+                total += part.steps
+        return total
 
     def snapshot(self):
         return tuple(self.word)

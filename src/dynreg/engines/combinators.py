@@ -4,10 +4,11 @@ variety operations."""
 
 from __future__ import annotations
 
-from ..errors import MissingProjection, PositionOutOfRange, TupleArity
+from ..errors import MissingProjection, TupleArity
+from .base import Engine
 
 
-class ProductEngine:
+class ProductEngine(Engine):
     """Fans updates out to component engines; queries return value tuples."""
 
     kind = "product"
@@ -38,12 +39,11 @@ class ProductEngine:
             return None
         return out
 
-    @property
-    def op_count(self):
-        return self._steps + sum(e.op_count for e in self.engines)
+    def _parts(self):
+        return self.engines
 
 
-class DivisionEngine:
+class DivisionEngine(Engine):
     """Maintains the word through a representation into another structure.
 
     rep maps an outer letter to an inner letter; project maps the inner
@@ -74,14 +74,5 @@ class DivisionEngine:
         except KeyError:
             raise MissingProjection(f"inner value {v!r} has no projection") from None
 
-    @property
-    def op_count(self):
-        return self._steps + self.inner.op_count
-
-
-def make_product_engine(engines):
-    return ProductEngine(engines)
-
-
-def make_division_engine(rep, project, inner):
-    return DivisionEngine(rep, project, inner)
+    def _parts(self):
+        return (self.inner,)

@@ -20,12 +20,14 @@ class CountEngine(Engine):
         self.counts = [0] * semigroup.size
         for a in self.word:
             self.counts[a] += 1
-        # powers[x][i] = x^i for 1 <= i <= n
+        # powers[x][i] = x^i for 1 <= i < index + period: the powers of x
+        # up to the first repeat; higher powers cycle with the period
         self.powers = []
+        self.periods = [semigroup.omega_data(x).period for x in range(semigroup.size)]
         t = semigroup.table
-        for x in range(semigroup.size):
+        for x, p in enumerate(self.periods):
             row = [None, x]
-            for _ in range(self.n - 1):
+            while len(row) <= p or t[row[-1]][x] != row[-p]:
                 row.append(t[row[-1]][x])
             self.powers.append(row)
 
@@ -42,8 +44,12 @@ class CountEngine(Engine):
         t = self.semigroup.table
         for x, c in enumerate(self.counts):
             if c:
-                p = self.powers[x][c]
-                acc = p if acc is None else t[acc][p]
+                row = self.powers[x]
+                if c >= len(row):
+                    p = self.periods[x]
+                    c = len(row) - p + (c - len(row)) % p
+                y = row[c]
+                acc = y if acc is None else t[acc][y]
         return acc
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..algebra.core import adjoin_identity
 from ..errors import PositionOutOfRange
+from ..memo import memo
 from .base import Engine
 
 
@@ -37,19 +38,13 @@ class KAryConfig:
         return f"KAryConfig(k={self.k}, cells~{self.table_cells})"
 
 
-_table_cache = {}
-
-
+@memo
 def _tables(monoid, k):
     """(value, inf) for k-digit codes: value[code] is the product of the
     digits, inf[code*k*k + i*k + j] the product of digits i..j (i <= j).
 
-    Cached per (table, k), so every engine over the same monoid shares them.
+    Memoized per (table, k), so every engine over the same monoid shares them.
     """
-    key = (tuple(tuple(r) for r in monoid.table), k)
-    hit = _table_cache.get(key)
-    if hit is not None:
-        return hit
     b = monoid.size
     t = np.asarray(monoid.table, dtype=np.int64)
     codes = np.arange(b**k, dtype=np.int64)
@@ -61,9 +56,7 @@ def _tables(monoid, k):
         for j in range(i + 1, k):
             acc = t[acc, digits[j]]
             inf[:, i, j] = acc
-    hit = (inf[:, 0, k - 1].tolist(), inf.ravel().tolist())
-    _table_cache[key] = hit
-    return hit
+    return inf[:, 0, k - 1].tolist(), inf.ravel().tolist()
 
 
 class KaryEngine(Engine):

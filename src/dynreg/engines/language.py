@@ -18,18 +18,21 @@ from __future__ import annotations
 
 import logging
 
-from ..algebra.varieties import check_variety
 from ..errors import PositionOutOfRange, RangeError
 from ..syntactic.classify import OUTSIDE_Q_SG, Q_LZG
-from .kary import make_kary_engine
-from .sg import make_sg_engine
-from .windowstats import WindowStatsEngine, synthesize_window_plan
-from .zg import make_zg_engine
+from .base import Engine
+from .dispatch import ENGINES, Entry, first_eligible
+from .windowstats import make_windowstats_engine, synthesize_window_plan
 
 logger = logging.getLogger(__name__)
 
+WINDOW = Entry(
+    "window", lambda s: synthesize_window_plan(s) is not None, make_windowstats_engine
+)
+LZG_LADDER = (ENGINES["zg"], WINDOW, ENGINES["sg"])
 
-class LanguageEngine:
+
+class LanguageEngine(Engine):
     def __init__(self, morphism, stable, report, word):
         self.morphism = morphism
         self.stable = stable
@@ -44,7 +47,7 @@ class LanguageEngine:
         self.chunked = report.cls != OUTSIDE_Q_SG
         if not self.chunked:
             letters = [morphism.eta[a] for a in self.word]
-            self.inner = make_kary_engine(morphism.target, letters)
+            self.inner = ENGINES["kary"].factory(morphism.target, letters)
             self.kind = "language[kary]"
             return
         self.blocks = self.n // self.s
@@ -53,25 +56,17 @@ class LanguageEngine:
             for b in range(self.blocks)
         ]
         sg = stable.stable
-        if report.cls == Q_LZG:
-            if check_variety(sg, "ZG"):
-                self.inner = make_zg_engine(sg, inner_word)
-                self.kind = "language[zg]"
-            else:
-                plan = synthesize_window_plan(sg)
-                if plan is not None:
-                    self.inner = WindowStatsEngine(sg, inner_word, plan)
-                    self.kind = "language[window]"
-                else:
-                    logger.warning(
-                        "no verified O(1) plan for the stable semigroup; "
-                        "falling back to the vEB engine"
-                    )
-                    self.inner = make_sg_engine(sg, inner_word)
-                    self.kind = "language[sg-downgraded]"
-        else:
-            self.inner = make_sg_engine(sg, inner_word)
-            self.kind = "language[sg]"
+        ladder = LZG_LADDER if report.cls == Q_LZG else (ENGINES["sg"],)
+        entry = first_eligible(ladder, sg)
+        self.inner = entry.factory(sg, inner_word)
+        tag = entry.name
+        if ladder is LZG_LADDER and tag == "sg":
+            logger.warning(
+                "no verified O(1) plan for the stable semigroup; "
+                "falling back to the vEB engine"
+            )
+            tag = "sg-downgraded"
+        self.kind = f"language[{tag}]"
 
     def update(self, pos, letter):
         if not (0 <= pos < self.n):
@@ -111,12 +106,8 @@ class LanguageEngine:
             acc = m.target.identity
         return acc in m.accept
 
-    def snapshot(self):
-        return tuple(self.word)
-
-    @property
-    def op_count(self):
-        return self._steps + self.inner.op_count
+    def _parts(self):
+        return (self.inner,)
 
 
 def make_language_engine(morphism, stable, report, word):

@@ -68,9 +68,8 @@ class VebPrefixEngine(Engine):
             return None
         return self.prefix(self.n)
 
-    @property
-    def op_count(self):
-        return self._steps + self.map.probes
+    def _parts(self):
+        return (self.map,)
 
 
 def make_prefix_engine(semigroup, word):

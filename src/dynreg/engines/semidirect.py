@@ -143,9 +143,8 @@ class SemidirectEngine(Engine):
     def transformed_snapshot(self):
         return [self._transformed(i) for i in range(self.n)]
 
-    @property
-    def op_count(self):
-        return self._steps + self.inner.op_count
+    def _parts(self):
+        return (self.inner,)
 
 
 def make_semidirect_engine(spec, word, inner_factory=None):

@@ -22,6 +22,7 @@ from ..algebra.green import green_j
 from ..algebra.rees import rees_decompose
 from ..algebra.varieties import check_variety
 from ..errors import InternalError, NotSg
+from ..memo import memo
 from ..veb import VebMap
 from .base import Engine
 
@@ -64,6 +65,9 @@ class _BaseLayer:
         self.count = 0
         self.steps = 0
 
+    def maps(self):
+        return (self.inp,)
+
     def load(self, entries):
         self.inp = VebMap.build(self.span, entries)
         self.count = len(entries)
@@ -103,6 +107,9 @@ class _PairLayer:
         self.down = down
         self.count = 0
         self.steps = 0
+
+    def maps(self):
+        return (self.inp,)
 
     # -- helpers -----------------------------------------------------------
 
@@ -295,6 +302,9 @@ class _RunLayer:
         self.cset = None
         self.count = 0
         self.steps = 0
+
+    def maps(self):
+        return (self.inp, self.cset)
 
     # -- helpers -----------------------------------------------------------
 
@@ -676,19 +686,13 @@ class _RunLayer:
         self.down.validate()
 
 
-_plan_cache = {}
-
-
+@memo
 def build_layer_plan(s0):
     """Sequence of layer specs peeling maximal J-classes off s0 (with zero).
 
-    Plans are immutable and cached per semigroup table, so repeated engine
+    Plans are immutable and memoized per semigroup table, so repeated engine
     builds over the same semigroup skip the Green/Rees computations.
     """
-    key = tuple(tuple(r) for r in s0.table)
-    hit = _plan_cache.get(key)
-    if hit is not None:
-        return hit
     plans = []
     current = list(range(s0.size))
     while True:
@@ -704,7 +708,6 @@ def build_layer_plan(s0):
             plans.append(("run", cls, _ReesView(rees, incl)))
         plans.append(("pair", cls))
         current = [x for x in current if x not in cls]
-    _plan_cache[key] = plans
     return plans
 
 
@@ -729,9 +732,9 @@ class SgEngine(Engine):
                 layer = _RunLayer(span, s0.table, spec[1], spec[2], layer)
         self.top = layer
         self.top.load([(i + 1, a) for i, a in enumerate(self.word)])
-        self._layers = []
+        self.layers = []  # top first
         while layer is not None:
-            self._layers.append(layer)
+            self.layers.append(layer)
             layer = getattr(layer, "down", None)
         if debug_checks:
             self.top.validate()
@@ -748,15 +751,10 @@ class SgEngine(Engine):
         self._steps += 1
         return self.top.eval()
 
-    @property
-    def op_count(self):
-        total = self._steps
-        for layer in self._layers:
-            total += layer.steps + layer.inp.probes
-            cset = getattr(layer, "cset", None)
-            if cset is not None:
-                total += cset.probes
-        return total
+    def _parts(self):
+        for layer in self.layers:
+            yield layer
+            yield from layer.maps()
 
 
 def make_sg_engine(semigroup, word, debug_checks=False):

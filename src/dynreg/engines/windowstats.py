@@ -27,7 +27,11 @@ from __future__ import annotations
 
 from math import lcm
 
+from ..memo import memo
 from .base import Engine
+
+TIERS = ("pairs", "windows")  # feature families, in the order tried
+STATE_CAP = 300_000  # reachable states explored before a tier gives up
 
 
 class WindowStatsPlan:
@@ -46,18 +50,7 @@ class WindowStatsPlan:
 
 def _exponent(s):
     """lcm of the cycle lengths of all elements."""
-    out = 1
-    for x in range(s.size):
-        e = s.omega_data(x).element
-        p = 1
-        v = s.table[e][x]
-        while v != e:
-            v = s.table[v][x]
-            p += 1
-            if p > s.size + 1:
-                break
-        out = lcm(out, p)
-    return out
+    return lcm(*(s.omega_data(x).period for x in range(s.size)))
 
 
 def _slots_of_append(s, kind, last, a):
@@ -76,34 +69,23 @@ def _nslots(s, kind):
     return 2 * s.size if kind == "pairs" else (s.size + 1) * s.size
 
 
-_plan_cache = {}
+@memo
+def synthesize_window_plan(s):
+    """Search the tier ladder for a verified plan; None if all tiers fail.
+
+    Each statistic in TIERS is tried first as presence bits (threshold 1,
+    period 1), then as counts capped at |S| + 1 modulo the exponent.
+    """
+    exp = _exponent(s)
+    for kind in TIERS:
+        for threshold, period in ((1, 1), (s.size + 1, exp)):
+            plan = _verify_tier(s, kind, threshold, period)
+            if plan is not None:
+                return plan
+    return None
 
 
-def synthesize_window_plan(s, tiers=None, state_cap=300_000):
-    """Search the tier ladder for a verified plan; None if all tiers fail."""
-    default = tiers is None
-    key = tuple(tuple(r) for r in s.table)
-    if default and key in _plan_cache:
-        return _plan_cache[key]
-    if default:
-        exp = _exponent(s)
-        tiers = [
-            ("pairs", 1, 1),
-            ("pairs", s.size + 1, exp),
-            ("windows", 1, 1),
-            ("windows", s.size + 1, exp),
-        ]
-    plan = None
-    for kind, threshold, period in tiers:
-        plan = _verify_tier(s, kind, threshold, period, state_cap)
-        if plan is not None:
-            break
-    if default:
-        _plan_cache[key] = plan
-    return plan
-
-
-def _verify_tier(s, kind, threshold, period, state_cap):
+def _verify_tier(s, kind, threshold, period):
     nslots = _nslots(s, kind)
 
     def cap(c):
@@ -122,7 +104,7 @@ def _verify_tier(s, kind, threshold, period, state_cap):
         frontier.append(st)
     t = s.table
     while frontier:
-        if len(seen) > state_cap:
+        if len(seen) > STATE_CAP:
             return None
         nxt = []
         for counts, last, ev in frontier:

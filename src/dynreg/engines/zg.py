@@ -16,27 +16,23 @@ from ..algebra.core import adjoin_identity
 from ..algebra.varieties import check_variety
 from ..algebra.zg import FACTOR_COM, find_zg_certificate
 from ..errors import NotZg
+from ..memo import memo
 from .combinators import DivisionEngine, ProductEngine
 from .counting import CountEngine, NilpotentEngine
 
 logger = logging.getLogger(__name__)
 
 
-_cert_cache = {}
+@memo
+def _certificate(monoid):
+    return find_zg_certificate(monoid)
 
 
-def _certificate(monoid, cong_bound):
-    key = (tuple(tuple(r) for r in monoid.table), cong_bound)
-    if key not in _cert_cache:
-        _cert_cache[key] = find_zg_certificate(monoid, bound=cong_bound)
-    return _cert_cache[key]
-
-
-def make_zg_engine(semigroup, word, cong_bound=12):
+def make_zg_engine(semigroup, word):
     if not check_variety(semigroup, "ZG"):
         raise NotZg("semigroup does not satisfy x^(w+1) y = y x^(w+1)")
     monoid = adjoin_identity(semigroup)
-    cert = _certificate(monoid, cong_bound)
+    cert = _certificate(monoid)
     if cert is None:
         from .sg import make_sg_engine
 
@@ -47,15 +43,12 @@ def make_zg_engine(semigroup, word, cong_bound=12):
         eng = make_sg_engine(semigroup, word)
         eng.kind = "zg-downgraded-sg"
         return eng
-    if len(cert.factors) == 1:
-        factory = CountEngine if cert.kinds[0] == FACTOR_COM else NilpotentEngine
-        return factory(monoid, word)
-    component_words = [
-        [cert.embedding[a][i] for a in word] for i in range(len(cert.factors))
-    ]
+    makers = [CountEngine if kind == FACTOR_COM else NilpotentEngine for kind in cert.kinds]
+    if len(makers) == 1:
+        return makers[0](monoid, word)
     parts = [
-        CountEngine(f, w) if kind == FACTOR_COM else NilpotentEngine(f, w)
-        for f, kind, w in zip(cert.factors, cert.kinds, component_words)
+        make(f, [cert.embedding[a][i] for a in word])
+        for i, (f, make) in enumerate(zip(cert.factors, makers))
     ]
     inner = ProductEngine(parts)
     eng = DivisionEngine(rep=cert.embedding, project=cert.projection, inner=inner)

@@ -12,6 +12,7 @@ from .engines.dispatch import make_auto_engine
 from .engines.language import make_language_engine
 from .engines.prefix import make_prefix_engine
 from .errors import InternalError, NotAWitness, PositionOutOfRange, RangeError
+from .memo import memo
 from .syntactic.classify import classify_language
 from .syntactic.dfa import Dfa, minimize_dfa
 from .syntactic.monoid import syntactic_monoid
@@ -112,18 +113,16 @@ def _analyze(dfa):
     return m, sd, classify_language(m, sd)
 
 
-_lang_cache = {}
-
-
-def _lang_engine_for(regex_text, alphabet, word):
+@memo
+def _analyze_regex(regex_text, alphabet):
     from .syntactic.regex import parse_regex
     from .syntactic.dfa import regex_to_dfa
 
-    key = (regex_text, alphabet)
-    if key not in _lang_cache:
-        ast = parse_regex(regex_text, alphabet)
-        _lang_cache[key] = _analyze(regex_to_dfa(ast, alphabet))
-    m, sd, rep = _lang_cache[key]
+    return _analyze(regex_to_dfa(parse_regex(regex_text, alphabet), alphabet))
+
+
+def _lang_engine_for(regex_text, alphabet, word):
+    m, sd, rep = _analyze_regex(regex_text, alphabet)
     return make_language_engine(m, sd, rep, word), (m, sd, rep)
 
 

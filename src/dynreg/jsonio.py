@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .algebra.congruence import Congruence
-from .algebra.core import FiniteSemigroup, build_semigroup
+from .algebra.core import build_semigroup
 from .errors import RangeError
 from .syntactic.dfa import Dfa, minimize_dfa, regex_to_dfa
 from .syntactic.regex import parse_regex

@@ -36,24 +36,19 @@ from __future__ import annotations
 import math
 
 from .errors import DuplicateKey, InternalError, KeyOrderError, KeyRangeError, MissingKey
+from .memo import memo
 
 _MISSING = object()
 
-_division_tables = {}
-
-
+@memo
 def _bucket_table(span, width):
     """K(x) = ceil(x / width) for x in 0..span, filled sequentially."""
-    key = (span, width)
-    tab = _division_tables.get(key)
-    if tab is None:
-        tab = [0] * (span + 1)
-        k = 0
-        for x in range(1, span + 1):
-            if (x - 1) % width == 0:
-                k += 1
-            tab[x] = k
-        _division_tables[key] = tab
+    tab = [0] * (span + 1)
+    k = 0
+    for x in range(1, span + 1):
+        if (x - 1) % width == 0:
+            k += 1
+        tab[x] = k
     return tab
 
 

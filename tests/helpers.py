@@ -2,12 +2,7 @@
 
 import numpy as np
 
-from dynreg.algebra.varieties import check_variety
 from dynreg.engines.base import make_naive_engine
-from dynreg.engines.counting import CountEngine, NilpotentEngine
-from dynreg.engines.kary import make_kary_engine
-from dynreg.engines.sg import make_sg_engine
-from dynreg.engines.zg import make_zg_engine
 
 
 class FoldOracle:
@@ -42,20 +37,6 @@ class FoldOracle:
             if odd is not None:
                 cur = np.concatenate([cur, odd])
         return int(cur[0])
-
-
-def eligible_engines(s):
-    """(name, factory) pairs whose preconditions s satisfies."""
-    out = [("kary", make_kary_engine)]
-    if check_variety(s, "COM"):
-        out.append(("count", CountEngine))
-    if s.identity is not None and check_variety(s, "NIL_PLUS_ONE"):
-        out.append(("nilpotent", NilpotentEngine))
-    if check_variety(s, "ZG"):
-        out.append(("zg", make_zg_engine))
-    if check_variety(s, "SG"):
-        out.append(("sg", make_sg_engine))
-    return out
 
 
 def run_differential(s, factory, n, ops, rng, oracle_cls=FoldOracle):

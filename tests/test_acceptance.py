@@ -28,11 +28,12 @@ import zlib
 
 import pytest
 
-from helpers import FoldOracle, eligible_engines
+from helpers import FoldOracle
 
 from dynreg.algebra import check_variety, green_j, rees_decompose
 from dynreg.engines import (
     SemidirectSpec,
+    eligible_engines,
     make_kary_engine,
     make_language_engine,
     make_naive_engine,

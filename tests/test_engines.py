@@ -3,13 +3,15 @@ import zlib
 
 import pytest
 
-from helpers import FoldOracle, eligible_engines, run_differential
+from helpers import FoldOracle, run_differential
 
 from dynreg.algebra.core import adjoin_identity
+from dynreg.algebra.varieties import check_variety
 from dynreg.engines import (
     DivisionEngine,
     KAryConfig,
     ProductEngine,
+    eligible_engines,
     make_count_engine,
     make_kary_engine,
     make_naive_engine,
@@ -151,6 +153,27 @@ def test_count_differential():
 
     g = gallery()
     assert run_differential(g["U1xZ3"], make_count_engine, 200, 2000, rng) == 0
+
+
+def test_count_engine_keeps_powers_up_to_the_first_repeat(gal):
+    # x^c for c past the stored row is read off the cycle of powers
+    n = 4097
+    for name, s in sorted(gal.items()):
+        if not check_variety(s, "COM"):
+            continue
+        rng = random.Random(zlib.crc32(f"count-powers:{name}".encode()))
+        for x in range(s.size):
+            e = make_count_engine(s, [x] * n)
+            assert sum(len(row) for row in e.powers) <= s.size * (s.size + 2), name
+            assert e.query() == make_naive_engine(s, [x] * n).query(), (name, x)
+        word = [rng.randrange(s.size) for _ in range(n)]
+        e = make_count_engine(s, list(word))
+        naive = make_naive_engine(s, list(word))
+        for _ in range(200):
+            p, a = rng.randrange(n), rng.randrange(s.size)
+            e.update(p, a)
+            naive.update(p, a)
+            assert e.query() == naive.query(), name
 
 
 # -- nilpotent --------------------------------------------------------------------

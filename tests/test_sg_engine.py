@@ -69,7 +69,7 @@ def test_validate_raises_internal_error_on_corrupt_count():
     s = ab_star_semigroup()
     ids = {n: s.id_of(n) for n in s.names}
     e = make_sg_engine(s, [ids[c] for c in "aabbab"], debug_checks=True)
-    for layer in e._layers:
+    for layer in e.layers:
         layer.count += 1
         with pytest.raises(InternalError, match="count out of sync"):
             e.top.validate()
