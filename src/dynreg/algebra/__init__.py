@@ -10,7 +10,7 @@ from .core import (
     quotient,
     restriction,
 )
-from .congruence import Congruence, enumerate_congruences, principal_congruence
+from .congruence import Congruence, enumerate_congruences
 from .green import JStructure, green_j, local_monoids
 from .rees import ZERO, ReesRepresentation, rees_decompose
 from .varieties import (
@@ -51,7 +51,6 @@ __all__ = [
     "local_monoids",
     "nilpotency_degree",
     "omega",
-    "principal_congruence",
     "quotient",
     "rees_decompose",
     "restriction",

@@ -98,10 +98,6 @@ def _close(s, pairs):
     return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
 
 
-def principal_congruence(s, x, y):
-    return Congruence(_close(s, [(x, y)]))
-
-
 def enumerate_congruences(s, bound=DEFAULT_ENUM_BOUND):
     """All congruences, as joins of principal congruences.
 

@@ -106,22 +106,8 @@ class FiniteSemigroup:
 
     # -- basic access -----------------------------------------------------
 
-    def mul(self, x, y):
-        return self.table[x][y]
-
-    def power(self, x, k):
-        if k < 1:
-            raise RangeError("power exponent must be >= 1")
-        acc = x
-        for _ in range(k - 1):
-            acc = self.table[acc][x]
-        return acc
-
     def omega_data(self, x):
         return self._omega[x]
-
-    def is_monoid(self):
-        return self.identity is not None
 
     def eval_word(self, word):
         """Product of a sequence of element ids, or None for the empty word."""
@@ -135,14 +121,8 @@ class FiniteSemigroup:
             acc = t[acc][x]
         return acc
 
-    def name(self, x):
-        return self.names[x]
-
     def id_of(self, name):
         return self._name_to_id[name]
-
-    def elements(self):
-        return range(self.size)
 
     def __repr__(self):
         return f"FiniteSemigroup(size={self.size})"
@@ -193,14 +173,6 @@ def direct_product(s, t):
         f"({s.names[x]},{t.names[y]})" for x in range(s.size) for y in range(nt)
     ]
     return FiniteSemigroup(table, names=names, validate=False)
-
-
-def pair_id(s, t, x, y):
-    return x * t.size + y
-
-
-def unpair_id(s, t, v):
-    return divmod(v, t.size)
 
 
 def quotient(s, cong):

@@ -47,9 +47,6 @@ class JStructure:
     maximal_classes: list = None
     regular: list = None      # per-class flag: contains an idempotent
 
-    def leq(self, c1, c2):
-        return c1 == c2 or (c1, c2) in self.less
-
 
 def green_j(s):
     """J-classes via materialized two-sided ideals."""

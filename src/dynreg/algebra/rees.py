@@ -44,8 +44,9 @@ class ReesRepresentation:
 
     def g_mul(self, *xs):
         acc = self.g_identity
+        t = self.group.table
         for x in xs:
-            acc = self.group.table[acc][x]
+            acc = t[acc][x]
         return acc
 
     def g_inv(self, x):

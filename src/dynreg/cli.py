@@ -22,9 +22,7 @@ from .engines.language import make_language_engine
 from .errors import AlgebraError, EngineError, InternalError, VebError
 from .gallery import gallery
 from .jsonio import language_from_json, load_json, semigroup_from_json
-from .syntactic.classify import classify_language
-from .syntactic.monoid import syntactic_monoid
-from .syntactic.stable import stable_data
+from .syntactic import analyze_dfa
 
 DEFAULT_SEED = 20114
 
@@ -42,9 +40,7 @@ VARIETY_FLAGS = [
 
 def _analyze_language(obj):
     dfa = language_from_json(obj)
-    m = syntactic_monoid(dfa)
-    sd = stable_data(m)
-    return dfa, m, sd, classify_language(m, sd)
+    return (dfa,) + analyze_dfa(dfa)
 
 
 def cmd_classify(args):

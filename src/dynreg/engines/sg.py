@@ -17,6 +17,8 @@ one-letter bypass, so the whole stack does O(1) vEB operations per update.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from ..algebra.core import adjoin_zero, restriction
 from ..algebra.green import green_j
 from ..algebra.rees import rees_decompose
@@ -34,34 +36,28 @@ def _require(ok, message):
 
 
 class _ReesView:
-    """Rees data of one layer, translated to ambient element ids."""
+    """Rees data of one layer, translated to ambient element ids; the group
+    arithmetic is the representation's own."""
 
     def __init__(self, rees, incl):
         self.coord = {incl[x]: c for x, c in rees.coord.items()}
         self.uncoord = {c: incl[x] for c, x in rees.uncoord.items()}
         self.matrix = rees.matrix
-        self.gid = rees.g_identity
-        self._gt = rees.group.table
-        self._ginv = rees._g_inverse
-
-    def gmul(self, *xs):
-        acc = self.gid
-        t = self._gt
-        for x in xs:
-            acc = t[acc][x]
-        return acc
-
-    def ginv(self, x):
-        return self._ginv[x]
+        self.g_identity = rees.g_identity
+        self.g_mul = rees.g_mul
+        self.g_inv = rees.g_inv
 
 
-class _BaseLayer:
-    """Word over the zero class: only the letter count matters."""
+class _Layer:
+    """One layer of the stack. inp holds the layer's input word as a VebMap
+    over keys 1..span, down is the layer that takes its collapsed word (None
+    for the base), count is the number of input letters and steps the
+    layer's own step counter."""
 
-    def __init__(self, span, zero_id):
+    def __init__(self, span, down=None):
         self.span = span
         self.inp = None  # built by load()
-        self.zero_id = zero_id
+        self.down = down
         self.count = 0
         self.steps = 0
 
@@ -71,6 +67,26 @@ class _BaseLayer:
     def load(self, entries):
         self.inp = VebMap.build(self.span, entries)
         self.count = len(entries)
+
+    def eval(self):
+        self.steps += 1
+        if self.count == 0:
+            return None
+        if self.count == 1:
+            return self.inp.retrieve(self.inp.find_next(1))
+        return self.down.eval()
+
+    def validate(self):
+        _require(self.count == len(self.inp),
+                 f"{type(self).__name__} count out of sync")
+
+
+class _BaseLayer(_Layer):
+    """Word over the zero class: only the letter count matters."""
+
+    def __init__(self, span, zero_id):
+        super().__init__(span)
+        self.zero_id = zero_id
 
     def insert(self, key, letter):
         self.steps += 1
@@ -90,26 +106,13 @@ class _BaseLayer:
         self.steps += 1
         return self.zero_id if self.count else None
 
-    def vebs(self):
-        return [self.inp]
 
-    def validate(self):
-        _require(self.count == len(self.inp), "base layer count out of sync")
-
-
-class _PairLayer:
+class _PairLayer(_Layer):
     """Groups 2-3 adjacent letters per entry; products land in S minus C."""
 
-    def __init__(self, span, table, down):
-        self.span = span
-        self.inp = None  # built by load()
-        self.table = table  # ambient composition table
-        self.down = down
-        self.count = 0
-        self.steps = 0
-
-    def maps(self):
-        return (self.inp,)
+    def __init__(self, span, s0, down):
+        super().__init__(span, down)
+        self.s0 = s0  # the ambient semigroup
 
     # -- helpers -----------------------------------------------------------
 
@@ -137,7 +140,7 @@ class _PairLayer:
         return k, ms
 
     def _label(self, members):
-        t = self.table
+        t = self.s0.table
         acc = self.inp.retrieve(members[0])
         for k in members[1:]:
             acc = t[acc][self.inp.retrieve(k)]
@@ -167,8 +170,8 @@ class _PairLayer:
     # -- word operations -----------------------------------------------------
 
     def load(self, entries):
-        self.inp = VebMap.build(self.span, entries)
-        self.count = len(entries)
+        super().load(entries)
+        t = self.s0.table
         m = len(entries)
         groups = []
         if m >= 2:
@@ -179,7 +182,7 @@ class _PairLayer:
                 key = chunk[-1][0]
                 label = chunk[0][1]
                 for _, a in chunk[1:]:
-                    label = self.table[label][a]
+                    label = t[label][a]
                 groups.append((key, label))
                 i += size
         self.down.load(groups)
@@ -241,44 +244,25 @@ class _PairLayer:
         gkey, members = self._group(key)
         self.down.update(gkey, self._label(members))
 
-    def eval(self):
-        self.steps += 1
-        if self.count == 0:
-            return None
-        if self.count == 1:
-            return self.inp.retrieve(self.inp.find_next(1))
-        return self.down.eval()
-
-    def vebs(self):
-        return [self.inp] + self.down.vebs()
-
     def validate(self):
-        items = self.inp.items()
-        _require(self.count == len(items), "pair layer count out of sync")
+        super().validate()
+        keys = [k for k, _ in self.inp.items()]
         groups = self.down.inp.items()
         if self.count <= 1:
             _require(groups == [], "pair layer groups a single letter")
-            self.down.validate()
-            return
-        keys = [k for k, _ in items]
-        gi = 0
-        start = 0
-        for gkey, glabel in groups:
-            members = [k for k in keys[start:] if k <= gkey]
-            members = keys[start : start + len(members)]
-            _require(2 <= len(members) <= 3, (gkey, members))
-            _require(members[-1] == gkey, (gkey, members))
-            label = self.inp.retrieve(members[0])
-            for k in members[1:]:
-                label = self.table[label][self.inp.retrieve(k)]
-            _require(label == glabel, (gkey, label, glabel))
-            start += len(members)
-            gi += 1
-        _require(start == len(keys), "pair layer leaves letters ungrouped")
+        else:
+            start = 0
+            for gkey, glabel in groups:
+                members = keys[start : bisect_right(keys, gkey)]
+                _require(2 <= len(members) <= 3 and members[-1] == gkey,
+                         (gkey, members))
+                _require(self._label(members) == glabel, (gkey, glabel))
+                start += len(members)
+            _require(start == len(keys), "pair layer leaves letters ungrouped")
         self.down.validate()
 
 
-class _RunLayer:
+class _RunLayer(_Layer):
     """Collapses maximal runs of C-letters to single annotated entries.
 
     Besides the collapsed word the layer keeps `cset`, the key set of the run
@@ -292,16 +276,12 @@ class _RunLayer:
     to it are joined or split directly, not by a delete and a re-insert.
     """
 
-    def __init__(self, span, table, cls, rv, down):
-        self.span = span
-        self.inp = None     # built by load(), as is cset
-        self.table = table
+    def __init__(self, span, s0, cls, rv, down):
+        super().__init__(span, down)
+        self.s0 = s0
         self.cls = cls      # frozenset of ambient ids in the class C
         self.rv = rv        # _ReesView
-        self.down = down
-        self.cset = None
-        self.count = 0
-        self.steps = 0
+        self.cset = None    # built by load()
 
     def maps(self):
         return (self.inp, self.cset)
@@ -314,6 +294,32 @@ class _RunLayer:
     def _entry(self, key):
         label = self.down.inp.retrieve(key)
         return self.rv.coord[label]
+
+    def _collapse(self, entries):
+        """The exact collapsed word of the input word `entries`: each maximal
+        run of C-letters becomes one entry, keyed by its last letter and
+        carrying the run's exact group mass."""
+        rv = self.rv
+        out = []
+        run = None  # (i, g, j, key) of the open run
+        for key, a in entries:
+            if a in self.cls:
+                ia, ga, ja = rv.coord[a]
+                if run is not None:
+                    p = self._p(run[2], ia)
+                    if p is not None:
+                        run = (run[0], rv.g_mul(run[1], p, ga), ja, key)
+                        continue
+                    out.append((run[3], rv.uncoord[run[:3]]))
+                run = (ia, ga, ja, key)
+            else:
+                if run is not None:
+                    out.append((run[3], rv.uncoord[run[:3]]))
+                    run = None
+                out.append((key, a))
+        if run is not None:
+            out.append((run[3], rv.uncoord[run[:3]]))
+        return out
 
     def _dins(self, key, label):
         self.down.insert(key, label)
@@ -335,27 +341,8 @@ class _RunLayer:
         self.down.update(key, label)
 
     def load(self, entries):
-        self.inp = VebMap.build(self.span, entries)
-        self.count = len(entries)
-        out = []
-        run = None  # (i0, g, last_j, last_key)
-        for key, a in entries:
-            if a in self.cls:
-                ia, ga, ja = self.rv.coord[a]
-                if run is not None:
-                    p = self._p(run[2], ia)
-                    if p is not None:
-                        run = (run[0], self.rv.gmul(run[1], p, ga), ja, key)
-                        continue
-                    out.append((run[3], self.rv.uncoord[(run[0], run[1], run[2])]))
-                run = (ia, ga, ja, key)
-            else:
-                if run is not None:
-                    out.append((run[3], self.rv.uncoord[(run[0], run[1], run[2])]))
-                    run = None
-                out.append((key, a))
-        if run is not None:
-            out.append((run[3], self.rv.uncoord[(run[0], run[1], run[2])]))
+        super().load(entries)
+        out = self._collapse(entries)
         self.cset = VebMap.build(
             self.span, [(k, 1) for k, lab in out if lab in self.cls]
         )
@@ -392,25 +379,25 @@ class _RunLayer:
         i, g, j = rv.coord[lq]
         j_m = rv.coord[self.inp.retrieve(m_minus)][2]
         i_p = rv.coord[self.inp.retrieve(m_plus)][0]
-        g = rv.gmul(g, rv.ginv(self._p(j_m, i_p)))  # step (*)
+        g = rv.g_mul(g, rv.g_inv(self._p(j_m, i_p)))  # step (*)
         if a in self.cls:
             ia, ga, ja = rv.coord[a]
             p1, p2 = self._p(j_m, ia), self._p(ja, i_p)
         else:  # a separator joins neither fragment
             p1 = p2 = None
         if p1 is not None and p2 is not None:
-            g = rv.gmul(g, p1, ga, p2)
+            g = rv.g_mul(g, p1, ga, p2)
             self._dupd(q, rv.uncoord[(i, g, j)])
         elif p1 is None and p2 is None:
             self._dins(m_minus, rv.uncoord[(i, g, j_m)])
             self._dins(key, a)
-            self._dupd(q, rv.uncoord[(i_p, rv.gid, j)])
+            self._dupd(q, rv.uncoord[(i_p, rv.g_identity, j)])
         elif p1 is not None:  # p2 is None: left fragment absorbs the letter
-            self._dins(key, rv.uncoord[(i, rv.gmul(g, p1, ga), ja)])
-            self._dupd(q, rv.uncoord[(i_p, rv.gid, j)])
+            self._dins(key, rv.uncoord[(i, rv.g_mul(g, p1, ga), ja)])
+            self._dupd(q, rv.uncoord[(i_p, rv.g_identity, j)])
         else:  # p1 is None: right fragment absorbs the letter
             self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-            self._dupd(q, rv.uncoord[(ia, rv.gmul(ga, p2), j)])
+            self._dupd(q, rv.uncoord[(ia, rv.g_mul(ga, p2), j)])
 
     def _join(self, key, a, m_minus, lm, q, lq, present):
         """Enter the C-letter a at key, which lies inside no run: join it to
@@ -425,7 +412,7 @@ class _RunLayer:
             pl = self._p(j1, ia)
             if pl is not None:
                 self._ddel(m_minus)
-                i0, g0 = i1, rv.gmul(g1, pl, ga)
+                i0, g0 = i1, rv.g_mul(g1, pl, ga)
         pr = None
         if lq in self.cls:
             i2, g2, j2 = rv.coord[lq]
@@ -439,33 +426,55 @@ class _RunLayer:
             return
         if present:
             self._ddel(key)
-        self._dupd(q, rv.uncoord[(i0, rv.gmul(g0, pr, g2), j2)])
+        self._dupd(q, rv.uncoord[(i0, rv.g_mul(g0, pr, g2), j2)])
 
-    def _split(self, key):
-        """Covering run entry of the C-letter at key and where key sits in it:
-        (q, (i, g, j), m_minus, left_in, right_in)."""
+    def _cut(self, key, old, new=None):
+        """Take the C-letter old at key out of its run: delete it from the
+        input word (new is None) or relabel it there to the separator new.
+
+        Returns (q, i, g, j, m_minus, j_m, i_p): the run's entry q with its
+        coordinates, g less the letter's share of the mass; the input key
+        m_minus before key; the L-index j_m of the run letter at m_minus,
+        None if key starts the run; the R-index i_p of the run letter after
+        key, None if key ends the run. The lookups after the input edit see
+        the input word without the letter.
+        """
+        rv = self.rv
         out = self.down.inp
         q = out.find_next(key)
         m_minus = self.inp.find_prev(key - 1)
         # down keys are input keys, so m_minus is in key's run iff no entry
         # ends there
         left_in = m_minus is not None and out.retrieve(m_minus) is None
-        return q, self._entry(q), m_minus, left_in, key != q
+        i, g, j = self._entry(q)
+        if new is None:
+            self.inp.delete(key)
+            self.count -= 1
+        else:
+            self.inp.update(key, new)
+        ip, gp, jp = rv.coord[old]
+        g = rv.g_mul(g, rv.g_inv(gp))
+        j_m = i_p = None
+        if left_in:
+            j_m = rv.coord[self.inp.retrieve(m_minus)][2]
+            g = rv.g_mul(g, rv.g_inv(self._p(j_m, ip)))
+        if key != q:
+            i_p = rv.coord[self.inp.retrieve(self.inp.find_next(key + 1))][0]
+            g = rv.g_mul(g, rv.g_inv(self._p(jp, i_p)))
+        return q, i, g, j, m_minus, j_m, i_p
 
     def _discharge(self, delta):
         """Push a group-mass difference onto any surviving run entry."""
         rv = self.rv
-        if delta == rv.gid:
+        if delta == rv.g_identity:
             return
         other = self.cset.find_next(1)
         if other is not None:
             i2, g2, j2 = self._entry(other)
-            self._dupd(other, rv.uncoord[(i2, rv.gmul(g2, delta), j2)])
+            self._dupd(other, rv.uncoord[(i2, rv.g_mul(g2, delta), j2)])
 
     def delete(self, key):
         self.steps += 1
-        rv = self.rv
-        out = self.down.inp
         b = self.inp.retrieve(key)
         if b not in self.cls:
             self._ddel(key)
@@ -473,41 +482,31 @@ class _RunLayer:
             self.count -= 1
             self._merge_check(key)
             return
-        q, (i, g, j), m_minus, left_in, right_in = self._split(key)
-        ip, gp, jp = rv.coord[b]
-        self.inp.delete(key)
-        self.count -= 1
-        g = rv.gmul(g, rv.ginv(gp))
-        if not left_in and not right_in:
+        rv = self.rv
+        out = self.down.inp
+        q, i, g, j, m_minus, j_m, i_p = self._cut(key, b)
+        if j_m is None and i_p is None:
             # single-letter run: discharge the mass drift onto another run
             self._ddel(q)
             self._discharge(g)
             self._merge_check(key)
-            return
-        if not left_in:  # first letter of a longer run
-            i2 = rv.coord[self.inp.retrieve(self.inp.find_next(key + 1))][0]
-            self._dupd(q, rv.uncoord[(i2, rv.gmul(g, rv.ginv(self._p(jp, i2))), j)])
+        elif j_m is None:  # first letter of a longer run
+            self._dupd(q, rv.uncoord[(i_p, g, j)])
             if m_minus is not None and out.retrieve(m_minus) in self.cls:
                 self._merge(m_minus, q)
-            return
-        j_m = rv.coord[self.inp.retrieve(m_minus)][2]
-        g = rv.gmul(g, rv.ginv(self._p(j_m, ip)))
-        if not right_in:  # last letter of a longer run
+        elif i_p is None:  # last letter of a longer run
             self._ddel(q)
             self._dins(m_minus, rv.uncoord[(i, g, j_m)])
             nk = out.find_next(m_minus + 1)
             if nk is not None and out.retrieve(nk) in self.cls:
                 self._merge(m_minus, nk)
-            return
-        # interior letter
-        i_p = rv.coord[self.inp.retrieve(self.inp.find_next(key + 1))][0]
-        g = rv.gmul(g, rv.ginv(self._p(jp, i_p)))
-        pm = self._p(j_m, i_p)
-        if pm is not None:
-            self._dupd(q, rv.uncoord[(i, rv.gmul(g, pm), j)])
-        else:
-            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-            self._dupd(q, rv.uncoord[(i_p, rv.gid, j)])
+        else:  # interior letter
+            pm = self._p(j_m, i_p)
+            if pm is not None:
+                self._dupd(q, rv.uncoord[(i, rv.g_mul(g, pm), j)])
+            else:
+                self._dins(m_minus, rv.uncoord[(i, g, j_m)])
+                self._dupd(q, rv.uncoord[(i_p, rv.g_identity, j)])
 
     def _merge_check(self, key):
         """After removing the separator entry at key, join the runs it
@@ -529,7 +528,7 @@ class _RunLayer:
         if p is None:
             return
         self._ddel(k1)
-        self._dupd(k2, rv.uncoord[(i1, rv.gmul(g1, p, g2), j2)])
+        self._dupd(k2, rv.uncoord[(i1, rv.g_mul(g1, p, g2), j2)])
 
     def _enter(self, key, a):
         """Relabel the separator at key to the C-letter a in place."""
@@ -545,25 +544,16 @@ class _RunLayer:
         """Relabel the C-letter old at key to the separator a in place: the
         run splits around key, and its fragments keep the run's mass."""
         rv = self.rv
-        q, (i, g, j), m_minus, left_in, right_in = self._split(key)
-        ip, gp, jp = rv.coord[old]
-        self.inp.update(key, a)
-        g = rv.gmul(g, rv.ginv(gp))
-        if left_in:
-            j_m = rv.coord[self.inp.retrieve(m_minus)][2]
-            g = rv.gmul(g, rv.ginv(self._p(j_m, ip)))
-        if right_in:
-            i_p = rv.coord[self.inp.retrieve(self.inp.find_next(key + 1))][0]
-            g = rv.gmul(g, rv.ginv(self._p(jp, i_p)))
-        if left_in:
+        q, i, g, j, m_minus, j_m, i_p = self._cut(key, old, a)
+        if j_m is not None:
             self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-            g = rv.gid
-        if right_in:
+            g = rv.g_identity
+        if i_p is not None:
             self._dins(key, a)
             self._dupd(q, rv.uncoord[(i_p, g, j)])
             return
         self._dupd(key, a)
-        if not left_in:  # key was a single-letter run
+        if j_m is None:  # key was a single-letter run
             self._discharge(g)
 
     def update(self, key, a):
@@ -593,96 +583,40 @@ class _RunLayer:
             self.inp.update(key, a)
             q = self.down.inp.find_next(key)
             i, g, j = self._entry(q)
-            g2 = rv.gmul(g, rv.ginv(go), ga)
+            g2 = rv.g_mul(g, rv.g_inv(go), ga)
             if g2 != g:
                 self.down.update(q, rv.uncoord[(i, g2, j)])
             return
         self.delete(key)
         self.insert(key, a)
 
-    def eval(self):
-        self.steps += 1
-        if self.count == 0:
-            return None
-        if self.count == 1:
-            return self.inp.retrieve(self.inp.find_next(1))
-        return self.down.eval()
-
-    def vebs(self):
-        return [self.inp, self.cset] + self.down.vebs()
-
     def validate(self):
+        """Check the kept collapsed word against the exact collapse of the
+        input word: the same entries up to per-run group masses, the same
+        total mass and the same evaluation."""
+        super().validate()
         items = self.inp.items()
-        _require(self.count == len(items), "run layer count out of sync")
         entries = self.down.inp.items()
+        cls, rv = self.cls, self.rv
         _require([k for k, _ in self.cset.items()] == [
-            k for k, lab in entries if lab in self.cls
+            k for k, lab in entries if lab in cls
         ], "cset out of sync with run entries")
-        # recompute the exact collapse and compare skeletons + global eval
-        expected = []
-        run = None
-        for key, a in items:
-            if a in self.cls:
-                ia, ga, ja = self.rv.coord[a]
-                if run is not None:
-                    p = self._p(run[2], ia)
-                    if p is not None:
-                        run = (run[0], None, ja, key)
-                        continue
-                    expected.append((run[3], run[0], run[2]))
-                run = (ia, None, ja, key)
-            else:
-                if run is not None:
-                    expected.append((run[3], run[0], run[2]))
-                    run = None
-                expected.append((key, a))
-        if run is not None:
-            expected.append((run[3], run[0], run[2]))
-        _require(len(entries) == len(expected), (entries, expected))
-        for got, want in zip(entries, expected):
-            key, label = got
-            if len(want) == 2:
-                _require((key, label) == want, (got, want))
-            else:
-                wkey, wi, wj = want
-                gi, _, gj = self.rv.coord[label]
-                _require(key == wkey and gi == wi and gj == wj, (got, want))
-        lhs = [a for _, a in items]
-        rhs = [lab for _, lab in entries]
-        t = self.table
-        def fold(seq):
-            if not seq:
-                return None
-            acc = seq[0]
-            for x in seq[1:]:
-                acc = t[acc][x]
-            return acc
-        _require(fold(lhs) == fold(rhs), "run layer lost the global evaluation")
-        # total group mass over all runs matches the exact collapse
-        rv = self.rv
-        want_total = rv.gid
-        run_g = None
-        prev_j = None
-        for _, a in items:
-            if a in self.cls:
-                ia, ga, ja = rv.coord[a]
-                if run_g is not None and self._p(prev_j, ia) is not None:
-                    run_g = rv.gmul(run_g, self._p(prev_j, ia), ga)
-                else:
-                    want_total = rv.gmul(want_total, run_g) if run_g is not None else want_total
-                    run_g = ga
-                prev_j = ja
-            else:
-                if run_g is not None:
-                    want_total = rv.gmul(want_total, run_g)
-                    run_g = None
-        if run_g is not None:
-            want_total = rv.gmul(want_total, run_g)
-        got_total = rv.gid
-        for _, lab in entries:
-            if lab in self.cls:
-                got_total = rv.gmul(got_total, rv.coord[lab][1])
-        _require(got_total == want_total, "run layer total mass drifted")
+        exact = self._collapse(items)
+
+        def skeleton(word):
+            return [(k, rv.coord[lab][0], rv.coord[lab][2]) if lab in cls
+                    else (k, lab) for k, lab in word]
+
+        def mass(word):
+            return rv.g_mul(*[rv.coord[lab][1] for _, lab in word if lab in cls])
+
+        def value(word):
+            return self.s0.eval_word(lab for _, lab in word)
+
+        _require(skeleton(entries) == skeleton(exact), (entries, exact))
+        _require(mass(entries) == mass(exact), "run layer total mass drifted")
+        _require(value(entries) == value(items),
+                 "run layer lost the global evaluation")
         self.down.validate()
 
 
@@ -727,15 +661,15 @@ class SgEngine(Engine):
             if spec[0] == "base":
                 layer = _BaseLayer(span, spec[1])
             elif spec[0] == "pair":
-                layer = _PairLayer(span, s0.table, layer)
+                layer = _PairLayer(span, s0, layer)
             else:
-                layer = _RunLayer(span, s0.table, spec[1], spec[2], layer)
+                layer = _RunLayer(span, s0, spec[1], spec[2], layer)
         self.top = layer
         self.top.load([(i + 1, a) for i, a in enumerate(self.word)])
         self.layers = []  # top first
         while layer is not None:
             self.layers.append(layer)
-            layer = getattr(layer, "down", None)
+            layer = layer.down
         if debug_checks:
             self.top.validate()
 

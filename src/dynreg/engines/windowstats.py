@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from math import lcm
 
+from ..errors import NoWindowPlan
 from ..memo import memo
 from .base import Engine
 
@@ -168,5 +169,5 @@ def make_windowstats_engine(semigroup, word, plan=None):
     if plan is None:
         plan = synthesize_window_plan(semigroup)
         if plan is None:
-            raise ValueError("no verified statistics plan for this semigroup")
+            raise NoWindowPlan("no verified statistics plan for this semigroup")
     return WindowStatsEngine(semigroup, word, plan)

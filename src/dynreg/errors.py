@@ -109,3 +109,7 @@ class MissingProjection(EngineError):
 
 class NotAWitness(EngineError):
     pass
+
+
+class NoWindowPlan(EngineError):
+    pass

@@ -13,10 +13,8 @@ from .engines.language import make_language_engine
 from .engines.prefix import make_prefix_engine
 from .errors import InternalError, NotAWitness, PositionOutOfRange, RangeError
 from .memo import memo
-from .syntactic.classify import classify_language
-from .syntactic.dfa import Dfa, minimize_dfa
-from .syntactic.monoid import syntactic_monoid
-from .syntactic.stable import stable_data
+from .syntactic import analyze_dfa, analyze_regex
+from .syntactic.dfa import Dfa
 
 
 def find_ze_witness(m):
@@ -106,19 +104,7 @@ class PrefixU1ViaMonoid:
         raise RangeError(f"unexpected evaluation {val}")
 
 
-def _analyze(dfa):
-    d = minimize_dfa(dfa)
-    m = syntactic_monoid(d)
-    sd = stable_data(m)
-    return m, sd, classify_language(m, sd)
-
-
-@memo
-def _analyze_regex(regex_text, alphabet):
-    from .syntactic.regex import parse_regex
-    from .syntactic.dfa import regex_to_dfa
-
-    return _analyze(regex_to_dfa(parse_regex(regex_text, alphabet), alphabet))
+_analyze_regex = memo(analyze_regex)
 
 
 def _lang_engine_for(regex_text, alphabet, word):
@@ -313,7 +299,7 @@ class InfixAdapter:
             raise RangeError("infix adapter needs a non-empty word")
         pad = dfa.alphabet[0]
         marked = marked_infix_dfa(dfa, mark)
-        self.morphism, self.stable_d, self.report = _analyze(marked)
+        self.morphism, self.stable_d, self.report = analyze_dfa(marked)
         padded = [pad] + list(word) + [pad]
         self.engine = make_language_engine(
             self.morphism, self.stable_d, self.report, padded

@@ -13,13 +13,16 @@ from .classify import (
 )
 
 
-def analyze_regex(text, alphabet):
-    """Convenience pipeline: regex text -> (morphism, stable data, report)."""
-    ast = parse_regex(text, alphabet)
-    d = minimize_dfa(regex_to_dfa(ast, alphabet))
-    m = syntactic_monoid(d)
+def analyze_dfa(dfa):
+    """The analysis pipeline: DFA -> (morphism, stable data, report)."""
+    m = syntactic_monoid(minimize_dfa(dfa))
     sd = stable_data(m)
     return m, sd, classify_language(m, sd)
+
+
+def analyze_regex(text, alphabet):
+    """Convenience pipeline: regex text -> (morphism, stable data, report)."""
+    return analyze_dfa(regex_to_dfa(parse_regex(text, alphabet), alphabet))
 
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "Q_SG_ONLY",
     "StableData",
     "TrichotomyReport",
+    "analyze_dfa",
     "analyze_regex",
     "cat",
     "classify_language",

@@ -5,7 +5,7 @@ import pytest
 
 from helpers import FoldOracle, run_differential
 
-from dynreg.algebra.core import adjoin_identity
+from dynreg.algebra.core import adjoin_identity, direct_product
 from dynreg.algebra.varieties import check_variety
 from dynreg.engines import (
     DivisionEngine,
@@ -266,6 +266,21 @@ def test_zg_constant_update_cost_across_sizes(gal):
             mx = max(mx, e.op_count - before)
         worst.append(mx)
     assert worst[0] == worst[1] == worst[2], worst
+
+
+def test_zg_engine_downgrades_above_the_congruence_search_bound(gal):
+    # zg5 x Z3 is in ZG but not commutative; with 15 elements it is above
+    # the congruence search's bound, so no certificate is found and the
+    # engine falls back to the vEB engine, whose answers stay exact
+    s = direct_product(gal["zg5"], gal["Z3"])
+    assert s.size == 15
+    assert check_variety(s, "ZG") and not check_variety(s, "COM")
+    assert make_zg_engine(s, [0]).kind == "zg-downgraded-sg"
+    rng = random.Random(15)
+    for n in (1, 2, 9, 60):
+        assert run_differential(
+            s, make_zg_engine, n, 300, rng, oracle_cls=make_naive_engine
+        ) == 0
 
 
 # -- prefix -----------------------------------------------------------------------

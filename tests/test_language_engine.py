@@ -6,10 +6,13 @@ from dynreg.engines import (
     WindowStatsEngine,
     make_language_engine,
     make_naive_engine,
+    make_windowstats_engine,
     synthesize_window_plan,
 )
-from dynreg.gallery import ab_star_semigroup
-from dynreg.syntactic import analyze_regex
+from dynreg.errors import EngineError, NoWindowPlan
+from dynreg.gallery import ab_star_semigroup, s3
+from dynreg.syntactic import Q_LZG, analyze_dfa, analyze_regex
+from dynreg.syntactic.dfa import Dfa
 
 
 def test_window_plan_for_ab_star_semigroup():
@@ -32,6 +35,32 @@ def test_window_engine_differential():
             eng.update(p, a)
             ora.update(p, a)
             assert eng.query() == ora.query()
+
+
+def test_window_factory_without_plan_raises_engine_error():
+    # S3 has no verified statistics plan; like every engine factory, the
+    # window factory reports a failed precondition as an EngineError
+    with pytest.raises(NoWindowPlan):
+        make_windowstats_engine(s3(), [0, 1])
+    assert issubclass(NoWindowPlan, EngineError)
+
+
+def test_downgraded_lzg_language_matches_membership():
+    # A Q_LZG language whose stable semigroup is not in ZG and has no window
+    # plan: the facade falls back to the vEB engine, tagged sg-downgraded
+    m, sd, rep = analyze_dfa(Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1}))
+    assert rep.cls == Q_LZG
+    rng = random.Random(5)
+    for n in (0, 1, 2, 3, 64):
+        word = [rng.choice("ab") for _ in range(n)]
+        eng = make_language_engine(m, sd, rep, list(word))
+        assert eng.kind == "language[sg-downgraded]"
+        assert eng.query() == m.member(word)
+        for _ in range(300 if n else 0):
+            p, c = rng.randrange(n), rng.choice("ab")
+            eng.update(p, c)
+            word[p] = c
+            assert eng.query() == m.member(word), (n, p, c)
 
 
 def test_paper_trace_ab_star():

@@ -77,6 +77,33 @@ def test_validate_raises_internal_error_on_corrupt_count():
     e.top.validate()
 
 
+def _run_entry(engine):
+    """(run layer, key, (i, g, j)) of the first run entry below a run layer."""
+    layer = next(lay for lay in engine.layers if hasattr(lay, "rv"))
+    key, label = next(
+        (k, lab) for k, lab in layer.down.inp.items() if lab in layer.cls
+    )
+    return layer, key, layer.rv.coord[label]
+
+
+@pytest.mark.parametrize("corrupt", ["mass", "cell"])
+def test_validate_raises_internal_error_on_corrupt_run_entry(corrupt):
+    # M0(Z3; 2x2) has one regular class with a nontrivial group, so its run
+    # entries carry both an egg-box cell (i, j) and a group mass g
+    s = rees_matrix_semigroup(Z3T, [[0, None], [1, 0]])
+    rng = random.Random(7)
+    e = make_sg_engine(s, [rng.randrange(s.size - 1) for _ in range(30)],
+                       debug_checks=True)
+    layer, key, (i, g, j) = _run_entry(e)
+    if corrupt == "mass":
+        bad = (i, (g + 1) % 3, j)
+    else:
+        bad = (1 - i, g, 1 - j)
+    layer.down.inp.update(key, layer.rv.uncoord[bad])
+    with pytest.raises(InternalError):
+        e.top.validate()
+
+
 def test_empty_word():
     s = ab_star_semigroup()
     e = make_sg_engine(s, [])
