@@ -38,14 +38,9 @@ VARIETY_FLAGS = [
 ]
 
 
-def _analyze_language(obj):
-    dfa = language_from_json(obj)
-    return (dfa,) + analyze_dfa(dfa)
-
-
 def cmd_classify(args):
     obj = load_json(args.input)
-    _, m, sd, report = _analyze_language(obj)
+    _, _, report = analyze_dfa(language_from_json(obj))
     out = report.to_dict()
     json.dump(out, sys.stdout, indent=2, sort_keys=True)
     print()
@@ -53,16 +48,16 @@ def cmd_classify(args):
 
 
 def _resolve_input(obj):
-    """Returns ('language', dfa, m, sd, report) or ('semigroup', s)."""
+    """Returns ('language', m, sd, report) or ('semigroup', s)."""
     if "table" in obj:
         return ("semigroup", semigroup_from_json(obj))
-    return ("language",) + _analyze_language(obj)
+    return ("language",) + analyze_dfa(language_from_json(obj))
 
 
 def _semigroup_engine(s, word, kind):
     if kind == "auto":
         return make_auto_engine(s, word)
-    return ENGINES[kind].factory(s, word)
+    return ENGINES[kind](s, word)
 
 
 def cmd_run(args):
@@ -74,7 +69,12 @@ def cmd_run(args):
     op_costs = []
 
     if resolved[0] == "language":
-        _, m, sd, report = resolved[1:]
+        if args.engine != "auto":
+            raise ValueError(
+                f"--engine {args.engine} needs semigroup input; "
+                "a language's engine follows from its class"
+            )
+        m, sd, report = resolved[1:]
         word = list(args.word)
         engine = make_language_engine(m, sd, report, word)
         shadow = list(word) if args.check else None

@@ -1,7 +1,7 @@
 from .base import Engine, NaiveEngine, make_naive_engine
 from .combinators import DivisionEngine, ProductEngine
 from .counting import CountEngine, NilpotentEngine, make_count_engine, make_nilpotent_engine
-from .dispatch import REGISTRY, eligible_engines, make_auto_engine
+from .dispatch import REGISTRY, build_first, eligible_engines, make_auto_engine
 from .kary import KAryConfig, KaryEngine, make_kary_engine
 from .language import LanguageEngine, make_language_engine
 from .prefix import VebPrefixEngine, make_prefix_engine
@@ -32,6 +32,7 @@ __all__ = [
     "VebPrefixEngine",
     "WindowStatsEngine",
     "WindowStatsPlan",
+    "build_first",
     "eligible_engines",
     "make_auto_engine",
     "make_count_engine",

@@ -15,22 +15,30 @@ from ..errors import PositionOutOfRange, RangeError
 from ..veb import VebMap
 
 
+def check_letters(word, size):
+    for a in word:
+        if not (0 <= a < size):
+            raise RangeError(f"letter {a} out of range")
+
+
 class Engine:
+    """Letters are the ids of the semigroup the caller passed: an engine that
+    extends it (an adjoined zero or identity) still accepts only its size."""
+
     kind = "abstract"
 
     def __init__(self, semigroup, word):
         self.semigroup = semigroup
+        self.size = semigroup.size
         self.word = list(word)
         self.n = len(self.word)
         self._steps = 0
-        for a in self.word:
-            if not (0 <= a < semigroup.size):
-                raise RangeError(f"letter {a} out of range")
+        check_letters(self.word, self.size)
 
     def _check(self, pos, letter):
         if not (0 <= pos < self.n):
             raise PositionOutOfRange(f"position {pos} outside 0..{self.n - 1}")
-        if not (0 <= letter < self.semigroup.size):
+        if not (0 <= letter < self.size):
             raise RangeError(f"letter {letter} out of range")
 
     def update(self, pos, letter):

@@ -48,7 +48,7 @@ class DivisionEngine(Engine):
 
     rep maps an outer letter to an inner letter; project maps the inner
     evaluation back to the outer element (Proposition on closure under
-    quotients and subsemigroups).
+    quotients and subsemigroups). The outer letters are 0..len(rep) - 1.
     """
 
     kind = "division"
@@ -58,9 +58,11 @@ class DivisionEngine(Engine):
         self.project = project
         self.inner = inner
         self.n = inner.n
+        self.size = len(rep)
         self._steps = 0
 
     def update(self, pos, letter):
+        self._check(pos, letter)
         self._steps += 1
         self.inner.update(pos, self.rep[letter])
 

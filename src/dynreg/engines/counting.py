@@ -64,7 +64,7 @@ class NilpotentEngine(Engine):
     kind = "nilpotent"
 
     def __init__(self, semigroup, word):
-        if semigroup.identity is None or not check_variety(semigroup, "NIL_PLUS_ONE"):
+        if not check_variety(semigroup, "NIL_PLUS_ONE"):
             raise NotNilPlusOne("engine requires S^1 with S nilpotent")
         super().__init__(semigroup, word)
         self.one = semigroup.identity

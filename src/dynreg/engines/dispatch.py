@@ -1,17 +1,17 @@
-"""The engine registry: every place that picks an engine reads this table.
+"""The engine registry and the one ladder walk that picks an engine.
 
-REGISTRY lists (name, precondition, factory) in the order make_auto_engine
-tries them: the first entry whose precondition holds wins. A precondition of
-None means any semigroup will do, so kary ends the automatic ladder and the
-entries after it are built only when asked for by name. Every factory checks
-its own precondition and raises an EngineError subclass when it fails.
+REGISTRY lists (name, factory). Every factory checks its own class: before it
+reads the word it raises NotApplicable when the semigroup is outside its
+class, and NoPlan, a NotApplicable, when the class holds but no constant-time
+plan was found. AUTO_LADDER is the registry up to kary, which takes any
+semigroup; the entries after it are built only when asked for by name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+import logging
 
-from ..algebra.varieties import check_variety
+from ..errors import NoPlan, NotApplicable
 from .base import make_naive_engine
 from .counting import CountEngine, NilpotentEngine
 from .kary import make_kary_engine
@@ -19,54 +19,61 @@ from .prefix import make_prefix_engine
 from .sg import make_sg_engine
 from .zg import make_zg_engine
 
+logger = logging.getLogger(__name__)
 
-class Entry(NamedTuple):
-    name: str
-    precondition: Optional[Callable]  # semigroup -> bool; None: always holds
-    factory: Callable  # (semigroup, word) -> engine
-
-    def applies(self, semigroup):
-        return self.precondition is None or self.precondition(semigroup)
-
-
-REGISTRY = (
-    Entry("count", lambda s: check_variety(s, "COM"), CountEngine),
-    Entry(
-        "nilpotent",
-        lambda s: s.identity is not None and check_variety(s, "NIL_PLUS_ONE"),
-        NilpotentEngine,
-    ),
-    Entry("zg", lambda s: check_variety(s, "ZG"), make_zg_engine),
-    Entry("sg", lambda s: check_variety(s, "SG"), make_sg_engine),
-    Entry("kary", None, make_kary_engine),
-    Entry("prefix", None, make_prefix_engine),
-    Entry("naive", None, make_naive_engine),
+AUTO_LADDER = (
+    ("count", CountEngine),
+    ("nilpotent", NilpotentEngine),
+    ("zg", make_zg_engine),
+    ("sg", make_sg_engine),
+    ("kary", make_kary_engine),
 )
+REGISTRY = AUTO_LADDER + (("prefix", make_prefix_engine), ("naive", make_naive_engine))
+ENGINES = dict(REGISTRY)
 
-ENGINES = {entry.name: entry for entry in REGISTRY}
 
+def build_first(ladder, semigroup, word):
+    """(tag, engine) from the first rung of ladder that accepts semigroup.
 
-def first_eligible(ladder, semigroup):
-    """The first entry of ladder that applies to semigroup. The last entry is
-    the fallback and is taken untested: its factory checks it anyway."""
-    for entry in ladder[:-1]:
-        if entry.applies(semigroup):
-            return entry
-    return ladder[-1]
+    The last rung is built unguarded. The tag is the rung's name, plus
+    "-downgraded" when an earlier rung raised NoPlan; a downgraded engine
+    carries the tag as its kind, and the downgrade is logged here.
+    """
+    lost = None
+    for name, factory in ladder[:-1]:
+        try:
+            engine = factory(semigroup, word)
+            break
+        except NoPlan as exc:
+            lost = lost or (name, exc)
+        except NotApplicable:
+            pass
+    else:
+        name, factory = ladder[-1]
+        engine = factory(semigroup, word)
+    if lost is None:
+        return name, engine
+    logger.warning(
+        "%s engine: %s; built the %s engine instead, answers stay exact",
+        lost[0], lost[1], name,
+    )
+    engine.kind = f"{name}-downgraded"
+    return engine.kind, engine
 
 
 def eligible_engines(semigroup):
-    """(name, factory) of every entry make_auto_engine could pick for
-    semigroup, in registry order, up to the first unconditional entry."""
+    """(name, factory) of every AUTO_LADDER rung whose factory accepts
+    semigroup, in ladder order; kary, the last, accepts every semigroup."""
     out = []
-    for entry in REGISTRY:
-        if entry.applies(semigroup):
-            out.append((entry.name, entry.factory))
-        if entry.precondition is None:
-            break
+    for name, factory in AUTO_LADDER:
+        try:
+            factory(semigroup, [])
+        except NotApplicable:
+            continue
+        out.append((name, factory))
     return out
 
 
 def make_auto_engine(semigroup, word):
-    """count < nilpotent < zg < sg < kary, first whose precondition holds."""
-    return first_eligible(REGISTRY, semigroup).factory(semigroup, word)
+    """count < nilpotent < zg < sg < kary: the first rung that accepts semigroup."""
+    return build_first(AUTO_LADDER, semigroup, word)[1]

@@ -63,8 +63,8 @@ class KaryEngine(Engine):
     kind = "kary"
 
     def __init__(self, monoid, word, config=None):
-        monoid = adjoin_identity(monoid)
         super().__init__(monoid, word)
+        self.semigroup = monoid = adjoin_identity(monoid)
         self.config = config or KAryConfig(monoid.size, max(self.n, 1))
         self.k = k = self.config.k
         self._b = b = monoid.size

@@ -4,9 +4,9 @@ The word is cut into blocks of s letters (s the stability index) plus a
 verbatim tail of fewer than s letters. Block images live in the stable
 semigroup and feed an inner engine chosen by the trichotomy class:
 
-  Q_LZG        stable in ZG -> certificate engine; otherwise a verified
-               window-statistics engine; if verification fails, the vEB
-               engine (correct, but the O(1) bound is lost; tagged).
+  Q_LZG        the certificate engine if one is found, else a verified
+               window-statistics engine, else the vEB engine (correct, but
+               the O(1) bound is lost; the kind tag says "-downgraded").
   Q_SG_ONLY    the vEB engine.
   OUTSIDE_Q_SG the k-ary tree over the syntactic monoid, no chunking.
 
@@ -16,20 +16,14 @@ syntactic monoid and tests the accept set.
 
 from __future__ import annotations
 
-import logging
-
 from ..errors import PositionOutOfRange, RangeError
 from ..syntactic.classify import OUTSIDE_Q_SG, Q_LZG
 from .base import Engine
-from .dispatch import ENGINES, Entry, first_eligible
-from .windowstats import make_windowstats_engine, synthesize_window_plan
+from .dispatch import ENGINES, build_first
+from .windowstats import make_windowstats_engine
 
-logger = logging.getLogger(__name__)
-
-WINDOW = Entry(
-    "window", lambda s: synthesize_window_plan(s) is not None, make_windowstats_engine
-)
-LZG_LADDER = (ENGINES["zg"], WINDOW, ENGINES["sg"])
+LZG_LADDER = (("zg", ENGINES["zg"]), ("window", make_windowstats_engine), ("sg", ENGINES["sg"]))
+SG_LADDER = (("sg", ENGINES["sg"]),)
 
 
 class LanguageEngine(Engine):
@@ -47,7 +41,7 @@ class LanguageEngine(Engine):
         self.chunked = report.cls != OUTSIDE_Q_SG
         if not self.chunked:
             letters = [morphism.eta[a] for a in self.word]
-            self.inner = ENGINES["kary"].factory(morphism.target, letters)
+            self.inner = ENGINES["kary"](morphism.target, letters)
             self.kind = "language[kary]"
             return
         self.blocks = self.n // self.s
@@ -55,17 +49,8 @@ class LanguageEngine(Engine):
             stable.block_image(self.word[b * self.s : (b + 1) * self.s])
             for b in range(self.blocks)
         ]
-        sg = stable.stable
-        ladder = LZG_LADDER if report.cls == Q_LZG else (ENGINES["sg"],)
-        entry = first_eligible(ladder, sg)
-        self.inner = entry.factory(sg, inner_word)
-        tag = entry.name
-        if ladder is LZG_LADDER and tag == "sg":
-            logger.warning(
-                "no verified O(1) plan for the stable semigroup; "
-                "falling back to the vEB engine"
-            )
-            tag = "sg-downgraded"
+        ladder = LZG_LADDER if report.cls == Q_LZG else SG_LADDER
+        tag, self.inner = build_first(ladder, stable.stable, inner_word)
         self.kind = f"language[{tag}]"
 
     def update(self, pos, letter):

@@ -651,8 +651,8 @@ class SgEngine(Engine):
     def __init__(self, semigroup, word, debug_checks=False):
         if not check_variety(semigroup, "SG"):
             raise NotSg("semigroup does not satisfy the swap equation")
+        super().__init__(semigroup, word)
         s0 = adjoin_zero(semigroup, reuse=True)
-        super().__init__(s0, word)
         self.debug_checks = debug_checks
         span = max(self.n, 1)
         plans = build_layer_plan(s0)

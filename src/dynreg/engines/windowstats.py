@@ -36,17 +36,17 @@ STATE_CAP = 300_000  # reachable states explored before a tier gives up
 
 
 class WindowStatsPlan:
-    def __init__(self, semigroup, stat_kind, threshold, period, nslots, recovery):
-        self.semigroup = semigroup
+    def __init__(self, stat_kind, threshold, period, nslots):
         self.stat_kind = stat_kind
         self.threshold = threshold
         self.period = period
         self.nslots = nslots
-        self.recovery = recovery  # (capped counts, last letter) -> element
+        self.recovery = {}  # (capped counts, last letter) -> element
 
-    def cap(self, c):
-        t, p = self.threshold, self.period
-        return c if c < t else t + (c - t) % p
+        def cap(c):
+            return c if c < threshold else threshold + (c - threshold) % period
+
+        self.cap = cap
 
 
 def _exponent(s):
@@ -87,12 +87,8 @@ def synthesize_window_plan(s):
 
 
 def _verify_tier(s, kind, threshold, period):
-    nslots = _nslots(s, kind)
-
-    def cap(c):
-        return c if c < threshold else threshold + (c - threshold) % period
-
-    recovery = {}
+    plan = WindowStatsPlan(kind, threshold, period, _nslots(s, kind))
+    cap, recovery, nslots = plan.cap, plan.recovery, plan.nslots
     seen = set()
     frontier = []
     for a in range(s.size):
@@ -126,7 +122,7 @@ def _verify_tier(s, kind, threshold, period):
                 seen.add(st)
                 nxt.append(st)
         frontier = nxt
-    return WindowStatsPlan(s, kind, threshold, period, nslots, recovery)
+    return plan
 
 
 class WindowStatsEngine(Engine):
@@ -165,9 +161,8 @@ class WindowStatsEngine(Engine):
         return plan.recovery[(capped, self.word[-1])]
 
 
-def make_windowstats_engine(semigroup, word, plan=None):
+def make_windowstats_engine(semigroup, word):
+    plan = synthesize_window_plan(semigroup)
     if plan is None:
-        plan = synthesize_window_plan(semigroup)
-        if plan is None:
-            raise NoWindowPlan("no verified statistics plan for this semigroup")
+        raise NoWindowPlan("no verified statistics plan for this semigroup")
     return WindowStatsEngine(semigroup, word, plan)

@@ -2,25 +2,20 @@
 
 The certificate splits the monoid into commutative and nilpotent-plus-identity
 quotients; each factor gets its O(1) engine, glued back with product and
-division combinators. When the certificate search fails (the decomposition is
-only guaranteed to exist as a variety statement) we fall back to the vEB
-engine, keeping answers exact but losing the O(1) bound; the kind tag records
-the downgrade so benchmarks can exclude such runs.
+division combinators. The decomposition is only guaranteed to exist as a
+variety statement, so the certificate search can fail; the factory then
+raises NoZgCertificate and the caller's ladder picks the next engine.
 """
 
 from __future__ import annotations
 
-import logging
-
 from ..algebra.core import adjoin_identity
-from ..algebra.varieties import check_variety
 from ..algebra.zg import FACTOR_COM, find_zg_certificate
-from ..errors import NotZg
+from ..errors import NoZgCertificate
 from ..memo import memo
+from .base import check_letters
 from .combinators import DivisionEngine, ProductEngine
 from .counting import CountEngine, NilpotentEngine
-
-logger = logging.getLogger(__name__)
 
 
 @memo
@@ -29,28 +24,24 @@ def _certificate(monoid):
 
 
 def make_zg_engine(semigroup, word):
-    if not check_variety(semigroup, "ZG"):
-        raise NotZg("semigroup does not satisfy x^(w+1) y = y x^(w+1)")
+    # S is in ZG exactly when S^1 is, so the certificate search's own ZG
+    # check (NotZg) is this factory's class check
     monoid = adjoin_identity(semigroup)
     cert = _certificate(monoid)
     if cert is None:
-        from .sg import make_sg_engine
-
-        logger.warning(
-            "no subdirect ZG certificate found (size %d); falling back to the "
-            "vEB engine, answers stay exact", monoid.size,
-        )
-        eng = make_sg_engine(semigroup, word)
-        eng.kind = "zg-downgraded-sg"
-        return eng
+        raise NoZgCertificate(f"no subdirect certificate for the {monoid.size}-element monoid")
+    # letters are the caller's ids; S^1's adjoined identity is not one of them
+    check_letters(word, semigroup.size)
     makers = [CountEngine if kind == FACTOR_COM else NilpotentEngine for kind in cert.kinds]
     if len(makers) == 1:
-        return makers[0](monoid, word)
+        eng = makers[0](monoid, word)
+        eng.size = semigroup.size
+        return eng
+    rep = cert.embedding[: semigroup.size]
     parts = [
-        make(f, [cert.embedding[a][i] for a in word])
+        make(f, [rep[a][i] for a in word])
         for i, (f, make) in enumerate(zip(cert.factors, makers))
     ]
-    inner = ProductEngine(parts)
-    eng = DivisionEngine(rep=cert.embedding, project=cert.projection, inner=inner)
+    eng = DivisionEngine(rep=rep, project=cert.projection, inner=ProductEngine(parts))
     eng.kind = "zg"
     return eng

@@ -35,10 +35,6 @@ class TooLarge(AlgebraError):
     pass
 
 
-class NotMinimal(AlgebraError):
-    pass
-
-
 class InternalError(Exception):
     pass
 
@@ -79,19 +75,27 @@ class PositionOutOfRange(EngineError):
     pass
 
 
-class NotCommutative(EngineError):
+class NotApplicable(EngineError):
+    """The semigroup is outside the class an engine factory serves."""
+
+
+class NoPlan(NotApplicable):
+    """The factory's variety holds, but no constant-time plan was found."""
+
+
+class NotCommutative(NotApplicable):
     pass
 
 
-class NotNilPlusOne(EngineError):
+class NotNilPlusOne(NotApplicable):
     pass
 
 
-class NotZg(EngineError):
+class NotZg(NotApplicable):
     pass
 
 
-class NotSg(EngineError):
+class NotSg(NotApplicable):
     pass
 
 
@@ -111,5 +115,9 @@ class NotAWitness(EngineError):
     pass
 
 
-class NoWindowPlan(EngineError):
+class NoWindowPlan(NoPlan):
+    pass
+
+
+class NoZgCertificate(NoPlan):
     pass

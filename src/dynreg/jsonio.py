@@ -7,7 +7,7 @@ import json
 from .algebra.congruence import Congruence
 from .algebra.core import build_semigroup
 from .errors import RangeError
-from .syntactic.dfa import Dfa, minimize_dfa, regex_to_dfa
+from .syntactic.dfa import Dfa, regex_to_dfa
 from .syntactic.regex import parse_regex
 
 
@@ -27,20 +27,20 @@ def congruence_from_json(obj):
 
 
 def language_from_json(obj):
-    """Returns a minimal complete Dfa from {'alphabet', 'regex'} or
+    """Returns a complete Dfa, not minimized, from {'alphabet', 'regex'} or
     {'alphabet', 'dfa': {states, delta, initial, finals}}."""
     alphabet = obj.get("alphabet")
     if not alphabet:
         raise RangeError("language JSON needs an 'alphabet'")
     if "regex" in obj:
         ast = parse_regex(obj["regex"], alphabet)
-        return minimize_dfa(regex_to_dfa(ast, alphabet))
+        return regex_to_dfa(ast, alphabet)
     if "dfa" in obj:
         d = obj["dfa"]
         dfa = Dfa(alphabet, d["delta"], d["initial"], set(d["finals"]))
         if dfa.states != d["states"]:
             raise RangeError("dfa state count mismatch")
-        return minimize_dfa(dfa)
+        return dfa
     raise RangeError("language JSON needs 'regex' or 'dfa'")
 
 

@@ -15,7 +15,7 @@ from .classify import (
 
 def analyze_dfa(dfa):
     """The analysis pipeline: DFA -> (morphism, stable data, report)."""
-    m = syntactic_monoid(minimize_dfa(dfa))
+    m = syntactic_monoid(dfa)
     sd = stable_data(m)
     return m, sd, classify_language(m, sd)
 

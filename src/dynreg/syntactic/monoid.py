@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from ..errors import NotMinimal
 from ..algebra.core import FiniteSemigroup
-from .dfa import is_minimal
+from .dfa import minimize_dfa
 
 
 class Morphism:
@@ -36,14 +35,15 @@ class Morphism:
 
 
 def syntactic_monoid(d):
-    """Morphism onto the transition monoid of a minimal complete DFA.
+    """Morphism onto the syntactic monoid of a complete DFA's language.
 
-    Elements are state transformations, closed under composition and including
-    the identity; element names are shortest words achieving each
-    transformation (the identity is named "1").
+    The DFA is minimized first; minimization is canonical, so a minimal input
+    gives the same morphism. Elements are state transformations of the
+    minimal DFA, closed under composition and including the identity; element
+    names are shortest words achieving each transformation (the identity is
+    named "1").
     """
-    if not is_minimal(d):
-        raise NotMinimal("DFA has unreachable or indistinguishable states")
+    d = minimize_dfa(d)
     n = d.states
     ident = tuple(range(n))
     letter_tf = {

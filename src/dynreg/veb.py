@@ -68,10 +68,6 @@ class _Bits:
         owner.probes += 1
         self.mask &= ~(1 << x)
 
-    def member(self, x, owner):
-        owner.probes += 1
-        return (self.mask >> x) & 1 == 1
-
     def first(self, owner):
         owner.probes += 1
         m = self.mask
@@ -162,15 +158,6 @@ class _Node:
                 self.max = self.min
             else:
                 self.max = (hs << self.lo_bits) | self.clusters[hs].last(owner)
-
-    def member(self, x, owner):
-        owner.probes += 1
-        if x == self.min or x == self.max:
-            return True
-        if self.min is None or x < self.min or x > self.max:
-            return False
-        h, l = x >> self.lo_bits, x & self.lo_mask
-        return self.clusters[h].member(l, owner)
 
     def pred_lt(self, x, owner):
         owner.probes += 1

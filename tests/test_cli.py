@@ -172,6 +172,8 @@ def test_bad_input_exit_code(tmp_path):
     (["run", "{dir}/abse.json", "--word", "a b", "--engine", "count"], "Q\n"),
     (["run", "{dir}/abstar.json", "--word", "aaaa"], "X 1\n"),
     (["classify", "{dir}/missing.json"], None),
+    # an engine named for language input, which picks its own
+    (["run", "{dir}/abstar.json", "--word", "ab", "--engine", "naive"], "Q\n"),
 ])
 def test_bad_input_matrix_exit_code_2(files, args, stream):
     (files / "nonassoc.json").write_text(json.dumps({"table": [[1, 0], [1, 1]]}))

@@ -11,7 +11,9 @@ from dynreg.engines import (
     DivisionEngine,
     KAryConfig,
     ProductEngine,
+    build_first,
     eligible_engines,
+    make_auto_engine,
     make_count_engine,
     make_kary_engine,
     make_naive_engine,
@@ -19,7 +21,9 @@ from dynreg.engines import (
     make_prefix_engine,
     make_zg_engine,
 )
+from dynreg.engines.language import LZG_LADDER
 from dynreg.errors import (
+    NoZgCertificate,
     NotCommutative,
     NotNilPlusOne,
     NotZg,
@@ -270,17 +274,23 @@ def test_zg_constant_update_cost_across_sizes(gal):
 
 def test_zg_engine_downgrades_above_the_congruence_search_bound(gal):
     # zg5 x Z3 is in ZG but not commutative; with 15 elements it is above
-    # the congruence search's bound, so no certificate is found and the
-    # engine falls back to the vEB engine, whose answers stay exact
+    # the congruence search's bound, so no certificate is found: the zg
+    # factory raises, and both auto and the facade's Q_LZG ladder (which
+    # tries window first) fall back to the vEB engine, whose answers stay
+    # exact
     s = direct_product(gal["zg5"], gal["Z3"])
     assert s.size == 15
     assert check_variety(s, "ZG") and not check_variety(s, "COM")
-    assert make_zg_engine(s, [0]).kind == "zg-downgraded-sg"
+    with pytest.raises(NoZgCertificate):
+        make_zg_engine(s, [0])
+    assert make_auto_engine(s, [0]).kind == "sg-downgraded"
+    assert build_first(LZG_LADDER, s, [0])[0] == "sg-downgraded"
     rng = random.Random(15)
-    for n in (1, 2, 9, 60):
-        assert run_differential(
-            s, make_zg_engine, n, 300, rng, oracle_cls=make_naive_engine
-        ) == 0
+    for factory in (make_auto_engine, lambda s, w: build_first(LZG_LADDER, s, w)[1]):
+        for n in (1, 2, 9, 60):
+            assert run_differential(
+                s, factory, n, 300, rng, oracle_cls=make_naive_engine
+            ) == 0
 
 
 # -- prefix -----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from dynreg.algebra import check_variety
-from dynreg.errors import NotMinimal, RegexSyntaxError
+from dynreg.errors import RegexSyntaxError
 from dynreg.gallery import ab_star_semigroup
 from dynreg.syntactic import (
     Morphism,
@@ -102,12 +102,13 @@ def test_syntactic_monoid_outside_sg():
     assert rep.cls == Q_LZG  # stable semigroup rescues the language
 
 
-def test_not_minimal_rejected():
+def test_non_minimal_dfa_gives_the_minimal_dfas_monoid():
+    # syntactic_monoid minimizes its input, and minimization is canonical
     d = regex_to_dfa(parse_regex("a*b*", "ab"), "ab")
-    if is_minimal(d):
-        pytest.skip("subset construction already minimal here")
-    with pytest.raises(NotMinimal):
-        syntactic_monoid(d)
+    assert not is_minimal(d)
+    got, want = syntactic_monoid(d), syntactic_monoid(minimize_dfa(d))
+    assert got.target.table == want.target.table
+    assert (got.eta, got.accept) == (want.eta, want.accept)
 
 
 def test_morphism_property_small_words():

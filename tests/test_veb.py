@@ -135,7 +135,7 @@ def test_probes_within_loglog_bound():
             assert worst <= 2 * fitted * bound_term, (span, worst)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(st.integers(1, 200), st.booleans()), max_size=80))
 def test_hypothesis_matches_dict(ops):
     m = VebMap(200)
