@@ -15,6 +15,7 @@ from ..errors import (
     InvalidCongruence,
     RangeError,
 )
+from ..memo import memo
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,13 @@ def restriction(s, subset):
     names = [s.names[x] for x in subset]
     sub = FiniteSemigroup(table, names=names, validate=False)
     return sub, list(subset)
+
+
+@memo
+def table_array(s):
+    """The table of s as a numpy array of the narrowest unsigned dtype that
+    holds its ids, for vectorized products (memoized)."""
+    return np.asarray(s.table, dtype=np.min_scalar_type(s.size - 1))
 
 
 def adjoin_zero(s, reuse=False):

@@ -16,7 +16,10 @@ syntactic monoid and tests the accept set.
 
 from __future__ import annotations
 
-from ..errors import PositionOutOfRange, RangeError
+import numpy as np
+
+from ..algebra.core import table_array
+from ..errors import InternalError, PositionOutOfRange, RangeError
 from ..syntactic.classify import OUTSIDE_Q_SG, Q_LZG
 from .base import Engine
 from .dispatch import ENGINES, build_first
@@ -34,21 +37,15 @@ class LanguageEngine(Engine):
         self.word = list(word)
         self.n = len(self.word)
         self._steps = 0
-        for a in self.word:
-            if a not in morphism.eta:
-                raise RangeError(f"letter {a!r} not in the alphabet")
+        ids = _letter_ids(morphism, self.word)
         self.s = stable.index
         self.chunked = report.cls != OUTSIDE_Q_SG
         if not self.chunked:
-            letters = [morphism.eta[a] for a in self.word]
-            self.inner = ENGINES["kary"](morphism.target, letters)
+            self.inner = ENGINES["kary"](morphism.target, ids.tolist())
             self.kind = "language[kary]"
             return
         self.blocks = self.n // self.s
-        inner_word = [
-            stable.block_image(self.word[b * self.s : (b + 1) * self.s])
-            for b in range(self.blocks)
-        ]
+        inner_word = _block_images(morphism, stable, ids, self.blocks).tolist()
         ladder = LZG_LADDER if report.cls == Q_LZG else SG_LADDER
         tag, self.inner = build_first(ladder, stable.stable, inner_word)
         self.kind = f"language[{tag}]"
@@ -93,6 +90,33 @@ class LanguageEngine(Engine):
 
     def _parts(self):
         return (self.inner,)
+
+
+def _letter_ids(morphism, word):
+    """The monoid ids of the letters of word, as a narrow numpy array."""
+    try:
+        return np.fromiter(map(morphism.eta.__getitem__, word),
+                           dtype=table_array(morphism.target).dtype, count=len(word))
+    except KeyError as exc:
+        raise RangeError(f"letter {exc.args[0]!r} not in the alphabet") from None
+
+
+def _block_images(morphism, stable, ids, blocks):
+    """Stable ids of the first `blocks` length-s blocks of the letter ids:
+    the s columns of the blocks folded left through the monoid table, then
+    mapped through to_stable, all as whole-array steps."""
+    cols = ids[: blocks * stable.index].reshape(blocks, stable.index)
+    t = table_array(morphism.target)
+    acc = cols[:, 0]
+    for c in range(1, stable.index):
+        acc = t[acc, cols[:, c]]
+    size = morphism.target.size
+    to_stable = np.full(size, -1, dtype=np.min_scalar_type(-size))
+    to_stable[stable.inclusion] = np.arange(len(stable.inclusion))
+    images = to_stable[acc]
+    if (images < 0).any():
+        raise InternalError("a block image lies outside the stable semigroup")
+    return images
 
 
 def make_language_engine(morphism, stable, report, word):

@@ -13,13 +13,18 @@ class.
 
 Every layer supports keyed insert/delete/update on its input word plus the
 one-letter bypass, so the whole stack does O(1) vEB operations per update.
+The stack is built from numpy arrays, one whole-array pass per layer: each
+layer's load() bulk-builds its maps and hands its collapsed or grouped word
+to the layer below.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from ..algebra.core import adjoin_zero, restriction
+import numpy as np
+
+from ..algebra.core import adjoin_zero, restriction, table_array
 from ..algebra.green import green_j
 from ..algebra.rees import rees_decompose
 from ..algebra.varieties import check_variety
@@ -37,15 +42,43 @@ def _require(ok, message):
 
 class _ReesView:
     """Rees data of one layer, translated to ambient element ids; the group
-    arithmetic is the representation's own."""
+    arithmetic is the representation's own.
 
-    def __init__(self, rees, incl):
+    The array collapse reads the same data as arrays: i_of, g_of and j_of map
+    an ambient id to its coordinates (-1 outside the class), p is the
+    sandwich matrix (-1 for a zero entry), u maps (i, g, j) back to the
+    ambient id, and g_table and g_inverse hold the group's arithmetic.
+    """
+
+    def __init__(self, rees, incl, size):
         self.coord = {incl[x]: c for x, c in rees.coord.items()}
         self.uncoord = {c: incl[x] for c, x in rees.uncoord.items()}
         self.matrix = rees.matrix
         self.g_identity = rees.g_identity
         self.g_mul = rees.g_mul
         self.g_inv = rees.g_inv
+        gsize = rees.group.size
+        dtype = np.min_scalar_type(-size)  # every id, coordinate and -1
+        self.i_of, self.g_of, self.j_of = np.full((3, size), -1, dtype=dtype)
+        self.u = np.zeros((rees.i_count, gsize, rees.j_count), dtype=dtype)
+        for x, (i, g, j) in self.coord.items():
+            self.i_of[x], self.g_of[x], self.j_of[x] = i, g, j
+            self.u[i, g, j] = x
+        self.p = np.array([[-1 if v is None else v for v in row] for row in self.matrix],
+                          dtype=dtype)
+        self.g_table = np.asarray(rees.group.table, dtype=dtype)
+        self.g_inverse = np.array([rees.g_inv(x) for x in range(gsize)], dtype=dtype)
+
+
+def _prefix_products(table, x):
+    """Inclusive prefix products of the sequence x under an associative
+    table, by doubling: log2(len(x)) vectorized passes."""
+    x = x.copy()
+    d = 1
+    while d < len(x):
+        x[d:] = table[x[:-d], x[d:]]
+        d *= 2
+    return x
 
 
 class _Layer:
@@ -64,9 +97,11 @@ class _Layer:
     def maps(self):
         return (self.inp,)
 
-    def load(self, entries):
-        self.inp = VebMap.build(self.span, entries)
-        self.count = len(entries)
+    def load(self, keys, labels):
+        """Build the layer, and those below it, from its input word: sorted
+        integer keys and their letters, as numpy arrays."""
+        self.inp = VebMap.build(self.span, keys, labels)
+        self.count = len(keys)
 
     def eval(self):
         self.steps += 1
@@ -169,23 +204,18 @@ class _PairLayer(_Layer):
 
     # -- word operations -----------------------------------------------------
 
-    def load(self, entries):
-        super().load(entries)
-        t = self.s0.table
-        m = len(entries)
-        groups = []
-        if m >= 2:
-            i = 0
-            while i < m:
-                size = 3 if m - i == 3 else 2
-                chunk = entries[i : i + size]
-                key = chunk[-1][0]
-                label = chunk[0][1]
-                for _, a in chunk[1:]:
-                    label = t[label][a]
-                groups.append((key, label))
-                i += size
-        self.down.load(groups)
+    def load(self, keys, labels):
+        """Group the letters in pairs, keyed by the second; when the count is
+        odd, the last pair takes the final letter and becomes a triple."""
+        super().load(keys, labels)
+        t = table_array(self.s0)
+        even = len(keys) - len(keys) % 2
+        gkeys = keys[1:even:2].copy()
+        glabels = t[labels[0:even:2], labels[1:even:2]]
+        if even < len(keys) and even:
+            gkeys[-1] = keys[-1]
+            glabels[-1] = t[glabels[-1], labels[-1]]
+        self.down.load(gkeys, glabels)
 
     def insert(self, key, letter):
         self.steps += 1
@@ -295,31 +325,43 @@ class _RunLayer(_Layer):
         label = self.down.inp.retrieve(key)
         return self.rv.coord[label]
 
-    def _collapse(self, entries):
-        """The exact collapsed word of the input word `entries`: each maximal
-        run of C-letters becomes one entry, keyed by its last letter and
-        carrying the run's exact group mass."""
+    def _collapse(self, keys, labels):
+        """The exact collapsed word of the input word (keys, labels), as two
+        arrays: each maximal run of C-letters becomes one entry, keyed by its
+        last letter and carrying the run's exact group mass.
+
+        A C-letter joins the run of the C-letter before it when their
+        sandwich entry p is nonzero; it then adds the factor p g to the run's
+        mass, and a letter that starts a run adds its g. A run's mass is the
+        product of its factors, P[start - 1]^-1 P[end] for the prefix
+        products P, taken only over the factors that are not the identity.
+        """
         rv = self.rv
-        out = []
-        run = None  # (i, g, j, key) of the open run
-        for key, a in entries:
-            if a in self.cls:
-                ia, ga, ja = rv.coord[a]
-                if run is not None:
-                    p = self._p(run[2], ia)
-                    if p is not None:
-                        run = (run[0], rv.g_mul(run[1], p, ga), ja, key)
-                        continue
-                    out.append((run[3], rv.uncoord[run[:3]]))
-                run = (ia, ga, ja, key)
-            else:
-                if run is not None:
-                    out.append((run[3], rv.uncoord[run[:3]]))
-                    run = None
-                out.append((key, a))
-        if run is not None:
-            out.append((run[3], rv.uncoord[run[:3]]))
-        return out
+        n = len(keys)
+        i, g, j = rv.i_of[labels], rv.g_of[labels], rv.j_of[labels]
+        inc = i >= 0
+        p = np.full(n, -1, dtype=rv.p.dtype)  # p[t] >= 0: t joins t - 1's run
+        t = np.flatnonzero(inc[1:] & inc[:-1]) + 1
+        p[t] = rv.p[j[t - 1], i[t]]
+        joined = p >= 0
+        last = np.ones(n, dtype=bool)  # t ends its entry
+        last[:-1] = ~joined[1:]
+        ends = np.flatnonzero(last)
+        starts = np.zeros_like(ends)
+        starts[1:] = ends[:-1] + 1
+        e = rv.g_identity
+        factor = np.where(inc, g, e)
+        t = np.flatnonzero(joined)
+        factor[t] = rv.g_table[p[t], g[t]]
+        moved = np.flatnonzero(factor != e)
+        prefix = np.append(e, _prefix_products(rv.g_table, factor[moved]))
+        before = prefix[np.searchsorted(moved, starts, side="left")]
+        upto = prefix[np.searchsorted(moved, ends, side="right")]
+        out = labels[ends]
+        run = inc[ends]
+        mass = rv.g_table[rv.g_inverse[before[run]], upto[run]]
+        out[run] = rv.u[i[starts[run]], mass, j[ends[run]]]
+        return keys[ends], out
 
     def _dins(self, key, label):
         self.down.insert(key, label)
@@ -340,13 +382,12 @@ class _RunLayer(_Layer):
             self.cset.insert(key, 1)
         self.down.update(key, label)
 
-    def load(self, entries):
-        super().load(entries)
-        out = self._collapse(entries)
-        self.cset = VebMap.build(
-            self.span, [(k, 1) for k, lab in out if lab in self.cls]
-        )
-        self.down.load(out)
+    def load(self, keys, labels):
+        super().load(keys, labels)
+        keys, labels = self._collapse(keys, labels)
+        runs = keys[self.rv.i_of[labels] >= 0]
+        self.cset = VebMap.build(self.span, runs, np.ones(len(runs), dtype=np.int64))
+        self.down.load(keys, labels)
 
     def insert(self, key, a):
         self.steps += 1
@@ -601,7 +642,9 @@ class _RunLayer(_Layer):
         _require([k for k, _ in self.cset.items()] == [
             k for k, lab in entries if lab in cls
         ], "cset out of sync with run entries")
-        exact = self._collapse(items)
+        ekeys, elabels = self._collapse(np.array([k for k, _ in items], dtype=np.int64),
+                                        np.array([lab for _, lab in items], dtype=np.int64))
+        exact = list(zip(ekeys.tolist(), elabels.tolist()))
 
         def skeleton(word):
             return [(k, rv.coord[lab][0], rv.coord[lab][2]) if lab in cls
@@ -639,7 +682,7 @@ def build_layer_plan(s0):
         cls = frozenset(incl[x] for x in js.classes[cid])
         if js.regular[cid]:
             rees = rees_decompose(sub, cid, js)
-            plans.append(("run", cls, _ReesView(rees, incl)))
+            plans.append(("run", cls, _ReesView(rees, incl, s0.size)))
         plans.append(("pair", cls))
         current = [x for x in current if x not in cls]
     return plans
@@ -665,7 +708,8 @@ class SgEngine(Engine):
             else:
                 layer = _RunLayer(span, s0, spec[1], spec[2], layer)
         self.top = layer
-        self.top.load([(i + 1, a) for i, a in enumerate(self.word)])
+        self.top.load(np.arange(1, self.n + 1, dtype=np.min_scalar_type(self.n)),
+                      np.asarray(self.word, dtype=table_array(s0).dtype))
         self.layers = []  # top first
         while layer is not None:
             self.layers.append(layer)

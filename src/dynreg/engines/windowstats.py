@@ -27,6 +27,9 @@ from __future__ import annotations
 
 from math import lcm
 
+import numpy as np
+
+from ..algebra.core import table_array
 from ..errors import NoWindowPlan
 from ..memo import memo
 from .base import Engine
@@ -64,6 +67,26 @@ def _slots_of_append(s, kind, last, a):
     # windows: context is the previous letter, or the word start
     ctx = s.size if last is None else last
     return [ctx * s.size + a]
+
+
+def _word_counts(s, kind, word, nslots):
+    """Slot counts of a whole word: the slots that _slots_of_append gives
+    each position, for all positions at once, counted by one np.add.at.
+
+    The slot ids take the narrowest dtype that holds nslots; add.at reads
+    them as they are, where np.bincount would first copy them to 64-bit ids.
+    """
+    dtype = np.min_scalar_type(nslots - 1)
+    w = np.array(word, dtype=dtype)
+    if kind == "pairs":
+        slots = np.concatenate([w, s.size + table_array(s)[w[:-1], w[1:]].astype(dtype)])
+    else:  # windows: the context of the first letter is the word start
+        ctx = np.full(len(w), s.size, dtype=dtype)
+        ctx[1:] = w[:-1]
+        slots = ctx * s.size + w
+    counts = np.zeros(nslots, dtype=np.int64)
+    np.add.at(counts, slots, 1)
+    return counts.tolist()
 
 
 def _nslots(s, kind):
@@ -131,10 +154,7 @@ class WindowStatsEngine(Engine):
     def __init__(self, semigroup, word, plan):
         super().__init__(semigroup, word)
         self.plan = plan
-        self.counts = [0] * plan.nslots
-        for i in range(self.n):
-            for slot in self._slots(i):
-                self.counts[slot] += 1
+        self.counts = _word_counts(semigroup, plan.stat_kind, self.word, plan.nslots)
 
     def _slots(self, i):
         last = self.word[i - 1] if i > 0 else None

@@ -10,9 +10,21 @@ initialization down to O(span) while keeping all operations O(log log span).
 The recursive tree bottoms out at universes of at most 64 in a single machine
 word (Python int) scanned with bit tricks.
 
+Bulk build: VebMap.build takes sorted keys and their labels as arrays. It
+checks them in one vectorized pass, scatters the labels into the label array
+through a numpy object array (so every stored label is a plain Python
+object, never a numpy scalar), counts the buckets with one bincount and fills
+the summary vEB bottom-up from the sorted non-empty buckets. A vEB's shape
+is a function of its key set -- a node keeps its min out of its clusters and
+every other key in its cluster, and a bitmask leaf is the OR of its keys --
+so the fill gives exactly the tree that inserting the buckets one at a time
+gives, level by level, with one bitwise_or.reduceat for all bitmask leaves
+of a level.
+
 probes counts memory-cell-level accesses; writes counts cells written during
-construction. Both exist so tests can assert the complexity claims. How
-probes are charged:
+construction. Both exist so tests can assert the complexity claims. The
+build charges writes (the label and bucket arrays, plus two per key) but no
+probes. How the operations charge probes:
 
 - insert and delete: 2 (the label cell and the bucket count) plus the
   summary vEB's probes when a bucket turns non-empty or empty; retrieve and
@@ -35,21 +47,20 @@ from __future__ import annotations
 
 import math
 
-from .errors import DuplicateKey, InternalError, KeyOrderError, KeyRangeError, MissingKey
+import numpy as np
+
+from .errors import (DuplicateKey, InternalError, KeyOrderError, KeyRangeError, MissingKey,
+                     VebError)
 from .memo import memo
 
 _MISSING = object()
 
 @memo
 def _bucket_table(span, width):
-    """K(x) = ceil(x / width) for x in 0..span, filled sequentially."""
-    tab = [0] * (span + 1)
-    k = 0
-    for x in range(1, span + 1):
-        if (x - 1) % width == 0:
-            k += 1
-        tab[x] = k
-    return tab
+    """K(x) = ceil(x / width) for x in 0..span. The entries of one bucket
+    share one int object, which keeps the table at one object per bucket."""
+    buckets = np.arange(1, -(-span // width) + 1, dtype=object)
+    return [0] + np.repeat(buckets, width)[:span].tolist()
 
 
 class _Bits:
@@ -203,6 +214,51 @@ def _make(bits):
     return _Bits() if bits <= 6 else _Node(bits)
 
 
+def _starts(*columns):
+    """Indices where a run of equal rows of the sorted columns begins."""
+    new = np.zeros(len(columns[0]), dtype=bool)
+    new[0] = True
+    for c in columns:
+        new[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(new)
+
+
+def _fill(nodes, owner, keys):
+    """Fill empty vEB nodes of one bit size bottom-up, as inserting would.
+
+    keys (non-empty, int64) go to the nodes named by owner (indices into
+    nodes), sorted by (owner, key) with no repeat. A bitmask leaf gets the OR
+    of its keys; a _Node keeps its smallest key as min and out of the
+    clusters, its largest as max, and every other key in the cluster named by
+    its high bits, with that cluster's index in the summary.
+    """
+    starts = _starts(owner)
+    who = owner[starts].tolist()
+    if isinstance(nodes[0], _Bits):
+        bits = np.left_shift(np.uint64(1), keys.astype(np.uint64))
+        for o, mask in zip(who, np.bitwise_or.reduceat(bits, starts).tolist()):
+            nodes[o].mask = mask
+        return
+    ends = np.append(starts[1:], len(keys)) - 1
+    for o, lo, hi in zip(who, keys[starts].tolist(), keys[ends].tolist()):
+        nodes[o].min = lo
+        nodes[o].max = hi
+    rest = np.ones(len(keys), dtype=bool)
+    rest[starts] = False
+    if not rest.any():
+        return
+    keys, owner = keys[rest], owner[rest]
+    lo_bits, lo_mask = nodes[0].lo_bits, nodes[0].lo_mask
+    high = keys >> lo_bits
+    cstarts = _starts(owner, high)
+    cowner, chigh = owner[cstarts], high[cstarts]
+    clusters = [nodes[o].clusters[h] for o, h in zip(cowner.tolist(), chigh.tolist())]
+    _fill([node.summary for node in nodes], cowner, chigh)
+    child = np.zeros(len(keys), dtype=np.int64)
+    child[cstarts[1:]] = 1
+    _fill(clusters, np.cumsum(child), keys & lo_mask)
+
+
 class VebMap:
     """Span-n predecessor structure mapping keys in 1..span to labels."""
 
@@ -342,27 +398,36 @@ class VebMap:
     # -- bulk construction ---------------------------------------------------
 
     @classmethod
-    def build(cls, span, entries):
-        """O(span) construction from strictly increasing (key, label) pairs."""
+    def build(cls, span, keys, labels):
+        """O(span) construction from strictly increasing keys and their labels
+        (sequences or numpy arrays of equal length)."""
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.ndim != 1 or len(keys) != len(labels):
+            raise VebError(f"build needs as many labels as keys, got {len(labels)} "
+                           f"labels for {keys.size} keys")
         m = cls(span)
-        prev = 0
-        buckets = []
-        for key, label in entries:
-            if not (1 <= key <= span):
-                raise KeyRangeError(f"key {key} outside 1..{span}")
-            if key <= prev:
-                raise KeyOrderError("keys must be strictly increasing")
-            prev = key
-            m.labels[key] = label
-            m.writes += 1
-            b = m.ktab[key]
-            if m.bucket_count[b] == 0:
-                buckets.append(b)
-            m.bucket_count[b] += 1
-            m.writes += 1
-            m.size += 1
-        for b in buckets:
-            m.occupied.insert(b, m)
+        n = len(keys)
+        out = (keys < 1) | (keys > span)
+        down = np.zeros(n, dtype=bool)
+        down[1:] = keys[1:] <= keys[:-1]
+        bad = np.flatnonzero(out | down)
+        if len(bad):
+            first = bad[0]
+            if out[first]:
+                raise KeyRangeError(f"key {keys[first]} outside 1..{span}")
+            raise KeyOrderError("keys must be strictly increasing")
+        if not isinstance(labels, np.ndarray):
+            labels = np.fromiter(labels, dtype=object, count=n)
+        cells = np.full(span + 1, _MISSING, dtype=object)
+        cells[keys] = labels
+        m.labels = cells.tolist()
+        counts = np.bincount((keys - 1) // m.width + 1, minlength=m.n_buckets + 1)
+        m.bucket_count = counts.tolist()
+        buckets = np.flatnonzero(counts)
+        if n:
+            _fill([m.occupied], np.zeros(len(buckets), dtype=np.int64), buckets)
+        m.size = n
+        m.writes += 2 * n
         return m
 
     # -- helpers -------------------------------------------------------------

@@ -1,9 +1,17 @@
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Hypothesis caches source constants under .hypothesis/ in the working
+# directory even with database=None; keep that cache in a directory removed
+# when the test session ends.
+_hypothesis_storage = tempfile.TemporaryDirectory(prefix="dynreg-hypothesis-")
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _hypothesis_storage.name)
 
 from dynreg.gallery import gallery
 

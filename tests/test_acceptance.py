@@ -346,7 +346,8 @@ def test_criterion_4_veb():
                     failures.append(f"find_next mismatch at span {span}")
             worst = max(worst, m.probes - before)
 
-        built = VebMap.build(span, [(k, 0) for k in range(1, span + 1, 2)])
+        keys = range(1, span + 1, 2)
+        built = VebMap.build(span, keys, [0] * len(keys))
         build_ratio = built.writes / span
         probe_term = math.log2(math.log2(span)) + 1
         if fitted_probe is None:

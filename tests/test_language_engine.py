@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import pytest
 
@@ -9,8 +10,9 @@ from dynreg.engines import (
     make_windowstats_engine,
     synthesize_window_plan,
 )
-from dynreg.errors import EngineError, NoWindowPlan
-from dynreg.gallery import ab_star_semigroup, s3
+from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append
+from dynreg.errors import EngineError, NoWindowPlan, RangeError
+from dynreg.gallery import ab_star_semigroup, gallery, s3
 from dynreg.syntactic import Q_LZG, analyze_dfa, analyze_regex
 from dynreg.syntactic.dfa import Dfa
 
@@ -35,6 +37,29 @@ def test_window_engine_differential():
             eng.update(p, a)
             ora.update(p, a)
             assert eng.query() == ora.query()
+
+
+def _counts_by_position(s, kind, word):
+    counts = [0] * _nslots(s, kind)
+    for i, a in enumerate(word):
+        for slot in _slots_of_append(s, kind, word[i - 1] if i else None, a):
+            counts[slot] += 1
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["pairs", "windows"])
+def test_window_bulk_counts_match_the_per_position_rule(gal, kind):
+    for name, s in gal.items():
+        rng = random.Random(zlib.crc32(f"window counts {kind} {name}".encode()))
+        plan = WindowStatsPlan(kind, 1, 1, _nslots(s, kind))
+        for n in (0, 1, 2, 3, 17, 300):
+            word = [rng.randrange(s.size) for _ in range(n)]
+            eng = WindowStatsEngine(s, list(word), plan)
+            assert eng.counts == _counts_by_position(s, kind, word), (name, n)
+            assert all(type(c) is int for c in eng.counts)
+            for _ in range(20 if n else 0):
+                eng.update(rng.randrange(n), rng.randrange(s.size))
+            assert eng.counts == _counts_by_position(s, kind, eng.word), (name, n)
 
 
 def test_window_factory_without_plan_raises_engine_error():
@@ -150,6 +175,32 @@ def test_language_differential_random(rx, alpha):
             eng.update(p, c)
             naive[p] = c
             assert eng.query() == m.member(naive), (rx, n)
+
+
+@pytest.mark.parametrize("rx,alpha", [
+    ("a*b*", "ab"),
+    ("(a+b+c)*bc*x(a+b+c)*", "abcx"),
+    ("((abc)(abc))*((acb)(acb))*", "abc"),
+])
+def test_bulk_block_images_match_block_image(rx, alpha):
+    # the vectorized first images equal the per-block rule updates use
+    m, sd, rep = analyze_regex(rx, alpha)
+    rng = random.Random(zlib.crc32(f"block images {rx}".encode()))
+    for n in (0, 1, sd.index, sd.index + 1, 50):
+        word = [rng.choice(alpha) for _ in range(n)]
+        eng = make_language_engine(m, sd, rep, word)
+        blocks = [word[b * sd.index : (b + 1) * sd.index] for b in range(n // sd.index)]
+        assert eng.inner.snapshot() == tuple(sd.block_image(b) for b in blocks), (rx, n)
+
+
+def test_unknown_initial_letter_raises_range_error():
+    # one check serves every facade branch: window, sg and kary (S3)
+    s3_delta = [[2, 3], [3, 2], [0, 5], [1, 4], [5, 0], [4, 1]]  # Cayley DFA of S3
+    for m, sd, rep in (analyze_regex("a*b*", "ab"),
+                       analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx"),
+                       analyze_dfa(Dfa("ab", s3_delta, 0, {0}))):
+        with pytest.raises(RangeError, match="'z' not in the alphabet"):
+            make_language_engine(m, sd, rep, list("abz"))
 
 
 def test_language_constant_cost_for_q_lzg():

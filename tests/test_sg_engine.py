@@ -2,14 +2,15 @@ import math
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from helpers import FoldOracle
 
-from dynreg.algebra import FiniteSemigroup
+from dynreg.algebra import FiniteSemigroup, check_variety
 from dynreg.engines import make_naive_engine, make_sg_engine
 from dynreg.errors import InternalError, NotSg
-from dynreg.gallery import ab_star_semigroup, s3
+from dynreg.gallery import ab_star_semigroup, gallery, s3
 
 
 def rees_matrix_semigroup(gtable, sandwich):
@@ -235,3 +236,78 @@ def test_edge_paths_differential_on_edit_sg_semigroup():
             eng.update(p, a)
             ora.update(p, a)
             assert eng.query() == ora.query(), (n, p, a)
+
+
+# -- bulk build: edge sizes and the array collapse ---------------------------
+
+SG_SEMIGROUPS = {name: s for name, s in gallery().items() if check_variety(s, "SG")}
+
+
+@pytest.mark.parametrize("name", list(SG_SEMIGROUPS))
+def test_build_edge_sizes_with_debug_checks(gal, name):
+    # odd counts end in a triple, and short words leave lower layers empty
+    s = gal[name]
+    rng = random.Random(zlib.crc32(f"sg build sizes {name}".encode()))
+    for n in (0, 1, 2, 3, 4, 5, 64, 1000):
+        word = [rng.randrange(s.size) for _ in range(n)]
+        eng = make_sg_engine(s, list(word), debug_checks=True)
+        ora = make_naive_engine(s, list(word))
+        assert eng.query() == ora.query(), (name, n)
+        for _ in range(200 if n else 0):
+            p, a = rng.randrange(n), rng.randrange(s.size)
+            eng.update(p, a)
+            ora.update(p, a)
+            assert eng.query() == ora.query(), (name, n, p, a)
+
+
+def _fold_collapse(layer, keys, labels):
+    """Letter-by-letter collapse: (key, (i, g, j)) for each run, keyed by
+    its last letter and carrying its exact mass; (key, letter) for the
+    other letters."""
+    rv = layer.rv
+    out = []
+    run = None  # (i, g, j, key) of the open run
+    for key, a in zip(keys, labels):
+        if a not in layer.cls:
+            if run is not None:
+                out.append((run[3], run[:3]))
+                run = None
+            out.append((key, a))
+            continue
+        ia, ga, ja = rv.coord[a]
+        if run is not None:
+            p = rv.matrix[run[2]][ia]
+            if p is not None:
+                run = (run[0], rv.g_mul(run[1], p, ga), ja, key)
+                continue
+            out.append((run[3], run[:3]))
+        run = (ia, ga, ja, key)
+    if run is not None:
+        out.append((run[3], run[:3]))
+    return out
+
+
+COLLAPSE_CASES = [pytest.param(name, s, id=name) for name, s in [
+    *SG_SEMIGROUPS.items(),
+    ("M0(Z3,2x2,mixed)", rees_matrix_semigroup(Z3T, [[0, None], [1, 0]])),
+    ("M0(Z2,2x2,diag)", rees_matrix_semigroup(Z2T, [[0, None], [None, 0]])),
+]]
+
+
+@pytest.mark.parametrize("name,s", COLLAPSE_CASES)
+def test_array_collapse_matches_letter_fold(name, s):
+    # the Rees matrix cases and the groups carry nontrivial run masses
+    eng = make_sg_engine(s, [0])
+    run_layers = [lay for lay in eng.layers if hasattr(lay, "rv")]
+    rng = random.Random(zlib.crc32(f"sg collapse {name}".encode()))
+    for layer in run_layers:
+        cls = sorted(layer.cls)
+        for n in (0, 1, 2, 3, 50, 500):
+            keys = sorted(rng.sample(range(1, 4 * n + 2), n))
+            labels = [rng.choice(cls) if rng.random() < 0.8
+                      else rng.randrange(layer.s0.size) for _ in range(n)]
+            got_keys, got_labels = layer._collapse(np.array(keys, dtype=np.int64),
+                                                   np.array(labels, dtype=np.uint8))
+            got = [(k, layer.rv.coord[a]) if a in layer.cls else (k, a)
+                   for k, a in zip(got_keys.tolist(), got_labels.tolist())]
+            assert got == _fold_collapse(layer, keys, labels), (name, n)

@@ -30,3 +30,20 @@ def test_traced_methods_are_defined_on_their_class(module, cls_name, methods):
     cls = getattr(importlib.import_module(module), cls_name)
     missing = [m for m in methods if m not in cls.__dict__]
     assert not missing, f"{module}.{cls_name} does not define {missing}"
+
+
+def test_bulk_built_maps_pass_through_init(monkeypatch):
+    # the tracer registers each VebMap in its __init__ wrapper and sums the
+    # probes of the registered maps, so a bulk build must construct through it
+    from dynreg.veb import VebMap
+
+    seen = []
+    init = VebMap.__init__
+
+    def registering(self, span):
+        init(self, span)
+        seen.append(self)
+
+    monkeypatch.setattr(VebMap, "__init__", registering)
+    m = VebMap.build(8, [2, 5], ["a", "b"])
+    assert seen == [m]

@@ -1,22 +1,24 @@
 import math
 import random
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynreg.errors import DuplicateKey, KeyOrderError, KeyRangeError, MissingKey
-from dynreg.veb import VebMap
+from dynreg.errors import DuplicateKey, KeyOrderError, KeyRangeError, MissingKey, VebError
+from dynreg.veb import VebMap, _Bits
 
 
 def test_empty_map():
-    m = VebMap.build(8, [])
+    m = VebMap.build(8, [], [])
     assert m.find_prev(8) is None
     assert m.find_next(1) is None
     assert m.retrieve(5) is None
 
 
 def test_two_keys():
-    m = VebMap.build(8, [(2, "a"), (5, "b")])
+    m = VebMap.build(8, [2, 5], ["a", "b"])
     assert m.find_prev(5) == 5
     assert m.find_prev(4) == 2
     assert m.find_next(6) is None
@@ -27,7 +29,7 @@ def test_full_map_retrieval():
     rng = random.Random(0)
     span = 1024
     labels = [rng.randrange(7) for _ in range(span)]
-    m = VebMap.build(span, [(i + 1, labels[i]) for i in range(span)])
+    m = VebMap.build(span, range(1, span + 1), labels)
     for _ in range(64):
         k = rng.randint(1, span)
         assert m.retrieve(k) == labels[k - 1]
@@ -46,11 +48,11 @@ def test_insert_delete_semantics():
     with pytest.raises(KeyRangeError):
         m.insert(9, "x")
     with pytest.raises(KeyOrderError):
-        VebMap.build(8, [(5, "b"), (2, "a")])
+        VebMap.build(8, [5, 2], ["b", "a"])
 
 
 def test_update_label():
-    m = VebMap.build(8, [(3, "a")])
+    m = VebMap.build(8, [3], ["a"])
     m.update(3, "z")
     assert m.retrieve(3) == "z"
     with pytest.raises(MissingKey):
@@ -98,8 +100,8 @@ def test_differential_against_sorted_map(span, seed):
 def test_build_writes_linear_in_span():
     ratios = []
     for span in (2**8, 2**12, 2**16):
-        entries = [(k, 0) for k in range(1, span + 1, 3)]
-        m = VebMap.build(span, entries)
+        keys = range(1, span + 1, 3)
+        m = VebMap.build(span, keys, [0] * len(keys))
         ratios.append(m.writes / span)
     # fitted at the smallest span; factor-2 headroom at the larger ones
     assert ratios[1] <= 2 * ratios[0] and ratios[2] <= 2 * ratios[0]
@@ -162,7 +164,7 @@ def _probed(m, op, key):
 
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_probes_hit_in_own_bucket_cost_distance_plus_one(d):
-    m = VebMap.build(256, [(7, "a"), (12, "b")])  # width 3: buckets 7..9, 10..12
+    m = VebMap.build(256, [7, 12], ["a", "b"])  # width 3: buckets 7..9, 10..12
     assert m.width == 3
     assert _probed(m, m.find_prev, 7 + d) == (7, d + 1)
     assert _probed(m, m.find_next, 12 - d) == (12, d + 1)
@@ -171,7 +173,7 @@ def test_probes_hit_in_own_bucket_cost_distance_plus_one(d):
 def test_probes_miss_falls_through_to_bucket_summary():
     # span 64: width 3 and 22 buckets, so the summary of non-empty buckets
     # is one bitmask word and each of its searches costs exactly one probe
-    m = VebMap.build(64, [(5, "a"), (40, "b")])  # buckets 4..6 and 40..42
+    m = VebMap.build(64, [5, 40], ["a", "b"])  # buckets 4..6 and 40..42
     assert (m.width, m.n_buckets) == (3, 22)
     # own bucket 31..33 read from 32 down (2), summary (1), bucket 4..6 from
     # 6 down to the hit at 5 (2)
@@ -187,7 +189,7 @@ def test_probes_miss_through_a_recursive_summary():
     # span 1024: width 4 and 256 buckets; occupied buckets 1, 125 and 250.
     # The root vEB node keeps bucket 1 as its min, 250 as its max, and
     # buckets 125 and 250 in clusters 7 and 15 of bitmask leaves.
-    m = VebMap.build(1024, [(2, "a"), (500, "b"), (1000, "c")])
+    m = VebMap.build(1024, [2, 500, 1000], ["a", "b", "c"])
     assert (m.width, m.n_buckets) == (4, 256)
     # bucket 997..1000 read at 997 (1); root (1), cluster 15 min (1),
     # summary pred (1), cluster 7 max (1); bucket 497..500 hit at 500 (1)
@@ -198,7 +200,7 @@ def test_probes_miss_through_a_recursive_summary():
 
 
 def test_probes_for_keys_outside_the_span():
-    m = VebMap.build(64, [(1, "a"), (64, "b")])
+    m = VebMap.build(64, [1, 64], ["a", "b"])
     assert _probed(m, m.find_prev, 0) == (None, 0)
     assert _probed(m, m.find_prev, -3) == (None, 0)
     assert _probed(m, m.find_next, 65) == (None, 0)
@@ -209,7 +211,7 @@ def test_probes_for_keys_outside_the_span():
 
 def test_probes_in_a_partial_last_bucket():
     # span 65 = 21 * 3 + 2: the last bucket holds only keys 64 and 65
-    m = VebMap.build(65, [(10, "a"), (65, "b")])
+    m = VebMap.build(65, [10, 65], ["a", "b"])
     assert (m.width, m.n_buckets) == (3, 22)
     assert _probed(m, m.find_prev, 65) == (65, 1)
     assert _probed(m, m.find_next, 64) == (65, 2)
@@ -223,3 +225,87 @@ def test_probes_in_a_partial_last_bucket():
     # last bucket 65, 64 (2), summary (1), bucket 10..12 from 12 down (3)
     assert _probed(m, m.find_prev, 65) == (10, 6)
     assert _probed(m, m.find_next, 11) == (None, 3)
+
+
+# -- bulk build: the map that inserting the same keys one by one builds ------
+
+
+def _summary_tree(node):
+    """The summary vEB node by node: a bitmask leaf's mask, a node's
+    (min, max, summary, clusters)."""
+    if isinstance(node, _Bits):
+        return node.mask
+    return (node.min, node.max, _summary_tree(node.summary),
+            [_summary_tree(c) for c in node.clusters])
+
+
+def _key_sets(span):
+    rng = random.Random(zlib.crc32(f"veb bulk keys {span}".encode()))
+    return {
+        "empty": [],
+        "full": list(range(1, span + 1)),
+        "single": [rng.randint(1, span)],
+        "sparse": sorted(rng.sample(range(1, span + 1), max(1, span // 50))),
+        "dense": sorted(rng.sample(range(1, span + 1), max(1, span * 3 // 4))),
+    }
+
+
+def _probe_deltas(m, seed):
+    """probes charged by each op of one seeded insert/delete/find sequence."""
+    rng = random.Random(seed)
+    deltas = []
+    for _ in range(400):
+        k = rng.randint(1, m.span)
+        before = m.probes
+        op = rng.random()
+        if op < 0.3:
+            if m.retrieve(k) is None:
+                m.insert(k, 7)
+        elif op < 0.55:
+            k = m.find_next(k) or m.find_prev(k)
+            if k is not None:
+                m.delete(k)
+        elif op < 0.8:
+            m.find_prev(k)
+        else:
+            m.find_next(k)
+        deltas.append(m.probes - before)
+    return deltas
+
+
+@pytest.mark.parametrize("span", [1, 2, 63, 64, 65, 4096, 2**16])
+def test_bulk_build_is_the_map_insertion_builds(span):
+    for name, keys in _key_sets(span).items():
+        rng = random.Random(zlib.crc32(f"veb bulk labels {span} {name}".encode()))
+        labels = np.array([rng.randrange(9) for _ in keys], dtype=np.uint8)
+        built = VebMap.build(span, np.array(keys, dtype=np.int64), labels)
+        inserted = VebMap(span)
+        for k, lab in zip(keys, labels.tolist()):
+            inserted.insert(k, lab)
+        assert built.items() == inserted.items(), name
+        assert all(type(lab) is int for _, lab in built.items()), name
+        assert (built.size, built.bucket_count) == (inserted.size, inserted.bucket_count)
+        assert _summary_tree(built.occupied) == _summary_tree(inserted.occupied), name
+        seed = zlib.crc32(f"veb bulk ops {span} {name}".encode())
+        assert _probe_deltas(built, seed) == _probe_deltas(inserted, seed), name
+
+
+def test_bulk_build_writes_but_charges_no_probes():
+    m = VebMap.build(64, [5, 40], ["a", "b"])
+    assert m.probes == 0
+    assert m.writes == VebMap(64).writes + 2 * 2
+
+
+def test_bulk_build_rejects_bad_input():
+    with pytest.raises(KeyRangeError):
+        VebMap.build(8, [0, 3], [1, 2])
+    with pytest.raises(KeyRangeError):
+        VebMap.build(8, [3, 9], [1, 2])
+    with pytest.raises(KeyOrderError):
+        VebMap.build(8, [3, 3], [1, 2])
+    with pytest.raises(KeyOrderError):
+        VebMap.build(8, np.array([4, 2]), np.array([1, 2]))
+    with pytest.raises(VebError):
+        VebMap.build(8, [1, 2], [1])
+    with pytest.raises(KeyRangeError):
+        VebMap.build(0, [], [])
