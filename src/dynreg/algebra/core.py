@@ -55,6 +55,8 @@ class FiniteSemigroup:
             raise RangeError("names length mismatch")
         self.names = list(names)
         self._name_to_id = {n: i for i, n in enumerate(self.names)}
+        if len(self._name_to_id) != self.size:
+            raise RangeError(f"repeated element name in {self.names!r}")
         if validate:
             self._check_associative()
         self.identity = self._find_identity()

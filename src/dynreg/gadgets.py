@@ -37,7 +37,7 @@ class PrefixU1ViaMonoid:
 
     source_problem = "prefix-u1"
 
-    def __init__(self, monoid, x, y, n, engine_factory=None, word=None):
+    def __init__(self, monoid, x, y, n, word=None):
         if monoid.identity is None:
             raise RangeError("the encoding needs a neutral element")
         om = monoid.omega_data(x)
@@ -72,8 +72,7 @@ class PrefixU1ViaMonoid:
                 enc[2 * i + 1] = xw  # cell 2(i+1) in 1-based terms
         if self.mirror:
             enc.reverse()
-        factory = engine_factory or make_auto_engine
-        self.engine = factory(monoid, enc)
+        self.engine = make_auto_engine(monoid, enc)
         self.queries = 0
 
     def _pos(self, p):
@@ -126,7 +125,7 @@ class LangU2Adapter:
     """Both directions of the prefix-U2 <-> membership-in-L_U2 equivalence,
     L_U2 = (a+b+c)*bc*x(a+b+c)*."""
 
-    def __init__(self, direction, word, u2_monoid=None):
+    def __init__(self, direction, word):
         if direction not in ("problem-to-language", "language-to-problem"):
             raise RangeError(f"unknown direction {direction!r}")
         self.direction = direction
@@ -143,7 +142,7 @@ class LangU2Adapter:
             from .gallery import u2
 
             self.w = list(word)  # letters over {a, b, c, x}
-            m = u2_monoid or u2()
+            m = u2()
             self.ids = {"1": m.identity, "a": m.id_of("a"), "b": m.id_of("b")}
             enc = [self.ids[{"a": "a", "b": "b"}.get(c, "1")] for c in self.w]
             self.prefix_engine = make_prefix_engine(m, enc)
@@ -332,18 +331,3 @@ class InfixAdapter:
         eng.update(right, old_right)
         return ans
 
-
-def prefix_u1_via_monoid(monoid, x, y, n, **kw):
-    return PrefixU1ViaMonoid(monoid, x, y, n, **kw)
-
-
-def lang_u2_adapter(direction, word, **kw):
-    return LangU2Adapter(direction, word, **kw)
-
-
-def lang_u1_adapter(direction, word):
-    return LangU1Adapter(direction, word)
-
-
-def infix_adapter(dfa, word, mark="#"):
-    return InfixAdapter(dfa, word, mark=mark)

@@ -37,7 +37,7 @@ def language_from_json(obj):
         return regex_to_dfa(ast, alphabet)
     if "dfa" in obj:
         d = obj["dfa"]
-        dfa = Dfa(alphabet, d["delta"], d["initial"], set(d["finals"]))
+        dfa = Dfa(alphabet, d["delta"], d["initial"], d["finals"])
         if dfa.states != d["states"]:
             raise RangeError("dfa state count mismatch")
         return dfa

@@ -6,12 +6,35 @@ state over the alphabet in order, so minimal DFAs are unique on the nose.
 
 from __future__ import annotations
 
+from ..errors import RangeError
+
+
+def _check_state(q, states, what):
+    if not isinstance(q, int) or isinstance(q, bool) or not 0 <= q < states:
+        raise RangeError(f"{what} {q!r} is not a state in 0..{states - 1}")
+
 
 class Dfa:
+    """A complete DFA; every state, target and final is checked to be an
+    integer in 0..states-1, and the alphabet's letters to be distinct."""
+
     def __init__(self, alphabet, delta, initial, finals):
         self.alphabet = list(alphabet)
         self.symbol_index = {a: i for i, a in enumerate(self.alphabet)}
+        if len(self.symbol_index) != len(self.alphabet):
+            raise RangeError(f"repeated letter in the alphabet {self.alphabet!r}")
+        if not isinstance(delta, list) or not all(
+            isinstance(row, list) and len(row) == len(self.alphabet) for row in delta
+        ):
+            raise RangeError(f"delta needs one row of {len(self.alphabet)} targets per state")
         self.states = len(delta)
+        for row in delta:
+            for q in row:
+                _check_state(q, self.states, "target")
+        _check_state(initial, self.states, "initial state")
+        finals = list(finals)
+        for q in finals:
+            _check_state(q, self.states, "final state")
         self.delta = [list(row) for row in delta]
         self.initial = initial
         self.finals = frozenset(finals)

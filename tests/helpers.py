@@ -1,4 +1,7 @@
-"""Shared test utilities: fast fold oracle and gallery-wide engine setup."""
+"""Shared test utilities: fast fold oracle, gallery-wide engine setup and
+small-semigroup enumeration."""
+
+import itertools
 
 import numpy as np
 
@@ -78,3 +81,49 @@ def exhaustive_small_words(s, factory, max_len):
                 eng.update(pos, old)
                 ora.update(pos, old)
     return None
+
+
+def semigroup_tables(order):
+    """Every associative table on 0..order-1, one per isomorphism class.
+
+    Cells are filled row by row; a partial table is dropped as soon as a
+    triple whose four products are filled breaks associativity, and a full
+    table is kept only when no relabeling gives a smaller one.
+    """
+    t = [[None] * order for _ in range(order)]
+    cells = list(itertools.product(range(order), repeat=2))
+    triples = list(itertools.product(range(order), repeat=3))
+    perms = list(itertools.permutations(range(order)))
+
+    def associative_so_far():
+        for x, y, z in triples:
+            xy, yz = t[x][y], t[y][z]
+            if xy is None or yz is None:
+                continue
+            left, right = t[xy][z], t[x][yz]
+            if left is not None and right is not None and left != right:
+                return False
+        return True
+
+    def canonical():
+        for p in perms:
+            relabeled = [[None] * order for _ in range(order)]
+            for x, y in cells:
+                relabeled[p[x]][p[y]] = p[t[x][y]]
+            if relabeled < t:
+                return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            if canonical():
+                yield [list(row) for row in t]
+            return
+        x, y = cells[k]
+        for v in range(order):
+            t[x][y] = v
+            if associative_so_far():
+                yield from fill(k + 1)
+        t[x][y] = None
+
+    yield from fill(0)

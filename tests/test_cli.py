@@ -157,6 +157,18 @@ def test_bad_input_exit_code(tmp_path):
     assert r.returncode == 2
 
 
+# (alphabet, delta, initial, finals), each malformed in one way
+BAD_DFAS = {
+    "target_past_last_state": ("ab", [[1, 2], [1, 1], [0, 3]], 0, [1]),
+    "negative_target": ("ab", [[1, 2], [1, 1], [0, -1]], 0, [1]),
+    "non_integer_target": ("ab", [[1, 2], [1, 1], [0, "2"]], 0, [1]),
+    "short_row": ("ab", [[1, 2], [1], [0, 2]], 0, [1]),
+    "initial_out_of_range": ("ab", [[1, 2], [1, 1], [0, 2]], 3, [1]),
+    "final_out_of_range": ("ab", [[1, 2], [1, 1], [0, 2]], 0, [1, 7]),
+    "repeated_letter": ("aa", [[1, 2], [1, 1], [0, 2]], 0, [1]),
+}
+
+
 @pytest.mark.parametrize("args,stream", [
     # non-associative table: AssociativityViolation
     (["algebra", "{dir}/nonassoc.json"], None),
@@ -174,9 +186,19 @@ def test_bad_input_exit_code(tmp_path):
     (["classify", "{dir}/missing.json"], None),
     # an engine named for language input, which picks its own
     (["run", "{dir}/abstar.json", "--word", "ab", "--engine", "naive"], "Q\n"),
+    # malformed DFAs and semigroups: RangeError from the constructors
+    *[(["classify", f"{{dir}}/{name}.json"], None) for name in BAD_DFAS],
+    (["run", "{dir}/repeated_names.json", "--word", "a a"], "Q\n"),
+    (["algebra", "{dir}/repeated_names.json"], None),
 ])
 def test_bad_input_matrix_exit_code_2(files, args, stream):
     (files / "nonassoc.json").write_text(json.dumps({"table": [[1, 0], [1, 1]]}))
+    for name, (alphabet, delta, initial, finals) in BAD_DFAS.items():
+        dfa = {"states": len(delta), "delta": delta, "initial": initial, "finals": finals}
+        (files / f"{name}.json").write_text(json.dumps({"alphabet": alphabet, "dfa": dfa}))
+    (files / "repeated_names.json").write_text(
+        json.dumps({"elements": ["a", "a"], "table": [[0, 1], [1, 1]]})
+    )
     args = [a.format(dir=files) for a in args]
     if stream is not None:
         (files / "bad_stream.txt").write_text(stream)

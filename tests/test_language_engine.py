@@ -10,18 +10,22 @@ from dynreg.engines import (
     make_windowstats_engine,
     synthesize_window_plan,
 )
+from dynreg.algebra.core import FiniteSemigroup
+from dynreg.algebra.varieties import check_variety
 from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append
-from dynreg.errors import EngineError, NoWindowPlan, RangeError
+from dynreg.engines.zg import make_zg_engine
+from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, RangeError
 from dynreg.gallery import ab_star_semigroup, gallery, s3
 from dynreg.syntactic import Q_LZG, analyze_dfa, analyze_regex
 from dynreg.syntactic.dfa import Dfa
+from helpers import FoldOracle, semigroup_tables
 
 
 def test_window_plan_for_ab_star_semigroup():
     s = ab_star_semigroup()
     plan = synthesize_window_plan(s)
     assert plan is not None
-    assert plan.stat_kind == "pairs" and (plan.threshold, plan.period) == (1, 1)
+    assert plan.first is False and (plan.threshold, plan.period) == (1, 1)
 
 
 def test_window_engine_differential():
@@ -39,27 +43,62 @@ def test_window_engine_differential():
             assert eng.query() == ora.query()
 
 
-def _counts_by_position(s, kind, word):
-    counts = [0] * _nslots(s, kind)
+def _counts_by_position(s, word):
+    counts = [0] * _nslots(s)
     for i, a in enumerate(word):
-        for slot in _slots_of_append(s, kind, word[i - 1] if i else None, a):
+        for slot in _slots_of_append(s, word[i - 1] if i else None, a):
             counts[slot] += 1
     return counts
 
 
-@pytest.mark.parametrize("kind", ["pairs", "windows"])
-def test_window_bulk_counts_match_the_per_position_rule(gal, kind):
+def test_window_bulk_counts_match_the_per_position_rule(gal):
     for name, s in gal.items():
-        rng = random.Random(zlib.crc32(f"window counts {kind} {name}".encode()))
-        plan = WindowStatsPlan(kind, 1, 1, _nslots(s, kind))
+        rng = random.Random(zlib.crc32(f"window counts pairs {name}".encode()))
+        plan = WindowStatsPlan(False, 1, 1, _nslots(s))
         for n in (0, 1, 2, 3, 17, 300):
             word = [rng.randrange(s.size) for _ in range(n)]
             eng = WindowStatsEngine(s, list(word), plan)
-            assert eng.counts == _counts_by_position(s, kind, word), (name, n)
+            assert eng.counts == _counts_by_position(s, word), (name, n)
             assert all(type(c) is int for c in eng.counts)
             for _ in range(20 if n else 0):
                 eng.update(rng.randrange(n), rng.randrange(s.size))
-            assert eng.counts == _counts_by_position(s, kind, eng.word), (name, n)
+            assert eng.counts == _counts_by_position(s, eng.word), (name, n)
+
+
+def _order_le_3_window_semigroups():
+    """Semigroups of order <= 3, up to isomorphism, that reach the window
+    rung of the Q_LZG ladder: in LOCAL(ZG), refused by the zg factory."""
+    out = []
+    for order in (1, 2, 3):
+        for table in semigroup_tables(order):
+            s = FiniteSemigroup(table)
+            if not check_variety(s, ("LOCAL", "ZG")):
+                continue
+            try:
+                make_zg_engine(s, [])
+            except NotApplicable:
+                out.append(s)
+    return out
+
+
+def test_every_order_le_3_window_semigroup_gets_an_exact_plan():
+    semigroups = _order_le_3_window_semigroups()
+    assert semigroups
+    for s in semigroups:
+        plan = synthesize_window_plan(s)
+        assert plan is not None, s.table
+        rng = random.Random(zlib.crc32(f"order <= 3 window {s.table}".encode()))
+        for n in (1, 2, 17):
+            word = [rng.randrange(s.size) for _ in range(n)]
+            eng = make_windowstats_engine(s, list(word))
+            ora = FoldOracle(s, list(word))
+            assert eng.query() == ora.query(), (s.table, word)
+            for k in range(60):
+                # every third edit rewrites the first letter
+                p, a = (0 if k % 3 == 0 else rng.randrange(n)), rng.randrange(s.size)
+                eng.update(p, a)
+                ora.update(p, a)
+                assert eng.query() == ora.query(), (s.table, n, p, a)
 
 
 def test_window_factory_without_plan_raises_engine_error():
@@ -70,22 +109,37 @@ def test_window_factory_without_plan_raises_engine_error():
     assert issubclass(NoWindowPlan, EngineError)
 
 
-def test_downgraded_lzg_language_matches_membership():
-    # A Q_LZG language whose stable semigroup is not in ZG and has no window
-    # plan: the facade falls back to the vEB engine, tagged sg-downgraded
-    m, sd, rep = analyze_dfa(Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1}))
-    assert rep.cls == Q_LZG
-    rng = random.Random(5)
+def _member_under_edits(m, sd, rep, alphabet, seed, kind):
+    rng = random.Random(seed)
     for n in (0, 1, 2, 3, 64):
-        word = [rng.choice("ab") for _ in range(n)]
+        word = [rng.choice(alphabet) for _ in range(n)]
         eng = make_language_engine(m, sd, rep, list(word))
-        assert eng.kind == "language[sg-downgraded]"
+        assert eng.kind == kind
         assert eng.query() == m.member(word)
         for _ in range(300 if n else 0):
-            p, c = rng.randrange(n), rng.choice("ab")
+            p, c = rng.randrange(n), rng.choice(alphabet)
             eng.update(p, c)
             word[p] = c
             assert eng.query() == m.member(word), (n, p, c)
+
+
+def test_first_letter_window_language_matches_membership():
+    # A Q_LZG language whose stable semigroup is not in ZG and whose window
+    # plan needs the first letter in its key
+    m, sd, rep = analyze_dfa(Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1}))
+    assert rep.cls == Q_LZG
+    assert synthesize_window_plan(sd.stable).first is True
+    _member_under_edits(m, sd, rep, "ab", 5, "language[window]")
+
+
+def test_downgraded_lzg_language_matches_membership():
+    # An even number of a's and ends with b: a Q_LZG language whose stable
+    # semigroup is not in ZG and has no window plan, so the facade falls
+    # back to the vEB engine, tagged sg-downgraded
+    m, sd, rep = analyze_dfa(Dfa("ab", [[2, 1], [2, 1], [0, 3], [0, 3]], 0, {1}))
+    assert rep.cls == Q_LZG
+    assert synthesize_window_plan(sd.stable) is None
+    _member_under_edits(m, sd, rep, "ab", 5, "language[sg-downgraded]")
 
 
 def test_paper_trace_ab_star():
@@ -118,6 +172,7 @@ def test_empty_word_membership():
 def test_engine_kinds_by_class():
     cases = {
         ("a*b*", "ab"): "language[window]",
+        ("a(a+b)*b", "ab"): "language[window]",  # a 2x2 rectangular band
         ("(aa)*ba*", "ab"): "language[zg]",
         ("(a+b+c)*bc*x(a+b+c)*", "abcx"): "language[sg]",
         ("c*x(a+c)*", "acx"): "language[sg]",
