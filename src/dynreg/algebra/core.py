@@ -55,8 +55,6 @@ class FiniteSemigroup:
             raise RangeError("names length mismatch")
         self.names = list(names)
         self._name_to_id = {n: i for i, n in enumerate(self.names)}
-        if len(self._name_to_id) != self.size:
-            raise RangeError(f"repeated element name in {self.names!r}")
         if validate:
             self._check_associative()
         self.identity = self._find_identity()
@@ -144,7 +142,12 @@ def build_semigroup(table, identity_hint=None, names=None):
     """Validate a composition table and return the semigroup.
 
     identity_hint, when given, is cross-checked against the detected identity.
+    Given names must be distinct, so that each names one element. (Semigroups
+    the library derives may repeat a name, e.g. a syntactic monoid over an
+    alphabet with the letter "1", whose identity is also named "1".)
     """
+    if names is not None and len(set(names)) != len(names):
+        raise RangeError(f"repeated element name in {list(names)!r}")
     s = FiniteSemigroup(table, names=names)
     if identity_hint is not None and s.identity != identity_hint:
         raise RangeError(

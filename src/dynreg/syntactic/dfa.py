@@ -6,11 +6,14 @@ state over the alphabet in order, so minimal DFAs are unique on the nose.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from numbers import Integral
+
 from ..errors import RangeError
 
 
 def _check_state(q, states, what):
-    if not isinstance(q, int) or isinstance(q, bool) or not 0 <= q < states:
+    if not isinstance(q, Integral) or isinstance(q, bool) or not 0 <= q < states:
         raise RangeError(f"{what} {q!r} is not a state in 0..{states - 1}")
 
 
@@ -23,8 +26,8 @@ class Dfa:
         self.symbol_index = {a: i for i, a in enumerate(self.alphabet)}
         if len(self.symbol_index) != len(self.alphabet):
             raise RangeError(f"repeated letter in the alphabet {self.alphabet!r}")
-        if not isinstance(delta, list) or not all(
-            isinstance(row, list) and len(row) == len(self.alphabet) for row in delta
+        if not isinstance(delta, Sequence) or not all(
+            isinstance(row, Sequence) and len(row) == len(self.alphabet) for row in delta
         ):
             raise RangeError(f"delta needs one row of {len(self.alphabet)} targets per state")
         self.states = len(delta)

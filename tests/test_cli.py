@@ -37,6 +37,21 @@ def test_classify_ab_star(files):
     assert out["stability_index"] == 2
 
 
+def test_classify_alphabet_with_letter_1(tmp_path):
+    # the syntactic monoid names its identity "1", as it does the letter "1"
+    p = tmp_path / "ends1.json"
+    p.write_text(json.dumps({"alphabet": "01", "regex": "(0+1)*1"}))
+    r = run_cli(["classify", str(p)])
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["bound"] == "O(1)"
+    stream = tmp_path / "ends1.txt"
+    stream.write_text("Q\nU 2 0\nQ\n")
+    r = run_cli(["run", str(p), "--word", "001", "--stream", str(stream), "--check"])
+    assert r.returncode == 0, r.stderr
+    answers = [l for l in r.stdout.splitlines() if not l.startswith("#")]
+    assert answers == ["true", "false"]
+
+
 def test_classify_lu2(tmp_path):
     p = tmp_path / "lu2.json"
     p.write_text(json.dumps({"alphabet": "abcx", "regex": "(a+b+c)*bc*x(a+b+c)*"}))

@@ -53,6 +53,12 @@ def test_parse_errors():
 # -- dfa ----------------------------------------------------------------------
 
 
+def test_dfa_accepts_tuple_rows():
+    d = Dfa("ab", ((1, 0), (1, 1)), 0, (1,))
+    assert d.delta == [[1, 0], [1, 1]]
+    assert d.accepts("ba") and not d.accepts("bb")
+
+
 def test_minimal_dfa_sizes():
     assert _dfa("a*b*", "ab").states == 3  # sink included
     assert _dfa("(a+b)*", "ab").states == 1
