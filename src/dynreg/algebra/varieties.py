@@ -12,12 +12,14 @@ Supported variety ids (strings):
     NIL_PLUS_ONE   monoid whose non-identity part is a nilpotent subsemigroup
     ("LOCAL", v)   every local monoid eSe satisfies v
 
-check_variety returns a bool; find_violation returns a witness tuple or None.
+check_variety returns a bool, memoized per semigroup table and variety;
+find_violation returns a witness tuple or None.
 """
 
 from __future__ import annotations
 
 from ..errors import InternalError, UnsupportedVariety
+from ..memo import memo
 from .green import local_monoids
 
 _SIMPLE = {
@@ -32,6 +34,7 @@ _SIMPLE = {
 }
 
 
+@memo
 def check_variety(s, v):
     return find_violation(s, v) is None
 

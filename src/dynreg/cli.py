@@ -49,7 +49,7 @@ def cmd_classify(args):
 
 def _resolve_input(obj):
     """Returns ('language', m, sd, report) or ('semigroup', s)."""
-    if "table" in obj:
+    if isinstance(obj, dict) and "table" in obj:
         return ("semigroup", semigroup_from_json(obj))
     return ("language",) + analyze_dfa(language_from_json(obj))
 

@@ -7,12 +7,14 @@ group mass g is only correct globally -- when a run splits, the orphaned mass
 goes to the left fragment and the right fragment gets the group identity, which
 preserves the word's evaluation even though per-run masses drift. After run
 collapsing (or immediately, for a non-regular class) adjacent letters compose
-into S minus C, so letters are grouped 2-3 per vEB entry and the grouped word
-is handed to the engine for the smaller semigroup. The final layer is the zero
-class.
+into S minus C, so letters are grouped 2..GROUP_MAX per vEB entry and the
+grouped word is handed to the engine for the smaller semigroup. The final
+layer is the zero class.
 
 Every layer supports keyed insert/delete/update on its input word plus the
-one-letter bypass, so the whole stack does O(1) vEB operations per update.
+one-letter bypass, so the whole stack does O(1) vEB operations per update. A
+pair layer passes down only the net change of the groups an edit touches, so
+an edit that leaves a group's key and label alone stops there.
 The stack is built from numpy arrays, one whole-array pass per layer: each
 layer's load() bulk-builds its maps and hands its collapsed or grouped word
 to the layer below.
@@ -38,6 +40,9 @@ def _require(ok, message):
     """Invariant check for validate(); raises, so it also holds under -O."""
     if not ok:
         raise InternalError(message)
+
+
+GROUP_MAX = 5  # a pair-layer group holds 2..GROUP_MAX letters
 
 
 class _ReesView:
@@ -143,7 +148,16 @@ class _BaseLayer(_Layer):
 
 
 class _PairLayer(_Layer):
-    """Groups 2-3 adjacent letters per entry; products land in S minus C."""
+    """Groups 2..GROUP_MAX adjacent letters per entry, keyed by the group's
+    last letter; products land in S minus C.
+
+    An edit touches one group, or two when a group of two loses a letter
+    and its orphan joins a neighbour. _rewrite passes only the net change of
+    the touched groups down: a group key that survives is updated, which
+    stops at once when its label is unchanged, and only vanished keys are
+    deleted and new keys inserted. A group that reaches GROUP_MAX + 1
+    letters splits in two halves.
+    """
 
     def __init__(self, span, s0, down):
         super().__init__(span, down)
@@ -155,8 +169,8 @@ class _PairLayer(_Layer):
         """(gkey, members) of the group entry holding the input key.
 
         The members are the input keys in (previous group key, gkey], in
-        increasing order (2..4 keys): walk from key both ways up to a key
-        that is itself a group key. gkey is None if no group key is >= key.
+        increasing order: walk from key both ways up to a key that is itself
+        a group key. gkey is None if no group key is >= key.
         """
         inp, out = self.inp, self.down.inp
         ms = []
@@ -181,26 +195,26 @@ class _PairLayer(_Layer):
             acc = t[acc][self.inp.retrieve(k)]
         return acc
 
-    def _regroup(self, gkey, members):
-        """Rewrite the entry for `members` (2..4 keys), splitting four-groups."""
-        down = self.down
-        if len(members) <= 3:
-            newkey = members[-1]
-            label = self._label(members)
-            if newkey == gkey:
-                down.update(gkey, label)
-            else:
-                down.delete(gkey)
-                down.insert(newkey, label)
+    def _rewrite(self, old, members):
+        """Replace the group entries keyed by `old` with the groups of
+        `members`, sorted input keys cut in halves when there are more than
+        GROUP_MAX: delete the keys that vanish, update the ones that stay and
+        insert the new ones."""
+        if len(members) > GROUP_MAX:
+            half = len(members) // 2
+            groups = (members[:half], members[half:])
         else:
-            m1, m2, m3, m4 = members
-            if gkey == m4:  # the second half keeps the entry
-                down.insert(m2, self._label([m1, m2]))
-                down.update(m4, self._label([m3, m4]))
-                return
-            down.delete(gkey)
-            down.insert(m2, self._label([m1, m2]))
-            down.insert(m4, self._label([m3, m4]))
+            groups = (members,)
+        down = self.down
+        new = {ms[-1] for ms in groups}
+        for k in old:
+            if k not in new:
+                down.delete(k)
+        for ms in groups:
+            if ms[-1] in old:
+                down.update(ms[-1], self._label(ms))
+            else:
+                down.insert(ms[-1], self._label(ms))
 
     # -- word operations -----------------------------------------------------
 
@@ -232,7 +246,7 @@ class _PairLayer(_Layer):
         if gkey is None:  # key follows the last group: it joins that group
             gkey, members = self._group(self.inp.find_prev(key - 1))
             members.append(key)
-        self._regroup(gkey, members)
+        self._rewrite((gkey,), members)
 
     def delete(self, key):
         self.steps += 1
@@ -250,19 +264,18 @@ class _PairLayer(_Layer):
         self.inp.delete(key)
         self.count -= 1
         if len(members) >= 2:
-            self._regroup(gkey, members)
+            self._rewrite((gkey,), members)
             return
-        # orphaned single member: dissolve and re-attach to a neighbor group,
-        # preferably the next one, whose entry then keeps its key
+        # orphaned single member: it joins a neighbour group, preferably the
+        # next one, whose entry then keeps its key
         orphan = members[0]
-        self.down.delete(gkey)
         nb = self.inp.find_next(orphan + 1)
         if nb is None:
             nb = self.inp.find_prev(orphan - 1)
         nkey, nmembers = self._group(nb)
         if orphan not in nmembers:
             nmembers = sorted(nmembers + [orphan])
-        self._regroup(nkey, nmembers)
+        self._rewrite((gkey, nkey), nmembers)
 
     def update(self, key, letter):
         self.steps += 1
@@ -284,9 +297,10 @@ class _PairLayer(_Layer):
             start = 0
             for gkey, glabel in groups:
                 members = keys[start : bisect_right(keys, gkey)]
-                _require(2 <= len(members) <= 3 and members[-1] == gkey,
-                         (gkey, members))
-                _require(self._label(members) == glabel, (gkey, glabel))
+                _require(2 <= len(members) <= GROUP_MAX,
+                         f"pair layer group of {len(members)} letters at key {gkey}")
+                _require(members[-1] == gkey, f"pair layer group {members} keyed {gkey}")
+                _require(self._label(members) == glabel, f"pair layer label at key {gkey}")
                 start += len(members)
             _require(start == len(keys), "pair layer leaves letters ungrouped")
         self.down.validate()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..algebra.core import adjoin_identity
 from ..algebra.zg import FACTOR_COM, find_zg_certificate
-from ..errors import NoZgCertificate
+from ..errors import NoZgCertificate, NotZg
 from ..memo import memo
 from .base import check_letters
 from .combinators import DivisionEngine, ProductEngine
@@ -20,7 +20,12 @@ from .counting import CountEngine, NilpotentEngine
 
 @memo
 def _certificate(monoid):
-    return find_zg_certificate(monoid)
+    """The certificate, None when the search fails, or the NotZg raised for
+    a monoid outside ZG: returned, not raised, so the memo keeps it too."""
+    try:
+        return find_zg_certificate(monoid)
+    except NotZg as exc:
+        return exc.with_traceback(None)  # keep no frames alive in the memo
 
 
 def make_zg_engine(semigroup, word):
@@ -28,6 +33,8 @@ def make_zg_engine(semigroup, word):
     # check (NotZg) is this factory's class check
     monoid = adjoin_identity(semigroup)
     cert = _certificate(monoid)
+    if isinstance(cert, NotZg):
+        raise NotZg(*cert.args)
     if cert is None:
         raise NoZgCertificate(f"no subdirect certificate for the {monoid.size}-element monoid")
     # letters are the caller's ids; S^1's adjoined identity is not one of them

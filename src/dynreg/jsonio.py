@@ -15,10 +15,16 @@ def semigroup_to_json(s):
     return {"elements": list(s.names), "table": [list(r) for r in s.table]}
 
 
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def semigroup_from_json(obj):
-    if "table" not in obj:
+    if not isinstance(obj, dict) or "table" not in obj:
         raise RangeError("semigroup JSON needs a 'table'")
     names = obj.get("elements")
+    if names is not None and not _strings(names):
+        raise RangeError("'elements' must be a list of strings")
     return build_semigroup(obj["table"], names=names)
 
 
@@ -29,14 +35,20 @@ def congruence_from_json(obj):
 def language_from_json(obj):
     """Returns a complete Dfa, not minimized, from {'alphabet', 'regex'} or
     {'alphabet', 'dfa': {states, delta, initial, finals}}."""
+    if not isinstance(obj, dict):
+        raise RangeError("language JSON must be an object")
     alphabet = obj.get("alphabet")
-    if not alphabet:
-        raise RangeError("language JSON needs an 'alphabet'")
+    if not alphabet or not (isinstance(alphabet, str) or _strings(alphabet)):
+        raise RangeError("language JSON needs an 'alphabet': a string or a list of strings")
     if "regex" in obj:
         ast = parse_regex(obj["regex"], alphabet)
         return regex_to_dfa(ast, alphabet)
     if "dfa" in obj:
         d = obj["dfa"]
+        if not isinstance(d, dict):
+            raise RangeError("'dfa' must be an object")
+        if not isinstance(d["finals"], list):
+            raise RangeError("'finals' must be a list of states")
         dfa = Dfa(alphabet, d["delta"], d["initial"], d["finals"])
         if dfa.states != d["states"]:
             raise RangeError("dfa state count mismatch")

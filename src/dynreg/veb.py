@@ -113,6 +113,10 @@ class _Node:
     min and max are stored at the node, so first()/last() read them without
     a probe, while a _Bits leaf charges one; both kinds answer the same
     calls, so no step dispatches on the node type.
+
+    Every cluster starts out as the shared empty node of its size (see
+    _empty), which answers reads as a fresh empty node would; insert and
+    _fill put a node of its own in its place before they write a key to it.
     """
 
     __slots__ = ("bits", "lo_bits", "lo_mask", "min", "max", "summary", "clusters")
@@ -125,7 +129,7 @@ class _Node:
         self.max = None
         hi_bits = bits - self.lo_bits
         self.summary = _make(hi_bits)
-        self.clusters = [_make(self.lo_bits) for _ in range(1 << hi_bits)]
+        self.clusters = [_empty(self.lo_bits)] * (1 << hi_bits)
 
     def first(self, owner):
         return self.min
@@ -146,6 +150,8 @@ class _Node:
         cluster = self.clusters[h]
         if cluster.first(owner) is None:
             self.summary.insert(h, owner)
+            if cluster is _empty(self.lo_bits):
+                cluster = self.clusters[h] = _make(self.lo_bits)
         cluster.insert(l, owner)
 
     def delete(self, x, owner):
@@ -214,6 +220,12 @@ def _make(bits):
     return _Bits() if bits <= 6 else _Node(bits)
 
 
+@memo
+def _empty(bits):
+    """The shared empty node of a bit size, never written."""
+    return _make(bits)
+
+
 def _starts(*columns):
     """Indices where a run of equal rows of the sorted columns begins."""
     new = np.zeros(len(columns[0]), dtype=bool)
@@ -225,6 +237,7 @@ def _starts(*columns):
 
 def _fill(nodes, owner, keys):
     """Fill empty vEB nodes of one bit size bottom-up, as inserting would.
+    The nodes are the filler's own, never the shared empties.
 
     keys (non-empty, int64) go to the nodes named by owner (indices into
     nodes), sorted by (owner, key) with no repeat. A bitmask leaf gets the OR
@@ -252,7 +265,9 @@ def _fill(nodes, owner, keys):
     high = keys >> lo_bits
     cstarts = _starts(owner, high)
     cowner, chigh = owner[cstarts], high[cstarts]
-    clusters = [nodes[o].clusters[h] for o, h in zip(cowner.tolist(), chigh.tolist())]
+    clusters = [_make(lo_bits) for _ in cstarts]  # in place of the shared empties
+    for o, h, cluster in zip(cowner.tolist(), chigh.tolist(), clusters):
+        nodes[o].clusters[h] = cluster
     _fill([node.summary for node in nodes], cowner, chigh)
     child = np.zeros(len(keys), dtype=np.int64)
     child[cstarts[1:]] = 1

@@ -183,6 +183,15 @@ BAD_DFAS = {
     "repeated_letter": ("aa", [[1, 2], [1, 1], [0, 2]], 0, [1]),
 }
 
+# JSON of the wrong shape: file name -> (command, content)
+BAD_SHAPES = {
+    "top_level_list": ("classify", [{"alphabet": "ab", "regex": "a*"}]),
+    "list_letter": ("classify", {"alphabet": ["a", ["b"]], "regex": "a*"}),
+    "finals_not_a_list": ("classify", {"alphabet": "ab", "dfa": {
+        "states": 2, "delta": [[0, 1], [1, 0]], "initial": 0, "finals": 1}}),
+    "list_name": ("algebra", {"elements": ["a", ["b"]], "table": [[0, 1], [1, 1]]}),
+}
+
 
 @pytest.mark.parametrize("args,stream", [
     # non-associative table: AssociativityViolation
@@ -205,6 +214,9 @@ BAD_DFAS = {
     *[(["classify", f"{{dir}}/{name}.json"], None) for name in BAD_DFAS],
     (["run", "{dir}/repeated_names.json", "--word", "a a"], "Q\n"),
     (["algebra", "{dir}/repeated_names.json"], None),
+    # JSON of the wrong shape: RangeError from jsonio
+    *[([cmd, f"{{dir}}/{name}.json"], None) for name, (cmd, _) in BAD_SHAPES.items()],
+    (["run", "{dir}/top_level_list.json", "--word", "a"], "Q\n"),
 ])
 def test_bad_input_matrix_exit_code_2(files, args, stream):
     (files / "nonassoc.json").write_text(json.dumps({"table": [[1, 0], [1, 1]]}))
@@ -214,6 +226,8 @@ def test_bad_input_matrix_exit_code_2(files, args, stream):
     (files / "repeated_names.json").write_text(
         json.dumps({"elements": ["a", "a"], "table": [[0, 1], [1, 1]]})
     )
+    for name, (_, obj) in BAD_SHAPES.items():
+        (files / f"{name}.json").write_text(json.dumps(obj))
     args = [a.format(dir=files) for a in args]
     if stream is not None:
         (files / "bad_stream.txt").write_text(stream)

@@ -8,7 +8,7 @@ import pytest
 from helpers import FoldOracle
 
 from dynreg.algebra import FiniteSemigroup, check_variety
-from dynreg.engines import make_naive_engine, make_sg_engine
+from dynreg.engines import make_naive_engine, make_sg_engine, sg
 from dynreg.errors import InternalError, NotSg
 from dynreg.gallery import ab_star_semigroup, gallery, s3
 
@@ -236,6 +236,109 @@ def test_edge_paths_differential_on_edit_sg_semigroup():
             eng.update(p, a)
             ora.update(p, a)
             assert eng.query() == ora.query(), (n, p, a)
+
+
+# -- pair layers: groups of 2..GROUP_MAX, net changes passed down ------------
+
+
+def test_pair_groups_differential_on_edit_sg_shape(monkeypatch):
+    # The edit-sg word: long runs of the J-class {a, b} with identity letters
+    # between. Separators (x, ax, bx) are substituted in and reverted later,
+    # 4 outstanding, which splits and rejoins runs. The lower pair layers then
+    # see a short word whose groups grow to 6 and split, and lose letters
+    # down to an orphan, at the first and at the last group.
+    s = _edit_sg_semigroup()
+    seen = set()
+    rewrite = sg._PairLayer._rewrite
+
+    def spy(layer, old, members):
+        seen.add(len(members))
+        if len(old) == 2:  # an orphan joins the next group, else the previous
+            next_group = old[1] > old[0]
+            first = members[0] == layer.inp.find_next(1)
+            seen.add("orphan first" if next_group and first else
+                     "orphan last" if not next_group else "orphan")
+        rewrite(layer, old, members)
+
+    monkeypatch.setattr(sg._PairLayer, "_rewrite", spy)
+    rng = random.Random(zlib.crc32(b"edit-sg pair groups"))
+    for n in (16, 64):
+        word = [rng.choice([0, 1, 2]) for _ in range(n)]
+        word[rng.randrange(n)] = 3
+        eng = make_sg_engine(s, list(word), debug_checks=True)
+        ora = make_naive_engine(s, list(word))
+        outstanding = []
+        for _ in range(600):
+            if len(outstanding) == 4:
+                p, a = outstanding.pop(0)
+            else:
+                p = rng.randrange(n)
+                a = rng.choice([3, 4, 5] if rng.random() < 0.7 else [0, 1, 2])
+                outstanding.append((p, word[p]))
+            word[p] = a
+            eng.update(p, a)
+            ora.update(p, a)
+            assert eng.query() == ora.query(), (n, p, a)
+    assert {2, 3, 4, 5, 6, "orphan first", "orphan last"} <= seen, seen
+
+
+def _nil3():
+    """{a, aa, 0} with a^3 = 0: two non-regular J-classes, so the layer
+    stack is pair, pair, base."""
+    return FiniteSemigroup([[1, 2, 2], [2, 2, 2], [2, 2, 2]], names=["a", "aa", "0"])
+
+
+def _record(layer, calls):
+    """Log the word operations the layer receives, then run them."""
+    for name in ("insert", "delete", "update"):
+        def op(*args, _name=name, _op=getattr(layer, name)):
+            calls.append((_name, *args))
+            return _op(*args)
+        setattr(layer, name, op)
+
+
+def test_pair_edit_that_keeps_key_and_label_sends_one_update_down():
+    # a group that starts with 0 keeps the label 0 whatever joins or leaves
+    # it; as long as its last letter stays, each edit reaches the layer below
+    # as one update, which changes nothing there and goes no further
+    a, z = 0, 2
+    eng = make_sg_engine(_nil3(), [a] * 10)
+    top, below = eng.layers[0], eng.layers[1]
+    assert isinstance(top, sg._PairLayer) and isinstance(below, sg._PairLayer)
+    top.load(np.array([2, 5, 8]), np.array([z, a, a]))  # one group of 3
+    calls = []
+    _record(below, calls)
+    _record(below.down, calls)
+    # the group grows to 4 and 5 letters (no split) and shrinks back to 3
+    for op, key in [("insert", 3), ("insert", 6), ("delete", 5), ("delete", 3)]:
+        if op == "insert":
+            top.insert(key, a)
+        else:
+            top.delete(key)
+        top.validate()
+        assert calls == [("update", 8, z)], (op, key, calls)
+        calls.clear()
+
+
+def test_validate_raises_internal_error_on_a_group_of_1_or_6():
+    a, z = 0, 2
+    s = _nil3()
+    # six letters load as groups keyed 2, 4 and 6
+    eng = make_sg_engine(s, [a] * 6, debug_checks=True)
+    below = eng.layers[1]
+    below.inp.insert(1, a)  # key 1 cuts a group of 1 off the group keyed 2
+    below.count += 1
+    with pytest.raises(InternalError, match="group of 1 letters"):
+        eng.top.validate()
+    below.inp.delete(1)
+    below.count -= 1
+    eng.top.validate()
+    for k in (2, 4):  # the group keyed 6 takes all six letters
+        below.inp.delete(k)
+        below.count -= 1
+    below.inp.update(6, z)
+    with pytest.raises(InternalError, match="group of 6 letters"):
+        eng.top.validate()
 
 
 # -- bulk build: edge sizes and the array collapse ---------------------------

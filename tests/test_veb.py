@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynreg.errors import DuplicateKey, KeyOrderError, KeyRangeError, MissingKey, VebError
-from dynreg.veb import VebMap, _Bits
+from dynreg.veb import VebMap, _Bits, _empty
 
 
 def test_empty_map():
@@ -68,10 +68,10 @@ def test_bucketing_matches_ceiling_division():
             assert m.ktab[x] == -(-x // m.width)  # ceil division
 
 
-def _differential(span, steps, seed):
+def _differential(span, steps, seed, keys=()):
     rng = random.Random(seed)
-    m = VebMap(span)
-    ref = {}
+    m = VebMap.build(span, keys, [0] * len(keys))
+    ref = dict.fromkeys(keys, 0)
     for _ in range(steps):
         op = rng.random()
         k = rng.randint(1, span)
@@ -95,6 +95,27 @@ def _differential(span, steps, seed):
 @pytest.mark.parametrize("span,seed", [(2**8, 1), (2**12, 2), (2**16, 3)])
 def test_differential_against_sorted_map(span, seed):
     _differential(span, 20_000, seed)
+
+
+def _still_empty(node):
+    """A shared empty node holds no key, nor does its summary, and each of
+    its clusters is the shared empty node of that size."""
+    if isinstance(node, _Bits):
+        return node.mask == 0
+    return (node.min is None and node.max is None and _still_empty(node.summary)
+            and all(c is _empty(node.lo_bits) for c in node.clusters))
+
+
+def test_shared_empty_clusters_are_never_written():
+    # span 2^16 has 16384 buckets, so the summary vEB's root has 15 bits: its
+    # clusters (7-bit nodes, with 3-bit leaves) and its summary's clusters
+    # (4-bit leaves) start as the shared empty nodes. Inserts and the bulk
+    # fill must give a cluster its own node before they write to it.
+    span = 2**16
+    keys = sorted(random.Random(4).sample(range(1, span + 1), 500))
+    _differential(span, 20_000, 4, keys)
+    _differential(span, 20_000, 5)
+    assert all(_still_empty(_empty(bits)) for bits in (3, 4, 7))
 
 
 def test_build_writes_linear_in_span():
