@@ -127,19 +127,20 @@ def cmd_run(args):
         def decode(tok):
             return s.id_of(tok)
 
+    fields = {"U": 3, "Q": 1, "P": 2, "I": 3}  # of each stream record
     with open(args.stream) as f:
         for line in f:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
+            if len(parts) != fields.get(parts[0]):
+                raise ValueError(f"bad stream record {line!r}")
             before = engine.op_count
             if parts[0] == "U":
                 apply_update(int(parts[1]), decode(parts[2]))
-            elif parts[0] in ("Q", "P", "I"):
-                mismatches += answer_query(parts)
             else:
-                raise ValueError(f"bad stream record {line!r}")
+                mismatches += answer_query(parts)
             op_costs.append(engine.op_count - before)
 
     wall = time.perf_counter() - t0

@@ -3,18 +3,22 @@
 The engine peels maximal J-classes one at a time. A regular class C is handled
 by collapsing maximal runs of C-letters into single vEB entries annotated with
 Rees coordinates (i, g, j): i and j are always exact, while the commutative
-group mass g is only correct globally -- when a run splits, the orphaned mass
-goes to the left fragment and the right fragment gets the group identity, which
-preserves the word's evaluation even though per-run masses drift. After run
-collapsing (or immediately, for a non-regular class) adjacent letters compose
-into S minus C, so letters are grouped 2..GROUP_MAX per vEB entry and the
-grouped word is handed to the engine for the smaller semigroup. The final
-layer is the zero class.
+group mass g is only correct globally. A run layer edits its collapsed word by
+one rule: cut the run holding the edited key into the fragments before and
+after it, splice the new letter in, re-join the runs around it where the
+sandwich matrix allows, and pass down only the net change of the entries.
+The cut run's mass, less the old letter's share, goes to the left fragment,
+else to the right one; a single-letter run's goes to the new letter or the
+next run entry when the edit rewrites one, else to any other run entry. That
+preserves the word's evaluation even though per-run masses drift. After run collapsing (or immediately, for a
+non-regular class) adjacent letters compose into S minus C, so letters are
+grouped 2..GROUP_MAX per vEB entry and the grouped word is handed to the
+engine for the smaller semigroup. The final layer is the zero class.
 
 Every layer supports keyed insert/delete/update on its input word plus the
-one-letter bypass, so the whole stack does O(1) vEB operations per update. A
-pair layer passes down only the net change of the groups an edit touches, so
-an edit that leaves a group's key and label alone stops there.
+one-letter bypass, so the whole stack does O(1) vEB operations per update.
+Run and pair layers pass down only the net change of the entries an edit
+touches, so an edit that leaves an entry's key and label alone stops there.
 The stack is built from numpy arrays, one whole-array pass per layer: each
 layer's load() bulk-builds its maps and hands its collapsed or grouped word
 to the layer below.
@@ -47,7 +51,8 @@ GROUP_MAX = 5  # a pair-layer group holds 2..GROUP_MAX letters
 
 class _ReesView:
     """Rees data of one layer, translated to ambient element ids; the group
-    arithmetic is the representation's own.
+    arithmetic is the representation's own, and g_rows is its table as
+    nested lists, for the run layer's one-product-at-a-time edits.
 
     The array collapse reads the same data as arrays: i_of, g_of and j_of map
     an ambient id to its coordinates (-1 outside the class), p is the
@@ -62,6 +67,7 @@ class _ReesView:
         self.g_identity = rees.g_identity
         self.g_mul = rees.g_mul
         self.g_inv = rees.g_inv
+        self.g_rows = rees.group.table
         gsize = rees.group.size
         dtype = np.min_scalar_type(-size)  # every id, coordinate and -1
         self.i_of, self.g_of, self.j_of = np.full((3, size), -1, dtype=dtype)
@@ -310,14 +316,17 @@ class _RunLayer(_Layer):
     """Collapses maximal runs of C-letters to single annotated entries.
 
     Besides the collapsed word the layer keeps `cset`, the key set of the run
-    entries. The swap claim makes group mass freely movable between run
-    entries, and every operation conserves the total mass, so when a
-    single-letter run is deleted the difference between its stored mass and
-    its true letter mass is pushed onto any other surviving run entry (found
-    through cset); if none survives the difference is necessarily trivial.
-
-    A letter moving into or out of C is relabelled in place: the runs next
-    to it are joined or split directly, not by a delete and a re-insert.
+    entries. Every insert, delete and relabel goes through one rule, _edit:
+    cut the run holding the key at the key, splice the new letter in, re-join
+    the runs around it where the sandwich matrix allows, and pass down only
+    the net change of the entries. Only a separator relabelled to another
+    separator skips it, since its entry is its letter. The swap claim makes
+    group mass freely movable between run entries, and the rule conserves
+    the total mass: the cut run's mass, less the old letter's share, goes to
+    the left fragment, else to the right one; a single-letter run's goes to
+    the new letter or the next run entry when the edit rewrites one, else to
+    any other run entry (found through cset). If none is left the mass is
+    necessarily trivial.
     """
 
     def __init__(self, span, s0, cls, rv, down):
@@ -331,13 +340,6 @@ class _RunLayer(_Layer):
         return (self.inp, self.cset)
 
     # -- helpers -----------------------------------------------------------
-
-    def _p(self, j, i):
-        return self.rv.matrix[j][i]
-
-    def _entry(self, key):
-        label = self.down.inp.retrieve(key)
-        return self.rv.coord[label]
 
     def _collapse(self, keys, labels):
         """The exact collapsed word of the input word (keys, labels), as two
@@ -377,24 +379,7 @@ class _RunLayer(_Layer):
         out[run] = rv.u[i[starts[run]], mass, j[ends[run]]]
         return keys[ends], out
 
-    def _dins(self, key, label):
-        self.down.insert(key, label)
-        if label in self.cls:
-            self.cset.insert(key, 1)
-
-    def _ddel(self, key):
-        if self.down.inp.retrieve(key) in self.cls:
-            self.cset.delete(key)
-        self.down.delete(key)
-
-    def _dupd(self, key, label):
-        was = self.down.inp.retrieve(key) in self.cls
-        now = label in self.cls
-        if was and not now:
-            self.cset.delete(key)
-        elif now and not was:
-            self.cset.insert(key, 1)
-        self.down.update(key, label)
+    # -- word operations -----------------------------------------------------
 
     def load(self, keys, labels):
         super().load(keys, labels)
@@ -405,245 +390,148 @@ class _RunLayer(_Layer):
 
     def insert(self, key, a):
         self.steps += 1
-        cls = self.cls
-        out = self.down.inp
-        q = out.find_next(key)
-        lq = None if q is None else out.retrieve(q)
-        if lq not in cls and a not in cls:
-            # no run covers key and a starts none: a separator entry
-            self.inp.insert(key, a)
-            self.count += 1
-            self._dins(key, a)
-            return
-        m_minus = self.inp.find_prev(key)
-        # m_minus ends the entry before key, unless key falls inside q's run
-        lm = None if m_minus is None else out.retrieve(m_minus)
         self.inp.insert(key, a)
         self.count += 1
-        if lq in cls and m_minus is not None and lm is None:
-            self._insert_inside(key, a, q, lq, m_minus)
-        elif a in cls:
-            self._join(key, a, m_minus, lm, q, lq, present=False)
-        else:
-            self._dins(key, a)
-
-    def _insert_inside(self, key, a, q, lq, m_minus):
-        """Insert a between the letters m_minus and m_plus of q's run."""
-        rv = self.rv
-        m_plus = self.inp.find_next(key + 1)
-        i, g, j = rv.coord[lq]
-        j_m = rv.coord[self.inp.retrieve(m_minus)][2]
-        i_p = rv.coord[self.inp.retrieve(m_plus)][0]
-        g = rv.g_mul(g, rv.g_inv(self._p(j_m, i_p)))  # step (*)
-        if a in self.cls:
-            ia, ga, ja = rv.coord[a]
-            p1, p2 = self._p(j_m, ia), self._p(ja, i_p)
-        else:  # a separator joins neither fragment
-            p1 = p2 = None
-        if p1 is not None and p2 is not None:
-            g = rv.g_mul(g, p1, ga, p2)
-            self._dupd(q, rv.uncoord[(i, g, j)])
-        elif p1 is None and p2 is None:
-            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-            self._dins(key, a)
-            self._dupd(q, rv.uncoord[(i_p, rv.g_identity, j)])
-        elif p1 is not None:  # p2 is None: left fragment absorbs the letter
-            self._dins(key, rv.uncoord[(i, rv.g_mul(g, p1, ga), ja)])
-            self._dupd(q, rv.uncoord[(i_p, rv.g_identity, j)])
-        else:  # p1 is None: right fragment absorbs the letter
-            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-            self._dupd(q, rv.uncoord[(ia, rv.g_mul(ga, p2), j)])
-
-    def _join(self, key, a, m_minus, lm, q, lq, present):
-        """Enter the C-letter a at key, which lies inside no run: join it to
-        the run entry at m_minus (label lm) before it and the one at q (label
-        lq) after it, as far as the sandwich matrix allows. present: key
-        already has its own entry in the collapsed word."""
-        rv = self.rv
-        ia, ga, ja = rv.coord[a]
-        i0, g0 = ia, ga
-        if lm in self.cls:
-            i1, g1, j1 = rv.coord[lm]
-            pl = self._p(j1, ia)
-            if pl is not None:
-                self._ddel(m_minus)
-                i0, g0 = i1, rv.g_mul(g1, pl, ga)
-        pr = None
-        if lq in self.cls:
-            i2, g2, j2 = rv.coord[lq]
-            pr = self._p(ja, i2)
-        if pr is None:
-            label = rv.uncoord[(i0, g0, ja)]
-            if present:
-                self._dupd(key, label)
-            else:
-                self._dins(key, label)
-            return
-        if present:
-            self._ddel(key)
-        self._dupd(q, rv.uncoord[(i0, rv.g_mul(g0, pr, g2), j2)])
-
-    def _cut(self, key, old, new=None):
-        """Take the C-letter old at key out of its run: delete it from the
-        input word (new is None) or relabel it there to the separator new.
-
-        Returns (q, i, g, j, m_minus, j_m, i_p): the run's entry q with its
-        coordinates, g less the letter's share of the mass; the input key
-        m_minus before key; the L-index j_m of the run letter at m_minus,
-        None if key starts the run; the R-index i_p of the run letter after
-        key, None if key ends the run. The lookups after the input edit see
-        the input word without the letter.
-        """
-        rv = self.rv
-        out = self.down.inp
-        q = out.find_next(key)
-        m_minus = self.inp.find_prev(key - 1)
-        # down keys are input keys, so m_minus is in key's run iff no entry
-        # ends there
-        left_in = m_minus is not None and out.retrieve(m_minus) is None
-        i, g, j = self._entry(q)
-        if new is None:
-            self.inp.delete(key)
-            self.count -= 1
-        else:
-            self.inp.update(key, new)
-        ip, gp, jp = rv.coord[old]
-        g = rv.g_mul(g, rv.g_inv(gp))
-        j_m = i_p = None
-        if left_in:
-            j_m = rv.coord[self.inp.retrieve(m_minus)][2]
-            g = rv.g_mul(g, rv.g_inv(self._p(j_m, ip)))
-        if key != q:
-            i_p = rv.coord[self.inp.retrieve(self.inp.find_next(key + 1))][0]
-            g = rv.g_mul(g, rv.g_inv(self._p(jp, i_p)))
-        return q, i, g, j, m_minus, j_m, i_p
-
-    def _discharge(self, delta):
-        """Push a group-mass difference onto any surviving run entry."""
-        rv = self.rv
-        if delta == rv.g_identity:
-            return
-        other = self.cset.find_next(1)
-        if other is not None:
-            i2, g2, j2 = self._entry(other)
-            self._dupd(other, rv.uncoord[(i2, rv.g_mul(g2, delta), j2)])
+        self._edit(key, None, a)
 
     def delete(self, key):
         self.steps += 1
-        b = self.inp.retrieve(key)
-        if b not in self.cls:
-            self._ddel(key)
-            self.inp.delete(key)
-            self.count -= 1
-            self._merge_check(key)
-            return
-        rv = self.rv
-        out = self.down.inp
-        q, i, g, j, m_minus, j_m, i_p = self._cut(key, b)
-        if j_m is None and i_p is None:
-            # single-letter run: discharge the mass drift onto another run
-            self._ddel(q)
-            self._discharge(g)
-            self._merge_check(key)
-        elif j_m is None:  # first letter of a longer run
-            self._dupd(q, rv.uncoord[(i_p, g, j)])
-            if m_minus is not None and out.retrieve(m_minus) in self.cls:
-                self._merge(m_minus, q)
-        elif i_p is None:  # last letter of a longer run
-            self._ddel(q)
-            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-            nk = out.find_next(m_minus + 1)
-            if nk is not None and out.retrieve(nk) in self.cls:
-                self._merge(m_minus, nk)
-        else:  # interior letter
-            pm = self._p(j_m, i_p)
-            if pm is not None:
-                self._dupd(q, rv.uncoord[(i, rv.g_mul(g, pm), j)])
-            else:
-                self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-                self._dupd(q, rv.uncoord[(i_p, rv.g_identity, j)])
-
-    def _merge_check(self, key):
-        """After removing the separator entry at key, join the runs it
-        separated."""
-        out = self.down.inp
-        m_minus = self.inp.find_prev(key)  # ends the entry before key
-        if m_minus is None or out.retrieve(m_minus) not in self.cls:
-            return
-        q = out.find_next(key)
-        if q is not None and out.retrieve(q) in self.cls:
-            self._merge(m_minus, q)
-
-    def _merge(self, k1, k2):
-        """Join run entries at k1 < k2 when the sandwich entry is nonzero."""
-        rv = self.rv
-        i1, g1, j1 = self._entry(k1)
-        i2, g2, j2 = self._entry(k2)
-        p = self._p(j1, i2)
-        if p is None:
-            return
-        self._ddel(k1)
-        self._dupd(k2, rv.uncoord[(i1, rv.g_mul(g1, p, g2), j2)])
-
-    def _enter(self, key, a):
-        """Relabel the separator at key to the C-letter a in place."""
-        out = self.down.inp
-        self.inp.update(key, a)
-        m_minus = self.inp.find_prev(key - 1)
-        lm = None if m_minus is None else out.retrieve(m_minus)
-        q = out.find_next(key + 1)
-        lq = None if q is None else out.retrieve(q)
-        self._join(key, a, m_minus, lm, q, lq, present=True)
-
-    def _leave(self, key, old, a):
-        """Relabel the C-letter old at key to the separator a in place: the
-        run splits around key, and its fragments keep the run's mass."""
-        rv = self.rv
-        q, i, g, j, m_minus, j_m, i_p = self._cut(key, old, a)
-        if j_m is not None:
-            self._dins(m_minus, rv.uncoord[(i, g, j_m)])
-            g = rv.g_identity
-        if i_p is not None:
-            self._dins(key, a)
-            self._dupd(q, rv.uncoord[(i_p, g, j)])
-            return
-        self._dupd(key, a)
-        if j_m is None:  # key was a single-letter run
-            self._discharge(g)
+        old = self.inp.retrieve(key)
+        self.inp.delete(key)
+        self.count -= 1
+        self._edit(key, old, None)
 
     def update(self, key, a):
         self.steps += 1
         old = self.inp.retrieve(key)
         if old == a:
             return
-        in_c_old = old in self.cls
-        in_c_new = a in self.cls
-        if not in_c_old and not in_c_new:
-            # pass-through entries never interact with run structure
-            self.inp.update(key, a)
+        self.inp.update(key, a)
+        if old in self.cls or a in self.cls:
+            self._edit(key, old, a)
+        else:  # a separator entry is its letter: it touches no run
             self.down.update(key, a)
-            return
-        if not in_c_old:
-            self._enter(key, a)
-            return
-        if not in_c_new:
-            self._leave(key, old, a)
-            return
-        rv = self.rv
-        io, go, jo = rv.coord[old]
-        ia, ga, ja = rv.coord[a]
-        if io == ia and jo == ja:
-            # same egg-box cell: every sandwich entry stays put, only the
-            # group annotation of the covering entry moves
-            self.inp.update(key, a)
-            q = self.down.inp.find_next(key)
-            i, g, j = self._entry(q)
-            g2 = rv.g_mul(g, rv.g_inv(go), ga)
-            if g2 != g:
-                self.down.update(q, rv.uncoord[(i, g2, j)])
-            return
-        self.delete(key)
-        self.insert(key, a)
+
+    def _edit(self, key, old, new):
+        """The one edit rule (see the class docstring): the input letter at
+        key has gone from old to new, None meaning absent; bring the
+        collapsed word up to date. The run holding key is cut into the
+        fragment ending at the input key m_minus before key and the one
+        starting at the input key after it. The net change goes down in key
+        order, vanished keys first.
+        """
+        cls, rv = self.cls, self.rv
+        coord, uncoord, matrix, gt = rv.coord, rv.uncoord, rv.matrix, rv.g_rows
+        inp, out = self.inp, self.down.inp
+        old_c = old in cls
+        if old_c or old is None:
+            q = out.find_next(key)  # the entry that holds, or follows, key
+            lq = None if q is None else out.retrieve(q)
+        else:  # a separator is its own entry
+            q, lq = key, old
+        joins = new is None or new in cls  # runs could join across key
+        m_minus = lm = None
+        if joins or lq in cls:
+            m_minus = inp.find_prev(key - 1)
+            if m_minus is not None:
+                lm = out.retrieve(m_minus)
+        # down keys are input keys, so a neighbour shares key's run exactly
+        # when no entry ends between them
+        left_in = m_minus is not None and lm is None
+        right_in = left_in if old is None else q != key
+        was = {}     # the entries replaced: key -> label, in key order
+        pieces = []  # what replaces them: (key, label), or (key, i, g, j) for a run
+        if joins and lm in cls:  # the run entry just before the cut
+            was[m_minus] = lm
+            pieces.append((m_minus, *coord[lm]))
+        e = carry = rv.g_identity  # carry: mass still to be placed
+        right = None
+        if old_c or left_in:  # q's run holds key: cut it there
+            was[q] = lq
+            i, g, j = coord[lq]
+            if left_in:
+                j_m = coord[inp.retrieve(m_minus)][2]
+            if right_in:
+                i_p = coord[inp.retrieve(inp.find_next(key + 1))][0]
+            if old_c:  # the letter and the joins it made
+                i_o, share, j_o = coord[old]
+                if left_in:
+                    share = gt[share][matrix[j_m][i_o]]
+                if right_in:
+                    share = gt[share][matrix[j_o][i_p]]
+            else:  # the join of m_minus to the letter after it
+                share = matrix[j_m][i_p]
+            carry = gt[g][rv.g_inv(share)]
+            if left_in:
+                pieces.append((m_minus, i, carry, j_m))
+                carry = e
+            if right_in:
+                right = (q, i_p, carry, j)
+                carry = e
+        elif old is not None:
+            was[key] = old
+        if new in cls:
+            i_n, g_n, j_n = coord[new]
+            pieces.append((key, i_n, gt[g_n][carry], j_n))
+            carry = e
+        elif new is not None:
+            pieces.append((key, new))
+        if right is not None:
+            pieces.append(right)
+        elif pieces and len(pieces[-1]) == 4:  # a run the next entry could join
+            nk = q if old is None else out.find_next(key + 1)
+            ln = None if nk is None else out.retrieve(nk)
+            if ln in cls:
+                was[nk] = ln
+                i2, g2, j2 = coord[ln]
+                pieces.append((nk, i2, gt[g2][carry], j2))
+                carry = e
+        now = {}    # the entries after the edit: key -> label
+        run = None  # the last piece while it is a run, which the next may join
+        for piece in pieces:
+            if run is not None:
+                if len(piece) == 4:
+                    p = matrix[run[3]][piece[1]]
+                    if p is not None:
+                        run = (piece[0], run[1], gt[gt[run[2]][p]][piece[2]], piece[3])
+                        continue
+                now[run[0]] = uncoord[run[1:]]
+            if len(piece) == 2:
+                now[piece[0]] = piece[1]
+                run = None
+            else:
+                run = piece
+        if run is not None:
+            now[run[0]] = uncoord[run[1:]]
+        down, cset = self.down, self.cset
+        for k, lab in was.items():
+            if k not in now:
+                if lab in cls:
+                    cset.delete(k)
+                down.delete(k)
+        for k, lab in now.items():
+            lab0 = was.get(k)
+            if lab0 is None:
+                if lab in cls:
+                    cset.insert(k, 1)
+                down.insert(k, lab)
+            elif lab0 != lab:
+                if lab0 not in cls:
+                    cset.insert(k, 1)
+                elif lab not in cls:
+                    cset.delete(k)
+                down.update(k, lab)
+        if carry != e:
+            self._discharge(carry)
+
+    def _discharge(self, delta):
+        """Push a group-mass difference onto any run entry; when none is
+        left the difference is trivial, since the total mass is conserved."""
+        other = self.cset.find_next(1)
+        if other is not None:
+            rv = self.rv
+            i, g, j = rv.coord[self.down.inp.retrieve(other)]
+            self.down.update(other, rv.uncoord[(i, rv.g_mul(g, delta), j)])
 
     def validate(self):
         """Check the kept collapsed word against the exact collapse of the

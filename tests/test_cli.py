@@ -217,6 +217,12 @@ BAD_SHAPES = {
     # JSON of the wrong shape: RangeError from jsonio
     *[([cmd, f"{{dir}}/{name}.json"], None) for name, (cmd, _) in BAD_SHAPES.items()],
     (["run", "{dir}/top_level_list.json", "--word", "a"], "Q\n"),
+    # stream records with the wrong number of fields
+    (["run", "{dir}/abstar.json", "--word", "aaaa"], "U 1\n"),
+    (["run", "{dir}/abstar.json", "--word", "aaaa"], "U 1 a b\n"),
+    (["run", "{dir}/abstar.json", "--word", "aaaa"], "Q 1\n"),
+    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "P\n"),
+    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "I 1\n"),
 ])
 def test_bad_input_matrix_exit_code_2(files, args, stream):
     (files / "nonassoc.json").write_text(json.dumps({"table": [[1, 0], [1, 1]]}))

@@ -320,6 +320,24 @@ def test_pair_edit_that_keeps_key_and_label_sends_one_update_down():
         calls.clear()
 
 
+def test_run_relabel_sends_only_the_net_change_down():
+    # in M0(Z2, [[0,0],[0,0]]) every pair of letters joins, so the word is
+    # one run whatever its letters; relabelling a letter only moves the
+    # run's coordinates, and the layer below sees one update of its entry
+    s = rees_matrix_semigroup(Z2T, [[0, 0], [0, 0]])
+    eng = make_sg_engine(s, [s.id_of("(0,0,0)")] * 9, debug_checks=True)
+    top, below = eng.layers[0], eng.layers[1]
+    assert isinstance(top, sg._RunLayer)
+    calls = []
+    _record(below, calls)
+    for pos, name in [(4, "(1,1,1)"), (8, "(1,0,1)")]:  # interior, then last
+        eng.update(pos, s.id_of(name))
+        assert [c[0] for c in calls] == ["update"], (pos, calls)
+        assert calls[0][1] == 9, (pos, calls)
+        calls.clear()
+    assert eng.query() == make_naive_engine(s, eng.word).query()
+
+
 def test_validate_raises_internal_error_on_a_group_of_1_or_6():
     a, z = 0, 2
     s = _nil3()
