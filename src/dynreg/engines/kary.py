@@ -64,6 +64,7 @@ class KaryEngine(Engine):
 
     def __init__(self, monoid, word, config=None):
         super().__init__(monoid, word)
+        self.identity = monoid.identity  # the caller's, None if it has none
         self.semigroup = monoid = adjoin_identity(monoid)
         self.config = config or KAryConfig(monoid.size, max(self.n, 1))
         self.k = k = self.config.k
@@ -114,12 +115,13 @@ class KaryEngine(Engine):
         return self.value[self.levels[-1][0]]
 
     def prefix(self, length):
-        """Evaluation of the first `length` letters (identity for length 0)."""
+        """Evaluation of the first `length` letters; for length 0 the caller's
+        identity, None when its semigroup has none."""
         if not (0 <= length <= self.n):
             raise PositionOutOfRange(f"prefix length {length} outside 0..{self.n}")
         self._steps += 1
         if length == 0:
-            return self.semigroup.identity
+            return self.identity
         return self.infix(0, length - 1)
 
     def infix(self, i, j):

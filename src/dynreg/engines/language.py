@@ -56,16 +56,22 @@ class LanguageEngine(Engine):
         if letter not in self.morphism.eta:
             raise RangeError(f"letter {letter!r} not in the alphabet")
         self._steps += 1
-        self.word[pos] = letter
         if not self.chunked:
+            self.word[pos] = letter
             self.inner.update(pos, self.morphism.eta[letter])
             return
         b = pos // self.s
         if b < self.blocks:
-            self._steps += self.s
-            img = self.stable.block_image(self.word[b * self.s : (b + 1) * self.s])
-            self.inner.update(b, img)
-        # tail letters are read verbatim at query time
+            # the inner engine sees the block only when its image changes
+            self._steps += 2 * self.s
+            lo = b * self.s
+            block = self.word[lo : lo + self.s]
+            old = self.stable.block_image(block)
+            block[pos - lo] = letter
+            img = self.stable.block_image(block)
+            if img != old:
+                self.inner.update(b, img)
+        self.word[pos] = letter  # tail letters are read verbatim at query time
 
     def query(self):
         """Membership bit for the current word."""

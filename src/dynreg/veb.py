@@ -11,7 +11,9 @@ The recursive tree bottoms out at universes of at most 64 in a single machine
 word (Python int) scanned with bit tricks.
 
 Bulk build: VebMap.build takes sorted keys and their labels as arrays. It
-checks them in one vectorized pass, scatters the labels into the label array
+checks them in one vectorized pass. A build of at most FEW_MAX keys (see list
+mode below) writes their labels into the empty label array one by one and
+stops there. A larger build scatters the labels into the label array
 through a numpy object array (so every stored label is a plain Python
 object, never a numpy scalar), counts the buckets with one bincount and fills
 the summary vEB bottom-up from the sorted non-empty buckets. A vEB's shape
@@ -24,7 +26,7 @@ of a level.
 probes counts memory-cell-level accesses; writes counts cells written during
 construction. Both exist so tests can assert the complexity claims. The
 build charges writes (the label and bucket arrays, plus two per key) but no
-probes. How the operations charge probes:
+probes. How the operations charge probes in bucket mode:
 
 - insert and delete: 2 (the label cell and the bucket count) plus the
   summary vEB's probes when a bucket turns non-empty or empty; retrieve and
@@ -41,11 +43,26 @@ probes. How the operations charge probes:
 
 The scans add the cells read in one step, not one by one, so the counts are
 those of a cell-by-cell scan at a fraction of its interpreter cost.
+
+List mode: while a map holds at most FEW_MAX keys, few is its sorted key
+list and the bucket counts and the summary vEB are left untouched (all
+zero, all empty). The label array serves retrieve and update as before;
+insert, delete, find_prev and find_next bisect few instead of scanning
+buckets. Each bisect charges len(few).bit_length() probes, that is
+ceil(log2(len + 1)), a constant since len <= FEW_MAX; insert and delete add
+one for the label cell. The insert that takes the map past FEW_MAX keys
+counts every listed key into its bucket and the summary vEB, charged as a
+bucket-mode insert charges them (one probe for the count plus the summary
+vEB's), and sets few to None. The switch is one-way: a map in
+bucket mode stays there however far it shrinks, and costs exactly what the
+bucket layout above says. A thin layer of the sg engine (a few keys over a
+span of 2^19) thus answers its searches without crossing empty buckets.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
 
@@ -54,6 +71,7 @@ from .errors import (DuplicateKey, InternalError, KeyOrderError, KeyRangeError, 
 from .memo import memo
 
 _MISSING = object()
+FEW_MAX = 64    # a map keeps a sorted key list up to this many keys
 
 @memo
 def _bucket_table(span, width):
@@ -292,6 +310,7 @@ class VebMap:
         # recursive vEB over the indices 0..n_buckets of non-empty buckets
         self.occupied = _make(max(self.n_buckets, 1).bit_length())
         self.size = 0
+        self.few = []   # sorted keys while size <= FEW_MAX, then None
         self.writes += span + self.n_buckets + 1     # label + bucket arrays
 
     # -- core operations ---------------------------------------------------
@@ -307,12 +326,31 @@ class VebMap:
             raise DuplicateKey(f"key {key} already present")
         self.labels[key] = label
         self.writes += 1
+        self.size += 1
+        few = self.few
+        if few is not None:
+            self.probes += len(few).bit_length()
+            insort(few, key)
+            if len(few) > FEW_MAX:
+                self._to_buckets()
+            return
         b = self.ktab[key]
         self.probes += 1
         if self.bucket_count[b] == 0:
             self.occupied.insert(b, self)
         self.bucket_count[b] += 1
-        self.size += 1
+
+    def _to_buckets(self):
+        """Leave list mode: count every listed key into its bucket and the
+        summary vEB, charged as a bucket-mode insert charges them."""
+        ktab, counts = self.ktab, self.bucket_count
+        for key in self.few:
+            b = ktab[key]
+            self.probes += 1
+            if counts[b] == 0:
+                self.occupied.insert(b, self)
+            counts[b] += 1
+        self.few = None
 
     def delete(self, key):
         if not 1 <= key <= self.span:
@@ -322,12 +360,17 @@ class VebMap:
             raise MissingKey(f"key {key} not present")
         self.labels[key] = _MISSING
         self.writes += 1
+        self.size -= 1
+        few = self.few
+        if few is not None:
+            self.probes += len(few).bit_length()
+            del few[bisect_left(few, key)]
+            return
         b = self.ktab[key]
         self.probes += 1
         self.bucket_count[b] -= 1
         if self.bucket_count[b] == 0:
             self.occupied.delete(b, self)
-        self.size -= 1
 
     def retrieve(self, key):
         if not 1 <= key <= self.span:
@@ -352,6 +395,11 @@ class VebMap:
             return None
         if key > self.span:
             key = self.span
+        few = self.few
+        if few is not None:
+            self.probes += len(few).bit_length()
+            i = bisect_right(few, key)
+            return few[i - 1] if i else None
         labels = self.labels
         b = self.ktab[key]
         lo = (b - 1) * self.width + 1
@@ -383,6 +431,11 @@ class VebMap:
             return None
         if key < 1:
             key = 1
+        few = self.few
+        if few is not None:
+            self.probes += len(few).bit_length()
+            i = bisect_left(few, key)
+            return few[i] if i < len(few) else None
         labels = self.labels
         b = self.ktab[key]
         hi = b * self.width
@@ -431,6 +484,16 @@ class VebMap:
             if out[first]:
                 raise KeyRangeError(f"key {keys[first]} outside 1..{span}")
             raise KeyOrderError("keys must be strictly increasing")
+        m.size = n
+        m.writes += 2 * n
+        if n <= FEW_MAX:
+            m.few = keys.tolist()
+            if isinstance(labels, np.ndarray):
+                labels = labels.tolist()  # plain Python labels, as below
+            for key, label in zip(m.few, labels):
+                m.labels[key] = label
+            return m
+        m.few = None
         if not isinstance(labels, np.ndarray):
             labels = np.fromiter(labels, dtype=object, count=n)
         cells = np.full(span + 1, _MISSING, dtype=object)
@@ -439,16 +502,16 @@ class VebMap:
         counts = np.bincount((keys - 1) // m.width + 1, minlength=m.n_buckets + 1)
         m.bucket_count = counts.tolist()
         buckets = np.flatnonzero(counts)
-        if n:
-            _fill([m.occupied], np.zeros(len(buckets), dtype=np.int64), buckets)
-        m.size = n
-        m.writes += 2 * n
+        _fill([m.occupied], np.zeros(len(buckets), dtype=np.int64), buckets)
         return m
 
     # -- helpers -------------------------------------------------------------
 
     def items(self):
-        """All (key, label) pairs in key order (linear scan; debug/tests)."""
+        """All (key, label) pairs in key order (linear scan in bucket mode;
+        debug/tests)."""
+        if self.few is not None:
+            return [(x, self.labels[x]) for x in self.few]
         out = []
         for x in range(1, self.span + 1):
             if self.labels[x] is not _MISSING:

@@ -7,6 +7,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+# pytest puts src/ on this process's path (pyproject.toml); the CLI tests'
+# subprocesses find dynreg there through PYTHONPATH.
+_src = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_src, os.environ.get("PYTHONPATH")]))
+
 # Hypothesis caches source constants under .hypothesis/ in the working
 # directory even with database=None; keep that cache in a directory removed
 # when the test session ends.

@@ -105,6 +105,20 @@ def test_run_prefix_and_infix_stream(files, tmp_path):
     assert answers == ["a", "ab", "ab"]
 
 
+def test_run_empty_prefix_without_identity_answers_none(files, tmp_path):
+    # the k-ary tree adjoins an identity, but abse has none to answer with
+    stream = tmp_path / "p0.txt"
+    stream.write_text("P 0\n")
+    r = run_cli([
+        "run", str(files / "abse.json"),
+        "--word", "a a b b", "--stream", str(stream),
+        "--engine", "kary", "--check",
+    ])
+    assert r.returncode == 0, r.stderr
+    answers = [l for l in r.stdout.splitlines() if not l.startswith("#")]
+    assert answers == ["none"]
+
+
 def test_run_infix_on_wrong_engine_is_input_error(files, tmp_path):
     stream = tmp_path / "bad_i.txt"
     stream.write_text("I 0 1\n")

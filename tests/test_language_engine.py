@@ -278,3 +278,31 @@ def test_language_constant_cost_for_q_lzg():
             worst.append((mx_u, mx_q))
         assert worst[0] == worst[1] == worst[2], (rx, worst)
         worst_by_lang[rx] = worst[0]
+
+
+def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
+    m, sd, rep = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")
+    s = sd.index
+    rng = random.Random(zlib.crc32(b"kept block images"))
+    n = 8 * s + s - 1  # eight blocks and a tail
+    word = [rng.choice("abcx") for _ in range(n)]
+    eng = make_language_engine(m, sd, rep, list(word))
+    calls = []
+    inner_update = eng.inner.update
+    eng.inner.update = lambda b, img: (calls.append(b), inner_update(b, img))
+    kept = 0
+    for _ in range(400):
+        p, c = rng.randrange(n), rng.choice("abcx")
+        lo = p - p % s
+        block = word[lo : lo + s]
+        same = p >= 8 * s or sd.block_image(block) == sd.block_image(
+            block[: p - lo] + [c] + block[p - lo + 1 :])
+        calls.clear()
+        eng.update(p, c)
+        word[p] = c
+        assert calls == ([] if same else [p // s]), (p, c)
+        kept += same
+        assert eng.query() == m.member(word)
+    assert 0 < kept < 400
+    blocks = [word[b * s : (b + 1) * s] for b in range(8)]
+    assert eng.inner.snapshot() == tuple(sd.block_image(b) for b in blocks)

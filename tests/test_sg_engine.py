@@ -7,6 +7,7 @@ import pytest
 
 from helpers import FoldOracle
 
+from dynreg import veb
 from dynreg.algebra import FiniteSemigroup, check_variety
 from dynreg.engines import make_naive_engine, make_sg_engine, sg
 from dynreg.errors import InternalError, NotSg
@@ -236,6 +237,30 @@ def test_edge_paths_differential_on_edit_sg_semigroup():
             eng.update(p, a)
             ora.update(p, a)
             assert eng.query() == ora.query(), (n, p, a)
+
+
+def test_thin_layers_pushed_past_few_max_by_edits():
+    # A word of 1, a and b is one long stretch for the edit-sg semigroup, so
+    # the maps below the first pair layer hold a key or none and keep sorted
+    # key lists. Separators (x, ax, bx) substituted in push those maps past
+    # FEW_MAX keys into bucket mode; reverting them shrinks the maps again,
+    # and they stay in bucket mode. The validators run after every edit.
+    s = _edit_sg_semigroup()
+    rng = random.Random(zlib.crc32(b"edit-sg thin layers"))
+    n = 400
+    word = [rng.choice([0, 1, 2]) for _ in range(n)]
+    eng = make_sg_engine(s, list(word), debug_checks=True)
+    ora = make_naive_engine(s, list(word))
+    thin = [m for layer in eng.layers for m in layer.maps() if m.few is not None]
+    assert thin and all(len(m) <= 1 for m in thin)
+    plan = [(p, rng.choice([3, 4, 5])) for p in rng.sample(range(n), 200)]
+    plan += [(p, rng.choice([0, 1, 2])) for p, _ in plan]
+    for p, a in plan:
+        eng.update(p, a)
+        ora.update(p, a)
+        assert eng.query() == ora.query(), (p, a)
+    crossed = [m for m in thin if m.few is None]
+    assert crossed and all(len(m) <= veb.FEW_MAX for m in crossed)
 
 
 # -- pair layers: groups of 2..GROUP_MAX, net changes passed down ------------
