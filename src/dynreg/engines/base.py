@@ -7,15 +7,29 @@ counter of elementary steps and structure probes, used by the complexity
 assertions; it never feeds back into the answers. It is the engine's own
 _steps plus the counters of the parts it lists in _parts(): a sub-engine's
 op_count, a VebMap's probes, a layer's steps.
+
+query_charge() is what query() adds to op_count on the word as it stands,
+valid once the word has been queried since its last update. The language
+facade charges it for each query it answers from its kept bit, so op_count
+reads the same whether or not the inner query ran. Every engine the facade
+chunks over defines it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..errors import PositionOutOfRange, RangeError
 from ..veb import VebMap
 
 
 def check_letters(word, size):
+    """RangeError naming the first letter outside 0..size-1. An ndarray is
+    checked with one min and one max; other sequences letter by letter."""
+    if isinstance(word, np.ndarray):
+        if not len(word) or (word.min() >= 0 and word.max() < size):
+            return
+        word = word[(word < 0) | (word >= size)][:1].tolist()
     for a in word:
         if not (0 <= a < size):
             raise RangeError(f"letter {a} out of range")
@@ -30,10 +44,14 @@ class Engine:
     def __init__(self, semigroup, word):
         self.semigroup = semigroup
         self.size = semigroup.size
-        self.word = list(word)
+        if isinstance(word, np.ndarray):
+            check_letters(word, self.size)
+            self.word = word.tolist()
+        else:
+            self.word = list(word)
+            check_letters(self.word, self.size)
         self.n = len(self.word)
         self._steps = 0
-        check_letters(self.word, self.size)
 
     def _check(self, pos, letter):
         if not (0 <= pos < self.n):
@@ -45,6 +63,9 @@ class Engine:
         raise NotImplementedError
 
     def query(self):
+        raise NotImplementedError
+
+    def query_charge(self):
         raise NotImplementedError
 
     def _parts(self):

@@ -11,7 +11,15 @@ semigroup and feed an inner engine chosen by the trichotomy class:
   OUTSIDE_Q_SG the k-ary tree over the syntactic monoid, no chunking.
 
 Membership composes the inner evaluation with the tail image in the
-syntactic monoid and tests the accept set.
+syntactic monoid and tests the accept set. The block images go to the inner
+engine as one array, checked by Engine.__init__ with one min and max.
+
+A chunked facade keeps its last membership bit. An edit clears it only when
+it changes its block's image, and so reaches inner.update, or changes a tail
+letter (one at pos >= blocks * s, which is every letter when n < s). A query
+on a kept bit calls neither inner engine method; it charges its own steps
+and the inner engine's query_charge(), so every op_count delta is what it
+would be had the inner query run.
 """
 
 from __future__ import annotations
@@ -41,14 +49,15 @@ class LanguageEngine(Engine):
         self.s = stable.index
         self.chunked = report.cls != OUTSIDE_Q_SG
         if not self.chunked:
-            self.inner = ENGINES["kary"](morphism.target, ids.tolist())
+            self.inner = ENGINES["kary"](morphism.target, ids)
             self.kind = "language[kary]"
             return
         self.blocks = self.n // self.s
-        inner_word = _block_images(morphism, stable, ids, self.blocks).tolist()
         ladder = LZG_LADDER if report.cls == Q_LZG else SG_LADDER
-        tag, self.inner = build_first(ladder, stable.stable, inner_word)
+        tag, self.inner = build_first(ladder, stable.stable,
+                                      _block_images(morphism, stable, ids, self.blocks))
         self.kind = f"language[{tag}]"
+        self._bit = None  # the last membership bit, None once the word's value may change
 
     def update(self, pos, letter):
         if not (0 <= pos < self.n):
@@ -71,7 +80,10 @@ class LanguageEngine(Engine):
             img = self.stable.block_image(block)
             if img != old:
                 self.inner.update(b, img)
-        self.word[pos] = letter  # tail letters are read verbatim at query time
+                self._bit = None
+        elif self.word[pos] != letter:
+            self._bit = None  # tail letters are read verbatim at query time
+        self.word[pos] = letter
 
     def query(self):
         """Membership bit for the current word."""
@@ -83,8 +95,13 @@ class LanguageEngine(Engine):
                 v = m.target.identity
             return v in m.accept
         self._steps += self.s + 1
-        acc = None
+        if self._bit is not None:
+            # the inner engine and the tail are as the kept bit saw them:
+            # charge the inner query as if it ran, and answer without them
+            self._steps += self.inner.query_charge()
+            return self._bit
         inner_val = self.inner.query()
+        acc = None
         if inner_val is not None:
             acc = self.stable.inclusion[inner_val]
         for a in self.word[self.blocks * self.s :]:
@@ -92,7 +109,8 @@ class LanguageEngine(Engine):
             acc = x if acc is None else m.target.table[acc][x]
         if acc is None:
             acc = m.target.identity
-        return acc in m.accept
+        self._bit = acc in m.accept
+        return self._bit
 
     def _parts(self):
         return (self.inner,)

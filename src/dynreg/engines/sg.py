@@ -114,14 +114,6 @@ class _Layer:
         self.inp = VebMap.build(self.span, keys, labels)
         self.count = len(keys)
 
-    def eval(self):
-        self.steps += 1
-        if self.count == 0:
-            return None
-        if self.count == 1:
-            return self.inp.retrieve(self.inp.find_next(1))
-        return self.down.eval()
-
     def validate(self):
         _require(self.count == len(self.inp),
                  f"{type(self).__name__} count out of sync")
@@ -147,10 +139,6 @@ class _BaseLayer(_Layer):
     def update(self, key, letter):
         self.steps += 1
         self.inp.update(key, letter)
-
-    def eval(self):
-        self.steps += 1
-        return self.zero_id if self.count else None
 
 
 class _PairLayer(_Layer):
@@ -616,6 +604,7 @@ class SgEngine(Engine):
         while layer is not None:
             self.layers.append(layer)
             layer = layer.down
+        self._query_charge = None  # what the last query charged
         if debug_checks:
             self.top.validate()
 
@@ -628,8 +617,31 @@ class SgEngine(Engine):
             self.top.validate()
 
     def query(self):
+        """Walk down from the top to the first layer whose word is empty or
+        one letter long, or to the base, whose nonempty word is the zero.
+        Every layer passed charges one step; the one-letter read charges its
+        probes. The total is kept for query_charge()."""
         self._steps += 1
-        return self.top.eval()
+        layer, charge = self.top, 2
+        while layer.count > 1 and layer.down is not None:
+            layer.steps += 1
+            layer = layer.down
+            charge += 1
+        layer.steps += 1
+        if layer.count == 0:
+            value = None
+        elif layer.down is None:
+            value = layer.zero_id
+        else:
+            inp = layer.inp
+            probes = inp.probes
+            value = inp.retrieve(inp.find_next(1))
+            charge += inp.probes - probes
+        self._query_charge = charge
+        return value
+
+    def query_charge(self):
+        return self._query_charge
 
     def _parts(self):
         for layer in self.layers:

@@ -1,11 +1,17 @@
 """Constant-time engine from local statistics, verified at build time.
 
 The engine maintains exact occurrence counters, one per letter value and one
-per value of a product of two adjacent letters, and answers queries by
-projecting the counters through a threshold-plus-period cap and looking up
-the capped counts, the last letter and, in plans with `first`, the first
-letter in a recovery table. A substitution touches O(1) counters, so updates
-and queries are constant time with word-length-independent step counts.
+per value of a product of two adjacent letters, and next to them the same
+counters projected through a threshold-plus-period cap. A query looks up the
+capped counts, the last letter and, in plans with `first`, the first letter
+in a recovery table, and keeps that answer until the next update.
+
+A substitution changes the slots of at most two positions, so its net change
+depends only on the (previous, old, new, next) letters. The plan builds that
+table lazily, from the same per-position rule as the bulk count and the plan
+search, and drops slots whose changes cancel; an update rewrites only the
+count and the capped value of each slot left. Updates and queries are
+therefore constant time, with word-length-independent step counts.
 
 Whether the key determines the evaluation is decided by exhaustive
 reachability over the capped-statistic automaton, carrying the true
@@ -39,6 +45,7 @@ class WindowStatsPlan:
         self.period = period
         self.nslots = nslots
         self.recovery = {}  # (capped counts, first letter or None, last letter) -> element
+        self.deltas = {}  # (prev, old, new, next) -> ((slot, net change), ...), filled lazily
 
         def cap(c):
             return c if c < threshold else threshold + (c - threshold) % period
@@ -57,6 +64,20 @@ def _slots_of_append(s, last, a):
     if last is None:
         return (a,)
     return (a, s.size + s.table[last][a])
+
+
+def _slot_delta(s, prev, old, new, nxt):
+    """Net slot changes when the letter between prev and nxt (None past an
+    end of the word) goes from old to new, without the slots that cancel:
+    the slots _slots_of_append gives its own position and the next one."""
+    net = {}
+    for sign, a in ((-1, old), (1, new)):
+        slots = _slots_of_append(s, prev, a)
+        if nxt is not None:
+            slots += _slots_of_append(s, a, nxt)
+        for slot in slots:
+            net[slot] = net.get(slot, 0) + sign
+    return tuple((slot, d) for slot, d in net.items() if d)
 
 
 def _word_counts(s, word, nslots):
@@ -138,31 +159,36 @@ class WindowStatsEngine(Engine):
         super().__init__(semigroup, word)
         self.plan = plan
         self.counts = _word_counts(semigroup, self.word, plan.nslots)
-
-    def _slots(self, i):
-        last = self.word[i - 1] if i > 0 else None
-        return _slots_of_append(self.semigroup, last, self.word[i])
+        self.capped = [plan.cap(c) for c in self.counts]
+        self._answer = None  # the last query's answer, None once an update runs
 
     def update(self, pos, letter):
         self._check(pos, letter)
         self._steps += 4
-        hi = min(pos + 1, self.n - 1)
-        for j in range(pos, hi + 1):
-            for slot in self._slots(j):
-                self.counts[slot] -= 1
-        self.word[pos] = letter
-        for j in range(pos, hi + 1):
-            for slot in self._slots(j):
-                self.counts[slot] += 1
+        word, plan = self.word, self.plan
+        key = (word[pos - 1] if pos else None, word[pos], letter,
+               word[pos + 1] if pos + 1 < self.n else None)
+        delta = plan.deltas.get(key)
+        if delta is None:
+            delta = plan.deltas[key] = _slot_delta(self.semigroup, *key)
+        counts, capped, cap = self.counts, self.capped, plan.cap
+        for slot, d in delta:
+            c = counts[slot] + d
+            counts[slot] = c
+            capped[slot] = cap(c)
+        word[pos] = letter
+        self._answer = None
 
     def query(self):
-        if self.n == 0:
-            return None
-        plan = self.plan
-        self._steps += plan.nslots + 1
-        capped = tuple(plan.cap(c) for c in self.counts)
-        first = self.word[0] if plan.first else None
-        return plan.recovery[(capped, first, self.word[-1])]
+        self._steps += self.query_charge()
+        if self._answer is None and self.n:
+            plan = self.plan
+            first = self.word[0] if plan.first else None
+            self._answer = plan.recovery[(tuple(self.capped), first, self.word[-1])]
+        return self._answer
+
+    def query_charge(self):
+        return self.plan.nslots + 1 if self.n else 0
 
 
 def make_windowstats_engine(semigroup, word):

@@ -9,6 +9,8 @@ raises NoZgCertificate and the caller's ladder picks the next engine.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..algebra.core import adjoin_identity
 from ..algebra.zg import FACTOR_COM, find_zg_certificate
 from ..errors import NoZgCertificate, NotZg
@@ -45,8 +47,9 @@ def make_zg_engine(semigroup, word):
         eng.size = semigroup.size
         return eng
     rep = cert.embedding[: semigroup.size]
+    factor_words = np.array(rep, dtype=np.intp)[np.asarray(word, dtype=np.intp)]
     parts = [
-        make(f, [rep[a][i] for a in word])
+        make(f, factor_words[:, i])
         for i, (f, make) in enumerate(zip(cert.factors, makers))
     ]
     eng = DivisionEngine(rep=rep, project=cert.projection, inner=ProductEngine(parts))

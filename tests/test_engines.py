@@ -1,6 +1,7 @@
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from helpers import FoldOracle, run_differential
@@ -19,6 +20,8 @@ from dynreg.engines import (
     make_naive_engine,
     make_nilpotent_engine,
     make_prefix_engine,
+    make_sg_engine,
+    make_windowstats_engine,
     make_zg_engine,
 )
 from dynreg.engines.language import LZG_LADDER
@@ -28,9 +31,10 @@ from dynreg.errors import (
     NotNilPlusOne,
     NotZg,
     PositionOutOfRange,
+    RangeError,
     TupleArity,
 )
-from dynreg.gallery import cyclic, u1, u2, zg_monoid5
+from dynreg.gallery import ab_star_semigroup, cyclic, u1, u2, zg_monoid5
 
 
 def test_naive_engine_basics():
@@ -44,6 +48,28 @@ def test_naive_engine_basics():
     assert e.query() == m.id_of("0")
     with pytest.raises(PositionOutOfRange):
         e.update(9, 0)
+
+
+def test_array_words_are_checked_like_lists():
+    # an ndarray word is range-checked with one min and max, a list letter
+    # by letter; both build the same engine or raise the same RangeError
+    cases = [(f, cyclic(3)) for f in (make_naive_engine, make_kary_engine,
+                                      make_count_engine, make_zg_engine, make_sg_engine)]
+    cases.append((make_windowstats_engine, ab_star_semigroup()))
+    for make, s in cases:
+        for word in ([0, 2, 1, 1], [], [0, 5, 1, 7], [0, -1, 2], [s.size]):
+            arr = np.array(word, dtype=np.int64)
+            if all(0 <= a < s.size for a in word):
+                eng, twin = make(s, word), make(s, arr)
+                assert twin.word == eng.word and type(twin.word) is list
+                assert all(type(a) is int for a in twin.word)
+                assert twin.query() == eng.query()
+                continue
+            with pytest.raises(RangeError) as from_list:
+                make(s, word)
+            with pytest.raises(RangeError) as from_array:
+                make(s, arr)
+            assert str(from_array.value) == str(from_list.value), (make, word)
 
 
 # -- kary ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dynreg.engines import (
 )
 from dynreg.algebra.core import FiniteSemigroup
 from dynreg.algebra.varieties import check_variety
-from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append
+from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append, _word_counts
 from dynreg.engines.zg import make_zg_engine
 from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, RangeError
 from dynreg.gallery import ab_star_semigroup, gallery, s3
@@ -65,6 +65,44 @@ def test_window_bulk_counts_match_the_per_position_rule(gal):
             assert eng.counts == _counts_by_position(s, eng.word), (name, n)
 
 
+def _assert_kept_key(eng):
+    """The engine's capped list is the cap of the counts recomputed from its word."""
+    plan = eng.plan
+    counts = _word_counts(eng.semigroup, eng.word, plan.nslots)
+    assert eng.counts == counts
+    assert eng.capped == [plan.cap(c) for c in counts]
+
+
+FIRST_LETTER_DFA = Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1})  # window plan keyed on the first letter
+
+
+@pytest.mark.parametrize("which", ["ab_star", "first_letter"])
+def test_window_engine_keeps_its_capped_key(which):
+    if which == "ab_star":
+        s = ab_star_semigroup()
+    else:
+        s = analyze_dfa(FIRST_LETTER_DFA)[1].stable
+    plan = synthesize_window_plan(s)
+    assert plan.first is (which == "first_letter")
+    rng = random.Random(zlib.crc32(f"kept key {which}".encode()))
+    for n in (1, 2, 3, 17):
+        word = [rng.randrange(s.size) for _ in range(n)]
+        eng = WindowStatsEngine(s, list(word), plan)
+        ora = FoldOracle(s, list(word))
+        _assert_kept_key(eng)
+        for k in range(200):
+            # the ends, then a same-letter edit, then anywhere, in turn
+            p = (0, n - 1, None, None)[k % 4]
+            if p is None:
+                p = rng.randrange(n)
+            a = eng.word[p] if k % 4 == 2 else rng.randrange(s.size)
+            eng.update(p, a)
+            ora.update(p, a)
+            _assert_kept_key(eng)
+            assert eng.query() == ora.query(), (which, n, p, a)
+            assert eng.query() == ora.query()  # the kept answer
+
+
 def _order_le_3_window_semigroups():
     """Semigroups of order <= 3, up to isomorphism, that reach the window
     rung of the Q_LZG ladder: in LOCAL(ZG), refused by the zg factory."""
@@ -98,6 +136,8 @@ def test_every_order_le_3_window_semigroup_gets_an_exact_plan():
                 p, a = (0 if k % 3 == 0 else rng.randrange(n)), rng.randrange(s.size)
                 eng.update(p, a)
                 ora.update(p, a)
+                if n <= 2:
+                    _assert_kept_key(eng)
                 assert eng.query() == ora.query(), (s.table, n, p, a)
 
 
@@ -109,24 +149,32 @@ def test_window_factory_without_plan_raises_engine_error():
     assert issubclass(NoWindowPlan, EngineError)
 
 
-def _member_under_edits(m, sd, rep, alphabet, seed, kind):
+def _member_under_edits(m, sd, rep, alphabet, seed, kind, sizes=(0, 1, 2, 3, 64)):
+    """Answers against m.member under random edits. Sizes below s or not a
+    multiple of s leave tail letters, and some tail edit must flip the
+    answer, which the facade's kept bit must not hide."""
     rng = random.Random(seed)
-    for n in (0, 1, 2, 3, 64):
+    tail_flips = 0
+    for n in sizes:
         word = [rng.choice(alphabet) for _ in range(n)]
         eng = make_language_engine(m, sd, rep, list(word))
         assert eng.kind == kind
-        assert eng.query() == m.member(word)
+        got = eng.query()
+        assert got == m.member(word)
         for _ in range(300 if n else 0):
             p, c = rng.randrange(n), rng.choice(alphabet)
             eng.update(p, c)
             word[p] = c
-            assert eng.query() == m.member(word), (n, p, c)
+            before, got = got, eng.query()
+            assert got == m.member(word), (n, p, c)
+            tail_flips += p >= n - n % sd.index and got != before
+    assert tail_flips
 
 
 def test_first_letter_window_language_matches_membership():
     # A Q_LZG language whose stable semigroup is not in ZG and whose window
     # plan needs the first letter in its key
-    m, sd, rep = analyze_dfa(Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1}))
+    m, sd, rep = analyze_dfa(FIRST_LETTER_DFA)
     assert rep.cls == Q_LZG
     assert synthesize_window_plan(sd.stable).first is True
     _member_under_edits(m, sd, rep, "ab", 5, "language[window]")
@@ -219,17 +267,8 @@ def test_s3_language_routes_to_kary():
 ])
 def test_language_differential_random(rx, alpha):
     m, sd, rep = analyze_regex(rx, alpha)
-    rng = random.Random(len(rx))
-    for n in (0, 1, 2, 3, 5, 8, 21):
-        word = [rng.choice(alpha) for _ in range(n)]
-        eng = make_language_engine(m, sd, rep, list(word))
-        naive = list(word)
-        assert eng.query() == m.member(naive)
-        for _ in range(250 if n else 0):
-            p, c = rng.randrange(n), rng.choice(alpha)
-            eng.update(p, c)
-            naive[p] = c
-            assert eng.query() == m.member(naive), (rx, n)
+    kind = make_language_engine(m, sd, rep, []).kind
+    _member_under_edits(m, sd, rep, alpha, len(rx), kind, sizes=(0, 1, 2, 3, 5, 8, 21))
 
 
 @pytest.mark.parametrize("rx,alpha", [
@@ -280,29 +319,55 @@ def test_language_constant_cost_for_q_lzg():
         worst_by_lang[rx] = worst[0]
 
 
+CACHED_LANGUAGES = {
+    "a*b*": lambda: analyze_regex("a*b*", "ab"),
+    "(aa)*ba*": lambda: analyze_regex("(aa)*ba*", "ab"),
+    "edit-sg": lambda: analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx"),
+    "first letter": lambda: analyze_dfa(FIRST_LETTER_DFA),
+}
+
+
 def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
-    m, sd, rep = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")
-    s = sd.index
-    rng = random.Random(zlib.crc32(b"kept block images"))
-    n = 8 * s + s - 1  # eight blocks and a tail
-    word = [rng.choice("abcx") for _ in range(n)]
-    eng = make_language_engine(m, sd, rep, list(word))
-    calls = []
-    inner_update = eng.inner.update
-    eng.inner.update = lambda b, img: (calls.append(b), inner_update(b, img))
-    kept = 0
-    for _ in range(400):
-        p, c = rng.randrange(n), rng.choice("abcx")
-        lo = p - p % s
-        block = word[lo : lo + s]
-        same = p >= 8 * s or sd.block_image(block) == sd.block_image(
-            block[: p - lo] + [c] + block[p - lo + 1 :])
-        calls.clear()
-        eng.update(p, c)
-        word[p] = c
-        assert calls == ([] if same else [p // s]), (p, c)
-        kept += same
-        assert eng.query() == m.member(word)
-    assert 0 < kept < 400
-    blocks = [word[b * s : (b + 1) * s] for b in range(8)]
-    assert eng.inner.snapshot() == tuple(sd.block_image(b) for b in blocks)
+    # an edit that keeps its block's image reaches neither inner.update nor
+    # inner.query, and every op_count delta equals that of a twin facade
+    # whose bit is cleared before each query, so its inner query always runs
+    for name, analyze in CACHED_LANGUAGES.items():
+        m, sd, rep = analyze()
+        alphabet = m.alphabet
+        s = sd.index
+        rng = random.Random(zlib.crc32(f"kept block images {name}".encode()))
+        n = 8 * s + s - 1  # eight blocks and a tail
+        word = [rng.choice(alphabet) for _ in range(n)]
+        eng = make_language_engine(m, sd, rep, list(word))
+        twin = make_language_engine(m, sd, rep, list(word))
+        calls = []
+        inner_update, inner_query = eng.inner.update, eng.inner.query
+        eng.inner.update = lambda b, img: (calls.append(("update", b)), inner_update(b, img))
+        eng.inner.query = lambda: (calls.append(("query",)), inner_query())[1]
+        assert eng.query() == twin.query()
+        kept = 0
+        for _ in range(400):
+            p, c = rng.randrange(n), rng.choice(alphabet)
+            lo = p - p % s
+            block = word[lo : lo + s]
+            same = p >= 8 * s or sd.block_image(block) == sd.block_image(
+                block[: p - lo] + [c] + block[p - lo + 1 :])
+            tail_change = p >= 8 * s and word[p] != c
+            calls.clear()
+            ops, twin_ops = eng.op_count, twin.op_count
+            eng.update(p, c)
+            twin.update(p, c)
+            word[p] = c
+            assert eng.op_count - ops == twin.op_count - twin_ops, (name, p, c)
+            twin._bit = None
+            ops, twin_ops = eng.op_count, twin.op_count
+            assert eng.query() == twin.query() == m.member(word), (name, p, c)
+            assert eng.op_count - ops == twin.op_count - twin_ops, (name, p, c)
+            want = [] if same else [("update", p // s)]
+            if not same or tail_change:
+                want.append(("query",))
+            assert calls == want, (name, p, c)
+            kept += same and not tail_change
+        assert 0 < kept < 400, name
+        blocks = [word[b * s : (b + 1) * s] for b in range(8)]
+        assert eng.inner.snapshot() == tuple(sd.block_image(b) for b in blocks), name
