@@ -19,7 +19,7 @@ from .algebra.varieties import check_variety
 from .engines.base import make_naive_engine
 from .engines.dispatch import ENGINES, make_auto_engine
 from .engines.language import make_language_engine
-from .errors import AlgebraError, EngineError, InternalError, VebError
+from .errors import AlgebraError, EngineError, InternalError, RangeError, VebError
 from .gallery import gallery
 from .jsonio import language_from_json, load_json, semigroup_from_json
 from .syntactic import analyze_dfa
@@ -154,17 +154,52 @@ def cmd_run(args):
     return 1 if mismatches else 0
 
 
+BENCH_LANGUAGES = {
+    "abstar": ("a*b*", "ab"),
+    "evenba": ("(aa)*ba*", "ab"),
+}
+
+
+def _int_at_least(value, least):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _bench_cells(cfg):
+    """The cells of a bench config as (engine, target, ns, ops), target
+    None for a language:<name> engine; RangeError names the first
+    malformed one."""
+    cells = cfg.get("cells") if isinstance(cfg, dict) else None
+    if not isinstance(cells, list):
+        raise RangeError("bench config needs 'cells': a list of cell objects")
+    gal = gallery()
+    out = []
+    for cell in cells:
+        kind = cell.get("engine") if isinstance(cell, dict) else None
+        if not isinstance(kind, str):
+            raise RangeError("a bench cell must be an object with an 'engine' name")
+        ns, ops = cell.get("ns"), cell.get("ops", 1000)
+        if not isinstance(ns, list) or not all(_int_at_least(n, 1) for n in ns):
+            raise RangeError("a bench cell's 'ns' must be a list of positive integers")
+        if not _int_at_least(ops, 0):
+            raise RangeError("a bench cell's 'ops' must be a non-negative integer")
+        if kind.startswith("language:"):
+            target = None
+        elif "gallery" in cell:
+            target = gal[cell["gallery"]]
+        elif "semigroup" in cell:
+            target = semigroup_from_json(cell["semigroup"])
+        else:
+            raise RangeError(f"bench cell for engine {kind!r} needs 'gallery' or 'semigroup'")
+        out.append((kind, target, ns, ops))
+    return out
+
+
 def _bench_cell(engine_kind, n, ops, seed, target):
     rng = random.Random(seed)
-    if engine_kind.startswith("language:"):
-        name = engine_kind.split(":", 1)[1]
+    if target is None:
         from .syntactic import analyze_regex
 
-        regexes = {
-            "abstar": ("a*b*", "ab"),
-            "evenba": ("(aa)*ba*", "ab"),
-        }
-        rx, alpha = regexes[name]
+        rx, alpha = BENCH_LANGUAGES[engine_kind.split(":", 1)[1]]
         m, sd, report = analyze_regex(rx, alpha)
         word = [rng.choice(alpha) for _ in range(n)]
         eng = make_language_engine(m, sd, report, word)
@@ -188,21 +223,12 @@ def _bench_cell(engine_kind, n, ops, seed, target):
 
 
 def cmd_bench(args):
-    cfg = load_json(args.config)
+    cells = _bench_cells(load_json(args.config))
     seed = args.seed
     rows = ["# dynreg-bench v1", "n,engine,max_ops_update,max_probes_query"]
-    gal = gallery()
-    for cell in cfg["cells"]:
-        kind = cell["engine"]
-        target = None
-        if "gallery" in cell:
-            target = gal[cell["gallery"]]
-        elif "semigroup" in cell:
-            target = semigroup_from_json(cell["semigroup"])
-        for n in cell["ns"]:
-            tag, mu, mq = _bench_cell(
-                kind, n, cell.get("ops", 1000), seed, target
-            )
+    for kind, target, ns, ops in cells:
+        for n in ns:
+            tag, mu, mq = _bench_cell(kind, n, ops, seed, target)
             rows.append(f"{n},{tag},{mu},{mq}")
     out = "\n".join(rows) + "\n"
     if args.csv_out:

@@ -78,7 +78,7 @@ class KaryEngine(Engine):
             return
         value = np.asarray(self.value, dtype=np.int64)
         weights = np.asarray(self._pow, dtype=np.int64)
-        vals = np.asarray(self.word, dtype=np.int64)
+        vals = np.asarray(word if isinstance(word, np.ndarray) else self.word, dtype=np.int64)
         while True:
             pad = -len(vals) % k
             if pad:

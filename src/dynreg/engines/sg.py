@@ -15,21 +15,27 @@ non-regular class) adjacent letters compose into S minus C, so letters are
 grouped 2..GROUP_MAX per vEB entry and the grouped word is handed to the
 engine for the smaller semigroup. The final layer is the zero class.
 
-Every layer supports keyed insert/delete/update on its input word plus the
-one-letter bypass, so the whole stack does O(1) vEB operations per update.
-Run and pair layers pass down only the net change of the entries an edit
-touches, so an edit that leaves an entry's key and label alone stops there.
-The stack is built from numpy arrays, one whole-array pass per layer: each
-layer's load() bulk-builds its maps and hands its collapsed or grouped word
-to the layer below.
+Every layer supports keyed insert/delete/update on its input word. A pair
+or run layer whose input map is in VebMap list mode (at most FEW_MAX keys)
+is a leaf: it edits its own input word and count and nothing below it, since
+a word of O(1) letters is folded at query time in O(1), and a query walks
+down only to the first leaf. The insert that takes a leaf past FEW_MAX keys
+makes it thick for good (list mode is one-way): it takes its letters out,
+empties the stale leaves below and inserts them anew through its own rules.
+A thick layer does O(1) vEB operations per edit. Run and pair layers pass
+down only the net change of the entries an edit touches, so an edit that
+leaves an entry's key and label alone stops there. The stack is built from
+numpy arrays, one whole-array pass per layer: each layer's load() bulk-builds
+its maps and hands its collapsed or grouped word to the layer below.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 
 import numpy as np
 
+from .. import veb
 from ..algebra.core import adjoin_zero, restriction, table_array
 from ..algebra.green import green_j
 from ..algebra.rees import rees_decompose
@@ -96,7 +102,13 @@ class _Layer:
     """One layer of the stack. inp holds the layer's input word as a VebMap
     over keys 1..span, down is the layer that takes its collapsed word (None
     for the base), count is the number of input letters and steps the
-    layer's own step counter."""
+    layer's own step counter.
+
+    insert, delete and update here edit the input word alone: the base
+    layer's edits, and a leaf's (a pair or run layer whose inp is in list
+    mode; see the module docstring). The layers below a leaf are leaves
+    too, and stale.
+    """
 
     def __init__(self, span, down=None):
         self.span = span
@@ -114,18 +126,6 @@ class _Layer:
         self.inp = VebMap.build(self.span, keys, labels)
         self.count = len(keys)
 
-    def validate(self):
-        _require(self.count == len(self.inp),
-                 f"{type(self).__name__} count out of sync")
-
-
-class _BaseLayer(_Layer):
-    """Word over the zero class: only the letter count matters."""
-
-    def __init__(self, span, zero_id):
-        super().__init__(span)
-        self.zero_id = zero_id
-
     def insert(self, key, letter):
         self.steps += 1
         self.inp.insert(key, letter)
@@ -139,6 +139,53 @@ class _BaseLayer(_Layer):
     def update(self, key, letter):
         self.steps += 1
         self.inp.update(key, letter)
+
+    def _leaf_insert(self, key, letter):
+        """A leaf's insert; the one that takes inp past FEW_MAX keys makes
+        the layer thick: the listed letters are read before it, since
+        items() in bucket mode scans the whole span. The layer then takes
+        them out of its maps again, empties the stale layers below, each
+        map a short list, and inserts them anew through its own rules, so a
+        layer below that passes FEW_MAX on the way turns thick in turn.
+        Nothing span-sized is allocated."""
+        inp = self.inp
+        if len(inp.few) < veb.FEW_MAX:
+            _Layer.insert(self, key, letter)
+            return
+        word = [(k, inp.retrieve(k)) for k in inp.few]
+        _Layer.insert(self, key, letter)
+        insort(word, (key, letter))
+        for k, _ in word:
+            inp.delete(k)
+        layer = self
+        while layer is not None:
+            for m in layer.maps():
+                if m.few is not None:
+                    for k in m.few[::-1]:
+                        m.delete(k)
+            layer.count = 0
+            layer = layer.down
+        for k, a in word:
+            self.insert(k, a)
+
+    def validate(self):
+        """Check the count, a thick layer's word below against its own, and
+        the layers below in turn; a leaf's stale layer below is only checked
+        in itself."""
+        _require(self.count == len(self.inp),
+                 f"{type(self).__name__} count out of sync")
+        if self.down is not None:
+            if self.inp.few is None:
+                self._check_down()
+            self.down.validate()
+
+
+class _BaseLayer(_Layer):
+    """Word over the zero class: only the letter count matters."""
+
+    def __init__(self, span, zero_id):
+        super().__init__(span)
+        self.zero_id = zero_id
 
 
 class _PairLayer(_Layer):
@@ -226,6 +273,9 @@ class _PairLayer(_Layer):
         self.down.load(gkeys, glabels)
 
     def insert(self, key, letter):
+        if self.inp.few is not None:
+            self._leaf_insert(key, letter)
+            return
         self.steps += 1
         self.inp.insert(key, letter)
         self.count += 1
@@ -243,6 +293,9 @@ class _PairLayer(_Layer):
         self._rewrite((gkey,), members)
 
     def delete(self, key):
+        if self.inp.few is not None:
+            super().delete(key)
+            return
         self.steps += 1
         if self.count == 1:
             self.inp.delete(key)
@@ -272,6 +325,9 @@ class _PairLayer(_Layer):
         self._rewrite((gkey, nkey), nmembers)
 
     def update(self, key, letter):
+        if self.inp.few is not None:
+            super().update(key, letter)
+            return
         self.steps += 1
         if self.inp.retrieve(key) == letter:
             return
@@ -281,8 +337,7 @@ class _PairLayer(_Layer):
         gkey, members = self._group(key)
         self.down.update(gkey, self._label(members))
 
-    def validate(self):
-        super().validate()
+    def _check_down(self):
         keys = [k for k, _ in self.inp.items()]
         groups = self.down.inp.items()
         if self.count <= 1:
@@ -297,7 +352,6 @@ class _PairLayer(_Layer):
                 _require(self._label(members) == glabel, f"pair layer label at key {gkey}")
                 start += len(members)
             _require(start == len(keys), "pair layer leaves letters ungrouped")
-        self.down.validate()
 
 
 class _RunLayer(_Layer):
@@ -377,12 +431,18 @@ class _RunLayer(_Layer):
         self.down.load(keys, labels)
 
     def insert(self, key, a):
+        if self.inp.few is not None:
+            self._leaf_insert(key, a)
+            return
         self.steps += 1
         self.inp.insert(key, a)
         self.count += 1
         self._edit(key, None, a)
 
     def delete(self, key):
+        if self.inp.few is not None:
+            super().delete(key)
+            return
         self.steps += 1
         old = self.inp.retrieve(key)
         self.inp.delete(key)
@@ -390,6 +450,9 @@ class _RunLayer(_Layer):
         self._edit(key, old, None)
 
     def update(self, key, a):
+        if self.inp.few is not None:
+            super().update(key, a)
+            return
         self.steps += 1
         old = self.inp.retrieve(key)
         if old == a:
@@ -521,11 +584,10 @@ class _RunLayer(_Layer):
             i, g, j = rv.coord[self.down.inp.retrieve(other)]
             self.down.update(other, rv.uncoord[(i, rv.g_mul(g, delta), j)])
 
-    def validate(self):
+    def _check_down(self):
         """Check the kept collapsed word against the exact collapse of the
         input word: the same entries up to per-run group masses, the same
         total mass and the same evaluation."""
-        super().validate()
         items = self.inp.items()
         entries = self.down.inp.items()
         cls, rv = self.cls, self.rv
@@ -550,7 +612,6 @@ class _RunLayer(_Layer):
         _require(mass(entries) == mass(exact), "run layer total mass drifted")
         _require(value(entries) == value(items),
                  "run layer lost the global evaluation")
-        self.down.validate()
 
 
 @memo
@@ -598,8 +659,9 @@ class SgEngine(Engine):
             else:
                 layer = _RunLayer(span, s0, spec[1], spec[2], layer)
         self.top = layer
+        letters = word if isinstance(word, np.ndarray) else self.word
         self.top.load(np.arange(1, self.n + 1, dtype=np.min_scalar_type(self.n)),
-                      np.asarray(self.word, dtype=table_array(s0).dtype))
+                      np.asarray(letters, dtype=table_array(s0).dtype))
         self.layers = []  # top first
         while layer is not None:
             self.layers.append(layer)
@@ -617,23 +679,33 @@ class SgEngine(Engine):
             self.top.validate()
 
     def query(self):
-        """Walk down from the top to the first layer whose word is empty or
-        one letter long, or to the base, whose nonempty word is the zero.
-        Every layer passed charges one step; the one-letter read charges its
-        probes. The total is kept for query_charge()."""
+        """Walk down from the top to the first layer that is a leaf or whose
+        word is empty or one letter long, or to the base, whose nonempty word
+        is the zero. Every layer preserves the word's evaluation, so a leaf
+        answers with the fold of its listed letters through the table, one
+        probe per letter read; a thick layer's one letter is read with its
+        probes. Every layer passed charges one step. The total is kept for
+        query_charge()."""
         self._steps += 1
         layer, charge = self.top, 2
-        while layer.count > 1 and layer.down is not None:
+        while layer.count > 1 and layer.down is not None and layer.inp.few is None:
             layer.steps += 1
             layer = layer.down
             charge += 1
         layer.steps += 1
+        inp = layer.inp
         if layer.count == 0:
             value = None
         elif layer.down is None:
             value = layer.zero_id
+        elif inp.few is not None:
+            t, labels, few = layer.s0.table, inp.labels, inp.few
+            value = labels[few[0]]
+            for k in few[1:]:
+                value = t[value][labels[k]]
+            inp.probes += len(few)
+            charge += len(few)
         else:
-            inp = layer.inp
             probes = inp.probes
             value = inp.retrieve(inp.find_next(1))
             charge += inp.probes - probes

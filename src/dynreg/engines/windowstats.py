@@ -158,7 +158,8 @@ class WindowStatsEngine(Engine):
     def __init__(self, semigroup, word, plan):
         super().__init__(semigroup, word)
         self.plan = plan
-        self.counts = _word_counts(semigroup, self.word, plan.nslots)
+        letters = word if isinstance(word, np.ndarray) else self.word
+        self.counts = _word_counts(semigroup, letters, plan.nslots)
         self.capped = [plan.cap(c) for c in self.counts]
         self._answer = None  # the last query's answer, None once an update runs
 

@@ -55,8 +55,9 @@ counts every listed key into its bucket and the summary vEB, charged as a
 bucket-mode insert charges them (one probe for the count plus the summary
 vEB's), and sets few to None. The switch is one-way: a map in
 bucket mode stays there however far it shrinks, and costs exactly what the
-bucket layout above says. A thin layer of the sg engine (a few keys over a
-span of 2^19) thus answers its searches without crossing empty buckets.
+bucket layout above says. The sg engine takes list mode as its leaf test:
+a layer whose input map keeps a key list (a few keys over a span of up to
+2^19) edits nothing below it and is folded at query time from few.
 """
 
 from __future__ import annotations

@@ -206,6 +206,14 @@ BAD_SHAPES = {
     "list_name": ("algebra", {"elements": ["a", ["b"]], "table": [[0, 1], [1, 1]]}),
 }
 
+# malformed bench configs: file name -> content
+BAD_BENCH = {
+    "bench_top_level_list": [{"engine": "zg", "gallery": "zg5", "ns": [64]}],
+    "bench_no_target": {"cells": [{"engine": "zg", "ns": [64]}]},
+    "bench_ns_not_a_list": {"cells": [{"engine": "zg", "gallery": "zg5", "ns": 64}]},
+    "bench_ns_zero": {"cells": [{"engine": "zg", "gallery": "zg5", "ns": [0]}]},
+}
+
 
 @pytest.mark.parametrize("args,stream", [
     # non-associative table: AssociativityViolation
@@ -237,6 +245,8 @@ BAD_SHAPES = {
     (["run", "{dir}/abstar.json", "--word", "aaaa"], "Q 1\n"),
     (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "P\n"),
     (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "I 1\n"),
+    # bench configs of the wrong shape, and an empty word: RangeError
+    *[(["bench", f"{{dir}}/{name}.json"], None) for name in BAD_BENCH],
 ])
 def test_bad_input_matrix_exit_code_2(files, args, stream):
     (files / "nonassoc.json").write_text(json.dumps({"table": [[1, 0], [1, 1]]}))
@@ -247,6 +257,8 @@ def test_bad_input_matrix_exit_code_2(files, args, stream):
         json.dumps({"elements": ["a", "a"], "table": [[0, 1], [1, 1]]})
     )
     for name, (_, obj) in BAD_SHAPES.items():
+        (files / f"{name}.json").write_text(json.dumps(obj))
+    for name, obj in BAD_BENCH.items():
         (files / f"{name}.json").write_text(json.dumps(obj))
     args = [a.format(dir=files) for a in args]
     if stream is not None:

@@ -1,0 +1,62 @@
+"""Seeded random-DFA differential: every language engine the facade builds
+for a random DFA answers as the DFA's own morphism does.
+
+The DFAs (2-4 states, 2-3 letters, syntactic monoid of at most 30 elements)
+are the first ones one fixed seed draws, so every run checks the same
+languages, words and edits whatever PYTHONHASHSEED is. At n = 140 the sg
+engine's top layer is thick and some edits take a leaf below it past
+FEW_MAX.
+"""
+
+import random
+import zlib
+
+from dynreg.engines import SgEngine, make_language_engine
+from dynreg.syntactic import Dfa, analyze_dfa
+
+DFAS = 200
+MONOID_CAP = 30
+NS = (0, 1, 2, 3, 5, 9, 70, 140)
+EDITS = 60
+
+
+def random_dfas(rng, count):
+    """The first `count` DFAs drawn from rng whose monoid is small enough,
+    each with its analysis."""
+    out = []
+    while len(out) < count:
+        states, letters = rng.randint(2, 4), rng.randint(2, 3)
+        alphabet = "abc"[:letters]
+        delta = [[rng.randrange(states) for _ in range(letters)] for _ in range(states)]
+        finals = [q for q in range(states) if rng.random() < 0.5]
+        m, sd, report = analyze_dfa(Dfa(alphabet, delta, 0, finals))
+        if m.target.size <= MONOID_CAP:
+            out.append((alphabet, delta, finals, m, sd, report))
+    return out
+
+
+def _leaves(eng):
+    """The sg layers of a language engine that are leaves, by identity."""
+    if not isinstance(eng.inner, SgEngine):
+        return set()
+    return {id(layer) for layer in eng.inner.layers if layer.inp.few is not None}
+
+
+def test_random_dfa_differential():
+    rng = random.Random(zlib.crc32(b"random-dfa differential"))
+    kinds, thickened = set(), 0
+    for alphabet, delta, finals, m, sd, report in random_dfas(rng, DFAS):
+        for n in NS:
+            word = [rng.choice(alphabet) for _ in range(n)]
+            eng = make_language_engine(m, sd, report, word)
+            kinds.add(eng.kind)
+            leaves = _leaves(eng)
+            assert eng.query() == m.member(word), (delta, finals, n)
+            for _ in range(EDITS if n else 0):
+                p, a = rng.randrange(n), rng.choice(alphabet)
+                word[p] = a
+                eng.update(p, a)
+                assert eng.query() == m.member(word), (delta, finals, n, p, a)
+            thickened += len(leaves - _leaves(eng))
+    assert {"language[zg]", "language[window]", "language[sg]", "language[kary]"} <= kinds
+    assert thickened, "no edit took an sg leaf past FEW_MAX"

@@ -42,6 +42,15 @@ Z2T = [[0, 1], [1, 0]]
 Z3T = [[(a + b) % 3 for b in range(3)] for a in range(3)]
 
 
+def thick_and_leaves(monkeypatch, ns):
+    """Yield the word lengths ns twice: with FEW_MAX = 0, so every layer is
+    thick and the layer rules run at every size, then with the default
+    FEW_MAX, where layers of at most FEW_MAX letters are leaves."""
+    for few_max in (0, veb.FEW_MAX):
+        monkeypatch.setattr(veb, "FEW_MAX", few_max)
+        yield from ns
+
+
 def test_rejects_non_sg():
     with pytest.raises(NotSg):
         make_sg_engine(s3(), [0, 1])
@@ -89,9 +98,11 @@ def _run_entry(engine):
 
 
 @pytest.mark.parametrize("corrupt", ["mass", "cell"])
-def test_validate_raises_internal_error_on_corrupt_run_entry(corrupt):
+def test_validate_raises_internal_error_on_corrupt_run_entry(corrupt, monkeypatch):
     # M0(Z3; 2x2) has one regular class with a nontrivial group, so its run
-    # entries carry both an egg-box cell (i, j) and a group mass g
+    # entries carry both an egg-box cell (i, j) and a group mass g; with
+    # FEW_MAX = 0 the run layer is thick, so validate() checks its entries
+    monkeypatch.setattr(veb, "FEW_MAX", 0)
     s = rees_matrix_semigroup(Z3T, [[0, None], [1, 0]])
     rng = random.Random(7)
     e = make_sg_engine(s, [rng.randrange(s.size - 1) for _ in range(30)],
@@ -115,10 +126,10 @@ def test_empty_word():
 @pytest.mark.parametrize("name", [
     "U1", "U2", "Z3", "Z6", "abstar", "zg5", "asq0", "nilnc", "U1xZ3", "Z2xzg5",
 ])
-def test_gallery_differential_with_debug_checks(gal, name):
+def test_gallery_differential_with_debug_checks(gal, name, monkeypatch):
     s = gal[name]
     rng = random.Random(zlib.crc32(name.encode()))
-    for n in (1, 2, 3, 7, 33):
+    for n in thick_and_leaves(monkeypatch, (1, 2, 3, 7, 33)):
         word = [rng.randrange(s.size) for _ in range(n)]
         eng = make_sg_engine(s, list(word), debug_checks=True)
         ora = make_naive_engine(s, list(word))
@@ -135,10 +146,10 @@ def test_gallery_differential_with_debug_checks(gal, name):
     ("M0(Z3,2x2,mixed)", Z3T, [[0, None], [1, 0]]),
     ("M0(Z2,1x2)", Z2T, [[0], [None]]),
 ])
-def test_rees_matrix_semigroups_differential(label, gt, sw):
+def test_rees_matrix_semigroups_differential(label, gt, sw, monkeypatch):
     s = rees_matrix_semigroup(gt, sw)
     rng = random.Random(len(label))
-    for n in (2, 3, 9, 40):
+    for n in thick_and_leaves(monkeypatch, (2, 3, 9, 40)):
         word = [rng.randrange(s.size) for _ in range(n)]
         eng = make_sg_engine(s, list(word), debug_checks=True)
         ora = make_naive_engine(s, list(word))
@@ -194,15 +205,16 @@ def test_probe_growth_is_doubly_logarithmic(gal):
             assert worst <= 2 * fitted * term, (n, worst, fitted)
 
 
-def test_structural_invariants_after_every_mutation(gal):
+def test_structural_invariants_after_every_mutation(gal, monkeypatch):
     # debug_checks runs the full pair/run validators after each update
     s = gal["abstar"]
     rng = random.Random(2)
-    word = [rng.randrange(s.size) for _ in range(24)]
-    eng = make_sg_engine(s, word, debug_checks=True)
-    for _ in range(300):
-        eng.update(rng.randrange(24), rng.randrange(s.size))
-    assert eng.query() == make_naive_engine(s, eng.snapshot()).query()
+    for n in thick_and_leaves(monkeypatch, (24,)):
+        word = [rng.randrange(s.size) for _ in range(n)]
+        eng = make_sg_engine(s, word, debug_checks=True)
+        for _ in range(300):
+            eng.update(rng.randrange(n), rng.randrange(s.size))
+        assert eng.query() == make_naive_engine(s, eng.snapshot()).query()
 
 
 def _edit_sg_semigroup():
@@ -212,7 +224,7 @@ def _edit_sg_semigroup():
     return sd.stable
 
 
-def test_edge_paths_differential_on_edit_sg_semigroup():
+def test_edge_paths_differential_on_edit_sg_semigroup(monkeypatch):
     # The stable semigroup of (a+b+c)*bc*x(a+b+c)* peels J-classes {0} and
     # {1, 2} as run layers. Edits are biased to move a letter into or out of
     # those classes, which drives the in-place C relabels, run splits and
@@ -220,7 +232,7 @@ def test_edge_paths_differential_on_edit_sg_semigroup():
     s = _edit_sg_semigroup()
     classes = [{0}, {1, 2}]
     rng = random.Random(zlib.crc32(b"edit-sg edge paths"))
-    for n in (1, 2, 3, 4, 5, 7, 65):
+    for n in thick_and_leaves(monkeypatch, (1, 2, 3, 4, 5, 7, 65)):
         word = [rng.randrange(s.size) for _ in range(n)]
         eng = make_sg_engine(s, list(word), debug_checks=True)
         ora = make_naive_engine(s, list(word))
@@ -263,6 +275,96 @@ def test_thin_layers_pushed_past_few_max_by_edits():
     assert crossed and all(len(m) <= veb.FEW_MAX for m in crossed)
 
 
+# -- leaves: layers of at most FEW_MAX letters ------------------------------
+
+
+def _counters(layers):
+    """Steps and map probes of each layer."""
+    return [(layer.steps, *[m.probes for m in layer.maps()]) for layer in layers]
+
+
+def test_edit_that_reaches_a_leaf_leaves_the_layers_below_alone():
+    # The long-stretch word of the thin-layer test: the first pair layer of
+    # {a, b} holds one letter and is a leaf. A few separators substituted in
+    # split the stretch, so edits reach the leaf; neither they nor the
+    # queries touch a counter of a layer below it.
+    s = _edit_sg_semigroup()
+    rng = random.Random(zlib.crc32(b"edit-sg thin layers"))
+    n = 400
+    word = [rng.choice([0, 1, 2]) for _ in range(n)]
+    eng = make_sg_engine(s, list(word), debug_checks=True)
+    ora = make_naive_engine(s, list(word))
+    depth = next(d for d, layer in enumerate(eng.layers) if layer.inp.few is not None)
+    leaf, below = eng.layers[depth], eng.layers[depth + 1:]
+    assert isinstance(leaf, sg._PairLayer) and below
+    reached = 0
+    outstanding = []
+    for _ in range(300):
+        if len(outstanding) == 6:
+            p, a = outstanding.pop(0)
+        else:
+            p, a = rng.randrange(n), rng.choice([3, 4, 5])
+            outstanding.append((p, eng.word[p]))
+        before, steps = _counters(below), leaf.steps
+        eng.update(p, a)
+        ora.update(p, a)
+        reached += leaf.steps > steps
+        assert eng.query() == ora.query(), (p, a)
+        assert _counters(below) == before, (p, a)
+        assert leaf.inp.few is not None
+    assert reached > 100, reached
+
+
+@pytest.mark.parametrize("n", [veb.FEW_MAX, veb.FEW_MAX + 1])
+def test_top_leaf_then_thick_differential(n):
+    # n = FEW_MAX: the top layer is a leaf and every query folds the word;
+    # one letter more and it is thick, with leaves below it
+    for s in (_edit_sg_semigroup(), rees_matrix_semigroup(Z3T, [[0, None], [1, 0]])):
+        rng = random.Random(zlib.crc32(f"sg leaf top {n} {s.size}".encode()))
+        word = [rng.randrange(s.size) for _ in range(n)]
+        eng = make_sg_engine(s, list(word), debug_checks=True)
+        ora = make_naive_engine(s, list(word))
+        assert (eng.top.inp.few is not None) == (n <= veb.FEW_MAX)
+        assert eng.query() == ora.query()
+        for _ in range(400):
+            p, a = rng.randrange(n), rng.randrange(s.size)
+            eng.update(p, a)
+            ora.update(p, a)
+            assert eng.query() == ora.query(), (n, p, a)
+
+
+def test_leaf_past_few_max_turns_the_leaf_below_thick_in_its_replay():
+    # x letters between identity letters (1): the first run layer keeps each
+    # x and collapses each stretch of 1s, the pair layer below it pairs
+    # them, and the run layer of {a, b} below that sees separators only, so
+    # its layer below holds as many letters as it does. x substituted for
+    # 1s one by one grows the run layer of {a, b} past FEW_MAX; its replay
+    # then takes the layer below past FEW_MAX within the same edit.
+    s = _edit_sg_semigroup()
+    one, x = 0, 3
+    n = 4 * veb.FEW_MAX + 8
+    word = [x] * veb.FEW_MAX + [one] * (n - veb.FEW_MAX)
+    eng = make_sg_engine(s, list(word), debug_checks=True)
+    ora = make_naive_engine(s, list(word))
+    runs, below = eng.layers[2], eng.layers[3]
+    assert isinstance(runs, sg._RunLayer) and isinstance(below, sg._PairLayer)
+    assert runs.inp.few is not None and below.inp.few is not None
+    turned = {}
+    for p in range(veb.FEW_MAX + 1, n, 2):
+        eng.update(p, x)
+        ora.update(p, x)
+        assert eng.query() == ora.query(), p
+        for layer in (runs, below):
+            if layer.inp.few is None:
+                turned.setdefault(layer, p)
+    assert len(turned) == 2 and turned[runs] == turned[below], turned
+    for p in range(veb.FEW_MAX + 1, n, 2):  # and back: both stay thick
+        eng.update(p, one)
+        ora.update(p, one)
+        assert eng.query() == ora.query(), p
+    assert runs.inp.few is None and below.inp.few is None
+
+
 # -- pair layers: groups of 2..GROUP_MAX, net changes passed down ------------
 
 
@@ -271,7 +373,9 @@ def test_pair_groups_differential_on_edit_sg_shape(monkeypatch):
     # between. Separators (x, ax, bx) are substituted in and reverted later,
     # 4 outstanding, which splits and rejoins runs. The lower pair layers then
     # see a short word whose groups grow to 6 and split, and lose letters
-    # down to an orphan, at the first and at the last group.
+    # down to an orphan, at the first and at the last group. FEW_MAX = 0
+    # keeps those short layers thick, so their rules run.
+    monkeypatch.setattr(veb, "FEW_MAX", 0)
     s = _edit_sg_semigroup()
     seen = set()
     rewrite = sg._PairLayer._rewrite
@@ -322,10 +426,12 @@ def _record(layer, calls):
         setattr(layer, name, op)
 
 
-def test_pair_edit_that_keeps_key_and_label_sends_one_update_down():
+def test_pair_edit_that_keeps_key_and_label_sends_one_update_down(monkeypatch):
     # a group that starts with 0 keeps the label 0 whatever joins or leaves
     # it; as long as its last letter stays, each edit reaches the layer below
     # as one update, which changes nothing there and goes no further
+    # (FEW_MAX = 0: no layer is a leaf)
+    monkeypatch.setattr(veb, "FEW_MAX", 0)
     a, z = 0, 2
     eng = make_sg_engine(_nil3(), [a] * 10)
     top, below = eng.layers[0], eng.layers[1]
@@ -345,10 +451,12 @@ def test_pair_edit_that_keeps_key_and_label_sends_one_update_down():
         calls.clear()
 
 
-def test_run_relabel_sends_only_the_net_change_down():
+def test_run_relabel_sends_only_the_net_change_down(monkeypatch):
     # in M0(Z2, [[0,0],[0,0]]) every pair of letters joins, so the word is
     # one run whatever its letters; relabelling a letter only moves the
     # run's coordinates, and the layer below sees one update of its entry
+    # (FEW_MAX = 0: no layer is a leaf)
+    monkeypatch.setattr(veb, "FEW_MAX", 0)
     s = rees_matrix_semigroup(Z2T, [[0, 0], [0, 0]])
     eng = make_sg_engine(s, [s.id_of("(0,0,0)")] * 9, debug_checks=True)
     top, below = eng.layers[0], eng.layers[1]
@@ -363,7 +471,8 @@ def test_run_relabel_sends_only_the_net_change_down():
     assert eng.query() == make_naive_engine(s, eng.word).query()
 
 
-def test_validate_raises_internal_error_on_a_group_of_1_or_6():
+def test_validate_raises_internal_error_on_a_group_of_1_or_6(monkeypatch):
+    monkeypatch.setattr(veb, "FEW_MAX", 0)  # thick layers: groups are checked
     a, z = 0, 2
     s = _nil3()
     # six letters load as groups keyed 2, 4 and 6
@@ -390,11 +499,11 @@ SG_SEMIGROUPS = {name: s for name, s in gallery().items() if check_variety(s, "S
 
 
 @pytest.mark.parametrize("name", list(SG_SEMIGROUPS))
-def test_build_edge_sizes_with_debug_checks(gal, name):
+def test_build_edge_sizes_with_debug_checks(gal, name, monkeypatch):
     # odd counts end in a triple, and short words leave lower layers empty
     s = gal[name]
     rng = random.Random(zlib.crc32(f"sg build sizes {name}".encode()))
-    for n in (0, 1, 2, 3, 4, 5, 64, 1000):
+    for n in thick_and_leaves(monkeypatch, (0, 1, 2, 3, 4, 5, 64, 1000)):
         word = [rng.randrange(s.size) for _ in range(n)]
         eng = make_sg_engine(s, list(word), debug_checks=True)
         ora = make_naive_engine(s, list(word))
