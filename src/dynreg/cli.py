@@ -164,10 +164,18 @@ def _int_at_least(value, least):
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
+def _known(field, value, names):
+    """value when it is one of names, else RangeError naming the field, the
+    value and the accepted names."""
+    if not (isinstance(value, str) and value in names):
+        raise RangeError(f"bench cell {field} {value!r} unknown; accepted: {', '.join(names)}")
+    return value
+
+
 def _bench_cells(cfg):
     """The cells of a bench config as (engine, target, ns, ops), target
     None for a language:<name> engine; RangeError names the first
-    malformed one."""
+    malformed one, so no cell runs before every name is checked."""
     cells = cfg.get("cells") if isinstance(cfg, dict) else None
     if not isinstance(cells, list):
         raise RangeError("bench config needs 'cells': a list of cell objects")
@@ -183,13 +191,16 @@ def _bench_cells(cfg):
         if not _int_at_least(ops, 0):
             raise RangeError("a bench cell's 'ops' must be a non-negative integer")
         if kind.startswith("language:"):
+            _known("language", kind.split(":", 1)[1], list(BENCH_LANGUAGES))
             target = None
-        elif "gallery" in cell:
-            target = gal[cell["gallery"]]
-        elif "semigroup" in cell:
-            target = semigroup_from_json(cell["semigroup"])
         else:
-            raise RangeError(f"bench cell for engine {kind!r} needs 'gallery' or 'semigroup'")
+            _known("engine", kind, ["auto", *ENGINES])
+            if "gallery" in cell:
+                target = gal[_known("gallery", cell["gallery"], sorted(gal))]
+            elif "semigroup" in cell:
+                target = semigroup_from_json(cell["semigroup"])
+            else:
+                raise RangeError(f"bench cell for engine {kind!r} needs 'gallery' or 'semigroup'")
         out.append((kind, target, ns, ops))
     return out
 

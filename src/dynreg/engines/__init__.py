@@ -2,7 +2,7 @@ from .base import Engine, NaiveEngine, make_naive_engine
 from .combinators import DivisionEngine, ProductEngine
 from .counting import CountEngine, NilpotentEngine, make_count_engine, make_nilpotent_engine
 from .dispatch import REGISTRY, build_first, eligible_engines, make_auto_engine
-from .kary import KAryConfig, KaryEngine, make_kary_engine
+from .kary import KaryEngine, make_kary_engine
 from .language import LanguageEngine, make_language_engine
 from .prefix import VebPrefixEngine, make_prefix_engine
 from .semidirect import SemidirectEngine, SemidirectSpec, make_semidirect_engine
@@ -19,7 +19,6 @@ __all__ = [
     "CountEngine",
     "DivisionEngine",
     "Engine",
-    "KAryConfig",
     "KaryEngine",
     "LanguageEngine",
     "NaiveEngine",

@@ -7,12 +7,6 @@ counter of elementary steps and structure probes, used by the complexity
 assertions; it never feeds back into the answers. It is the engine's own
 _steps plus the counters of the parts it lists in _parts(): a sub-engine's
 op_count, a VebMap's probes, a layer's steps.
-
-query_charge() is what query() adds to op_count on the word as it stands,
-valid once the word has been queried since its last update. The language
-facade charges it for each query it answers from its kept bit, so op_count
-reads the same whether or not the inner query ran. Every engine the facade
-chunks over defines it.
 """
 
 from __future__ import annotations
@@ -63,9 +57,6 @@ class Engine:
         raise NotImplementedError
 
     def query(self):
-        raise NotImplementedError
-
-    def query_charge(self):
         raise NotImplementedError
 
     def _parts(self):

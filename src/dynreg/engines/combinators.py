@@ -39,9 +39,6 @@ class ProductEngine(Engine):
             return None
         return out
 
-    def query_charge(self):
-        return 1 + sum(e.query_charge() for e in self.engines)
-
     def _parts(self):
         return self.engines
 
@@ -78,9 +75,6 @@ class DivisionEngine(Engine):
             return self.project[v]
         except KeyError:
             raise MissingProjection(f"inner value {v!r} has no projection") from None
-
-    def query_charge(self):
-        return 1 + self.inner.query_charge()
 
     def _parts(self):
         return (self.inner,)

@@ -38,11 +38,8 @@ class CountEngine(Engine):
         self.counts[letter] += 1
         self.word[pos] = letter
 
-    def query_charge(self):
-        return self.semigroup.size
-
     def query(self):
-        self._steps += self.query_charge()
+        self._steps += self.semigroup.size
         acc = None
         t = self.semigroup.table
         for x, c in enumerate(self.counts):
@@ -114,11 +111,8 @@ class NilpotentEngine(Engine):
         elif now and not was:
             self._link(pos)
 
-    def query_charge(self):
-        return self.degree
-
     def query(self):
-        self._steps += self.query_charge()
+        self._steps += self.degree
         if self.n == 0:
             return None
         if self.count >= self.degree:

@@ -19,23 +19,18 @@ import math
 import numpy as np
 
 from ..algebra.core import adjoin_identity
-from ..errors import PositionOutOfRange
+from ..errors import PositionOutOfRange, RangeError
 from ..memo import memo
 from .base import Engine
 
 
-class KAryConfig:
-    def __init__(self, msize, n):
-        cap = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
-        k = 2
-        while (k + 1) ** 2 * msize ** (k + 1) <= cap:
-            k += 1
-        self.k = k
-        self.msize = msize
-        self.table_cells = msize**k * k * k
-
-    def __repr__(self):
-        return f"KAryConfig(k={self.k}, cells~{self.table_cells})"
+def branching(msize, n):
+    """The largest k with msize^k * k^2 <= ceil(sqrt(n)), but at least 2."""
+    cap = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
+    k = 2
+    while (k + 1) ** 2 * msize ** (k + 1) <= cap:
+        k += 1
+    return k
 
 
 @memo
@@ -62,12 +57,15 @@ def _tables(monoid, k):
 class KaryEngine(Engine):
     kind = "kary"
 
-    def __init__(self, monoid, word, config=None):
+    def __init__(self, monoid, word, k=None):
         super().__init__(monoid, word)
         self.identity = monoid.identity  # the caller's, None if it has none
         self.semigroup = monoid = adjoin_identity(monoid)
-        self.config = config or KAryConfig(monoid.size, max(self.n, 1))
-        self.k = k = self.config.k
+        if k is None:
+            k = branching(monoid.size, max(self.n, 1))
+        elif k < 2:
+            raise RangeError(f"branching factor {k} below 2")
+        self.k = k
         self._b = b = monoid.size
         self._pow = [b**i for i in range(k)]
         self.value, self.inf = _tables(monoid, k)
@@ -150,7 +148,7 @@ class KaryEngine(Engine):
                 return t[left][right]
 
 
-def make_kary_engine(semigroup, word, config=None):
+def make_kary_engine(semigroup, word, k=None):
     """Dynamic word engine with prefix/infix queries; adjoins an identity if
     the input is not a monoid (letters keep their original ids)."""
-    return KaryEngine(semigroup, word, config=config)
+    return KaryEngine(semigroup, word, k=k)

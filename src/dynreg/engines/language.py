@@ -17,9 +17,8 @@ engine as one array, checked by Engine.__init__ with one min and max.
 A chunked facade keeps its last membership bit. An edit clears it only when
 it changes its block's image, and so reaches inner.update, or changes a tail
 letter (one at pos >= blocks * s, which is every letter when n < s). A query
-on a kept bit calls neither inner engine method; it charges its own steps
-and the inner engine's query_charge(), so every op_count delta is what it
-would be had the inner query run.
+on a kept bit calls neither inner engine method and charges only the
+facade's own s + 1 steps: op_count counts the work that ran.
 """
 
 from __future__ import annotations
@@ -96,9 +95,7 @@ class LanguageEngine(Engine):
             return v in m.accept
         self._steps += self.s + 1
         if self._bit is not None:
-            # the inner engine and the tail are as the kept bit saw them:
-            # charge the inner query as if it ran, and answer without them
-            self._steps += self.inner.query_charge()
+            # the inner engine and the tail are as the kept bit saw them
             return self._bit
         inner_val = self.inner.query()
         acc = None

@@ -666,7 +666,6 @@ class SgEngine(Engine):
         while layer is not None:
             self.layers.append(layer)
             layer = layer.down
-        self._query_charge = None  # what the last query charged
         if debug_checks:
             self.top.validate()
 
@@ -684,14 +683,12 @@ class SgEngine(Engine):
         is the zero. Every layer preserves the word's evaluation, so a leaf
         answers with the fold of its listed letters through the table, one
         probe per letter read; a thick layer's one letter is read with its
-        probes. Every layer passed charges one step. The total is kept for
-        query_charge()."""
+        probes. Every layer passed charges one step."""
         self._steps += 1
-        layer, charge = self.top, 2
+        layer = self.top
         while layer.count > 1 and layer.down is not None and layer.inp.few is None:
             layer.steps += 1
             layer = layer.down
-            charge += 1
         layer.steps += 1
         inp = layer.inp
         if layer.count == 0:
@@ -704,16 +701,9 @@ class SgEngine(Engine):
             for k in few[1:]:
                 value = t[value][labels[k]]
             inp.probes += len(few)
-            charge += len(few)
         else:
-            probes = inp.probes
             value = inp.retrieve(inp.find_next(1))
-            charge += inp.probes - probes
-        self._query_charge = charge
         return value
-
-    def query_charge(self):
-        return self._query_charge
 
     def _parts(self):
         for layer in self.layers:

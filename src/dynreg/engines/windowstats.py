@@ -4,7 +4,7 @@ The engine maintains exact occurrence counters, one per letter value and one
 per value of a product of two adjacent letters, and next to them the same
 counters projected through a threshold-plus-period cap. A query looks up the
 capped counts, the last letter and, in plans with `first`, the first letter
-in a recovery table, and keeps that answer until the next update.
+in a recovery table.
 
 A substitution changes the slots of at most two positions, so its net change
 depends only on the (previous, old, new, next) letters. The plan builds that
@@ -161,7 +161,6 @@ class WindowStatsEngine(Engine):
         letters = word if isinstance(word, np.ndarray) else self.word
         self.counts = _word_counts(semigroup, letters, plan.nslots)
         self.capped = [plan.cap(c) for c in self.counts]
-        self._answer = None  # the last query's answer, None once an update runs
 
     def update(self, pos, letter):
         self._check(pos, letter)
@@ -178,18 +177,14 @@ class WindowStatsEngine(Engine):
             counts[slot] = c
             capped[slot] = cap(c)
         word[pos] = letter
-        self._answer = None
 
     def query(self):
-        self._steps += self.query_charge()
-        if self._answer is None and self.n:
-            plan = self.plan
-            first = self.word[0] if plan.first else None
-            self._answer = plan.recovery[(tuple(self.capped), first, self.word[-1])]
-        return self._answer
-
-    def query_charge(self):
-        return self.plan.nslots + 1 if self.n else 0
+        if not self.n:
+            return None
+        plan = self.plan
+        self._steps += plan.nslots + 1
+        first = self.word[0] if plan.first else None
+        return plan.recovery[(tuple(self.capped), first, self.word[-1])]
 
 
 def make_windowstats_engine(semigroup, word):

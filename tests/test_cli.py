@@ -179,6 +179,23 @@ def test_bench_csv(tmp_path):
     assert r2.stdout == r3.stdout
 
 
+@pytest.mark.parametrize("cell,field,accepted", [
+    ({"engine": "zg", "gallery": "nope"}, "gallery",
+     "S3, U1, U1xZ3, U2, Z2, Z2xzg5, Z3, Z4, Z5, Z6, abstar, asq0, nilnc, zg5"),
+    ({"engine": "nope", "gallery": "zg5"}, "engine",
+     "auto, count, nilpotent, zg, sg, kary, prefix, naive"),
+    ({"engine": "language:nope"}, "language", "abstar, evenba"),
+])
+def test_bench_unknown_name_is_rejected_before_any_cell_runs(tmp_path, cell, field, accepted):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"cells": [
+        {"engine": "zg", "gallery": "zg5", "ns": [64]}, dict(cell, ns=[64])]}))
+    r = run_cli(["bench", str(cfg)])
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == f"error: bench cell {field} 'nope' unknown; accepted: {accepted}\n"
+
+
 def test_bad_input_exit_code(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"alphabet": "ab", "regex": "a**)"}))

@@ -10,7 +10,6 @@ from dynreg.algebra.core import adjoin_identity, direct_product
 from dynreg.algebra.varieties import check_variety
 from dynreg.engines import (
     DivisionEngine,
-    KAryConfig,
     ProductEngine,
     build_first,
     eligible_engines,
@@ -24,6 +23,7 @@ from dynreg.engines import (
     make_windowstats_engine,
     make_zg_engine,
 )
+from dynreg.engines.kary import branching
 from dynreg.engines.language import LZG_LADDER
 from dynreg.errors import (
     NoZgCertificate,
@@ -133,14 +133,10 @@ def _height(k, n):
 def test_kary_levels_match_naive(gal, name, forced_k):
     s = adjoin_identity(gal[name])
     rng = random.Random(zlib.crc32(f"{name}:{forced_k}".encode()))
-    k = forced_k or KAryConfig(s.size, 4097).k
+    k = forced_k or branching(s.size, 4097)
     for n in sorted({1, 2, k, k + 1, 255, 257, 1000, 4097}):
-        config = None
-        if forced_k is not None:
-            config = KAryConfig(s.size, n)
-            config.k = forced_k
         word = [rng.randrange(s.size) for _ in range(n)]
-        eng = make_kary_engine(s, list(word), config=config)
+        eng = make_kary_engine(s, list(word), k=forced_k)
         ora = make_naive_engine(s, list(word))
         assert eng.k == k
         height = _height(k, n)
@@ -159,6 +155,13 @@ def test_kary_levels_match_naive(gal, name, forced_k):
         for length, letter in enumerate(ora.word, 1):
             acc = s.table[acc][letter]
             assert eng.prefix(length) == acc, (n, length)
+
+
+def test_kary_rejects_a_branching_factor_below_2(gal):
+    # a one-digit node never narrows its level, so the build would not end
+    for k in (0, 1):
+        with pytest.raises(RangeError):
+            make_kary_engine(gal["S3"], [0, 1, 2], k=k)
 
 
 # -- count ----------------------------------------------------------------------

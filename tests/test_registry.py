@@ -1,13 +1,15 @@
 """Engine selection: every factory owns its precondition, and one ladder walk
-picks an engine and decides every downgrade."""
+picks an engine and decides every downgrade. Every engine keeps one contract."""
 
+import random
 import re
+import zlib
 
 import pytest
 
 from dynreg import cli
 from dynreg.algebra.core import restriction
-from dynreg.engines import REGISTRY, eligible_engines, make_auto_engine
+from dynreg.engines import REGISTRY, eligible_engines, make_auto_engine, make_windowstats_engine
 from dynreg.errors import NotApplicable, RangeError
 
 
@@ -70,3 +72,33 @@ def test_cli_engine_choices_are_auto_plus_the_registry(capsys):
     usage = capsys.readouterr().out
     choices = re.search(r"--engine \{([^}]*)\}", usage).group(1).split(",")
     assert choices == ["auto"] + [name for name, _ in REGISTRY]
+
+
+def test_a_repeated_query_repeats_its_answer_and_its_work(gal):
+    # no engine keeps a hidden answer: a second query with no update in
+    # between gives the same answer and adds the same to op_count as the
+    # first, on the word as built and after every update. The window plan
+    # search takes seconds to fail on most other gallery semigroups.
+    window = ("window", make_windowstats_engine)
+    for name, s in _semigroups(gal):
+        factories = REGISTRY + (window,) if name in ("U1", "Z2", "abstar", "asq0") else REGISTRY
+        for engine, factory in factories:
+            rng = random.Random(zlib.crc32(f"repeated query {name} {engine}".encode()))
+            for n in (0, 1, 300):
+                word = [rng.randrange(s.size) for _ in range(n)]
+                try:
+                    eng = factory(s, list(word))
+                except NotApplicable:
+                    break
+                for _ in range(20 if n else 1):
+                    got = []
+                    for _ in range(2):
+                        ops = eng.op_count
+                        got.append((eng.query(), eng.op_count - ops))
+                    assert got[0] == got[1], (name, engine, n)
+                    want = s.eval_word(word) if n else None
+                    assert got[0][0] == want, (name, engine, n)
+                    if n:
+                        p, a = rng.randrange(n), rng.randrange(s.size)
+                        eng.update(p, a)
+                        word[p] = a
