@@ -7,14 +7,17 @@ adjoined identity, so every node has exactly k digits and one pair of tables
 serves all of them: value[code] is the product of the k digits and
 inf[code*k*k + i*k + j] the product of digits i..j. An update rewrites one
 digit per level, climbing from the leaf and stopping at the first level whose
-digit is unchanged; a query reads the top code. The branching factor is the
-largest k >= 2 with |M|^k * k^2 bounded by ceil(sqrt(n)); tiny n degrade to a
-binary tree, and the height is ceil(log_k n) (one level when n = 1).
+digit is unchanged; a query reads the top code.
+
+The branching factor is the largest k >= 2 whose tables, |M|^k * k^2 cells,
+are no larger than the word, and below n.bit_length(): that cap only binds
+for a one-element monoid, whose tables never grow with k. Tiny n degrade to a
+binary tree, and the height is ceil(log_k n) (one level when n = 1). The
+level lists share one int object per code, since codes above 256 are not
+CPython's cached small ints.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,11 +27,19 @@ from ..memo import memo
 from .base import Engine
 
 
+# A forced branching factor may build up to max(n, FORCED_CELLS_MAX) table
+# cells; the automatic one builds at most n.
+FORCED_CELLS_MAX = 1 << 20
+
+
 def branching(msize, n):
-    """The largest k with msize^k * k^2 <= ceil(sqrt(n)), but at least 2."""
-    cap = math.isqrt(max(n - 1, 0)) + 1  # ceil(sqrt(n))
+    """The largest k >= 2 with msize^k * k^2 <= n and k < n.bit_length().
+
+    The first bound keeps the tables linear in the word; the second keeps k
+    near log2 n where the first never binds (msize = 1).
+    """
     k = 2
-    while (k + 1) ** 2 * msize ** (k + 1) <= cap:
+    while msize ** (k + 1) * (k + 1) ** 2 <= n and k + 1 < n.bit_length():
         k += 1
     return k
 
@@ -65,6 +76,11 @@ class KaryEngine(Engine):
             k = branching(monoid.size, max(self.n, 1))
         elif k < 2:
             raise RangeError(f"branching factor {k} below 2")
+        elif (cells := monoid.size**k * k * k) > max(self.n, FORCED_CELLS_MAX):
+            raise RangeError(
+                f"branching factor {k} over {monoid.size} elements needs {cells} "
+                f"table cells, more than max(n, {FORCED_CELLS_MAX})"
+            )
         self.k = k
         self._b = b = monoid.size
         self._pow = [b**i for i in range(k)]
@@ -76,13 +92,14 @@ class KaryEngine(Engine):
             return
         value = np.asarray(self.value, dtype=np.int64)
         weights = np.asarray(self._pow, dtype=np.int64)
+        shared = np.arange(b**k).astype(object)  # one int object per code
         vals = np.asarray(word if isinstance(word, np.ndarray) else self.word, dtype=np.int64)
         while True:
             pad = -len(vals) % k
             if pad:
                 vals = np.concatenate([vals, np.full(pad, monoid.identity, dtype=np.int64)])
             codes = vals.reshape(-1, k) @ weights
-            self.levels.append(codes.tolist())
+            self.levels.append(shared[codes].tolist())
             if len(codes) == 1:
                 break
             vals = value[codes]

@@ -133,8 +133,12 @@ def _height(k, n):
 def test_kary_levels_match_naive(gal, name, forced_k):
     s = adjoin_identity(gal[name])
     rng = random.Random(zlib.crc32(f"{name}:{forced_k}".encode()))
-    k = forced_k or branching(s.size, 4097)
-    for n in sorted({1, 2, k, k + 1, 255, 257, 1000, 4097}):
+    # the automatic k grows with n (S3: 2 at n = 1000, 3 at n = 4097)
+    sizes = {1, 2, 3, 255, 257, 1000, 4097}
+    if forced_k:
+        sizes |= {forced_k, forced_k + 1}
+    for n in sorted(sizes):
+        k = forced_k or branching(s.size, n)
         word = [rng.randrange(s.size) for _ in range(n)]
         eng = make_kary_engine(s, list(word), k=forced_k)
         ora = make_naive_engine(s, list(word))
@@ -162,6 +166,46 @@ def test_kary_rejects_a_branching_factor_below_2(gal):
     for k in (0, 1):
         with pytest.raises(RangeError):
             make_kary_engine(gal["S3"], [0, 1, 2], k=k)
+
+
+def test_kary_rejects_a_forced_branching_factor_whose_tables_are_too_large(gal):
+    # S3 at k = 6 needs 6^6 * 36 = 1,679,616 cells, over max(n, 2^20)
+    with pytest.raises(RangeError, match="branching factor 6 over 6 elements needs 1679616"):
+        make_kary_engine(gal["S3"], [0, 1, 2], k=6)
+    for name in ("S3", "abstar"):
+        for k in (2, 3, 5):  # at most 6^5 * 25 = 194,400 cells
+            eng = make_kary_engine(gal[name], [0, 1, 2], k=k)
+            assert eng.k == k and len(eng.inf) <= 194_400
+
+
+@pytest.mark.parametrize("msize", [1, 2, 3, 6, 7, 40])
+@pytest.mark.parametrize("n", [1, 2, 4, 256, 4097, 2**20])
+def test_branching_is_the_largest_k_within_a_linear_table_budget(msize, n):
+    def fits(k):
+        return msize**k * k * k <= n and k < n.bit_length()
+
+    k = branching(msize, n)
+    assert k >= 2
+    assert k == 2 or fits(k)
+    assert not fits(k + 1)
+
+
+def test_branching_on_s3_and_the_trivial_monoid(gal):
+    assert [branching(6, 2**e) for e in (10, 14, 18, 20)] == [2, 3, 5, 5]
+    trivial = make_kary_engine(cyclic(1), [0] * 2**20)
+    assert trivial.k == 20 and len(trivial.levels) == 5
+
+
+def test_kary_levels_share_one_object_per_code(gal):
+    # k = 3 codes stay below 257, CPython's cached small ints; k = 5 codes do not
+    s = gal["S3"]
+    rng = random.Random(zlib.crc32(b"kary-shared-codes"))
+    word = [rng.randrange(s.size) for _ in range(2**14)]
+    for forced_k, k in ((None, 3), (5, 5)):
+        eng = make_kary_engine(s, word, k=forced_k)
+        assert eng.k == k
+        for codes in eng.levels:
+            assert len({id(c) for c in codes}) == len(set(codes)) <= s.size**k
 
 
 # -- count ----------------------------------------------------------------------
