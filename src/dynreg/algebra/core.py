@@ -123,7 +123,11 @@ class FiniteSemigroup:
         return acc
 
     def id_of(self, name):
-        return self._name_to_id[name]
+        try:
+            return self._name_to_id[name]
+        except KeyError:
+            raise RangeError(f"no element named {name!r}; the elements are "
+                             f"{', '.join(self.names)}") from None
 
     def __repr__(self):
         return f"FiniteSemigroup(size={self.size})"

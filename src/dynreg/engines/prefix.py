@@ -39,10 +39,8 @@ class VebPrefixEngine(Engine):
     def __init__(self, semigroup, word):
         super().__init__(semigroup, word)
         self.one = semigroup.identity
-        self.map = VebMap(max(self.n, 1))
-        for i, a in enumerate(self.word):
-            if a != self.one:
-                self.map.insert(i + 1, a)
+        keys = [i + 1 for i, a in enumerate(self.word) if a != self.one]
+        self.map = VebMap.build(max(self.n, 1), keys, [self.word[k - 1] for k in keys])
 
     def update(self, pos, letter):
         self._check(pos, letter)

@@ -3,39 +3,44 @@
 The engine peels maximal J-classes one at a time. A regular class C is handled
 by collapsing maximal runs of C-letters into single vEB entries annotated with
 Rees coordinates (i, g, j): i and j are always exact, while the commutative
-group mass g is only correct globally. A run layer edits its collapsed word by
-one rule: cut the run holding the edited key into the fragments before and
-after it, splice the new letter in, re-join the runs around it where the
-sandwich matrix allows, and pass down only the net change of the entries.
-The cut run's mass, less the old letter's share, goes to the left fragment,
-else to the right one; a single-letter run's goes to the new letter or the
-next run entry when the edit rewrites one, else to any other run entry. That
-preserves the word's evaluation even though per-run masses drift. After run collapsing (or immediately, for a
-non-regular class) adjacent letters compose into S minus C, so letters are
-grouped 2..GROUP_MAX per vEB entry and the grouped word is handed to the
+group mass g is only correct globally. After run collapsing (or immediately,
+for a non-regular class) adjacent letters compose into S minus C, so letters
+are grouped 2..GROUP_MAX per vEB entry and the grouped word is handed to the
 engine for the smaller semigroup. The final layer is the zero class.
 
-Every layer supports keyed insert/delete/update on its input word. A pair
-or run layer whose input map is in VebMap list mode (at most FEW_MAX keys)
-is a leaf: it edits its own input word and count and nothing below it, since
-a word of O(1) letters is folded at query time in O(1), and a query walks
-down only to the first leaf. The insert that takes a leaf past FEW_MAX keys
-makes it thick for good (list mode is one-way): it takes its letters out,
-empties the stale leaves below and inserts them anew through its own rules.
-A thick layer does O(1) vEB operations per edit. Run and pair layers pass
-down only the net change of the entries an edit touches, so an edit that
-leaves an entry's key and label alone stops there. The stack is built from
-numpy arrays, one whole-array pass per layer: each layer's load() bulk-builds
-its maps and hands its collapsed or grouped word to the layer below.
+Every layer has one edit entry, edit(key, old, new), on its input word, None
+meaning absent: old None is an insert, new None a delete. It counts a step,
+stops when old == new, edits the input map, and hands the net change to the
+layer's one rule, which edits the layer below through the same entry: pair
+regrouping (_PairRule) or the run rule (_RunRule). The run rule cuts the run
+holding the edited key into the fragments before and after it, splices the
+new letter in, re-joins the runs around it where the sandwich matrix allows,
+and passes down only the net change of the entries. The cut run's mass, less
+the old letter's share, goes to the left fragment, else to the right one; a
+single-letter run's goes to the new letter or the next run entry when the
+edit rewrites one, else to any other run entry. That preserves the word's
+evaluation even though per-run masses drift. Both rules pass down only the
+net change of the entries an edit touches, so an edit that leaves an entry's
+key and label alone stops in the layer below, and a thick layer does O(1)
+vEB operations per edit.
+
+A pair or run layer whose input map is in VebMap list mode (at most FEW_MAX
+keys) is a leaf: edit stops after its own map, since a word of O(1) letters
+is folded at query time in O(1), and a query walks down only to the first
+leaf. The insert that takes a leaf past FEW_MAX keys makes it thick for good
+(list mode is one-way): it takes its letters out, empties the stale leaves
+below and inserts them anew through edit. The stack is built from numpy
+arrays, one whole-array pass per layer: load() bulk-builds each layer's maps
+in turn, and each rule's load() returns the collapsed or grouped word for
+the layer below.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 
 import numpy as np
 
-from .. import veb
 from ..algebra.core import adjoin_zero, restriction, table_array
 from ..algebra.green import green_j
 from ..algebra.rees import rees_decompose
@@ -100,62 +105,76 @@ def _prefix_products(table, x):
 
 class _Layer:
     """One layer of the stack. inp holds the layer's input word as a VebMap
-    over keys 1..span, down is the layer that takes its collapsed word (None
-    for the base), count is the number of input letters and steps the
-    layer's own step counter.
+    over keys 1..span, steps is the layer's own step counter, and rule keeps
+    the word of the layer below, down, in step with inp: a _PairRule or a
+    _RunRule, None for the base, a word over the zero class whose letter
+    count len(inp) is all that matters.
 
-    insert, delete and update here edit the input word alone: the base
-    layer's edits, and a leaf's (a pair or run layer whose inp is in list
-    mode; see the module docstring). The layers below a leaf are leaves
-    too, and stale.
+    Every kind of layer is this one class with one edit, and the per-kind
+    work is the rule's, so that edit's sites see one layer type and each
+    rule's code its own class (only the call rule.pass_down sees both):
+    CPython specialises each site of a code object for the types it sees,
+    and a site that sees several loses it.
     """
 
-    def __init__(self, span, down=None):
+    def __init__(self, span, rule=None, down=None):
         self.span = span
         self.inp = None  # built by load()
+        self.rule = rule
         self.down = down
-        self.count = 0
         self.steps = 0
 
     def maps(self):
-        return (self.inp,)
+        return (self.inp,) if self.rule is None else (self.inp, *self.rule.maps())
 
     def load(self, keys, labels):
         """Build the layer, and those below it, from its input word: sorted
-        integer keys and their letters, as numpy arrays."""
-        self.inp = VebMap.build(self.span, keys, labels)
-        self.count = len(keys)
+        integer keys and their letters, as numpy arrays. Each rule's load
+        builds its own maps and returns the word below, and only the word
+        being built is kept alive on the way down."""
+        layer = self
+        while layer is not None:
+            layer.inp = VebMap.build(layer.span, keys, labels)
+            if layer.rule is not None:
+                keys, labels = layer.rule.load(layer, keys, labels)
+            layer = layer.down
 
-    def insert(self, key, letter):
+    def edit(self, key, old, new):
+        """The letter at key goes from old to new, None meaning absent: old
+        None is an insert, new None a delete. Edit the input word and hand
+        the net change to the rule, which edits the layer below; the base and
+        a leaf (inp in list mode; see the module docstring) stop after their
+        own map. The layers below a leaf are leaves too, and stale."""
         self.steps += 1
-        self.inp.insert(key, letter)
-        self.count += 1
-
-    def delete(self, key):
-        self.steps += 1
-        self.inp.delete(key)
-        self.count -= 1
-
-    def update(self, key, letter):
-        self.steps += 1
-        self.inp.update(key, letter)
-
-    def _leaf_insert(self, key, letter):
-        """A leaf's insert; the one that takes inp past FEW_MAX keys makes
-        the layer thick: the listed letters are read before it, since
-        items() in bucket mode scans the whole span. The layer then takes
-        them out of its maps again, empties the stale layers below, each
-        map a short list, and inserts them anew through its own rules, so a
-        layer below that passes FEW_MAX on the way turns thick in turn.
-        Nothing span-sized is allocated."""
-        inp = self.inp
-        if len(inp.few) < veb.FEW_MAX:
-            _Layer.insert(self, key, letter)
+        if old == new:
             return
-        word = [(k, inp.retrieve(k)) for k in inp.few]
-        _Layer.insert(self, key, letter)
-        insort(word, (key, letter))
-        for k, _ in word:
+        inp = self.inp
+        few = inp.few
+        if old is None:
+            inp.insert(key, new)
+        elif new is None:
+            inp.delete(key)
+        else:
+            inp.update(key, new)
+        rule = self.rule
+        if rule is None:
+            return
+        if few is None:
+            rule.pass_down(self, key, old, new)
+        elif inp.few is None:  # this insert took the leaf past FEW_MAX keys
+            self._thicken(few)
+
+    def _thicken(self, keys):
+        """Make a leaf thick. keys is the key list its input map kept up to
+        the insert that left list mode, which still holds every key: the
+        letters are read through it, since items() in bucket mode scans the
+        whole span. The layer takes them out of its maps again, empties the
+        stale layers below, each map a short list, and inserts them anew
+        through edit, so a layer below that passes FEW_MAX on the way turns
+        thick in turn. Nothing span-sized is allocated."""
+        inp = self.inp
+        word = [(k, inp.retrieve(k)) for k in keys]
+        for k in keys:
             inp.delete(k)
         layer = self
         while layer is not None:
@@ -163,57 +182,48 @@ class _Layer:
                 if m.few is not None:
                     for k in m.few[::-1]:
                         m.delete(k)
-            layer.count = 0
             layer = layer.down
         for k, a in word:
-            self.insert(k, a)
+            self.edit(k, None, a)
 
     def validate(self):
-        """Check the count, a thick layer's word below against its own, and
-        the layers below in turn; a leaf's stale layer below is only checked
-        in itself."""
-        _require(self.count == len(self.inp),
-                 f"{type(self).__name__} count out of sync")
-        if self.down is not None:
+        """Check a thick layer's word below against its own, and the layers
+        below in turn; a leaf's stale layer below is only checked in itself."""
+        if self.rule is not None:
             if self.inp.few is None:
-                self._check_down()
+                self.rule.check_down(self)
             self.down.validate()
 
 
-class _BaseLayer(_Layer):
-    """Word over the zero class: only the letter count matters."""
-
-    def __init__(self, span, zero_id):
-        super().__init__(span)
-        self.zero_id = zero_id
-
-
-class _PairLayer(_Layer):
-    """Groups 2..GROUP_MAX adjacent letters per entry, keyed by the group's
-    last letter; products land in S minus C.
+class _PairRule:
+    """Groups 2..GROUP_MAX adjacent letters per entry below, keyed by the
+    group's last letter; products land in S minus C.
 
     An edit touches one group, or two when a group of two loses a letter
     and its orphan joins a neighbour. _rewrite passes only the net change of
-    the touched groups down: a group key that survives is updated, which
+    the touched groups down: a group key that survives is relabelled, which
     stops at once when its label is unchanged, and only vanished keys are
     deleted and new keys inserted. A group that reaches GROUP_MAX + 1
     letters splits in two halves.
     """
 
-    def __init__(self, span, s0, down):
-        super().__init__(span, down)
+    def __init__(self, s0):
         self.s0 = s0  # the ambient semigroup
+
+    def maps(self):
+        return ()
 
     # -- helpers -----------------------------------------------------------
 
-    def _group(self, key):
-        """(gkey, members) of the group entry holding the input key.
+    def _group(self, inp, out, key):
+        """(gkey, label, members) of the group entry holding the input key.
 
         The members are the input keys in (previous group key, gkey], in
-        increasing order: walk from key both ways up to a key that is itself
-        a group key. gkey is None if no group key is >= key.
+        increasing order, and key itself, also when an edit has just deleted
+        it: walk from key both ways up to a key that is itself a group key,
+        whose label in out is read on the way. gkey and label are None if no
+        group key is >= key.
         """
-        inp, out = self.inp, self.down.inp
         ms = []
         k = inp.find_prev(key - 1)
         while k is not None and out.retrieve(k) is None:
@@ -222,47 +232,44 @@ class _PairLayer(_Layer):
         ms.reverse()
         k = key
         ms.append(k)
-        while out.retrieve(k) is None:
+        label = out.retrieve(k)
+        while label is None:
             k = inp.find_next(k + 1)
             if k is None:
-                return None, ms
+                return None, None, ms
             ms.append(k)
-        return k, ms
+            label = out.retrieve(k)
+        return k, label, ms
 
-    def _label(self, members):
+    def _label(self, inp, members):
         t = self.s0.table
-        acc = self.inp.retrieve(members[0])
+        acc = inp.retrieve(members[0])
         for k in members[1:]:
-            acc = t[acc][self.inp.retrieve(k)]
+            acc = t[acc][inp.retrieve(k)]
         return acc
 
-    def _rewrite(self, old, members):
-        """Replace the group entries keyed by `old` with the groups of
+    def _rewrite(self, inp, down, old, members):
+        """Replace the group entries `old` (key -> label) with the groups of
         `members`, sorted input keys cut in halves when there are more than
-        GROUP_MAX: delete the keys that vanish, update the ones that stay and
-        insert the new ones."""
+        GROUP_MAX: delete the keys that vanish, then relabel the ones that
+        stay and insert the new ones."""
         if len(members) > GROUP_MAX:
             half = len(members) // 2
             groups = (members[:half], members[half:])
         else:
             groups = (members,)
-        down = self.down
         new = {ms[-1] for ms in groups}
-        for k in old:
+        for k, label in old.items():
             if k not in new:
-                down.delete(k)
+                down.edit(k, label, None)
         for ms in groups:
-            if ms[-1] in old:
-                down.update(ms[-1], self._label(ms))
-            else:
-                down.insert(ms[-1], self._label(ms))
+            down.edit(ms[-1], old.get(ms[-1]), self._label(inp, ms))
 
     # -- word operations -----------------------------------------------------
 
-    def load(self, keys, labels):
+    def load(self, layer, keys, labels):
         """Group the letters in pairs, keyed by the second; when the count is
         odd, the last pair takes the final letter and becomes a triple."""
-        super().load(keys, labels)
         t = table_array(self.s0)
         even = len(keys) - len(keys) % 2
         gkeys = keys[1:even:2].copy()
@@ -270,77 +277,55 @@ class _PairLayer(_Layer):
         if even < len(keys) and even:
             gkeys[-1] = keys[-1]
             glabels[-1] = t[glabels[-1], labels[-1]]
-        self.down.load(gkeys, glabels)
+        return gkeys, glabels
 
-    def insert(self, key, letter):
-        if self.inp.few is not None:
-            self._leaf_insert(key, letter)
+    def pass_down(self, layer, key, old, new):
+        """Regroup after the input word's edit at key: a relabel changes the
+        label of its group; an insert joins the group holding key, or the
+        last group when key follows it; a delete leaves its group, whose
+        orphan, if one is left, joins a neighbour group, preferably the next
+        one, whose entry then keeps its key. A word of one letter has no
+        group."""
+        inp, down = layer.inp, layer.down
+        out = down.inp
+        n = inp.size
+        if old is not None and new is not None:
+            if n > 1:
+                gkey, glabel, members = self._group(inp, out, key)
+                down.edit(gkey, glabel, self._label(inp, members))
             return
-        self.steps += 1
-        self.inp.insert(key, letter)
-        self.count += 1
-        if self.count == 1:
+        if n <= 1:  # a delete leaving one letter undoes the only group
+            if n == 1 and new is None:
+                gkey, glabel, _ = self._group(inp, out, key)
+                down.edit(gkey, glabel, None)
             return
-        if self.count == 2:
-            k1 = self.inp.find_next(1)
-            k2 = self.inp.find_next(k1 + 1)
-            self.down.insert(k2, self._label([k1, k2]))
+        if n == 2 and old is None:  # the first group
+            k1 = inp.find_next(1)
+            k2 = inp.find_next(k1 + 1)
+            down.edit(k2, None, self._label(inp, [k1, k2]))
             return
-        gkey, members = self._group(key)
-        if gkey is None:  # key follows the last group: it joins that group
-            gkey, members = self._group(self.inp.find_prev(key - 1))
+        gkey, glabel, members = self._group(inp, out, key)
+        if old is None and gkey is None:  # key follows the last group: it joins it
+            gkey, glabel, members = self._group(inp, out, inp.find_prev(key - 1))
             members.append(key)
-        self._rewrite((gkey,), members)
+        touched = {gkey: glabel}
+        if new is None:
+            members.remove(key)
+            if len(members) == 1:
+                orphan = members[0]
+                nb = inp.find_next(orphan + 1)
+                if nb is None:
+                    nb = inp.find_prev(orphan - 1)
+                nkey, nlabel, members = self._group(inp, out, nb)
+                touched[nkey] = nlabel
+                if orphan not in members:
+                    members = sorted(members + [orphan])
+        self._rewrite(inp, down, touched, members)
 
-    def delete(self, key):
-        if self.inp.few is not None:
-            super().delete(key)
-            return
-        self.steps += 1
-        if self.count == 1:
-            self.inp.delete(key)
-            self.count = 0
-            return
-        gkey, members = self._group(key)
-        if self.count == 2:
-            self.down.delete(gkey)
-            self.inp.delete(key)
-            self.count = 1
-            return
-        members.remove(key)
-        self.inp.delete(key)
-        self.count -= 1
-        if len(members) >= 2:
-            self._rewrite((gkey,), members)
-            return
-        # orphaned single member: it joins a neighbour group, preferably the
-        # next one, whose entry then keeps its key
-        orphan = members[0]
-        nb = self.inp.find_next(orphan + 1)
-        if nb is None:
-            nb = self.inp.find_prev(orphan - 1)
-        nkey, nmembers = self._group(nb)
-        if orphan not in nmembers:
-            nmembers = sorted(nmembers + [orphan])
-        self._rewrite((gkey, nkey), nmembers)
-
-    def update(self, key, letter):
-        if self.inp.few is not None:
-            super().update(key, letter)
-            return
-        self.steps += 1
-        if self.inp.retrieve(key) == letter:
-            return
-        self.inp.update(key, letter)
-        if self.count == 1:
-            return
-        gkey, members = self._group(key)
-        self.down.update(gkey, self._label(members))
-
-    def _check_down(self):
-        keys = [k for k, _ in self.inp.items()]
-        groups = self.down.inp.items()
-        if self.count <= 1:
+    def check_down(self, layer):
+        keys = [k for k, _ in layer.inp.items()]
+        groups = layer.down.inp.items()
+        if len(keys) <= 1:
             _require(groups == [], "pair layer groups a single letter")
         else:
             start = 0
@@ -349,37 +334,37 @@ class _PairLayer(_Layer):
                 _require(2 <= len(members) <= GROUP_MAX,
                          f"pair layer group of {len(members)} letters at key {gkey}")
                 _require(members[-1] == gkey, f"pair layer group {members} keyed {gkey}")
-                _require(self._label(members) == glabel, f"pair layer label at key {gkey}")
+                _require(self._label(layer.inp, members) == glabel,
+                         f"pair layer label at key {gkey}")
                 start += len(members)
             _require(start == len(keys), "pair layer leaves letters ungrouped")
 
 
-class _RunLayer(_Layer):
+class _RunRule:
     """Collapses maximal runs of C-letters to single annotated entries.
 
-    Besides the collapsed word the layer keeps `cset`, the key set of the run
-    entries. Every insert, delete and relabel goes through one rule, _edit:
-    cut the run holding the key at the key, splice the new letter in, re-join
-    the runs around it where the sandwich matrix allows, and pass down only
-    the net change of the entries. Only a separator relabelled to another
-    separator skips it, since its entry is its letter. The swap claim makes
-    group mass freely movable between run entries, and the rule conserves
-    the total mass: the cut run's mass, less the old letter's share, goes to
-    the left fragment, else to the right one; a single-letter run's goes to
-    the new letter or the next run entry when the edit rewrites one, else to
-    any other run entry (found through cset). If none is left the mass is
+    Besides the collapsed word the rule keeps `cset`, the key set of the run
+    entries. Every edit goes through one rule, pass_down: cut the run
+    holding the key at the key, splice the new letter in, re-join the runs
+    around it where the sandwich matrix allows, and pass down only the net
+    change of the entries. Only a separator relabelled to another separator
+    skips it, since its entry is its letter. The swap claim makes group mass
+    freely movable between run entries, and the rule conserves the total
+    mass: the cut run's mass, less the old letter's share, goes to the left
+    fragment, else to the right one; a single-letter run's goes to the new
+    letter or the next run entry when the edit rewrites one, else to any
+    other run entry (found through cset). If none is left the mass is
     necessarily trivial.
     """
 
-    def __init__(self, span, s0, cls, rv, down):
-        super().__init__(span, down)
+    def __init__(self, s0, cls, rv):
         self.s0 = s0
         self.cls = cls      # frozenset of ambient ids in the class C
         self.rv = rv        # _ReesView
         self.cset = None    # built by load()
 
     def maps(self):
-        return (self.inp, self.cset)
+        return (self.cset,)
 
     # -- helpers -----------------------------------------------------------
 
@@ -423,47 +408,13 @@ class _RunLayer(_Layer):
 
     # -- word operations -----------------------------------------------------
 
-    def load(self, keys, labels):
-        super().load(keys, labels)
+    def load(self, layer, keys, labels):
         keys, labels = self._collapse(keys, labels)
         runs = keys[self.rv.i_of[labels] >= 0]
-        self.cset = VebMap.build(self.span, runs, np.ones(len(runs), dtype=np.int64))
-        self.down.load(keys, labels)
+        self.cset = VebMap.build(layer.span, runs, np.ones(len(runs), dtype=np.int64))
+        return keys, labels
 
-    def insert(self, key, a):
-        if self.inp.few is not None:
-            self._leaf_insert(key, a)
-            return
-        self.steps += 1
-        self.inp.insert(key, a)
-        self.count += 1
-        self._edit(key, None, a)
-
-    def delete(self, key):
-        if self.inp.few is not None:
-            super().delete(key)
-            return
-        self.steps += 1
-        old = self.inp.retrieve(key)
-        self.inp.delete(key)
-        self.count -= 1
-        self._edit(key, old, None)
-
-    def update(self, key, a):
-        if self.inp.few is not None:
-            super().update(key, a)
-            return
-        self.steps += 1
-        old = self.inp.retrieve(key)
-        if old == a:
-            return
-        self.inp.update(key, a)
-        if old in self.cls or a in self.cls:
-            self._edit(key, old, a)
-        else:  # a separator entry is its letter: it touches no run
-            self.down.update(key, a)
-
-    def _edit(self, key, old, new):
+    def pass_down(self, layer, key, old, new):
         """The one edit rule (see the class docstring): the input letter at
         key has gone from old to new, None meaning absent; bring the
         collapsed word up to date. The run holding key is cut into the
@@ -472,15 +423,19 @@ class _RunLayer(_Layer):
         order, vanished keys first.
         """
         cls, rv = self.cls, self.rv
-        coord, uncoord, matrix, gt = rv.coord, rv.uncoord, rv.matrix, rv.g_rows
-        inp, out = self.inp, self.down.inp
+        down = layer.down
         old_c = old in cls
+        joins = new is None or new in cls  # runs could join across key
+        if not (old_c or joins or old is None):  # a separator entry is its letter
+            down.edit(key, old, new)
+            return
+        coord, uncoord, matrix, gt = rv.coord, rv.uncoord, rv.matrix, rv.g_rows
+        inp, out = layer.inp, down.inp
         if old_c or old is None:
             q = out.find_next(key)  # the entry that holds, or follows, key
             lq = None if q is None else out.retrieve(q)
         else:  # a separator is its own entry
             q, lq = key, old
-        joins = new is None or new in cls  # runs could join across key
         m_minus = lm = None
         if joins or lq in cls:
             m_minus = inp.find_prev(key - 1)
@@ -554,42 +509,41 @@ class _RunLayer(_Layer):
                 run = piece
         if run is not None:
             now[run[0]] = uncoord[run[1:]]
-        down, cset = self.down, self.cset
+        cset = self.cset
         for k, lab in was.items():
             if k not in now:
                 if lab in cls:
                     cset.delete(k)
-                down.delete(k)
+                down.edit(k, lab, None)
         for k, lab in now.items():
             lab0 = was.get(k)
-            if lab0 is None:
-                if lab in cls:
-                    cset.insert(k, 1)
-                down.insert(k, lab)
-            elif lab0 != lab:
-                if lab0 not in cls:
-                    cset.insert(k, 1)
-                elif lab not in cls:
-                    cset.delete(k)
-                down.update(k, lab)
+            if lab0 == lab:
+                continue
+            c0, c = lab0 in cls, lab in cls
+            if c and not c0:
+                cset.insert(k, 1)
+            elif c0 and not c:
+                cset.delete(k)
+            down.edit(k, lab0, lab)
         if carry != e:
-            self._discharge(carry)
+            self._discharge(down, carry)
 
-    def _discharge(self, delta):
+    def _discharge(self, down, delta):
         """Push a group-mass difference onto any run entry; when none is
         left the difference is trivial, since the total mass is conserved."""
         other = self.cset.find_next(1)
         if other is not None:
             rv = self.rv
-            i, g, j = rv.coord[self.down.inp.retrieve(other)]
-            self.down.update(other, rv.uncoord[(i, rv.g_mul(g, delta), j)])
+            label = down.inp.retrieve(other)
+            i, g, j = rv.coord[label]
+            down.edit(other, label, rv.uncoord[(i, rv.g_mul(g, delta), j)])
 
-    def _check_down(self):
+    def check_down(self, layer):
         """Check the kept collapsed word against the exact collapse of the
         input word: the same entries up to per-run group masses, the same
         total mass and the same evaluation."""
-        items = self.inp.items()
-        entries = self.down.inp.items()
+        items = layer.inp.items()
+        entries = layer.down.inp.items()
         cls, rv = self.cls, self.rv
         _require([k for k, _ in self.cset.items()] == [
             k for k, lab in entries if lab in cls
@@ -627,7 +581,7 @@ def build_layer_plan(s0):
         sub, incl = restriction(s0, current)
         js = green_j(sub)
         if len(js.classes) == 1:
-            plans.append(("base", s0.zero))
+            plans.append(("base",))
             break
         cid = js.maximal_classes[0]
         cls = frozenset(incl[x] for x in js.classes[cid])
@@ -642,22 +596,20 @@ def build_layer_plan(s0):
 class SgEngine(Engine):
     kind = "sg"
 
-    def __init__(self, semigroup, word, debug_checks=False):
+    def __init__(self, semigroup, word):
         if not check_variety(semigroup, "SG"):
             raise NotSg("semigroup does not satisfy the swap equation")
         super().__init__(semigroup, word)
-        s0 = adjoin_zero(semigroup, reuse=True)
-        self.debug_checks = debug_checks
+        s0 = self.s0 = adjoin_zero(semigroup, reuse=True)
         span = max(self.n, 1)
-        plans = build_layer_plan(s0)
         layer = None
-        for spec in reversed(plans):
+        for spec in reversed(build_layer_plan(s0)):
             if spec[0] == "base":
-                layer = _BaseLayer(span, spec[1])
+                layer = _Layer(span)
             elif spec[0] == "pair":
-                layer = _PairLayer(span, s0, layer)
+                layer = _Layer(span, _PairRule(s0), layer)
             else:
-                layer = _RunLayer(span, s0, spec[1], spec[2], layer)
+                layer = _Layer(span, _RunRule(s0, spec[1], spec[2]), layer)
         self.top = layer
         letters = word if isinstance(word, np.ndarray) else self.word
         self.top.load(np.arange(1, self.n + 1, dtype=np.min_scalar_type(self.n)),
@@ -666,16 +618,13 @@ class SgEngine(Engine):
         while layer is not None:
             self.layers.append(layer)
             layer = layer.down
-        if debug_checks:
-            self.top.validate()
 
     def update(self, pos, letter):
         self._check(pos, letter)
         self._steps += 1
+        old = self.word[pos]
         self.word[pos] = letter
-        self.top.update(pos + 1, letter)
-        if self.debug_checks:
-            self.top.validate()
+        self.top.edit(pos + 1, old, letter)
 
     def query(self):
         """Walk down from the top to the first layer that is a leaf or whose
@@ -686,17 +635,17 @@ class SgEngine(Engine):
         probes. Every layer passed charges one step."""
         self._steps += 1
         layer = self.top
-        while layer.count > 1 and layer.down is not None and layer.inp.few is None:
+        while layer.inp.size > 1 and layer.down is not None and layer.inp.few is None:
             layer.steps += 1
             layer = layer.down
         layer.steps += 1
         inp = layer.inp
-        if layer.count == 0:
+        if inp.size == 0:
             value = None
         elif layer.down is None:
-            value = layer.zero_id
+            value = self.s0.zero
         elif inp.few is not None:
-            t, labels, few = layer.s0.table, inp.labels, inp.few
+            t, labels, few = self.s0.table, inp.labels, inp.few
             value = labels[few[0]]
             for k in few[1:]:
                 value = t[value][labels[k]]
@@ -711,5 +660,5 @@ class SgEngine(Engine):
             yield from layer.maps()
 
 
-def make_sg_engine(semigroup, word, debug_checks=False):
-    return SgEngine(semigroup, word, debug_checks=debug_checks)
+def make_sg_engine(semigroup, word):
+    return SgEngine(semigroup, word)

@@ -287,6 +287,17 @@ def test_bad_input_matrix_exit_code_2(files, args, stream):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("word,stream", [("a x", "Q\n"), ("a b", "U 0 x\n")])
+def test_unknown_element_name_is_named_with_the_elements(files, word, stream):
+    # in the initial word and in a U record alike
+    (files / "names.txt").write_text(stream)
+    r = run_cli(["run", str(files / "abse.json"), "--word", word,
+                 "--stream", str(files / "names.txt")])
+    assert r.returncode == 2, r.stderr
+    names = ", ".join(ab_star_semigroup().names)
+    assert r.stderr == f"error: no element named 'x'; the elements are {names}\n"
+
+
 def test_classify_dfa_input_s3_language(tmp_path):
     import itertools
 

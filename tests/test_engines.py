@@ -35,6 +35,7 @@ from dynreg.errors import (
     TupleArity,
 )
 from dynreg.gallery import ab_star_semigroup, cyclic, u1, u2, zg_monoid5
+from dynreg.veb import VebMap
 
 
 def test_naive_engine_basics():
@@ -411,6 +412,22 @@ def test_prefix_differential_u1_u2():
             naive.update(p, a)
             length = rng.randrange(n + 1)
             assert e.prefix(length) == naive.prefix(length)
+
+
+def test_prefix_engine_builds_its_map_in_bulk():
+    # the build charges writes but no probes, and holds what inserting the
+    # non-identity letters one at a time holds
+    rng = random.Random(zlib.crc32(b"veb prefix bulk build"))
+    for m in (u1(), u2()):
+        for n in (0, 1, 64, 65, 1000):
+            word = [rng.randrange(m.size) for _ in range(n)]
+            e = make_prefix_engine(m, list(word))
+            assert e.kind == "veb-prefix" and e.op_count == 0, (m, n)
+            one_by_one = VebMap(max(n, 1))
+            for i, a in enumerate(word):
+                if a != m.identity:
+                    one_by_one.insert(i + 1, a)
+            assert e.map.items() == one_by_one.items(), (m, n)
 
 
 # -- cross-engine oracle equivalence (scaled-down; acceptance runs the full set) --

@@ -39,7 +39,6 @@ s = FiniteSemigroup([[1, 2, 2], [2, 2, 2], [2, 2, 2]])
 eng = make_sg_engine(s, [0] * 6)
 below = eng.layers[1]
 below.inp.insert(1, 0)
-below.count += 1
 try:
     eng.top.validate()
 except InternalError as exc:

@@ -10,6 +10,7 @@ from helpers import FoldOracle
 from dynreg import veb
 from dynreg.algebra import FiniteSemigroup, check_variety
 from dynreg.engines import make_naive_engine, make_sg_engine, sg
+from dynreg.engines.sg import GROUP_MAX
 from dynreg.errors import InternalError, NotSg
 from dynreg.gallery import ab_star_semigroup, gallery, s3
 
@@ -42,6 +43,19 @@ Z2T = [[0, 1], [1, 0]]
 Z3T = [[(a + b) % 3 for b in range(3)] for a in range(3)]
 
 
+class CheckedSgEngine(sg.SgEngine):
+    """An sg engine that checks its whole layer stack with validate() after
+    the build and after every update."""
+
+    def __init__(self, semigroup, word):
+        super().__init__(semigroup, word)
+        self.top.validate()
+
+    def update(self, pos, letter):
+        super().update(pos, letter)
+        self.top.validate()
+
+
 def thick_and_leaves(monkeypatch, ns):
     """Yield the word lengths ns twice: with FEW_MAX = 0, so every layer is
     thick and the layer rules run at every size, then with the default
@@ -59,7 +73,7 @@ def test_rejects_non_sg():
 def test_ab_star_worked_example():
     s = ab_star_semigroup()
     ids = {n: s.id_of(n) for n in s.names}
-    e = make_sg_engine(s, [ids["a"], ids["a"], ids["b"], ids["b"]], debug_checks=True)
+    e = CheckedSgEngine(s, [ids["a"], ids["a"], ids["b"], ids["b"]])
     assert e.query() == ids["ab"]
     e.update(1, ids["b"])
     assert e.query() == ids["ab"]
@@ -75,26 +89,13 @@ def test_single_letter_word():
     assert e.query() == s.id_of("0")
 
 
-def test_validate_raises_internal_error_on_corrupt_count():
-    # validate() raises rather than asserts, so the checks also run under -O
-    s = ab_star_semigroup()
-    ids = {n: s.id_of(n) for n in s.names}
-    e = make_sg_engine(s, [ids[c] for c in "aabbab"], debug_checks=True)
-    for layer in e.layers:
-        layer.count += 1
-        with pytest.raises(InternalError, match="count out of sync"):
-            e.top.validate()
-        layer.count -= 1
-    e.top.validate()
-
-
 def _run_entry(engine):
     """(run layer, key, (i, g, j)) of the first run entry below a run layer."""
-    layer = next(lay for lay in engine.layers if hasattr(lay, "rv"))
+    layer = next(lay for lay in engine.layers if isinstance(lay.rule, sg._RunRule))
     key, label = next(
-        (k, lab) for k, lab in layer.down.inp.items() if lab in layer.cls
+        (k, lab) for k, lab in layer.down.inp.items() if lab in layer.rule.cls
     )
-    return layer, key, layer.rv.coord[label]
+    return layer, key, layer.rule.rv.coord[label]
 
 
 @pytest.mark.parametrize("corrupt", ["mass", "cell"])
@@ -105,14 +106,13 @@ def test_validate_raises_internal_error_on_corrupt_run_entry(corrupt, monkeypatc
     monkeypatch.setattr(veb, "FEW_MAX", 0)
     s = rees_matrix_semigroup(Z3T, [[0, None], [1, 0]])
     rng = random.Random(7)
-    e = make_sg_engine(s, [rng.randrange(s.size - 1) for _ in range(30)],
-                       debug_checks=True)
+    e = CheckedSgEngine(s, [rng.randrange(s.size - 1) for _ in range(30)])
     layer, key, (i, g, j) = _run_entry(e)
     if corrupt == "mass":
         bad = (i, (g + 1) % 3, j)
     else:
         bad = (1 - i, g, 1 - j)
-    layer.down.inp.update(key, layer.rv.uncoord[bad])
+    layer.down.inp.update(key, layer.rule.rv.uncoord[bad])
     with pytest.raises(InternalError):
         e.top.validate()
 
@@ -131,7 +131,7 @@ def test_gallery_differential_with_debug_checks(gal, name, monkeypatch):
     rng = random.Random(zlib.crc32(name.encode()))
     for n in thick_and_leaves(monkeypatch, (1, 2, 3, 7, 33)):
         word = [rng.randrange(s.size) for _ in range(n)]
-        eng = make_sg_engine(s, list(word), debug_checks=True)
+        eng = CheckedSgEngine(s, list(word))
         ora = make_naive_engine(s, list(word))
         assert eng.query() == ora.query()
         for _ in range(200):
@@ -151,7 +151,7 @@ def test_rees_matrix_semigroups_differential(label, gt, sw, monkeypatch):
     rng = random.Random(len(label))
     for n in thick_and_leaves(monkeypatch, (2, 3, 9, 40)):
         word = [rng.randrange(s.size) for _ in range(n)]
-        eng = make_sg_engine(s, list(word), debug_checks=True)
+        eng = CheckedSgEngine(s, list(word))
         ora = make_naive_engine(s, list(word))
         for _ in range(250):
             p, a = rng.randrange(n), rng.randrange(s.size)
@@ -206,12 +206,12 @@ def test_probe_growth_is_doubly_logarithmic(gal):
 
 
 def test_structural_invariants_after_every_mutation(gal, monkeypatch):
-    # debug_checks runs the full pair/run validators after each update
+    # CheckedSgEngine runs the full pair/run validators after each update
     s = gal["abstar"]
     rng = random.Random(2)
     for n in thick_and_leaves(monkeypatch, (24,)):
         word = [rng.randrange(s.size) for _ in range(n)]
-        eng = make_sg_engine(s, word, debug_checks=True)
+        eng = CheckedSgEngine(s, word)
         for _ in range(300):
             eng.update(rng.randrange(n), rng.randrange(s.size))
         assert eng.query() == make_naive_engine(s, eng.snapshot()).query()
@@ -234,7 +234,7 @@ def test_edge_paths_differential_on_edit_sg_semigroup(monkeypatch):
     rng = random.Random(zlib.crc32(b"edit-sg edge paths"))
     for n in thick_and_leaves(monkeypatch, (1, 2, 3, 4, 5, 7, 65)):
         word = [rng.randrange(s.size) for _ in range(n)]
-        eng = make_sg_engine(s, list(word), debug_checks=True)
+        eng = CheckedSgEngine(s, list(word))
         ora = make_naive_engine(s, list(word))
         assert eng.query() == ora.query()
         for _ in range(400):
@@ -261,7 +261,7 @@ def test_thin_layers_pushed_past_few_max_by_edits():
     rng = random.Random(zlib.crc32(b"edit-sg thin layers"))
     n = 400
     word = [rng.choice([0, 1, 2]) for _ in range(n)]
-    eng = make_sg_engine(s, list(word), debug_checks=True)
+    eng = CheckedSgEngine(s, list(word))
     ora = make_naive_engine(s, list(word))
     thin = [m for layer in eng.layers for m in layer.maps() if m.few is not None]
     assert thin and all(len(m) <= 1 for m in thin)
@@ -292,11 +292,11 @@ def test_edit_that_reaches_a_leaf_leaves_the_layers_below_alone():
     rng = random.Random(zlib.crc32(b"edit-sg thin layers"))
     n = 400
     word = [rng.choice([0, 1, 2]) for _ in range(n)]
-    eng = make_sg_engine(s, list(word), debug_checks=True)
+    eng = CheckedSgEngine(s, list(word))
     ora = make_naive_engine(s, list(word))
     depth = next(d for d, layer in enumerate(eng.layers) if layer.inp.few is not None)
     leaf, below = eng.layers[depth], eng.layers[depth + 1:]
-    assert isinstance(leaf, sg._PairLayer) and below
+    assert isinstance(leaf.rule, sg._PairRule) and below
     reached = 0
     outstanding = []
     for _ in range(300):
@@ -322,7 +322,7 @@ def test_top_leaf_then_thick_differential(n):
     for s in (_edit_sg_semigroup(), rees_matrix_semigroup(Z3T, [[0, None], [1, 0]])):
         rng = random.Random(zlib.crc32(f"sg leaf top {n} {s.size}".encode()))
         word = [rng.randrange(s.size) for _ in range(n)]
-        eng = make_sg_engine(s, list(word), debug_checks=True)
+        eng = CheckedSgEngine(s, list(word))
         ora = make_naive_engine(s, list(word))
         assert (eng.top.inp.few is not None) == (n <= veb.FEW_MAX)
         assert eng.query() == ora.query()
@@ -344,10 +344,10 @@ def test_leaf_past_few_max_turns_the_leaf_below_thick_in_its_replay():
     one, x = 0, 3
     n = 4 * veb.FEW_MAX + 8
     word = [x] * veb.FEW_MAX + [one] * (n - veb.FEW_MAX)
-    eng = make_sg_engine(s, list(word), debug_checks=True)
+    eng = CheckedSgEngine(s, list(word))
     ora = make_naive_engine(s, list(word))
     runs, below = eng.layers[2], eng.layers[3]
-    assert isinstance(runs, sg._RunLayer) and isinstance(below, sg._PairLayer)
+    assert isinstance(runs.rule, sg._RunRule) and isinstance(below.rule, sg._PairRule)
     assert runs.inp.few is not None and below.inp.few is not None
     turned = {}
     for p in range(veb.FEW_MAX + 1, n, 2):
@@ -378,23 +378,23 @@ def test_pair_groups_differential_on_edit_sg_shape(monkeypatch):
     monkeypatch.setattr(veb, "FEW_MAX", 0)
     s = _edit_sg_semigroup()
     seen = set()
-    rewrite = sg._PairLayer._rewrite
+    rewrite = sg._PairRule._rewrite
 
-    def spy(layer, old, members):
+    def spy(rule, inp, down, old, members):
         seen.add(len(members))
         if len(old) == 2:  # an orphan joins the next group, else the previous
-            next_group = old[1] > old[0]
-            first = members[0] == layer.inp.find_next(1)
-            seen.add("orphan first" if next_group and first else
-                     "orphan last" if not next_group else "orphan")
-        rewrite(layer, old, members)
+            gkey, nkey = old
+            first = members[0] == inp.find_next(1)
+            seen.add("orphan first" if nkey > gkey and first else
+                     "orphan last" if nkey < gkey else "orphan")
+        rewrite(rule, inp, down, old, members)
 
-    monkeypatch.setattr(sg._PairLayer, "_rewrite", spy)
+    monkeypatch.setattr(sg._PairRule, "_rewrite", spy)
     rng = random.Random(zlib.crc32(b"edit-sg pair groups"))
     for n in (16, 64):
         word = [rng.choice([0, 1, 2]) for _ in range(n)]
         word[rng.randrange(n)] = 3
-        eng = make_sg_engine(s, list(word), debug_checks=True)
+        eng = CheckedSgEngine(s, list(word))
         ora = make_naive_engine(s, list(word))
         outstanding = []
         for _ in range(600):
@@ -418,57 +418,125 @@ def _nil3():
 
 
 def _record(layer, calls):
-    """Log the word operations the layer receives, then run them."""
-    for name in ("insert", "delete", "update"):
-        def op(*args, _name=name, _op=getattr(layer, name)):
-            calls.append((_name, *args))
-            return _op(*args)
-        setattr(layer, name, op)
+    """Log the edits the layer receives, then run them."""
+    edit = layer.edit
+
+    def logged(*args):
+        calls.append(("edit", *args))
+        return edit(*args)
+
+    layer.edit = logged
 
 
 def test_pair_edit_that_keeps_key_and_label_sends_one_update_down(monkeypatch):
     # a group that starts with 0 keeps the label 0 whatever joins or leaves
     # it; as long as its last letter stays, each edit reaches the layer below
-    # as one update, which changes nothing there and goes no further
+    # as one relabel to the same label, which stops there and goes no further
     # (FEW_MAX = 0: no layer is a leaf)
     monkeypatch.setattr(veb, "FEW_MAX", 0)
     a, z = 0, 2
     eng = make_sg_engine(_nil3(), [a] * 10)
     top, below = eng.layers[0], eng.layers[1]
-    assert isinstance(top, sg._PairLayer) and isinstance(below, sg._PairLayer)
+    assert isinstance(top.rule, sg._PairRule) and isinstance(below.rule, sg._PairRule)
     top.load(np.array([2, 5, 8]), np.array([z, a, a]))  # one group of 3
     calls = []
     _record(below, calls)
     _record(below.down, calls)
     # the group grows to 4 and 5 letters (no split) and shrinks back to 3
-    for op, key in [("insert", 3), ("insert", 6), ("delete", 5), ("delete", 3)]:
-        if op == "insert":
-            top.insert(key, a)
-        else:
-            top.delete(key)
+    for key, old, new in [(3, None, a), (6, None, a), (5, a, None), (3, a, None)]:
+        top.edit(key, old, new)
         top.validate()
-        assert calls == [("update", 8, z)], (op, key, calls)
+        assert calls == [("edit", 8, z, z)], (key, old, new, calls)
         calls.clear()
 
 
 def test_run_relabel_sends_only_the_net_change_down(monkeypatch):
     # in M0(Z2, [[0,0],[0,0]]) every pair of letters joins, so the word is
     # one run whatever its letters; relabelling a letter only moves the
-    # run's coordinates, and the layer below sees one update of its entry
+    # run's coordinates, and the layer below sees one relabel of its entry
     # (FEW_MAX = 0: no layer is a leaf)
     monkeypatch.setattr(veb, "FEW_MAX", 0)
     s = rees_matrix_semigroup(Z2T, [[0, 0], [0, 0]])
-    eng = make_sg_engine(s, [s.id_of("(0,0,0)")] * 9, debug_checks=True)
+    eng = CheckedSgEngine(s, [s.id_of("(0,0,0)")] * 9)
     top, below = eng.layers[0], eng.layers[1]
-    assert isinstance(top, sg._RunLayer)
+    assert isinstance(top.rule, sg._RunRule)
     calls = []
     _record(below, calls)
     for pos, name in [(4, "(1,1,1)"), (8, "(1,0,1)")]:  # interior, then last
         eng.update(pos, s.id_of(name))
-        assert [c[0] for c in calls] == ["update"], (pos, calls)
-        assert calls[0][1] == 9, (pos, calls)
+        assert len(calls) == 1, (pos, calls)
+        _, key, old, new = calls[0]
+        assert key == 9 and old is not None and new is not None, (pos, calls)
         calls.clear()
     assert eng.query() == make_naive_engine(s, eng.word).query()
+
+
+TOP_EDIT_STACKS = {
+    "nil3": _nil3,  # pair, pair, base
+    "M0(Z2,2x2,diag)": lambda: rees_matrix_semigroup(Z2T, [[0, None], [None, 0]]),  # run, pair, base
+}
+
+
+@pytest.mark.parametrize("name", list(TOP_EDIT_STACKS))
+def test_top_layer_edit_differential(name, monkeypatch):
+    # SgEngine.update only relabels, so the top layer's inserts and deletes
+    # are driven here directly through top.edit, over keys 1..200, with the
+    # letter count walking to a target size that changes every 150 edits. After each edit the stack
+    # validates and the answer is the fold of the top's word. Spies check
+    # that the walk reaches the pair rule's edge cases.
+    s = TOP_EDIT_STACKS[name]()
+    seen = set()
+    rewrite, thicken = sg._PairRule._rewrite, sg._Layer._thicken
+
+    def spy_rewrite(rule, inp, down, old, members):
+        if len(members) == GROUP_MAX + 1:
+            seen.add("split")
+        if len(old) == 2:  # an orphan joins the next group, else the previous
+            gkey, nkey = old
+            seen.add("orphan next" if nkey > gkey else "orphan previous")
+        rewrite(rule, inp, down, old, members)
+
+    def spy_thicken(layer, keys):
+        seen.add("thicken")
+        thicken(layer, keys)
+
+    monkeypatch.setattr(sg._PairRule, "_rewrite", spy_rewrite)
+    monkeypatch.setattr(sg._Layer, "_thicken", spy_thicken)
+    for few_max in (0, veb.FEW_MAX):
+        monkeypatch.setattr(veb, "FEW_MAX", few_max)
+        rng = random.Random(zlib.crc32(f"sg top edits {name} {few_max}".encode()))
+        eng = make_sg_engine(s, [0] * 200)
+        top = eng.top
+        keys = sorted(rng.sample(range(1, 201), 5))
+        top.load(np.array(keys), np.array([rng.randrange(s.size) for _ in keys]))
+        word = dict(top.inp.items())
+        pairs = [lay for lay in eng.layers if isinstance(lay.rule, sg._PairRule)]
+        for step in range(1200):
+            target = (3, 1, 12, 2, 80, 1, 80, 2)[step // 150]
+            if word and rng.random() < 0.3:
+                key = rng.choice(sorted(word))
+                old, new = word[key], rng.randrange(s.size)
+            elif not word or (len(word) < target) == (rng.random() < 0.9):
+                key = rng.choice([k for k in range(1, 201) if k not in word])
+                old, new = None, rng.randrange(s.size)
+            else:
+                key = rng.choice(sorted(word))
+                old, new = word[key], None
+            before = [(len(lay.inp), lay.inp.few is None) for lay in pairs]
+            top.edit(key, old, new)
+            if new is None:
+                del word[key]
+            else:
+                word[key] = new
+            for (size, thick), lay in zip(before, pairs):
+                if thick and {size, len(lay.inp)} == {1, 2}:
+                    seen.add(f"count {size} -> {len(lay.inp)}")
+            top.validate()
+            items = top.inp.items()
+            assert items == sorted(word.items()), (name, few_max, step)
+            assert eng.query() == s.eval_word(lab for _, lab in items), (name, few_max, step)
+    assert {"split", "orphan next", "orphan previous", "thicken",
+            "count 1 -> 2", "count 2 -> 1"} <= seen, seen
 
 
 def test_validate_raises_internal_error_on_a_group_of_1_or_6(monkeypatch):
@@ -476,18 +544,15 @@ def test_validate_raises_internal_error_on_a_group_of_1_or_6(monkeypatch):
     a, z = 0, 2
     s = _nil3()
     # six letters load as groups keyed 2, 4 and 6
-    eng = make_sg_engine(s, [a] * 6, debug_checks=True)
+    eng = CheckedSgEngine(s, [a] * 6)
     below = eng.layers[1]
     below.inp.insert(1, a)  # key 1 cuts a group of 1 off the group keyed 2
-    below.count += 1
     with pytest.raises(InternalError, match="group of 1 letters"):
         eng.top.validate()
     below.inp.delete(1)
-    below.count -= 1
     eng.top.validate()
     for k in (2, 4):  # the group keyed 6 takes all six letters
         below.inp.delete(k)
-        below.count -= 1
     below.inp.update(6, z)
     with pytest.raises(InternalError, match="group of 6 letters"):
         eng.top.validate()
@@ -505,7 +570,7 @@ def test_build_edge_sizes_with_debug_checks(gal, name, monkeypatch):
     rng = random.Random(zlib.crc32(f"sg build sizes {name}".encode()))
     for n in thick_and_leaves(monkeypatch, (0, 1, 2, 3, 4, 5, 64, 1000)):
         word = [rng.randrange(s.size) for _ in range(n)]
-        eng = make_sg_engine(s, list(word), debug_checks=True)
+        eng = CheckedSgEngine(s, list(word))
         ora = make_naive_engine(s, list(word))
         assert eng.query() == ora.query(), (name, n)
         for _ in range(200 if n else 0):
@@ -515,15 +580,15 @@ def test_build_edge_sizes_with_debug_checks(gal, name, monkeypatch):
             assert eng.query() == ora.query(), (name, n, p, a)
 
 
-def _fold_collapse(layer, keys, labels):
+def _fold_collapse(rule, keys, labels):
     """Letter-by-letter collapse: (key, (i, g, j)) for each run, keyed by
     its last letter and carrying its exact mass; (key, letter) for the
     other letters."""
-    rv = layer.rv
+    rv = rule.rv
     out = []
     run = None  # (i, g, j, key) of the open run
     for key, a in zip(keys, labels):
-        if a not in layer.cls:
+        if a not in rule.cls:
             if run is not None:
                 out.append((run[3], run[:3]))
                 run = None
@@ -553,16 +618,16 @@ COLLAPSE_CASES = [pytest.param(name, s, id=name) for name, s in [
 def test_array_collapse_matches_letter_fold(name, s):
     # the Rees matrix cases and the groups carry nontrivial run masses
     eng = make_sg_engine(s, [0])
-    run_layers = [lay for lay in eng.layers if hasattr(lay, "rv")]
+    run_rules = [lay.rule for lay in eng.layers if isinstance(lay.rule, sg._RunRule)]
     rng = random.Random(zlib.crc32(f"sg collapse {name}".encode()))
-    for layer in run_layers:
-        cls = sorted(layer.cls)
+    for rule in run_rules:
+        cls = sorted(rule.cls)
         for n in (0, 1, 2, 3, 50, 500):
             keys = sorted(rng.sample(range(1, 4 * n + 2), n))
             labels = [rng.choice(cls) if rng.random() < 0.8
-                      else rng.randrange(layer.s0.size) for _ in range(n)]
-            got_keys, got_labels = layer._collapse(np.array(keys, dtype=np.int64),
-                                                   np.array(labels, dtype=np.uint8))
-            got = [(k, layer.rv.coord[a]) if a in layer.cls else (k, a)
+                      else rng.randrange(rule.s0.size) for _ in range(n)]
+            got_keys, got_labels = rule._collapse(np.array(keys, dtype=np.int64),
+                                                  np.array(labels, dtype=np.uint8))
+            got = [(k, rule.rv.coord[a]) if a in rule.cls else (k, a)
                    for k, a in zip(got_keys.tolist(), got_labels.tolist())]
-            assert got == _fold_collapse(layer, keys, labels), (name, n)
+            assert got == _fold_collapse(rule, keys, labels), (name, n)
