@@ -60,6 +60,15 @@ def _semigroup_engine(s, word, kind):
     return ENGINES[kind](s, word)
 
 
+def _position(tok, line):
+    """A stream record's position field as an int; ValueError naming the
+    record otherwise."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"bad stream record {line!r}: {tok!r} is not an integer position") from None
+
+
 def cmd_run(args):
     obj = load_json(args.input)
     resolved = _resolve_input(obj)
@@ -84,8 +93,8 @@ def cmd_run(args):
             if shadow is not None:
                 shadow[pos] = letter
 
-        def answer_query(parts):
-            if parts[0] != "Q":
+        def answer_query(tag, positions):
+            if tag != "Q":
                 raise ValueError("language runs support only Q queries")
             got = engine.query()
             answers.append("true" if got else "false")
@@ -106,21 +115,21 @@ def cmd_run(args):
             if oracle is not None:
                 oracle.update(pos, letter)
 
-        def answer_query(parts):
-            needed = {"P": "prefix", "I": "infix"}.get(parts[0])
+        def answer_query(tag, positions):
+            needed = {"P": "prefix", "I": "infix"}.get(tag)
             if needed and not hasattr(engine, needed):
                 raise ValueError(
-                    f"engine kind {engine.kind!r} does not answer {parts[0]} queries"
+                    f"engine kind {engine.kind!r} does not answer {tag} queries"
                 )
-            if parts[0] == "Q":
+            if tag == "Q":
                 got = engine.query()
                 want = oracle.query() if oracle else got
-            elif parts[0] == "P":
-                got = engine.prefix(int(parts[1]))
-                want = oracle.prefix(int(parts[1])) if oracle else got
+            elif tag == "P":
+                got = engine.prefix(*positions)
+                want = oracle.prefix(*positions) if oracle else got
             else:
-                got = engine.infix(int(parts[1]), int(parts[2]))
-                want = oracle.infix(int(parts[1]), int(parts[2])) if oracle else got
+                got = engine.infix(*positions)
+                want = oracle.infix(*positions) if oracle else got
             answers.append("none" if got is None else s.names[got])
             return 0 if got == want else 1
 
@@ -134,13 +143,15 @@ def cmd_run(args):
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != fields.get(parts[0]):
+            tag = parts[0]
+            if len(parts) != fields.get(tag):
                 raise ValueError(f"bad stream record {line!r}")
+            positions = [_position(tok, line) for tok in parts[1:2 if tag == "U" else None]]
             before = engine.op_count
-            if parts[0] == "U":
-                apply_update(int(parts[1]), decode(parts[2]))
+            if tag == "U":
+                apply_update(positions[0], decode(parts[2]))
             else:
-                mismatches += answer_query(parts)
+                mismatches += answer_query(tag, positions)
             op_costs.append(engine.op_count - before)
 
     wall = time.perf_counter() - t0

@@ -14,7 +14,8 @@ are no larger than the word, and below n.bit_length(): that cap only binds
 for a one-element monoid, whose tables never grow with k. Tiny n degrade to a
 binary tree, and the height is ceil(log_k n) (one level when n = 1). The
 level lists share one int object per code, since codes above 256 are not
-CPython's cached small ints.
+CPython's cached small ints, and update stores the shared object of the new
+code, so edits do not grow the lists' memory.
 """
 
 from __future__ import annotations
@@ -88,11 +89,12 @@ class KaryEngine(Engine):
         # levels[0] packs the letters; levels[-1] is the single top code.
         # Lists, not arrays: the per-edit loop indexes scalars.
         self.levels = []
+        shared = np.arange(b**k).astype(object)  # one int object per code
+        self._codes = shared.tolist()   # update stores these, not fresh ints
         if not self.n:
             return
         value = np.asarray(self.value, dtype=np.int64)
         weights = np.asarray(self._pow, dtype=np.int64)
-        shared = np.arange(b**k).astype(object)  # one int object per code
         vals = np.asarray(word if isinstance(word, np.ndarray) else self.word, dtype=np.int64)
         while True:
             pad = -len(vals) % k
@@ -107,7 +109,7 @@ class KaryEngine(Engine):
     def update(self, pos, letter):
         self._check(pos, letter)
         self.word[pos] = letter
-        k, b, pw, value = self.k, self._b, self._pow, self.value
+        k, b, pw, value, shared = self.k, self._b, self._pow, self.value, self._codes
         v, j = letter, pos
         steps = 0
         for codes in self.levels:
@@ -118,8 +120,7 @@ class KaryEngine(Engine):
             old = code // d % b
             if old == v:
                 break
-            code += (v - old) * d
-            codes[j] = code
+            code = codes[j] = shared[code + (v - old) * d]
             v = value[code]
         self._steps += steps
 

@@ -47,7 +47,7 @@ from ..algebra.rees import rees_decompose
 from ..algebra.varieties import check_variety
 from ..errors import InternalError, NotSg
 from ..memo import memo
-from ..veb import VebMap
+from ..veb import VebMap, fold_rows
 from .base import Engine
 
 
@@ -601,6 +601,7 @@ class SgEngine(Engine):
             raise NotSg("semigroup does not satisfy the swap equation")
         super().__init__(semigroup, word)
         s0 = self.s0 = adjoin_zero(semigroup, reuse=True)
+        self._fold_rows = fold_rows(s0.table)
         span = max(self.n, 1)
         layer = None
         for spec in reversed(build_layer_plan(s0)):
@@ -645,11 +646,7 @@ class SgEngine(Engine):
         elif layer.down is None:
             value = self.s0.zero
         elif inp.few is not None:
-            t, labels, few = self.s0.table, inp.labels, inp.few
-            value = labels[few[0]]
-            for k in few[1:]:
-                value = t[value][labels[k]]
-            inp.probes += len(few)
+            value = inp.fold(self._fold_rows)
         else:
             value = inp.retrieve(inp.find_next(1))
         return value

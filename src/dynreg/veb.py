@@ -7,16 +7,24 @@ buckets. Bucket indices come from a precomputed division table (shared per
 span), so every step is a table lookup. This brings both memory and
 initialization down to O(span) while keeping all operations O(log log span).
 
+Labels: a label is an int in 0..LABEL_MAX, which is all the engines store
+(semigroup element ids, prefix ids, a run layer's 1). T is a bytearray
+whose cell holds label + 1, 0 meaning absent, so a present key is a nonzero
+cell and a label is a few bits of one cell, as in the word-RAM model. The
+first label past 254 widens T once to an array('I') of unsigned ints; it
+stays wide. Any other label raises VebError naming it. The bucket counts are
+a bytearray too, since a count never exceeds the width, at most 6.
+
 The recursive tree bottoms out at universes of at most 64 in a single machine
 word (Python int) scanned with bit tricks.
 
 Bulk build: VebMap.build takes sorted keys and their labels as arrays. It
-checks them in one vectorized pass. A build of at most FEW_MAX keys (see list
-mode below) writes their labels into the empty label array one by one and
-stops there. A larger build scatters the labels into the label array
-through a numpy object array (so every stored label is a plain Python
-object, never a numpy scalar), counts the buckets with one bincount and fills
-the summary vEB bottom-up from the sorted non-empty buckets. A vEB's shape
+checks them in one vectorized pass and scatters label + 1 into the cells
+that __init__ allocated, through a numpy view of them (widened first when
+the largest label needs it). A build of at most FEW_MAX keys (see list mode
+below) stops there. A larger build counts the buckets with one bincount
+into the count cells and fills the summary vEB bottom-up from the sorted
+non-empty buckets. A vEB's shape
 is a function of its key set -- a node keeps its min out of its clusters and
 every other key in its cluster, and a bitmask leaf is the OR of its keys --
 so the fill gives exactly the tree that inserting the buckets one at a time
@@ -46,8 +54,10 @@ those of a cell-by-cell scan at a fraction of its interpreter cost.
 
 List mode: while a map holds at most FEW_MAX keys, few is its sorted key
 list and the bucket counts and the summary vEB are left untouched (all
-zero, all empty). The label array serves retrieve and update as before;
-insert, delete, find_prev and find_next bisect few instead of scanning
+zero, all empty). The label cells serve retrieve and update, at one byte
+per key of the span however few keys the map holds (a span of Python
+pointers before the cells were typed, 8 MiB at span 2^20); insert,
+delete, find_prev and find_next bisect few instead of scanning
 buckets. Each bisect charges len(few).bit_length() probes, that is
 ceil(log2(len + 1)), a constant since len <= FEW_MAX; insert and delete add
 one for the label cell. The insert that takes the map past FEW_MAX keys
@@ -57,12 +67,14 @@ vEB's), and sets few to None. The switch is one-way: a map in
 bucket mode stays there however far it shrinks, and costs exactly what the
 bucket layout above says. The sg engine takes list mode as its leaf test:
 a layer whose input map keeps a key list (a few keys over a span of up to
-2^19) edits nothing below it and is folded at query time from few.
+2^19) edits nothing below it and is folded at query time from few, by
+fold over the semigroup's table as fold_rows lays it out.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
@@ -71,8 +83,25 @@ from .errors import (DuplicateKey, InternalError, KeyOrderError, KeyRangeError, 
                      VebError)
 from .memo import memo
 
-_MISSING = object()
 FEW_MAX = 64    # a map keeps a sorted key list up to this many keys
+LABEL_MAX = 2 ** (8 * array("I").itemsize) - 2   # the widest label cell holds label + 1
+
+
+def _label_error(label):
+    return VebError(f"label {label!r} is not an int in 0..{LABEL_MAX}")
+
+
+def fold_rows(table):
+    """A multiplication table (nested lists) as VebMap.fold reads it, each
+    row indexed by label cell: rows[v][label + 1] = table[v][label], so a
+    fold decodes no cell."""
+    return [[None, *row] for row in table]
+
+
+def _widened(cells):
+    """The byte label cells as unsigned int cells, same values."""
+    return array("I", np.frombuffer(cells, dtype=np.uint8).astype(np.uintc).tobytes())
+
 
 @memo
 def _bucket_table(span, width):
@@ -294,7 +323,8 @@ def _fill(nodes, owner, keys):
 
 
 class VebMap:
-    """Span-n predecessor structure mapping keys in 1..span to labels."""
+    """Span-n predecessor structure mapping keys in 1..span to labels, ints
+    in 0..LABEL_MAX."""
 
     def __init__(self, span):
         if span < 1:
@@ -306,8 +336,8 @@ class VebMap:
         self.width = max(1, math.ceil(math.log2(lg)))  # ceil(log2 log2), >= 1
         self.ktab = _bucket_table(span, self.width)
         self.n_buckets = self.ktab[span]
-        self.labels = [_MISSING] * (span + 1)
-        self.bucket_count = [0] * (self.n_buckets + 1)
+        self.labels = bytearray(span + 1)   # label + 1 per key, 0 where absent
+        self.bucket_count = bytearray(self.n_buckets + 1)   # each <= width <= 6
         # recursive vEB over the indices 0..n_buckets of non-empty buckets
         self.occupied = _make(max(self.n_buckets, 1).bit_length())
         self.size = 0
@@ -323,9 +353,16 @@ class VebMap:
         if not 1 <= key <= self.span:
             raise self._range_error(key)
         self.probes += 1
-        if self.labels[key] is not _MISSING:
+        labels = self.labels
+        if labels[key]:
             raise DuplicateKey(f"key {key} already present")
-        self.labels[key] = label
+        try:
+            cell = label + 1
+            if not cell:   # -1, or a numpy scalar that wrapped round
+                raise ValueError
+            labels[key] = cell
+        except (TypeError, ValueError, OverflowError):
+            self._store_refused(key, label)
         self.writes += 1
         self.size += 1
         few = self.few
@@ -353,13 +390,26 @@ class VebMap:
             counts[b] += 1
         self.few = None
 
+    def _store_refused(self, key, label):
+        """Store a label that the label cells refused: widen byte cells to
+        unsigned ints once for an int label past 254, else VebError. insert
+        and update write the cell inline, since both run on most sg edits,
+        and call this only when that write fails."""
+        if isinstance(label, np.integer):
+            label = int(label)   # numpy scalar arithmetic wraps at its dtype
+        if not isinstance(label, int) or not 0 <= label <= LABEL_MAX:
+            raise _label_error(label)
+        if isinstance(self.labels, bytearray) and label >= 255:
+            self.labels = _widened(self.labels)
+        self.labels[key] = label + 1
+
     def delete(self, key):
         if not 1 <= key <= self.span:
             raise self._range_error(key)
         self.probes += 1
-        if self.labels[key] is _MISSING:
+        if not self.labels[key]:
             raise MissingKey(f"key {key} not present")
-        self.labels[key] = _MISSING
+        self.labels[key] = 0
         self.writes += 1
         self.size -= 1
         few = self.few
@@ -378,16 +428,34 @@ class VebMap:
             raise self._range_error(key)
         self.probes += 1
         v = self.labels[key]
-        return None if v is _MISSING else v
+        return v - 1 if v else None
+
+    def fold(self, rows):
+        """The product of a non-empty list-mode map's labels in key order,
+        under a multiplication table prepared by fold_rows; one probe per
+        label read."""
+        labels, few = self.labels, self.few
+        value = labels[few[0]] - 1
+        for k in few[1:]:
+            value = rows[value][labels[k]]
+        self.probes += len(few)
+        return value
 
     def update(self, key, label):
         """Relabel an existing key in O(1)."""
         if not 1 <= key <= self.span:
             raise self._range_error(key)
         self.probes += 1
-        if self.labels[key] is _MISSING:
+        labels = self.labels
+        if not labels[key]:
             raise MissingKey(f"key {key} not present")
-        self.labels[key] = label
+        try:
+            cell = label + 1
+            if not cell:
+                raise ValueError
+            labels[key] = cell
+        except (TypeError, ValueError, OverflowError):
+            self._store_refused(key, label)
         self.writes += 1
 
     def find_prev(self, key):
@@ -406,7 +474,7 @@ class VebMap:
         lo = (b - 1) * self.width + 1
         x = key
         while x >= lo:
-            if labels[x] is not _MISSING:
+            if labels[x]:
                 self.probes += key - x + 1
                 return x
             x -= 1
@@ -420,7 +488,7 @@ class VebMap:
         x = hi
         stop = (p - 1) * self.width
         while x > stop:
-            if labels[x] is not _MISSING:
+            if labels[x]:
                 self.probes += hi - x + 1
                 return x
             x -= 1
@@ -444,7 +512,7 @@ class VebMap:
             hi = self.span
         x = key
         while x <= hi:
-            if labels[x] is not _MISSING:
+            if labels[x]:
                 self.probes += x - key + 1
                 return x
             x += 1
@@ -458,7 +526,7 @@ class VebMap:
             hi = self.span
         x = lo
         while x <= hi:
-            if labels[x] is not _MISSING:
+            if labels[x]:
                 self.probes += x - lo + 1
                 return x
             x += 1
@@ -487,37 +555,46 @@ class VebMap:
             raise KeyOrderError("keys must be strictly increasing")
         m.size = n
         m.writes += 2 * n
+        if not n:
+            return m
+        m._scatter(keys, labels)
         if n <= FEW_MAX:
             m.few = keys.tolist()
-            if isinstance(labels, np.ndarray):
-                labels = labels.tolist()  # plain Python labels, as below
-            for key, label in zip(m.few, labels):
-                m.labels[key] = label
             return m
         m.few = None
-        if not isinstance(labels, np.ndarray):
-            labels = np.fromiter(labels, dtype=object, count=n)
-        cells = np.full(span + 1, _MISSING, dtype=object)
-        cells[keys] = labels
-        m.labels = cells.tolist()
         counts = np.bincount((keys - 1) // m.width + 1, minlength=m.n_buckets + 1)
-        m.bucket_count = counts.tolist()
+        np.frombuffer(m.bucket_count, dtype=np.uint8)[:] = counts
         buckets = np.flatnonzero(counts)
         _fill([m.occupied], np.zeros(len(buckets), dtype=np.int64), buckets)
         return m
+
+    def _scatter(self, keys, labels):
+        """Write label + 1 into the cells of keys, in the cells __init__
+        allocated when every label fits a byte, else in unsigned int cells."""
+        given = labels
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "biu":
+            for x in given.tolist() if isinstance(given, np.ndarray) else given:
+                if not isinstance(x, int) or not 0 <= x <= LABEL_MAX:
+                    raise _label_error(x)
+            labels = labels.astype(np.int64)
+        low, high = labels.min().item(), labels.max().item()
+        if low < 0 or high > LABEL_MAX:
+            raise _label_error(low if low < 0 else high)
+        if high >= 255:
+            self.labels = _widened(self.labels)
+        cells = np.frombuffer(self.labels, dtype=np.uint8 if high < 255 else np.uintc)
+        cells[keys] = labels.astype(cells.dtype) + 1
 
     # -- helpers -------------------------------------------------------------
 
     def items(self):
         """All (key, label) pairs in key order (linear scan in bucket mode;
         debug/tests)."""
-        if self.few is not None:
-            return [(x, self.labels[x]) for x in self.few]
-        out = []
-        for x in range(1, self.span + 1):
-            if self.labels[x] is not _MISSING:
-                out.append((x, self.labels[x]))
-        return out
+        keys = self.few
+        if keys is None:
+            keys = [x for x in range(1, self.span + 1) if self.labels[x]]
+        return [(x, self.labels[x] - 1) for x in keys]
 
     def __len__(self):
         return self.size

@@ -298,6 +298,22 @@ def test_unknown_element_name_is_named_with_the_elements(files, word, stream):
     assert r.stderr == f"error: no element named 'x'; the elements are {names}\n"
 
 
+@pytest.mark.parametrize("lang,record,tok", [
+    ("abstar.json", "U x a", "x"),
+    ("abse.json", "U 1.5 b", "1.5"),
+    ("abse.json", "P two", "two"),
+    ("abse.json", "I 0 y", "y"),
+])
+def test_non_integer_position_names_the_record(files, lang, record, tok):
+    (files / "pos.txt").write_text(f"Q\n{record}\n")
+    word = "ab" if lang == "abstar.json" else "a b"
+    r = run_cli(["run", str(files / lang), "--word", word,
+                 "--stream", str(files / "pos.txt")])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == (f"error: bad stream record {record!r}: {tok!r} is not an "
+                        "integer position\n")
+
+
 def test_classify_dfa_input_s3_language(tmp_path):
     import itertools
 

@@ -45,5 +45,5 @@ def test_bulk_built_maps_pass_through_init(monkeypatch):
         seen.append(self)
 
     monkeypatch.setattr(VebMap, "__init__", registering)
-    m = VebMap.build(8, [2, 5], ["a", "b"])
+    m = VebMap.build(8, [2, 5], [1, 2])
     assert seen == [m]

@@ -1,13 +1,14 @@
 import math
 import random
 import zlib
+from array import array
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynreg.errors import DuplicateKey, KeyOrderError, KeyRangeError, MissingKey, VebError
-from dynreg.veb import FEW_MAX, VebMap, _Bits, _empty
+from dynreg.veb import FEW_MAX, LABEL_MAX, VebMap, _Bits, _empty
 
 
 def test_empty_map():
@@ -18,11 +19,11 @@ def test_empty_map():
 
 
 def test_two_keys():
-    m = VebMap.build(8, [2, 5], ["a", "b"])
+    m = VebMap.build(8, [2, 5], [1, 2])
     assert m.find_prev(5) == 5
     assert m.find_prev(4) == 2
     assert m.find_next(6) is None
-    assert m.retrieve(2) == "a" and m.retrieve(5) == "b"
+    assert m.retrieve(2) == 1 and m.retrieve(5) == 2
 
 
 def test_full_map_retrieval():
@@ -37,26 +38,26 @@ def test_full_map_retrieval():
 
 def test_insert_delete_semantics():
     m = VebMap(8)
-    m.insert(2, "a")
-    m.insert(5, "b")
+    m.insert(2, 1)
+    m.insert(5, 2)
     m.delete(2)
     assert m.find_prev(4) is None
     with pytest.raises(DuplicateKey):
-        m.insert(5, "c")
+        m.insert(5, 3)
     with pytest.raises(MissingKey):
         m.delete(2)
     with pytest.raises(KeyRangeError):
-        m.insert(9, "x")
+        m.insert(9, 9)
     with pytest.raises(KeyOrderError):
-        VebMap.build(8, [5, 2], ["b", "a"])
+        VebMap.build(8, [5, 2], [2, 1])
 
 
 def test_update_label():
-    m = VebMap.build(8, [3], ["a"])
-    m.update(3, "z")
-    assert m.retrieve(3) == "z"
+    m = VebMap.build(8, [3], [1])
+    m.update(3, 26)
+    assert m.retrieve(3) == 26
     with pytest.raises(MissingKey):
-        m.update(4, "w")
+        m.update(4, 23)
 
 
 def test_bucketing_matches_ceiling_division():
@@ -195,7 +196,7 @@ def _probed(m, op, key):
 def _bucket_map(span, keys, labels):
     """A bucket-mode map holding keys: built with every key of the span
     (more than FEW_MAX), then deleted down to keys."""
-    m = VebMap.build(span, range(1, span + 1), [None] * span)
+    m = VebMap.build(span, range(1, span + 1), [0] * span)
     assert m.few is None
     for k in range(1, span + 1):
         if k not in keys:
@@ -207,7 +208,7 @@ def _bucket_map(span, keys, labels):
 
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_probes_hit_in_own_bucket_cost_distance_plus_one(d):
-    m = _bucket_map(256, [7, 12], ["a", "b"])  # width 3: buckets 7..9, 10..12
+    m = _bucket_map(256, [7, 12], [1, 2])  # width 3: buckets 7..9, 10..12
     assert m.width == 3
     assert _probed(m, m.find_prev, 7 + d) == (7, d + 1)
     assert _probed(m, m.find_next, 12 - d) == (12, d + 1)
@@ -216,7 +217,7 @@ def test_probes_hit_in_own_bucket_cost_distance_plus_one(d):
 def test_probes_miss_falls_through_to_bucket_summary():
     # span 65: width 3 and 22 buckets, so the summary of non-empty buckets
     # is one bitmask word and each of its searches costs exactly one probe
-    m = _bucket_map(65, [5, 40], ["a", "b"])  # buckets 4..6 and 40..42
+    m = _bucket_map(65, [5, 40], [1, 2])  # buckets 4..6 and 40..42
     assert (m.width, m.n_buckets) == (3, 22)
     # own bucket 31..33 read from 32 down (2), summary (1), bucket 4..6 from
     # 6 down to the hit at 5 (2)
@@ -232,7 +233,7 @@ def test_probes_miss_through_a_recursive_summary():
     # span 1024: width 4 and 256 buckets; occupied buckets 1, 125 and 250.
     # The root vEB node keeps bucket 1 as its min, 250 as its max, and
     # buckets 125 and 250 in clusters 7 and 15 of bitmask leaves.
-    m = _bucket_map(1024, [2, 500, 1000], ["a", "b", "c"])
+    m = _bucket_map(1024, [2, 500, 1000], [1, 2, 3])
     assert (m.width, m.n_buckets) == (4, 256)
     # bucket 997..1000 read at 997 (1); root (1), cluster 15 min (1),
     # summary pred (1), cluster 7 max (1); bucket 497..500 hit at 500 (1)
@@ -243,7 +244,7 @@ def test_probes_miss_through_a_recursive_summary():
 
 
 def test_probes_for_keys_outside_the_span():
-    m = _bucket_map(65, [1, 65], ["a", "b"])
+    m = _bucket_map(65, [1, 65], [1, 2])
     assert _probed(m, m.find_prev, 0) == (None, 0)
     assert _probed(m, m.find_prev, -3) == (None, 0)
     assert _probed(m, m.find_next, 66) == (None, 0)
@@ -254,14 +255,14 @@ def test_probes_for_keys_outside_the_span():
 
 def test_probes_in_a_partial_last_bucket():
     # span 65 = 21 * 3 + 2: the last bucket holds only keys 64 and 65
-    m = _bucket_map(65, [10, 65], ["a", "b"])
+    m = _bucket_map(65, [10, 65], [1, 2])
     assert (m.width, m.n_buckets) == (3, 22)
     assert _probed(m, m.find_prev, 65) == (65, 1)
     assert _probed(m, m.find_next, 64) == (65, 2)
     # bucket 61..63 read at 63 (1), summary (1), last bucket 64..65 (2)
     assert _probed(m, m.find_next, 63) == (65, 4)
     m.delete(65)
-    m.insert(64, "c")
+    m.insert(64, 3)
     # a scan clamped to the span still reads the partial bucket from 65
     assert _probed(m, m.find_prev, 65) == (64, 2)
     m.delete(64)
@@ -384,7 +385,7 @@ def test_bulk_build_is_the_map_insertion_builds(span):
 
 
 def test_bulk_build_writes_but_charges_no_probes():
-    m = VebMap.build(64, [5, 40], ["a", "b"])
+    m = VebMap.build(64, [5, 40], [1, 2])
     assert m.probes == 0
     assert m.writes == VebMap(64).writes + 2 * 2
 
@@ -402,3 +403,73 @@ def test_bulk_build_rejects_bad_input():
         VebMap.build(8, [1, 2], [1])
     with pytest.raises(KeyRangeError):
         VebMap.build(0, [], [])
+
+
+# -- labels: ints in 0..LABEL_MAX, one byte each until one passes 254 --------
+
+
+@pytest.mark.parametrize("label", ["a", None, 1.5, -1, -2, LABEL_MAX + 1])
+def test_bad_labels_raise_veb_error_naming_the_label(label):
+    m = VebMap.build(100, range(1, 100), [0] * 99)   # bucket mode
+    for write in (lambda: VebMap(8).insert(3, label), lambda: m.update(5, label),
+                  lambda: VebMap.build(8, [2, 5], [1, label])):
+        with pytest.raises(VebError, match=f"label {label!r} "):
+            write()
+    assert m.retrieve(5) == 0 and len(m) == 99
+
+
+@pytest.mark.parametrize("span", [8, 4096])
+def test_labels_past_a_byte_widen_the_cells_once(span):
+    labels = [254, 255, 1000, LABEL_MAX]
+    keys = list(range(1, span + 1, span // 8))[:len(labels)]
+    inserted = VebMap(span)
+    for k, label in zip(keys, labels):
+        inserted.insert(k, label)
+        assert isinstance(inserted.labels, array) == (label >= 255)
+    built = VebMap.build(span, keys, labels)
+    assert isinstance(built.labels, array)
+    assert isinstance(VebMap.build(span, keys[:1], labels[:1]).labels, bytearray)
+    for m in (inserted, built):
+        assert m.items() == list(zip(keys, labels))
+        m.update(keys[0], 7)
+        m.delete(keys[1])
+        assert [m.retrieve(k) for k in keys] == [7, None, *labels[2:]]
+
+
+def test_numpy_scalar_labels_store_their_value():
+    # numpy scalar + 1 wraps at the scalar's dtype; the stored label must not
+    m = VebMap(8)
+    with np.errstate(over="ignore"):
+        for k, label in enumerate([np.uint8(254), np.int8(127), np.uint8(255)], 1):
+            m.insert(k, label)
+    assert m.items() == [(1, 254), (2, 127), (3, 255)]
+
+
+def test_wide_labels_differential_against_dict():
+    # labels past a byte over a span past FEW_MAX keys: the widened cells in
+    # list and bucket mode, reached by insert and by update
+    rng = random.Random(zlib.crc32(b"veb wide labels"))
+    span = 1000
+    m, ref = VebMap(span), {}
+    for step in range(20_000):
+        op, k = rng.random(), rng.randint(1, span)
+        if op < 0.3 and k not in ref:
+            ref[k] = rng.randrange(1000)
+            m.insert(k, ref[k])
+        elif op < 0.45 and ref:
+            k = rng.choice(list(ref))
+            m.delete(k)
+            del ref[k]
+        elif op < 0.6 and k in ref:
+            ref[k] = rng.randrange(1000)
+            m.update(k, ref[k])
+        elif op < 0.7:
+            assert m.retrieve(k) == ref.get(k)
+        elif op < 0.85:
+            assert m.find_prev(k) == max((x for x in ref if x <= k), default=None)
+        else:
+            assert m.find_next(k) == min((x for x in ref if x >= k), default=None)
+        if step == 50:
+            assert m.few is not None and isinstance(m.labels, array)
+    assert m.few is None and len(m) == len(ref)
+    assert m.items() == sorted(ref.items())
