@@ -19,7 +19,7 @@ BOUNDS = {
 
 ENGINE_PLANS = {
     Q_LZG: "chunked-lzg",
-    Q_SG_ONLY: "chunked-sg",
+    Q_SG_ONLY: "kary",
     OUTSIDE_Q_SG: "kary",
 }
 

@@ -53,11 +53,21 @@ def test_classify_alphabet_with_letter_1(tmp_path):
 
 
 def test_classify_lu2(tmp_path):
+    # the bound is the paper's; the plan names the engine the facade builds,
+    # the k-ary tree, measured faster than the vEB engine up to n = 2^20
     p = tmp_path / "lu2.json"
     p.write_text(json.dumps({"alphabet": "abcx", "regex": "(a+b+c)*bc*x(a+b+c)*"}))
-    out = json.loads(run_cli(["classify", str(p)]).stdout)
+    r = run_cli(["classify", str(p)])
+    assert r.returncode == 0, r.stderr
+    out = json.loads(r.stdout)
     assert out["class"] == "Q_SG_ONLY"
     assert out["bound"] == "O(log log n)"
+    assert out["engine_plan"] == "kary"
+    from dynreg.engines import make_language_engine
+    from dynreg.syntactic import analyze_regex
+
+    m, sd, rep = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")
+    assert make_language_engine(m, sd, rep, list("abcx")).kind == "language[kary]"
 
 
 def test_run_worked_example(files):

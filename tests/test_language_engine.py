@@ -16,7 +16,7 @@ from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_appen
 from dynreg.engines.zg import make_zg_engine
 from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, RangeError
 from dynreg.gallery import ab_star_semigroup, gallery, s3
-from dynreg.syntactic import Q_LZG, analyze_dfa, analyze_regex
+from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex
 from dynreg.syntactic.dfa import Dfa
 from helpers import FoldOracle, semigroup_tables
 
@@ -74,6 +74,8 @@ def _assert_kept_key(eng):
 
 
 FIRST_LETTER_DFA = Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1})  # window plan keyed on the first letter
+# An even number of a's and ends with b, (b+ab*a)*b: Q_LZG, no window plan
+EVEN_A_DFA = Dfa("ab", [[2, 1], [2, 1], [0, 3], [0, 3]], 0, {1})
 
 
 @pytest.mark.parametrize("which", ["ab_star", "first_letter"])
@@ -181,13 +183,13 @@ def test_first_letter_window_language_matches_membership():
 
 
 def test_downgraded_lzg_language_matches_membership():
-    # An even number of a's and ends with b: a Q_LZG language whose stable
-    # semigroup is not in ZG and has no window plan, so the facade falls
-    # back to the vEB engine, tagged sg-downgraded
-    m, sd, rep = analyze_dfa(Dfa("ab", [[2, 1], [2, 1], [0, 3], [0, 3]], 0, {1}))
+    # A Q_LZG language whose stable semigroup is not in ZG and has no
+    # window plan, so the facade falls back to the chunked k-ary tree,
+    # tagged kary-downgraded
+    m, sd, rep = analyze_dfa(EVEN_A_DFA)
     assert rep.cls == Q_LZG
     assert synthesize_window_plan(sd.stable) is None
-    _member_under_edits(m, sd, rep, "ab", 5, "language[sg-downgraded]")
+    _member_under_edits(m, sd, rep, "ab", 5, "language[kary-downgraded]")
 
 
 def test_paper_trace_ab_star():
@@ -218,15 +220,18 @@ def test_empty_word_membership():
 
 
 def test_engine_kinds_by_class():
+    # Q_SG_ONLY gets the unchunked k-ary tree, measured faster than the vEB
+    # engine at every n from 2^10 to 2^20
     cases = {
-        ("a*b*", "ab"): "language[window]",
-        ("a(a+b)*b", "ab"): "language[window]",  # a 2x2 rectangular band
-        ("(aa)*ba*", "ab"): "language[zg]",
-        ("(a+b+c)*bc*x(a+b+c)*", "abcx"): "language[sg]",
-        ("c*x(a+c)*", "acx"): "language[sg]",
+        ("a*b*", "ab"): (Q_LZG, "language[window]"),
+        ("a(a+b)*b", "ab"): (Q_LZG, "language[window]"),  # a 2x2 rectangular band
+        ("(aa)*ba*", "ab"): (Q_LZG, "language[zg]"),
+        ("(a+b+c)*bc*x(a+b+c)*", "abcx"): (Q_SG_ONLY, "language[kary]"),
+        ("c*x(a+c)*", "acx"): (Q_SG_ONLY, "language[kary]"),
     }
-    for (rx, alpha), want in cases.items():
+    for (rx, alpha), (cls, want) in cases.items():
         m, sd, rep = analyze_regex(rx, alpha)
+        assert rep.cls == cls, rx
         eng = make_language_engine(m, sd, rep, list(alpha * 3))
         assert eng.kind == want, rx
 
@@ -273,7 +278,7 @@ def test_language_differential_random(rx, alpha):
 
 @pytest.mark.parametrize("rx,alpha", [
     ("a*b*", "ab"),
-    ("(a+b+c)*bc*x(a+b+c)*", "abcx"),
+    ("(b+ab*a)*b", "ab"),  # EVEN_A_DFA's language: a chunked k-ary tree
     ("((abc)(abc))*((acb)(acb))*", "abc"),
 ])
 def test_bulk_block_images_match_block_image(rx, alpha):
@@ -288,7 +293,8 @@ def test_bulk_block_images_match_block_image(rx, alpha):
 
 
 def test_unknown_initial_letter_raises_range_error():
-    # one check serves every facade branch: window, sg and kary (S3)
+    # one check serves every facade branch: chunked (window) and unchunked
+    # kary (a Q_SG_ONLY language and S3)
     s3_delta = [[2, 3], [3, 2], [0, 5], [1, 4], [5, 0], [4, 1]]  # Cayley DFA of S3
     for m, sd, rep in (analyze_regex("a*b*", "ab"),
                        analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx"),
@@ -322,7 +328,7 @@ def test_language_constant_cost_for_q_lzg():
 CACHED_LANGUAGES = {
     "a*b*": lambda: analyze_regex("a*b*", "ab"),
     "(aa)*ba*": lambda: analyze_regex("(aa)*ba*", "ab"),
-    "edit-sg": lambda: analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx"),
+    "even a": lambda: analyze_dfa(EVEN_A_DFA),
     "first letter": lambda: analyze_dfa(FIRST_LETTER_DFA),
 }
 

@@ -1,18 +1,21 @@
 """Seeded random-DFA differential: every language engine the facade builds
-for a random DFA answers as the DFA's own morphism does.
+for a random DFA answers as the DFA's own morphism does, and the vEB engine,
+built by name over each Q_SG_ONLY stable semigroup, answers as the naive
+engine does.
 
 The DFAs (2-4 states, 2-3 letters, syntactic monoid of at most 30 elements)
 are the first ones one fixed seed draws, so every run checks the same
-languages, words and edits whatever PYTHONHASHSEED is. At n = 140 the sg
-engine's top layer is thick and some edits take a leaf below it past
-FEW_MAX.
+languages, words and edits whatever PYTHONHASHSEED is. The facade builds
+the k-ary tree for every Q_SG_ONLY language, so the vEB engine is driven
+directly: at n = 140 its top layer is thick and some edits take a leaf below
+it past FEW_MAX.
 """
 
 import random
 import zlib
 
-from dynreg.engines import SgEngine, make_language_engine
-from dynreg.syntactic import Dfa, analyze_dfa
+from dynreg.engines import make_language_engine, make_naive_engine, make_sg_engine
+from dynreg.syntactic import Q_SG_ONLY, Dfa, analyze_dfa
 
 DFAS = 200
 MONOID_CAP = 30
@@ -36,10 +39,23 @@ def random_dfas(rng, count):
 
 
 def _leaves(eng):
-    """The sg layers of a language engine that are leaves, by identity."""
-    if not isinstance(eng.inner, SgEngine):
-        return set()
-    return {id(layer) for layer in eng.inner.layers if layer.inp.few is not None}
+    """The sg layers of a vEB engine that are leaves, by identity."""
+    return {id(layer) for layer in eng.layers if layer.inp.few is not None}
+
+
+def _sg_differential(s, n, rng):
+    """EDITS random edits on the vEB engine over s against the naive
+    engine; returns how many leaves the edits took past FEW_MAX."""
+    word = [rng.randrange(s.size) for _ in range(n)]
+    eng, naive = make_sg_engine(s, list(word)), make_naive_engine(s, list(word))
+    leaves = _leaves(eng)
+    assert eng.query() == naive.query(), (s.table, n)
+    for _ in range(EDITS if n else 0):
+        p, a = rng.randrange(n), rng.randrange(s.size)
+        eng.update(p, a)
+        naive.update(p, a)
+        assert eng.query() == naive.query(), (s.table, n, p, a)
+    return len(leaves - _leaves(eng))
 
 
 def test_random_dfa_differential():
@@ -50,13 +66,13 @@ def test_random_dfa_differential():
             word = [rng.choice(alphabet) for _ in range(n)]
             eng = make_language_engine(m, sd, report, word)
             kinds.add(eng.kind)
-            leaves = _leaves(eng)
             assert eng.query() == m.member(word), (delta, finals, n)
             for _ in range(EDITS if n else 0):
                 p, a = rng.randrange(n), rng.choice(alphabet)
                 word[p] = a
                 eng.update(p, a)
                 assert eng.query() == m.member(word), (delta, finals, n, p, a)
-            thickened += len(leaves - _leaves(eng))
-    assert {"language[zg]", "language[window]", "language[sg]", "language[kary]"} <= kinds
+            if report.cls == Q_SG_ONLY:
+                thickened += _sg_differential(sd.stable, n, rng)
+    assert {"language[zg]", "language[window]", "language[kary]"} <= kinds
     assert thickened, "no edit took an sg leaf past FEW_MAX"
