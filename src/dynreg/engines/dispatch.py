@@ -1,10 +1,17 @@
-"""The engine registry and the one ladder walk that picks an engine.
+"""The engine registry, both engine ladders, and the one walk that picks an engine.
 
 REGISTRY lists (name, factory). Every factory checks its own class: before it
 reads the word it raises NotApplicable when the semigroup is outside its
 class, and NoPlan, a NotApplicable, when the class holds but no constant-time
 plan was found. AUTO_LADDER is the registry up to kary, which takes any
 semigroup; the entries after it are built only when asked for by name.
+LZG_LADDER is the language facade's ladder over a Q_LZG stable semigroup.
+
+Neither ladder holds sg, by measurement: from n = 2^10 to 2^20 log log n
+and log n / log log n stay within 10 % of each other, and on the Q_SG_ONLY
+test languages the vEB engine ran over 10x slower per edit than kary.
+sg stays selectable by name as the O(log log n) witness. Both ladders end
+in kary, so a zg rung without a plan reads kary-downgraded.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from .counting import CountEngine, NilpotentEngine
 from .kary import make_kary_engine
 from .prefix import make_prefix_engine
 from .sg import make_sg_engine
+from .windowstats import make_windowstats_engine
 from .zg import make_zg_engine
 
 logger = logging.getLogger(__name__)
@@ -25,10 +33,11 @@ AUTO_LADDER = (
     ("count", CountEngine),
     ("nilpotent", NilpotentEngine),
     ("zg", make_zg_engine),
-    ("sg", make_sg_engine),
     ("kary", make_kary_engine),
 )
-REGISTRY = AUTO_LADDER + (("prefix", make_prefix_engine), ("naive", make_naive_engine))
+LZG_LADDER = (("zg", make_zg_engine), ("window", make_windowstats_engine), ("kary", make_kary_engine))
+REGISTRY = AUTO_LADDER + (
+    ("sg", make_sg_engine), ("prefix", make_prefix_engine), ("naive", make_naive_engine))
 ENGINES = dict(REGISTRY)
 
 
@@ -62,10 +71,10 @@ def build_first(ladder, semigroup, word):
 
 
 def eligible_engines(semigroup):
-    """(name, factory) of every AUTO_LADDER rung whose factory accepts
-    semigroup, in ladder order; kary, the last, accepts every semigroup."""
+    """(name, factory) of every REGISTRY entry but the naive oracle, the
+    last, whose factory accepts semigroup, in registry order."""
     out = []
-    for name, factory in AUTO_LADDER:
+    for name, factory in REGISTRY[:-1]:
         try:
             factory(semigroup, [])
         except NotApplicable:
@@ -75,5 +84,5 @@ def eligible_engines(semigroup):
 
 
 def make_auto_engine(semigroup, word):
-    """count < nilpotent < zg < sg < kary: the first rung that accepts semigroup."""
+    """count < nilpotent < zg < kary: the first rung that accepts semigroup."""
     return build_first(AUTO_LADDER, semigroup, word)[1]

@@ -7,13 +7,7 @@ window-statistics engine, else the k-ary tree (correct, but the O(1) bound
 is lost; the kind tag says "-downgraded").
 
 Every other language, Q_SG_ONLY as well as OUTSIDE_Q_SG, is one unchunked
-k-ary tree over the syntactic monoid. The choice rests on measured constants,
-not on the classes' bounds: from n = 2^10 to 2^20, log log n and
-log n / log log n stay within about 10 % of each other, and on the stable
-semigroups of the Q_SG_ONLY test languages the vEB engine ran over 10x
-slower per edit than the k-ary tree. classify still reports the paper's
-bound, and the vEB engine stays selectable by name as the O(log log n)
-witness.
+k-ary tree over the syntactic monoid; dispatch.py says why.
 
 Membership composes the inner evaluation with the tail image in the
 syntactic monoid and tests the accept set. The block images go to the inner
@@ -34,10 +28,7 @@ from ..algebra.core import table_array
 from ..errors import InternalError, PositionOutOfRange, RangeError
 from ..syntactic.classify import Q_LZG
 from .base import Engine
-from .dispatch import ENGINES, build_first
-from .windowstats import make_windowstats_engine
-
-LZG_LADDER = (("zg", ENGINES["zg"]), ("window", make_windowstats_engine), ("kary", ENGINES["kary"]))
+from .dispatch import ENGINES, LZG_LADDER, build_first
 
 
 class LanguageEngine(Engine):

@@ -189,11 +189,23 @@ def test_bench_csv(tmp_path):
     assert r2.stdout == r3.stdout
 
 
+def test_bench_builds_kary_under_auto_and_sg_by_name(tmp_path):
+    # auto on a swap-equation semigroup builds the k-ary tree, as the
+    # language facade does; the vEB engine is still built when named
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"cells": [
+        {"engine": engine, "gallery": "abstar", "ns": [64], "ops": 20} for engine in ("auto", "sg")]}))
+    r = run_cli(["bench", str(cfg)])
+    assert r.returncode == 0, r.stderr
+    rows = [line.split(",") for line in r.stdout.splitlines()[2:]]
+    assert [row[1] for row in rows] == ["kary", "sg"]
+
+
 @pytest.mark.parametrize("cell,field,accepted", [
     ({"engine": "zg", "gallery": "nope"}, "gallery",
      "S3, U1, U1xZ3, U2, Z2, Z2xzg5, Z3, Z4, Z5, Z6, abstar, asq0, nilnc, zg5"),
     ({"engine": "nope", "gallery": "zg5"}, "engine",
-     "auto, count, nilpotent, zg, sg, kary, prefix, naive"),
+     "auto, count, nilpotent, zg, kary, sg, prefix, naive"),
     ({"engine": "language:nope"}, "language", "abstar, evenba"),
 ])
 def test_bench_unknown_name_is_rejected_before_any_cell_runs(tmp_path, cell, field, accepted):

@@ -23,8 +23,8 @@ from dynreg.engines import (
     make_windowstats_engine,
     make_zg_engine,
 )
+from dynreg.engines.dispatch import LZG_LADDER
 from dynreg.engines.kary import branching
-from dynreg.engines.language import LZG_LADDER
 from dynreg.errors import (
     NoZgCertificate,
     NotCommutative,
@@ -349,15 +349,15 @@ def test_zg_constant_update_cost_across_sizes(gal):
 def test_zg_engine_downgrades_above_the_congruence_search_bound(gal):
     # zg5 x Z3 is in ZG but not commutative; with 15 elements it is above
     # the congruence search's bound, so no certificate is found: the zg
-    # factory raises; auto falls back to the vEB engine and the facade's
-    # Q_LZG ladder (which tries window first) to the k-ary tree, and the
-    # answers of both stay exact
+    # factory raises; auto and the facade's Q_LZG ladder (which tries window
+    # first) both fall back to the k-ary tree, and the answers of both stay
+    # exact
     s = direct_product(gal["zg5"], gal["Z3"])
     assert s.size == 15
     assert check_variety(s, "ZG") and not check_variety(s, "COM")
     with pytest.raises(NoZgCertificate):
         make_zg_engine(s, [0])
-    assert make_auto_engine(s, [0]).kind == "sg-downgraded"
+    assert make_auto_engine(s, [0]).kind == "kary-downgraded"
     assert build_first(LZG_LADDER, s, [0])[0] == "kary-downgraded"
     rng = random.Random(15)
     for factory in (make_auto_engine, lambda s, w: build_first(LZG_LADDER, s, w)[1]):

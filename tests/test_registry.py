@@ -9,7 +9,9 @@ import pytest
 
 from dynreg import cli
 from dynreg.algebra.core import restriction
+from dynreg.algebra.varieties import check_variety
 from dynreg.engines import REGISTRY, eligible_engines, make_auto_engine, make_windowstats_engine
+from dynreg.engines.dispatch import AUTO_LADDER
 from dynreg.errors import NotApplicable, RangeError
 
 
@@ -54,8 +56,10 @@ def test_factories_reject_letters_outside_the_callers_semigroup(gal):
 
 
 def test_auto_ladder_order():
+    # auto leaves sg out; sg follows kary and is built only by name
     names = [name for name, _ in REGISTRY]
-    assert names[: names.index("kary") + 1] == ["count", "nilpotent", "zg", "sg", "kary"]
+    assert [name for name, _ in AUTO_LADDER] == ["count", "nilpotent", "zg", "kary"]
+    assert names[: names.index("kary") + 2] == ["count", "nilpotent", "zg", "kary", "sg"]
 
 
 def test_auto_engine_is_the_first_eligible_entry(gal):
@@ -63,7 +67,18 @@ def test_auto_engine_is_the_first_eligible_entry(gal):
         picked = make_auto_engine(s, [0])
         first, factory = eligible_engines(s)[0]
         assert picked.kind == factory(s, [0]).kind, (name, first)
-        assert eligible_engines(s)[-1][0] == "kary", name
+        assert picked.kind in ("count", "nilpotent", "zg", "kary"), name
+        assert picked.kind == "kary" or name not in ("U2", "abstar"), name
+        assert "kary" in dict(eligible_engines(s)), name
+
+
+def test_every_sg_semigroup_is_eligible_for_sg_and_kary(gal):
+    # criterion 1 walks eligible_engines, so it still runs the vEB engine
+    # that auto no longer builds
+    for name, s in sorted(gal.items()):
+        if check_variety(s, "SG"):
+            names = [engine for engine, _ in eligible_engines(s)]
+            assert "sg" in names and "kary" in names, (name, names)
 
 
 def test_cli_engine_choices_are_auto_plus_the_registry(capsys):
