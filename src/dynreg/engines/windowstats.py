@@ -21,7 +21,7 @@ word length. This covers stable semigroups whose local monoids are in ZG but
 which are not in ZG themselves (the counters play the commutative part, the
 last letter the definite part, the first letter the reverse-definite part,
 as the length-1 prefix and suffix of local testability); when every plan
-fails, callers fall back to the vEB engine.
+fails, `dispatch.LZG_LADDER` goes on to its last rung, the k-ary tree.
 """
 
 from __future__ import annotations
@@ -118,37 +118,67 @@ def synthesize_window_plan(s):
 
 
 def _verify_plan(s, first, threshold, period):
+    """The plan for one key if reachability proves it exact, else None.
+
+    Breadth-first search, one layer at a time, over the states (capped
+    counts, first letter, last letter, evaluation) of all nonempty words,
+    giving up at the start of a layer once more than STATE_CAP states are
+    seen. The plan fails as soon as two reachable states share a key
+    (capped counts, first letter, last letter) but not an evaluation.
+
+    Each key is one int: the capped counts as mixed-radix digits with radix
+    threshold + period, slot i at radix**i, and above them the last letter,
+    then the first letter (0 in keys without it). Until the plan fails a key
+    has one evaluation, so `seen`, a dict from key to evaluation, holds each
+    state once. A letter a adds bump[slot][digit], the change from the digit
+    to the cap of its successor at the slot's place, for its own slot and
+    for the pair slot size + t[last][a]. The keys are decoded into the
+    plan's recovery table once, at the end.
+    """
     plan = WindowStatsPlan(first, threshold, period, _nslots(s))
-    cap, recovery = plan.cap, plan.recovery
-    seen = set()
+    size, nslots, cap, t = s.size, plan.nslots, plan.cap, s.table
+    radix = threshold + period
+    place = [radix**i for i in range(nslots)]
+    bump = [[(cap(d + 1) - d) * p for d in range(radix)] for p in place]
+    last_place = radix**nslots
+    first_place = last_place * size
+    # moves[last][a]: the place and bumps of a's slot and of the pair slot, a as last letter
+    moves = [[(place[a], bump[a], place[p], bump[p], a * last_place)
+              for a, p in enumerate(size + x for x in row)] for row in t]
+    seen = {}  # key -> evaluation
     frontier = []
-    for a in range(s.size):
-        counts = [0] * plan.nslots
-        for slot in _slots_of_append(s, None, a):
-            counts[slot] = 1
-        st = (tuple(counts), a if first else None, a, a)
-        recovery[st[:3]] = a
-        seen.add(st)
-        frontier.append(st)
-    t = s.table
+    for a in range(size):
+        key = place[a] + a * last_place + (a * first_place if first else 0)
+        seen[key] = a
+        frontier.append(key)
+    get = seen.get
     while frontier:
         if len(seen) > STATE_CAP:
             return None
         nxt = []
-        for counts, f, last, ev in frontier:
-            for a in range(s.size):
-                c2 = list(counts)
-                for slot in _slots_of_append(s, last, a):
-                    c2[slot] = cap(c2[slot] + 1)
-                ev2 = t[ev][a]
-                st = (tuple(c2), f, a, ev2)
-                if st in seen:
-                    continue
-                if recovery.setdefault(st[:3], ev2) != ev2:
+        for key in frontier:
+            row = t[seen[key]]
+            last = key // last_place % size
+            key -= last * last_place
+            # key // place % radix is a count digit: first_place is a multiple of radix * place
+            for a, (pa, ba, pp, bp, la) in enumerate(moves[last]):
+                key2 = key + ba[key // pa % radix] + bp[key // pp % radix] + la
+                ev = row[a]
+                old = get(key2)
+                if old is None:
+                    seen[key2] = ev
+                    nxt.append(key2)
+                elif old != ev:
                     return None
-                seen.add(st)
-                nxt.append(st)
         frontier = nxt
+    capped = {}
+    for key, ev in seen.items():
+        f, key = divmod(key, first_place)
+        last, code = divmod(key, last_place)
+        c = capped.get(code)
+        if c is None:
+            c = capped[code] = tuple(code // p % radix for p in place)
+        plan.recovery[(c, f if first else None, last)] = ev
     return plan
 
 

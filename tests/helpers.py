@@ -1,11 +1,12 @@
-"""Shared test utilities: fast fold oracle, gallery-wide engine setup and
-small-semigroup enumeration."""
+"""Shared test utilities: fast fold oracle, gallery-wide engine setup,
+small-semigroup enumeration and a reference window plan search."""
 
 import itertools
 
 import numpy as np
 
 from dynreg.engines.base import make_naive_engine
+from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append
 
 
 class FoldOracle:
@@ -127,3 +128,47 @@ def semigroup_tables(order):
         t[x][y] = None
 
     yield from fill(0)
+
+
+def reference_window_search(s, first, threshold, period, state_cap):
+    """The window plan search over tuple states, as a reference for
+    windowstats._verify_plan: the same layer-by-layer search, cap test and
+    conflict rule, with each state a (counts tuple, first letter or None,
+    last letter, evaluation) tuple.
+
+    Returns (recovery, states): the recovery table, or None if the key
+    fails or more than state_cap states are seen at the start of a layer,
+    and the number of states seen when the search stopped.
+    """
+    plan = WindowStatsPlan(first, threshold, period, _nslots(s))
+    cap, recovery = plan.cap, plan.recovery
+    seen = set()
+    frontier = []
+    for a in range(s.size):
+        counts = [0] * plan.nslots
+        for slot in _slots_of_append(s, None, a):
+            counts[slot] = 1
+        st = (tuple(counts), a if first else None, a, a)
+        recovery[st[:3]] = a
+        seen.add(st)
+        frontier.append(st)
+    t = s.table
+    while frontier:
+        if len(seen) > state_cap:
+            return None, len(seen)
+        nxt = []
+        for counts, f, last, ev in frontier:
+            for a in range(s.size):
+                c2 = list(counts)
+                for slot in _slots_of_append(s, last, a):
+                    c2[slot] = cap(c2[slot] + 1)
+                ev2 = t[ev][a]
+                st = (tuple(c2), f, a, ev2)
+                if st in seen:
+                    continue
+                if recovery.setdefault(st[:3], ev2) != ev2:
+                    return None, len(seen)
+                seen.add(st)
+                nxt.append(st)
+        frontier = nxt
+    return recovery, len(seen)

@@ -12,13 +12,14 @@ from dynreg.engines import (
 )
 from dynreg.algebra.core import FiniteSemigroup
 from dynreg.algebra.varieties import check_variety
-from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append, _word_counts
+from dynreg.engines import windowstats
+from dynreg.engines.windowstats import WindowStatsPlan, _exponent, _nslots, _slots_of_append, _verify_plan, _word_counts
 from dynreg.engines.zg import make_zg_engine
 from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, RangeError
-from dynreg.gallery import ab_star_semigroup, gallery, s3
+from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
 from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex
 from dynreg.syntactic.dfa import Dfa
-from helpers import FoldOracle, semigroup_tables
+from helpers import FoldOracle, reference_window_search, semigroup_tables
 
 
 def test_window_plan_for_ab_star_semigroup():
@@ -141,6 +142,52 @@ def test_every_order_le_3_window_semigroup_gets_an_exact_plan():
                 if n <= 2:
                     _assert_kept_key(eng)
                 assert eng.query() == ora.query(), (s.table, n, p, a)
+
+
+def _window_keys(s):
+    """The four (first, threshold, period) keys synthesize_window_plan tries."""
+    return [(first, threshold, period) for first in (False, True)
+            for threshold, period in ((1, 1), (s.size + 1, _exponent(s)))]
+
+
+@pytest.mark.parametrize("semigroups, outcomes", [
+    pytest.param(_order_le_3_window_semigroups, {"plan", "conflict"}, id="order <= 3"),
+    pytest.param(lambda: [ab_star_semigroup()], {"plan", "cap"}, id="ab_star"),
+    pytest.param(lambda: [analyze_dfa(FIRST_LETTER_DFA)[1].stable], {"plan", "conflict", "cap"}, id="first letter"),
+    pytest.param(lambda: [analyze_dfa(EVEN_A_DFA)[1].stable], {"conflict", "cap"}, id="even a"),
+    # Z2 is in ZG and never reaches the window rung; it is here for its
+    # counts plan, capped modulo 2, which is found below the test's cap
+    pytest.param(lambda: [cyclic(2)], {"plan", "conflict"}, id="Z2"),
+])
+def test_packed_window_search_matches_the_tuple_reference(semigroups, outcomes, monkeypatch):
+    # Under a small cap, so that the searches that would run to the full
+    # STATE_CAP stop early; a search that ends below the cap gets the same
+    # verdict under any larger one
+    cap = 5_000
+    monkeypatch.setattr(windowstats, "STATE_CAP", cap)
+    kinds = set()
+    for s in semigroups():
+        for key in _window_keys(s):
+            plan = _verify_plan(s, *key)
+            recovery, states = reference_window_search(s, *key, state_cap=cap)
+            assert (plan is None) == (recovery is None), (s.table, key)
+            if plan is not None:
+                assert plan.recovery == recovery, (s.table, key)
+            kinds.add("plan" if plan else "cap" if states > cap else "conflict")
+    assert kinds == outcomes
+
+
+def test_window_search_cap_is_exact_at_the_reachable_state_count(monkeypatch):
+    # FIRST_LETTER_DFA's first-letter presence plan: the search gives up
+    # only when more than STATE_CAP states are seen at the start of a layer
+    s = analyze_dfa(FIRST_LETTER_DFA)[1].stable
+    key = (True, 1, 1)
+    recovery, states = reference_window_search(s, *key, state_cap=float("inf"))
+    assert recovery is not None
+    monkeypatch.setattr(windowstats, "STATE_CAP", states - 1)
+    assert _verify_plan(s, *key) is None
+    monkeypatch.setattr(windowstats, "STATE_CAP", states)
+    assert _verify_plan(s, *key).recovery == recovery
 
 
 def test_window_factory_without_plan_raises_engine_error():
