@@ -17,7 +17,9 @@ A chunked facade keeps its last membership bit. An edit clears it only when
 it changes its block's image, and so reaches inner.update, or changes a tail
 letter (one at pos >= blocks * s, which is every letter when n < s). A query
 on a kept bit calls neither inner engine method and charges only the
-facade's own s + 1 steps: op_count counts the work that ran.
+facade's own s + 1 steps: op_count counts the work that ran. An edit that
+writes the letter already there takes the same path, and keeps its block's
+image.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class LanguageEngine(Engine):
         ids = _letter_ids(morphism, self.word)
         self.s = stable.index
         self.chunked = report.cls == Q_LZG
+        self._eta = morphism.eta
         if not self.chunked:
             self.inner = ENGINES["kary"](morphism.target, ids)
             self.kind = "language[kary]"
@@ -51,46 +54,60 @@ class LanguageEngine(Engine):
                                       _block_images(morphism, stable, ids, self.blocks))
         self.kind = f"language[{tag}]"
         self._bit = None  # the last membership bit, None once the word's value may change
+        self._images, self._image = stable.block_images, stable.block_image
+        self._block_steps = 1 + 2 * self.s  # the facade's step and the two block folds
 
     def update(self, pos, letter):
         if not (0 <= pos < self.n):
             raise PositionOutOfRange(f"position {pos} outside 0..{self.n - 1}")
-        if letter not in self.morphism.eta:
+        if letter not in self._eta:
             raise RangeError(f"letter {letter!r} not in the alphabet")
-        self._steps += 1
+        word = self.word
         if not self.chunked:
-            self.word[pos] = letter
-            self.inner.update(pos, self.morphism.eta[letter])
+            self._steps += 1
+            word[pos] = letter
+            self.inner.update(pos, self._eta[letter])
             return
-        b = pos // self.s
+        s = self.s
+        b = pos // s
         if b < self.blocks:
             # the inner engine sees the block only when its image changes
-            self._steps += 2 * self.s
-            lo = b * self.s
-            block = self.word[lo : lo + self.s]
-            old = self.stable.block_image(block)
+            self._steps += self._block_steps
+            lo = b * s
+            block = word[lo : lo + s]
+            # a seen block's image is one dict lookup; block_image folds the rest
+            images = self._images
+            old = images.get(tuple(block))
+            if old is None:
+                old = self._image(block)
             block[pos - lo] = letter
-            img = self.stable.block_image(block)
+            img = images.get(tuple(block))
+            if img is None:
+                img = self._image(block)
             if img != old:
                 self.inner.update(b, img)
                 self._bit = None
-        elif self.word[pos] != letter:
-            self._bit = None  # tail letters are read verbatim at query time
-        self.word[pos] = letter
+        else:
+            self._steps += 1
+            if word[pos] != letter:
+                self._bit = None  # tail letters are read verbatim at query time
+        word[pos] = letter
 
     def query(self):
         """Membership bit for the current word."""
-        m = self.morphism
         if not self.chunked:
             self._steps += 1
             v = self.inner.query()
+            m = self.morphism
             if v is None:
                 v = m.target.identity
             return v in m.accept
         self._steps += self.s + 1
-        if self._bit is not None:
+        bit = self._bit
+        if bit is not None:
             # the inner engine and the tail are as the kept bit saw them
-            return self._bit
+            return bit
+        m = self.morphism
         inner_val = self.inner.query()
         acc = None
         if inner_val is not None:

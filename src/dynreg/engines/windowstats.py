@@ -1,17 +1,20 @@
 """Constant-time engine from local statistics, verified at build time.
 
 The engine maintains exact occurrence counters, one per letter value and one
-per value of a product of two adjacent letters, and next to them the same
-counters projected through a threshold-plus-period cap. A query looks up the
-capped counts, the last letter and, in plans with `first`, the first letter
-in a recovery table.
+per value of a product of two adjacent letters, and next to them one int,
+the code: the same counters projected through a threshold-plus-period cap,
+packed as mixed-radix digits in the plan search's key layout. A query adds
+the last letter and, in plans with `first`, the first letter at their
+places and looks the sum up in the recovery table, which is the search's
+own dict from key to evaluation.
 
 A substitution changes the slots of at most two positions, so its net change
 depends only on the (previous, old, new, next) letters. The plan builds that
-table lazily, from the same per-position rule as the bulk count and the plan
-search, and drops slots whose changes cancel; an update rewrites only the
-count and the capped value of each slot left. Updates and queries are
-therefore constant time, with word-length-independent step counts.
+table lazily, keyed by one int over those letters, from the same
+per-position rule as the bulk count and the plan search, and drops slots
+whose changes cancel; an update rewrites only the count of each slot left
+and moves the code by the change of its capped digit. Updates and queries
+are therefore constant time, with word-length-independent step counts.
 
 Whether the key determines the evaluation is decided by exhaustive
 reachability over the capped-statistic automaton, carrying the true
@@ -39,13 +42,23 @@ STATE_CAP = 300_000  # reachable states explored before a plan gives up
 
 
 class WindowStatsPlan:
+    """A key is one int: the capped count of slot i as a digit at radix**i,
+    radix = threshold + period, then the last letter at last_place, then,
+    in plans with `first`, the first letter at first_place (0 otherwise)."""
+
     def __init__(self, first, threshold, period, nslots):
         self.first = first  # whether the first letter joins the recovery key
         self.threshold = threshold
         self.period = period
         self.nslots = nslots
-        self.recovery = {}  # (capped counts, first letter or None, last letter) -> element
-        self.deltas = {}  # (prev, old, new, next) -> ((slot, net change), ...), filled lazily
+        self.radix = radix = threshold + period
+        self.last_place = radix**nslots
+        # above the last letter, one of the nslots // 2 letters (see _nslots)
+        self.first_place = self.last_place * (nslots // 2) if first else 0
+        self.recovery = {}  # key -> element
+        # packed (prev + 1, next + 1, old, new) -> ((slot, net change, radix**slot), ...),
+        # filled lazily; 0 stands for no letter past an end of the word
+        self.deltas = {}
 
         def cap(c):
             return c if c < threshold else threshold + (c - threshold) % period
@@ -66,10 +79,11 @@ def _slots_of_append(s, last, a):
     return (a, s.size + s.table[last][a])
 
 
-def _slot_delta(s, prev, old, new, nxt):
+def _slot_delta(s, radix, prev, old, new, nxt):
     """Net slot changes when the letter between prev and nxt (None past an
     end of the word) goes from old to new, without the slots that cancel:
-    the slots _slots_of_append gives its own position and the next one."""
+    the slots _slots_of_append gives its own position and the next one.
+    Each slot comes with its net change and its place in the code."""
     net = {}
     for sign, a in ((-1, old), (1, new)):
         slots = _slots_of_append(s, prev, a)
@@ -77,7 +91,7 @@ def _slot_delta(s, prev, old, new, nxt):
             slots += _slots_of_append(s, a, nxt)
         for slot in slots:
             net[slot] = net.get(slot, 0) + sign
-    return tuple((slot, d) for slot, d in net.items() if d)
+    return tuple((slot, d, radix**slot) for slot, d in net.items() if d)
 
 
 def _word_counts(s, word, nslots):
@@ -126,29 +140,25 @@ def _verify_plan(s, first, threshold, period):
     seen. The plan fails as soon as two reachable states share a key
     (capped counts, first letter, last letter) but not an evaluation.
 
-    Each key is one int: the capped counts as mixed-radix digits with radix
-    threshold + period, slot i at radix**i, and above them the last letter,
-    then the first letter (0 in keys without it). Until the plan fails a key
-    has one evaluation, so `seen`, a dict from key to evaluation, holds each
-    state once. A letter a adds bump[slot][digit], the change from the digit
-    to the cap of its successor at the slot's place, for its own slot and
-    for the pair slot size + t[last][a]. The keys are decoded into the
-    plan's recovery table once, at the end.
+    Each key is one int in the plan's layout (see WindowStatsPlan). Until
+    the plan fails a key has one evaluation, so `seen`, a dict from key to
+    evaluation, holds each state once, and becomes the plan's recovery
+    table. A letter a adds bump[slot][digit], the change from the digit to
+    the cap of its successor at the slot's place, for its own slot and for
+    the pair slot size + t[last][a].
     """
     plan = WindowStatsPlan(first, threshold, period, _nslots(s))
     size, nslots, cap, t = s.size, plan.nslots, plan.cap, s.table
-    radix = threshold + period
+    radix, last_place, first_place = plan.radix, plan.last_place, plan.first_place
     place = [radix**i for i in range(nslots)]
     bump = [[(cap(d + 1) - d) * p for d in range(radix)] for p in place]
-    last_place = radix**nslots
-    first_place = last_place * size
     # moves[last][a]: the place and bumps of a's slot and of the pair slot, a as last letter
     moves = [[(place[a], bump[a], place[p], bump[p], a * last_place)
               for a, p in enumerate(size + x for x in row)] for row in t]
     seen = {}  # key -> evaluation
     frontier = []
     for a in range(size):
-        key = place[a] + a * last_place + (a * first_place if first else 0)
+        key = place[a] + a * last_place + a * first_place
         seen[key] = a
         frontier.append(key)
     get = seen.get
@@ -171,14 +181,7 @@ def _verify_plan(s, first, threshold, period):
                 elif old != ev:
                     return None
         frontier = nxt
-    capped = {}
-    for key, ev in seen.items():
-        f, key = divmod(key, first_place)
-        last, code = divmod(key, last_place)
-        c = capped.get(code)
-        if c is None:
-            c = capped[code] = tuple(code // p % radix for p in place)
-        plan.recovery[(c, f if first else None, last)] = ev
+    plan.recovery = seen
     return plan
 
 
@@ -190,31 +193,40 @@ class WindowStatsEngine(Engine):
         self.plan = plan
         letters = word if isinstance(word, np.ndarray) else self.word
         self.counts = _word_counts(semigroup, letters, plan.nslots)
-        self.capped = [plan.cap(c) for c in self.counts]
+        cap, radix = plan.cap, plan.radix
+        self.code = sum(cap(c) * radix**i for i, c in enumerate(self.counts))
 
     def update(self, pos, letter):
         self._check(pos, letter)
         self._steps += 4
-        word, plan = self.word, self.plan
-        key = (word[pos - 1] if pos else None, word[pos], letter,
-               word[pos + 1] if pos + 1 < self.n else None)
+        word, plan, size = self.word, self.plan, self.size
+        old = word[pos]
+        prev = word[pos - 1] + 1 if pos else 0
+        nxt = word[pos + 1] + 1 if pos + 1 < self.n else 0
+        key = ((prev * (size + 1) + nxt) * size + old) * size + letter
         delta = plan.deltas.get(key)
         if delta is None:
-            delta = plan.deltas[key] = _slot_delta(self.semigroup, *key)
-        counts, capped, cap = self.counts, self.capped, plan.cap
-        for slot, d in delta:
-            c = counts[slot] + d
-            counts[slot] = c
-            capped[slot] = cap(c)
+            delta = plan.deltas[key] = _slot_delta(
+                self.semigroup, plan.radix, prev - 1 if prev else None, old, letter, nxt - 1 if nxt else None)
+        counts, threshold, period, code = self.counts, plan.threshold, plan.period, self.code
+        for slot, d, place in delta:
+            c = counts[slot]
+            e = c + d
+            counts[slot] = e
+            if c < threshold or e < threshold:
+                code += (plan.cap(e) - plan.cap(c)) * place
+            elif period > 1:
+                # at or above the threshold a digit is threshold + (count - threshold) % period
+                code += ((e - threshold) % period - (c - threshold) % period) * place
+        self.code = code
         word[pos] = letter
 
     def query(self):
         if not self.n:
             return None
-        plan = self.plan
+        plan, word = self.plan, self.word
         self._steps += plan.nslots + 1
-        first = self.word[0] if plan.first else None
-        return plan.recovery[(tuple(self.capped), first, self.word[-1])]
+        return plan.recovery[self.code + word[-1] * plan.last_place + word[0] * plan.first_place]
 
 
 def make_windowstats_engine(semigroup, word):

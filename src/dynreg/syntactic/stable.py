@@ -13,17 +13,17 @@ class StableData:
         self.inclusion = inclusion      # stable id -> monoid id
         self.to_stable = {m: i for i, m in enumerate(inclusion)}
         self._morphism = morphism
-        self._block_cache = {}
+        self.block_images = {}          # block tuple -> stable id, filled by block_image
 
     def block_image(self, block):
         """Stable id of a length-s block of alphabet symbols (memoized)."""
         block = tuple(block)
-        hit = self._block_cache.get(block)
+        hit = self.block_images.get(block)
         if hit is None:
             if len(block) != self.index:
                 raise InternalError(f"block length {len(block)} != stability index")
             hit = self.to_stable[self._morphism.image(block)]
-            self._block_cache[block] = hit
+            self.block_images[block] = hit
         return hit
 
 

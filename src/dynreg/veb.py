@@ -105,10 +105,9 @@ def _widened(cells):
 
 @memo
 def _bucket_table(span, width):
-    """K(x) = ceil(x / width) for x in 0..span. The entries of one bucket
-    share one int object, which keeps the table at one object per bucket."""
-    buckets = np.arange(1, -(-span // width) + 1, dtype=object)
-    return [0] + np.repeat(buckets, width)[:span].tolist()
+    """K(x) = ceil(x / width) for x in 0..span, as unsigned int cells of
+    four bytes per key, shared by the maps of one span."""
+    return array("I", ((np.arange(span + 1) + width - 1) // width).astype(np.uintc).tobytes())
 
 
 class _Bits:

@@ -1,5 +1,6 @@
 """Shared test utilities: fast fold oracle, gallery-wide engine setup,
-small-semigroup enumeration and a reference window plan search."""
+small-semigroup enumeration, a reference window plan search and a decoder
+for the window plans' packed keys."""
 
 import itertools
 
@@ -172,3 +173,15 @@ def reference_window_search(s, first, threshold, period, state_cap):
                 nxt.append(st)
         frontier = nxt
     return recovery, len(seen)
+
+
+def decoded_recovery(plan):
+    """The plan's recovery table with each packed key decoded as the
+    reference search keys its table: (capped counts tuple, first letter or
+    None, last letter)."""
+    table = {}
+    for key, ev in plan.recovery.items():
+        f, key = divmod(key, plan.first_place) if plan.first else (None, key)
+        last, code = divmod(key, plan.last_place)
+        table[tuple(code // plan.radix**i % plan.radix for i in range(plan.nslots)), f, last] = ev
+    return table

@@ -19,7 +19,7 @@ from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, RangeError
 from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
 from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex
 from dynreg.syntactic.dfa import Dfa
-from helpers import FoldOracle, reference_window_search, semigroup_tables
+from helpers import FoldOracle, decoded_recovery, reference_window_search, semigroup_tables
 
 
 def test_window_plan_for_ab_star_semigroup():
@@ -67,11 +67,11 @@ def test_window_bulk_counts_match_the_per_position_rule(gal):
 
 
 def _assert_kept_key(eng):
-    """The engine's capped list is the cap of the counts recomputed from its word."""
+    """The engine's code packs the caps of the counts recomputed from its word."""
     plan = eng.plan
     counts = _word_counts(eng.semigroup, eng.word, plan.nslots)
     assert eng.counts == counts
-    assert eng.capped == [plan.cap(c) for c in counts]
+    assert eng.code == sum(plan.cap(c) * plan.radix**i for i, c in enumerate(counts))
 
 
 FIRST_LETTER_DFA = Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1})  # window plan keyed on the first letter
@@ -104,6 +104,20 @@ def test_window_engine_keeps_its_capped_key(which):
             _assert_kept_key(eng)
             assert eng.query() == ora.query(), (which, n, p, a)
             assert eng.query() == ora.query()  # the kept answer
+
+
+@pytest.mark.parametrize("threshold, period", [(1, 1), (3, 2), (1, 4)])
+def test_window_code_follows_the_counts_under_each_cap(gal, threshold, period):
+    # counts that cross the threshold and wrap round the period move the
+    # packed code by their capped digits, on hand-made plans of each shape
+    for name, s in gal.items():
+        rng = random.Random(zlib.crc32(f"window code {name} {threshold} {period}".encode()))
+        plan = WindowStatsPlan(False, threshold, period, _nslots(s))
+        for n in (1, 2, 3, 9):
+            eng = WindowStatsEngine(s, [rng.randrange(s.size) for _ in range(n)], plan)
+            for _ in range(40):
+                eng.update(rng.randrange(n), rng.randrange(s.size))
+                _assert_kept_key(eng)
 
 
 def _order_le_3_window_semigroups():
@@ -172,7 +186,7 @@ def test_packed_window_search_matches_the_tuple_reference(semigroups, outcomes, 
             recovery, states = reference_window_search(s, *key, state_cap=cap)
             assert (plan is None) == (recovery is None), (s.table, key)
             if plan is not None:
-                assert plan.recovery == recovery, (s.table, key)
+                assert decoded_recovery(plan) == recovery, (s.table, key)
             kinds.add("plan" if plan else "cap" if states > cap else "conflict")
     assert kinds == outcomes
 
@@ -187,7 +201,7 @@ def test_window_search_cap_is_exact_at_the_reachable_state_count(monkeypatch):
     monkeypatch.setattr(windowstats, "STATE_CAP", states - 1)
     assert _verify_plan(s, *key) is None
     monkeypatch.setattr(windowstats, "STATE_CAP", states)
-    assert _verify_plan(s, *key).recovery == recovery
+    assert decoded_recovery(_verify_plan(s, *key)) == recovery
 
 
 def test_window_factory_without_plan_raises_engine_error():
@@ -428,3 +442,44 @@ def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
         assert 0 < kept < 400, name
         blocks = [word[b * s : (b + 1) * s] for b in range(8)]
         assert eng.inner.snapshot() == tuple(sd.block_image(b) for b in blocks), name
+
+
+@pytest.mark.parametrize("name", [*CACHED_LANGUAGES, "edit-sg"])
+def test_same_letter_edit_takes_the_ordinary_path(name):
+    # an edit that writes the letter already there is no special case: on the
+    # chunked path it pays the facade's step and two block folds (one step in
+    # the tail), keeps its block's image and so reaches neither inner engine
+    # method, and its query answers from the kept bit; on the unchunked path
+    # it reaches inner.update like any other edit
+    if name == "edit-sg":
+        m, sd, rep = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")
+    else:
+        m, sd, rep = CACHED_LANGUAGES[name]()
+    s = sd.index
+    rng = random.Random(zlib.crc32(f"same letter {name}".encode()))
+    n = 8 * s + s - 1
+    word = [rng.choice(m.alphabet) for _ in range(n)]
+    eng = make_language_engine(m, sd, rep, list(word))
+    assert eng.chunked is (name != "edit-sg"), eng.kind
+    calls = []
+    inner_update, inner_query = eng.inner.update, eng.inner.query
+    eng.inner.update = lambda b, img: (calls.append("update"), inner_update(b, img))
+    eng.inner.query = lambda: (calls.append("query"), inner_query())[1]
+    for _ in range(200):
+        p = rng.randrange(n)
+        c = rng.choice([a for a in m.alphabet if a != word[p]])
+        eng.update(p, c)
+        word[p] = c
+        assert eng.query() == m.member(word), (name, p, c)
+        calls.clear()
+        ops = eng.op_count
+        eng.update(p, c)
+        if eng.chunked:
+            assert eng.op_count - ops == (1 if p >= 8 * s else 1 + 2 * s), (name, p)
+            assert calls == [], (name, p)
+            ops = eng.op_count
+            assert eng.query() == m.member(word), (name, p)
+            assert eng.op_count - ops == s + 1 and calls == [], (name, p)
+        else:
+            assert calls == ["update"], (name, p)
+            assert eng.query() == m.member(word), (name, p)

@@ -1,6 +1,9 @@
 import random
 import tracemalloc
 
+import pytest
+
+from dynreg.engines import make_language_engine
 from dynreg.engines.kary import make_kary_engine
 from dynreg.engines.sg import make_sg_engine
 from dynreg.gallery import s3
@@ -9,20 +12,43 @@ from dynreg.syntactic import analyze_regex
 N = 2**16
 
 
-def test_sg_engine_holds_a_few_bytes_per_letter():
-    # the stable semigroup of the edit-sg benchmark language; nine span-N
-    # VebMaps hold one label byte per key each
-    stable = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")[1].stable
-    rng = random.Random(16)
-    word = [rng.randrange(stable.size) for _ in range(N)]
+def _built(factory, *args):
+    """The engine factory(*args) builds, and the bytes it holds per letter."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        engine = make_sg_engine(stable, word)
+        engine = factory(*args)
         held = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert engine.n == N and held / N <= 64, f"{held / N:.1f} B per letter"
+    return engine, held / N
+
+
+def test_sg_engine_holds_a_few_bytes_per_letter():
+    # the stable semigroup of the edit-sg benchmark language; nine span-N
+    # VebMaps hold one label byte per key each, and share one bucket table
+    # of four bytes per key
+    stable = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")[1].stable
+    rng = random.Random(16)
+    word = [rng.randrange(stable.size) for _ in range(N)]
+    engine, per_letter = _built(make_sg_engine, stable, word)
+    assert engine.n == N and per_letter <= 48, f"{per_letter:.1f} B per letter"
+
+
+@pytest.mark.parametrize("rx, alphabet, kind, budget", [
+    ("a*b*", "ab", "language[window]", 14),
+    ("(ab)*", "ab", "language[zg]", 14),
+    ("(a+b+c)*bc*x(a+b+c)*", "abcx", "language[kary]", 24),
+])
+def test_language_facade_holds_a_few_bytes_per_letter(rx, alphabet, kind, budget):
+    # the facade's letter list and the inner engine's stores; one more
+    # per-letter store would cross the budget
+    m, sd, rep = analyze_regex(rx, alphabet)
+    rng = random.Random(16)
+    word = [rng.choice(alphabet) for _ in range(N)]
+    engine, per_letter = _built(make_language_engine, m, sd, rep, word)
+    assert engine.kind == kind
+    assert per_letter <= budget, f"{kind}: {per_letter:.1f} B per letter"
 
 
 def test_kary_memory_stays_flat_under_edits():
