@@ -1,6 +1,6 @@
 from .base import Engine, NaiveEngine, make_naive_engine
 from .combinators import DivisionEngine, ProductEngine
-from .counting import CountEngine, NilpotentEngine, make_count_engine, make_nilpotent_engine
+from .counting import CountEngine, NilpotentEngine
 from .dispatch import REGISTRY, build_first, eligible_engines, make_auto_engine
 from .kary import KaryEngine, make_kary_engine
 from .language import LanguageEngine, make_language_engine
@@ -34,11 +34,9 @@ __all__ = [
     "build_first",
     "eligible_engines",
     "make_auto_engine",
-    "make_count_engine",
     "make_kary_engine",
     "make_language_engine",
     "make_naive_engine",
-    "make_nilpotent_engine",
     "make_prefix_engine",
     "make_semidirect_engine",
     "make_sg_engine",

@@ -53,10 +53,6 @@ class CountEngine(Engine):
         return acc
 
 
-def make_count_engine(semigroup, word):
-    return CountEngine(semigroup, word)
-
-
 class NilpotentEngine(Engine):
     """Monoids S^1 with S nilpotent: an unsorted doubly-linked list of the
     non-neutral positions decides everything in O(1)."""
@@ -130,7 +126,3 @@ class NilpotentEngine(Engine):
         for p in positions[1:]:
             acc = t[acc][self.word[p]]
         return acc
-
-
-def make_nilpotent_engine(semigroup, word):
-    return NilpotentEngine(semigroup, word)

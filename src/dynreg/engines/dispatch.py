@@ -1,10 +1,13 @@
 """The engine registry, both engine ladders, and the one walk that picks an engine.
 
-REGISTRY lists (name, factory). Every factory checks its own class: before it
-reads the word it raises NotApplicable when the semigroup is outside its
-class, and NoPlan, a NotApplicable, when the class holds but no constant-time
-plan was found. AUTO_LADDER is the registry up to kary, which takes any
-semigroup; the entries after it are built only when asked for by name.
+REGISTRY lists (name, factory), one row per engine route. Every factory
+checks its own class: before it reads the word it raises NotApplicable when
+the semigroup is outside its class, and NoPlan, a NotApplicable, when the
+class holds but no constant-time plan was found. AUTO_LADDER is the registry
+up to kary, which takes any semigroup; the entries after it are built only
+when asked for by name. The constant-time count and nilpotent engines have no
+row of their own: a commutative or nilpotent-plus-identity monoid is a
+one-factor zg certificate, so the zg row builds them.
 LZG_LADDER is the language facade's ladder over a Q_LZG stable semigroup.
 
 Neither ladder holds sg, by measurement: from n = 2^10 to 2^20 log log n
@@ -20,7 +23,6 @@ import logging
 
 from ..errors import NoPlan, NotApplicable
 from .base import make_naive_engine
-from .counting import CountEngine, NilpotentEngine
 from .kary import make_kary_engine
 from .prefix import make_prefix_engine
 from .sg import make_sg_engine
@@ -29,12 +31,7 @@ from .zg import make_zg_engine
 
 logger = logging.getLogger(__name__)
 
-AUTO_LADDER = (
-    ("count", CountEngine),
-    ("nilpotent", NilpotentEngine),
-    ("zg", make_zg_engine),
-    ("kary", make_kary_engine),
-)
+AUTO_LADDER = (("zg", make_zg_engine), ("kary", make_kary_engine))
 LZG_LADDER = (("zg", make_zg_engine), ("window", make_windowstats_engine), ("kary", make_kary_engine))
 REGISTRY = AUTO_LADDER + (
     ("sg", make_sg_engine), ("prefix", make_prefix_engine), ("naive", make_naive_engine))
@@ -84,5 +81,5 @@ def eligible_engines(semigroup):
 
 
 def make_auto_engine(semigroup, word):
-    """count < nilpotent < zg < kary: the first rung that accepts semigroup."""
+    """zg < kary: the first rung that accepts semigroup."""
     return build_first(AUTO_LADDER, semigroup, word)[1]

@@ -1,38 +1,21 @@
-"""Prefix-evaluation engines.
+"""Prefix evaluation on one VebMap.
 
-For the AND monoid the prefix problem is a threshold query on the set of zero
-positions; for the last-non-neutral monoid it is a labeled predecessor query.
-Both ride on one VebMap. Everything else routes to the k-ary tree, whose
-prefix query is the general-purpose answer.
+For a monoid whose non-neutral elements multiply as xy = y, a prefix
+evaluates to its last non-neutral letter: a labeled predecessor query. The
+AND monoid U1 and the last-non-neutral monoid U2 have that shape; any other
+semigroup raises NotApplicable, and the k-ary tree answers its prefixes.
 """
 
 from __future__ import annotations
 
-from ..errors import PositionOutOfRange
+from ..errors import NotApplicable, PositionOutOfRange
 from ..veb import VebMap
 from .base import Engine
-from .kary import KaryEngine
-
-
-def _u1_shape(s):
-    """id pair (one, zero) if s is the AND monoid, else None."""
-    if s.size == 2 and s.identity is not None and s.zero is not None:
-        return s.identity, s.zero
-    return None
-
-
-def _u2_shape(s):
-    """(one, (a, b)) if s is {1,a,b} with xy = y on non-neutral, else None."""
-    if s.size != 3 or s.identity is None:
-        return None
-    rest = [x for x in range(3) if x != s.identity]
-    a, b = rest
-    ok = all(s.table[x][y] == y for x in rest for y in rest)
-    return (s.identity, (a, b)) if ok else None
 
 
 class VebPrefixEngine(Engine):
-    """Predecessor-structure prefix engine for the U1/U2 shapes."""
+    """Predecessor-structure prefix engine for monoids with xy = y on the
+    non-neutral elements."""
 
     kind = "veb-prefix"
 
@@ -71,7 +54,8 @@ class VebPrefixEngine(Engine):
 
 
 def make_prefix_engine(semigroup, word):
-    """Prefix engine: vEB-backed for the U1/U2 shapes, k-ary otherwise."""
-    if _u1_shape(semigroup) is not None or _u2_shape(semigroup) is not None:
-        return VebPrefixEngine(semigroup, word)
-    return KaryEngine(semigroup, word)
+    one, t = semigroup.identity, semigroup.table
+    rest = [x for x in range(semigroup.size) if x != one]
+    if one is None or any(t[x][y] != y for x in rest for y in rest):
+        raise NotApplicable("prefix engine requires a monoid with xy = y on non-neutral x, y")
+    return VebPrefixEngine(semigroup, word)

@@ -13,6 +13,7 @@ from ..algebra.core import FiniteSemigroup
 from ..algebra.varieties import check_variety, definiteness_window
 from ..errors import NotDefinite, RangeError
 from .base import Engine
+from .dispatch import make_auto_engine
 
 
 class SemidirectSpec:
@@ -77,7 +78,7 @@ class SemidirectSpec:
 class SemidirectEngine(Engine):
     kind = "semidirect"
 
-    def __init__(self, spec, word, inner_factory=None):
+    def __init__(self, spec, word):
         self.spec = spec
         product = spec.product_semigroup()
         super().__init__(product, word)
@@ -89,11 +90,7 @@ class SemidirectEngine(Engine):
             self.t_letters.append(tv)
             self.s_letters.append(sv)
         transformed = [self._transformed(i) for i in range(self.n)]
-        if inner_factory is None:
-            from .dispatch import make_auto_engine
-
-            inner_factory = make_auto_engine
-        self.inner = inner_factory(spec.t_part, transformed)
+        self.inner = make_auto_engine(spec.t_part, transformed)
 
     def _s_prefix(self, i):
         """Product of s-letters before position i, clipped to the window."""
@@ -147,5 +144,5 @@ class SemidirectEngine(Engine):
         return (self.inner,)
 
 
-def make_semidirect_engine(spec, word, inner_factory=None):
-    return SemidirectEngine(spec, word, inner_factory=inner_factory)
+def make_semidirect_engine(spec, word):
+    return SemidirectEngine(spec, word)

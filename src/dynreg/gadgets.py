@@ -1,26 +1,49 @@
 """Constructive reductions between prefix problems and dynamic membership.
 
-Each adapter drives a target engine through probe-then-restore queries: a
-query performs a bounded number of updates on the target word, reads the
-answer, and puts every probed cell back, leaving the target state untouched.
+One class per reduction:
+- PrefixU1ViaMonoid keeps a prefix-U1 bit word through one engine for any
+  monoid outside ZE (a witness pair from find_violation(m, "ZE"));
+- PrefixU1ViaLanguage and PrefixU2ViaLanguage keep the prefix-U1 and
+  prefix-U2 words through an engine for L_U1 = c*x(a+c)* and
+  L_U2 = (a+b+c)*bc*x(a+b+c)*;
+- MembershipViaPrefix keeps membership in L_U1 or L_U2 through the prefix
+  engine of U1 or U2;
+- InfixAdapter answers infix membership through the marked language.
+
+Each query drives its engine through probe-then-restore updates: it performs
+a bounded number of updates on the engine's word, reads the answer, and puts
+every probed cell back, leaving the engine state untouched. Every setter
+checks its position and its letter before it changes anything.
 """
 
 from __future__ import annotations
 
-from .algebra.varieties import find_violation
 from .engines.dispatch import make_auto_engine
 from .engines.language import make_language_engine
 from .engines.prefix import make_prefix_engine
-from .errors import InternalError, NotAWitness, PositionOutOfRange, RangeError
+from .errors import NotAWitness, PositionOutOfRange, RangeError
 from .memo import memo
 from .syntactic import analyze_dfa, analyze_regex
 from .syntactic.dfa import Dfa
 
+_BITS = (0, 1)
 
-def find_ze_witness(m):
-    """A pair (x, y) with x^w y != y x^w, or None when m is in ZE."""
-    viol = find_violation(m, "ZE")
-    return None if viol is None else viol
+
+def _checked(word, letters, what):
+    """word as a list; RangeError for the first letter outside letters."""
+    word = list(word)
+    for c in word:
+        if c not in letters:
+            raise RangeError(f"{c!r} is not a {what}")
+    return word
+
+
+def _check_edit(i, c, n, letters, what):
+    """PositionOutOfRange or RangeError for an edit that would write c at
+    position i of a word of length n."""
+    if not (0 <= i < n):
+        raise PositionOutOfRange(f"position {i} outside 0..{n - 1}")
+    _checked([c], letters, what)
 
 
 class PrefixU1ViaMonoid:
@@ -34,8 +57,6 @@ class PrefixU1ViaMonoid:
     prefix contains a zero. If only the mirrored inequality holds the word
     is maintained reversed and updates flip position.
     """
-
-    source_problem = "prefix-u1"
 
     def __init__(self, monoid, x, y, n, word=None):
         if monoid.identity is None:
@@ -61,7 +82,7 @@ class PrefixU1ViaMonoid:
         self.y = y
         self.e = e
         self.n = n
-        self.bits = list(word) if word is not None else [1] * n
+        self.bits = _checked(word, _BITS, "bit") if word is not None else [1] * n
         if len(self.bits) != n:
             raise RangeError("initial word length mismatch")
         self.length = 2 * n + 2
@@ -80,8 +101,7 @@ class PrefixU1ViaMonoid:
 
     def set_bit(self, i, bit):
         """Write bit (0 or 1) at position i of the binary word (0-based)."""
-        if not (0 <= i < self.n):
-            raise PositionOutOfRange(f"position {i} outside 0..{self.n - 1}")
+        _check_edit(i, bit, self.n, _BITS, "bit")
         self.bits[i] = bit
         self.engine.update(self._pos(2 * i + 1), self.xw if bit == 0 else self.e)
 
@@ -107,71 +127,64 @@ _analyze_regex = memo(analyze_regex)
 
 
 def _lang_engine_for(regex_text, alphabet, word):
-    m, sd, rep = _analyze_regex(regex_text, alphabet)
-    return make_language_engine(m, sd, rep, word), (m, sd, rep)
+    return make_language_engine(*_analyze_regex(regex_text, alphabet), word)
 
 
-def _require_direction(adapter, direction):
-    """Each adapter query exists in one direction only; raises rather than
-    asserts, so the check also holds under python -O."""
-    if adapter.direction != direction:
-        raise InternalError(
-            f"{type(adapter).__name__} built {adapter.direction!r} has no "
-            f"{direction!r} query"
-        )
+def _check_threshold(j, n):
+    if not (1 <= j <= n):
+        raise PositionOutOfRange(f"prefix {j} outside 1..{n}")
 
 
-class LangU2Adapter:
-    """Both directions of the prefix-U2 <-> membership-in-L_U2 equivalence,
-    L_U2 = (a+b+c)*bc*x(a+b+c)*."""
+class PrefixU1ViaLanguage:
+    """Prefix-U1 through an L_U1 engine: bit 0 is kept as a and bit 1 as c.
+    Writing x at position j-1 gives a word in L_U1 = c*x(a+c)* exactly when
+    no a, no 0 bit, comes before it."""
 
-    def __init__(self, direction, word):
-        if direction not in ("problem-to-language", "language-to-problem"):
-            raise RangeError(f"unknown direction {direction!r}")
-        self.direction = direction
+    def __init__(self, bits):
+        self.w = _checked(bits, _BITS, "bit")
+        self.engine = _lang_engine_for("c*x(a+c)*", "acx", ["a" if b == 0 else "c" for b in self.w])
         self.queries = 0
-        if direction == "problem-to-language":
-            # maintain a prefix-U2 word over {1, a, b} via an L_U2 engine
-            self.w = list(word)  # letters "1", "a", "b"
-            enc = ["c" if c == "1" else c for c in self.w]
-            self.engine, _ = _lang_engine_for(
-                "(a+b+c)*bc*x(a+b+c)*", "abcx", enc
-            )
-        else:
-            # maintain membership in L_U2 via a prefix engine + x-list
-            from .gallery import u2
 
-            self.w = list(word)  # letters over {a, b, c, x}
-            m = u2()
-            self.ids = {"1": m.identity, "a": m.id_of("a"), "b": m.id_of("b")}
-            enc = [self.ids[{"a": "a", "b": "b"}.get(c, "1")] for c in self.w]
-            self.prefix_engine = make_prefix_engine(m, enc)
-            self.m = m
-            self.x_positions = set(i for i, c in enumerate(self.w) if c == "x")
+    def set_bit(self, i, bit):
+        _check_edit(i, bit, len(self.w), _BITS, "bit")
+        self.w[i] = bit
+        self.engine.update(i, "a" if bit == 0 else "c")
+
+    def query(self, j):
+        """True iff some position < j holds a 0 (prefix of length j)."""
+        _check_threshold(j, len(self.w))
+        self.queries += 1
+        if self.w[j - 1] == 0:
+            return True
+        eng = self.engine
+        eng.update(j - 1, "x")
+        member = eng.query()
+        eng.update(j - 1, "c")
+        return not member
+
+
+class PrefixU2ViaLanguage:
+    """Prefix-U2 over {1, a, b} through an L_U2 engine, the neutral letter 1
+    kept as c. Writing x at position k-1 gives a word in
+    L_U2 = (a+b+c)*bc*x(a+b+c)* exactly when the last non-neutral letter
+    before it is b."""
+
+    LETTERS = ("1", "a", "b")
+
+    def __init__(self, word):
+        self.w = _checked(word, self.LETTERS, "prefix-U2 letter")
+        self.engine = _lang_engine_for(
+            "(a+b+c)*bc*x(a+b+c)*", "abcx", ["c" if c == "1" else c for c in self.w])
+        self.queries = 0
 
     def set_letter(self, i, c):
-        if self.direction == "problem-to-language":
-            if c not in ("1", "a", "b"):
-                raise RangeError(f"letter {c!r} not in the prefix-U2 alphabet")
-            self.w[i] = c
-            self.engine.update(i, "c" if c == "1" else c)
-        else:
-            if c not in ("a", "b", "c", "x"):
-                raise RangeError(f"letter {c!r} not in the L_U2 alphabet")
-            if self.w[i] == "x":
-                self.x_positions.discard(i)
-            self.w[i] = c
-            if c == "x":
-                self.x_positions.add(i)
-            self.prefix_engine.update(
-                i, self.ids[c] if c in ("a", "b") else self.ids["1"]
-            )
+        _check_edit(i, c, len(self.w), self.LETTERS, "prefix-U2 letter")
+        self.w[i] = c
+        self.engine.update(i, "c" if c == "1" else c)
 
-    def prefix_query(self, k):
+    def query(self, k):
         """Last non-neutral among the first k letters: '1', 'a', or 'b'."""
-        _require_direction(self, "problem-to-language")
-        if not (1 <= k <= len(self.w)):
-            raise PositionOutOfRange(f"prefix {k} outside 1..{len(self.w)}")
+        _check_threshold(k, len(self.w))
         self.queries += 1
         if self.w[k - 1] != "1":
             return self.w[k - 1]
@@ -194,77 +207,41 @@ class LangU2Adapter:
         eng.update(k - 1, "c")
         return "1" if member else "a"
 
-    def member_query(self):
-        """Is the maintained word in L_U2?"""
-        _require_direction(self, "language-to-problem")
-        self.queries += 1
-        if len(self.x_positions) != 1:
-            return False
-        (pos,) = self.x_positions
-        if pos == 0:
-            return False
-        val = self.prefix_engine.prefix(pos)  # letters before the x
-        return val == self.ids["b"]
 
+class MembershipViaPrefix:
+    """Membership in a language "exactly one x, and the letters before it
+    evaluate into accept" through a prefix engine for monoid.
 
-class LangU1Adapter:
-    """Both directions of the prefix-U1 <-> membership-in-L_U1 equivalence,
-    L_U1 = c*x(a+c)*."""
+    image maps each letter to an element name of monoid; accept is a set of
+    element names. Two instances are the paper's:
+    - L_U1 = c*x(a+c)*: monoid U1, a -> 0, c and x -> 1, accept {1};
+    - L_U2 = (a+b+c)*bc*x(a+b+c)*: monoid U2, a -> a, b -> b, c and x -> 1,
+      accept {b}.
+    """
 
-    def __init__(self, direction, word):
-        if direction not in ("problem-to-language", "language-to-problem"):
-            raise RangeError(f"unknown direction {direction!r}")
-        self.direction = direction
+    def __init__(self, monoid, image, accept, word):
+        self.image = {c: monoid.id_of(name) for c, name in image.items()}
+        self.accept = {monoid.id_of(name) for name in accept}
+        self.w = _checked(word, self.image, "letter of the language")
+        self.prefix_engine = make_prefix_engine(monoid, [self.image[c] for c in self.w])
+        self.x_positions = {i for i, c in enumerate(self.w) if c == "x"}
         self.queries = 0
-        if direction == "problem-to-language":
-            self.w = list(word)  # bits 0/1
-            enc = ["a" if b == 0 else "c" for b in self.w]
-            self.engine, _ = _lang_engine_for("c*x(a+c)*", "acx", enc)
-        else:
-            from .gallery import u1
-
-            self.w = list(word)  # letters over {a, c, x}
-            m = u1()
-            self.zero = m.zero
-            self.one = m.identity
-            enc = [self.zero if c == "a" else self.one for c in self.w]
-            self.prefix_engine = make_prefix_engine(m, enc)
-            self.x_positions = set(i for i, c in enumerate(self.w) if c == "x")
 
     def set_letter(self, i, c):
-        if self.direction == "problem-to-language":
-            self.w[i] = c  # bit
-            self.engine.update(i, "a" if c == 0 else "c")
-        else:
-            if self.w[i] == "x":
-                self.x_positions.discard(i)
-            self.w[i] = c
-            if c == "x":
-                self.x_positions.add(i)
-            self.prefix_engine.update(i, self.zero if c == "a" else self.one)
+        _check_edit(i, c, len(self.w), self.image, "letter of the language")
+        self.x_positions.discard(i)
+        if c == "x":
+            self.x_positions.add(i)
+        self.w[i] = c
+        self.prefix_engine.update(i, self.image[c])
 
-    def prefix_query(self, j):
-        """True iff some position < j holds a 0 (prefix of length j)."""
-        _require_direction(self, "problem-to-language")
-        if not (1 <= j <= len(self.w)):
-            raise PositionOutOfRange(f"prefix {j} outside 1..{len(self.w)}")
-        self.queries += 1
-        if self.w[j - 1] == 0:
-            return True
-        eng = self.engine
-        eng.update(j - 1, "x")
-        member = eng.query()
-        eng.update(j - 1, "c")
-        return not member
-
-    def member_query(self):
-        """Is the maintained word in L_U1?"""
-        _require_direction(self, "language-to-problem")
+    def query(self):
+        """Is the maintained word in the language?"""
         self.queries += 1
         if len(self.x_positions) != 1:
             return False
         (pos,) = self.x_positions
-        return self.prefix_engine.prefix(pos) != self.zero
+        return self.prefix_engine.prefix(pos) in self.accept
 
 
 def marked_infix_dfa(dfa, mark="#"):
@@ -306,10 +283,7 @@ class InfixAdapter:
         self.queries = 0
 
     def set_letter(self, i, c):
-        if not (0 <= i < self.n):
-            raise PositionOutOfRange(f"position {i} outside 0..{self.n - 1}")
-        if c not in self.base_dfa.alphabet:
-            raise RangeError(f"letter {c!r} not in the alphabet")
+        _check_edit(i, c, self.n, self.base_dfa.alphabet, "letter of the alphabet")
         self.w[i] = c
         self.engine.update(i + 1, c)
 

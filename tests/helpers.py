@@ -1,6 +1,7 @@
 """Shared test utilities: fast fold oracle, gallery-wide engine setup,
-small-semigroup enumeration, a reference window plan search and a decoder
-for the window plans' packed keys."""
+small-semigroup enumeration, a reference window plan search, a decoder
+for the window plans' packed keys, and the L_U1 and L_U2 membership
+reductions."""
 
 import itertools
 
@@ -8,6 +9,18 @@ import numpy as np
 
 from dynreg.engines.base import make_naive_engine
 from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append
+from dynreg.gadgets import MembershipViaPrefix
+from dynreg.gallery import u1, u2
+
+
+def membership_l_u1(word):
+    """Membership in L_U1 = c*x(a+c)* through the U1 prefix engine."""
+    return MembershipViaPrefix(u1(), {"a": "0", "c": "1", "x": "1"}, {"1"}, word)
+
+
+def membership_l_u2(word):
+    """Membership in L_U2 = (a+b+c)*bc*x(a+b+c)* through the U2 prefix engine."""
+    return MembershipViaPrefix(u2(), {"a": "a", "b": "b", "c": "1", "x": "1"}, {"b"}, word)
 
 
 class FoldOracle:

@@ -28,9 +28,9 @@ import zlib
 
 import pytest
 
-from helpers import FoldOracle
+from helpers import FoldOracle, membership_l_u1, membership_l_u2
 
-from dynreg.algebra import check_variety, green_j, rees_decompose
+from dynreg.algebra import check_variety, find_violation, green_j, rees_decompose
 from dynreg.engines import (
     SemidirectSpec,
     eligible_engines,
@@ -42,13 +42,7 @@ from dynreg.engines import (
     make_zg_engine,
 )
 from dynreg.engines.counting import CountEngine, NilpotentEngine
-from dynreg.gadgets import (
-    InfixAdapter,
-    LangU1Adapter,
-    LangU2Adapter,
-    PrefixU1ViaMonoid,
-    find_ze_witness,
-)
+from dynreg.gadgets import InfixAdapter, PrefixU1ViaMonoid, PrefixU2ViaLanguage
 from dynreg.gallery import u2
 from dynreg.syntactic import (
     OUTSIDE_Q_SG,
@@ -441,7 +435,7 @@ def test_criterion_6_gadget_round_trips():
     pat_ab = re.compile(r"a*b*$")
 
     m = u2()
-    x, y = find_ze_witness(m)
+    x, y = find_violation(m, "ZE")
     for n in range(1, 6):
         for bits in itertools.product((0, 1), repeat=n):
             g = PrefixU1ViaMonoid(m, x, y, n, word=list(bits))
@@ -463,32 +457,32 @@ def test_criterion_6_gadget_round_trips():
 
     for n in range(1, 6):
         for w in itertools.product("1ab", repeat=n):
-            ad = LangU2Adapter("problem-to-language", list(w))
+            ad = PrefixU2ViaLanguage(list(w))
             snap = ad.engine.snapshot()
             for k in range(1, n + 1):
                 nn = [c for c in w[:k] if c != "1"]
                 want = nn[-1] if nn else "1"
-                if ad.prefix_query(k) != want:
+                if ad.query(k) != want:
                     failures.append(f"prefix-u2 exhaustive {w} {k}")
                 if ad.engine.snapshot() != snap:
                     failures.append("prefix-u2 restore")
         for w in itertools.product("acx", repeat=n):
-            ad = LangU1Adapter("language-to-problem", list(w))
-            if ad.member_query() != bool(pat_u1.match("".join(w))):
+            ad = membership_l_u1(list(w))
+            if ad.query() != bool(pat_u1.match("".join(w))):
                 failures.append(f"L_U1 membership {w}")
         for w in itertools.product("abcx", repeat=n):
-            ad = LangU2Adapter("language-to-problem", list(w))
-            if ad.member_query() != bool(pat_u2.match("".join(w))):
+            ad = membership_l_u2(list(w))
+            if ad.query() != bool(pat_u2.match("".join(w))):
                 failures.append(f"L_U2 membership {w}")
 
     for _ in range(64):
         n = 64
         w = [rng.choice("1ab") for _ in range(n)]
-        ad = LangU2Adapter("problem-to-language", list(w))
+        ad = PrefixU2ViaLanguage(list(w))
         k = rng.randrange(1, n + 1)
         nn = [c for c in w[:k] if c != "1"]
         want = nn[-1] if nn else "1"
-        if ad.prefix_query(k) != want:
+        if ad.query(k) != want:
             failures.append("prefix-u2 random")
 
     from dynreg.syntactic import parse_regex, regex_to_dfa

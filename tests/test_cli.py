@@ -205,7 +205,7 @@ def test_bench_builds_kary_under_auto_and_sg_by_name(tmp_path):
     ({"engine": "zg", "gallery": "nope"}, "gallery",
      "S3, U1, U1xZ3, U2, Z2, Z2xzg5, Z3, Z4, Z5, Z6, abstar, asq0, nilnc, zg5"),
     ({"engine": "nope", "gallery": "zg5"}, "engine",
-     "auto, count, nilpotent, zg, kary, sg, prefix, naive"),
+     "auto, zg, kary, sg, prefix, naive"),
     ({"engine": "language:nope"}, "language", "abstar, evenba"),
 ])
 def test_bench_unknown_name_is_rejected_before_any_cell_runs(tmp_path, cell, field, accepted):
@@ -266,7 +266,7 @@ BAD_BENCH = {
     (["run", "{dir}/abse.json", "--word", "a b"], "U 0 x\n"),
     (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "P 9\n"),
     (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "I 1 0\n"),
-    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "count"], "Q\n"),
+    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "zg"], "Q\n"),
     (["run", "{dir}/abstar.json", "--word", "aaaa"], "X 1\n"),
     (["classify", "{dir}/missing.json"], None),
     # an engine named for language input, which picks its own

@@ -4,13 +4,15 @@ import re
 
 import pytest
 
-from dynreg.errors import InternalError, NotAWitness, RangeError
+from helpers import membership_l_u1, membership_l_u2
+
+from dynreg.algebra import find_violation
+from dynreg.errors import NotAWitness, PositionOutOfRange, RangeError
 from dynreg.gadgets import (
     InfixAdapter,
-    LangU1Adapter,
-    LangU2Adapter,
+    PrefixU1ViaLanguage,
     PrefixU1ViaMonoid,
-    find_ze_witness,
+    PrefixU2ViaLanguage,
 )
 from dynreg.gallery import cyclic, u2
 from dynreg.syntactic import minimize_dfa, parse_regex, regex_to_dfa
@@ -21,21 +23,21 @@ L_U2 = re.compile(r"[abc]*bc*x[abc]*$")
 
 def test_witness_refused_for_ze_monoid():
     z3 = cyclic(3)
-    assert find_ze_witness(z3) is None
+    assert find_violation(z3, "ZE") is None
     with pytest.raises(NotAWitness):
         PrefixU1ViaMonoid(z3, 1, 2, 4)
 
 
 def test_prefix_u1_all_neutral_word():
     m = u2()
-    x, y = find_ze_witness(m)
+    x, y = find_violation(m, "ZE")
     g = PrefixU1ViaMonoid(m, x, y, 2, word=[1, 1])
     assert all(g.query(j) is False for j in range(3))
 
 
 def test_prefix_u1_exhaustive_length_4():
     m = u2()
-    x, y = find_ze_witness(m)
+    x, y = find_violation(m, "ZE")
     for bits in itertools.product((0, 1), repeat=4):
         g = PrefixU1ViaMonoid(m, x, y, 4, word=list(bits))
         snap = g.engine.snapshot()
@@ -51,7 +53,7 @@ def test_prefix_u1_exhaustive_length_4():
 
 def test_prefix_u1_random_words():
     m = u2()
-    x, y = find_ze_witness(m)
+    x, y = find_violation(m, "ZE")
     rng = random.Random(44)
     n = 64
     bits = [rng.randrange(2) for _ in range(n)]
@@ -68,56 +70,56 @@ def test_prefix_u1_random_words():
 def test_lang_u1_membership_exhaustive():
     for n in range(1, 6):
         for w in itertools.product("acx", repeat=n):
-            ad = LangU1Adapter("language-to-problem", list(w))
-            assert ad.member_query() == bool(L_U1.match("".join(w))), w
+            ad = membership_l_u1(list(w))
+            assert ad.query() == bool(L_U1.match("".join(w))), w
 
 
 def test_lang_u1_prefix_exhaustive():
     for n in range(1, 6):
         for bits in itertools.product((0, 1), repeat=n):
-            ad = LangU1Adapter("problem-to-language", list(bits))
+            ad = PrefixU1ViaLanguage(list(bits))
             for j in range(1, n + 1):
-                assert ad.prefix_query(j) == any(b == 0 for b in bits[:j])
+                assert ad.query(j) == any(b == 0 for b in bits[:j])
 
 
 def test_lang_u2_prefix_exhaustive():
     for n in range(1, 6):
         for w in itertools.product("1ab", repeat=n):
-            ad = LangU2Adapter("problem-to-language", list(w))
+            ad = PrefixU2ViaLanguage(list(w))
             snap = ad.engine.snapshot()
             for k in range(1, n + 1):
                 nonneutral = [c for c in w[:k] if c != "1"]
                 want = nonneutral[-1] if nonneutral else "1"
-                assert ad.prefix_query(k) == want, (w, k)
+                assert ad.query(k) == want, (w, k)
                 assert ad.engine.snapshot() == snap
 
 
 def test_lang_u2_membership_exhaustive():
     for n in range(1, 6):
         for w in itertools.product("abcx", repeat=n):
-            ad = LangU2Adapter("language-to-problem", list(w))
-            assert ad.member_query() == bool(L_U2.match("".join(w))), w
+            ad = membership_l_u2(list(w))
+            assert ad.query() == bool(L_U2.match("".join(w))), w
 
 
 def test_lang_adapters_random_updates():
     rng = random.Random(7)
     n = 64
     w = [rng.choice("abcx") for _ in range(n)]
-    ad = LangU2Adapter("language-to-problem", list(w))
+    ad = membership_l_u2(list(w))
     for _ in range(300):
         i, c = rng.randrange(n), rng.choice("abcx")
         ad.set_letter(i, c)
         w[i] = c
-        assert ad.member_query() == bool(L_U2.match("".join(w)))
+        assert ad.query() == bool(L_U2.match("".join(w)))
 
     bits = [rng.randrange(2) for _ in range(n)]
-    ad1 = LangU1Adapter("problem-to-language", list(bits))
+    ad1 = PrefixU1ViaLanguage(list(bits))
     for _ in range(300):
         i, b = rng.randrange(n), rng.randrange(2)
-        ad1.set_letter(i, b)
+        ad1.set_bit(i, b)
         bits[i] = b
         j = rng.randrange(1, n + 1)
-        assert ad1.prefix_query(j) == any(v == 0 for v in bits[:j])
+        assert ad1.query(j) == any(v == 0 for v in bits[:j])
 
 
 def _abstar_dfa():
@@ -164,15 +166,33 @@ def test_infix_adapter_random_n64():
         w[p] = c
 
 
-@pytest.mark.parametrize("adapter,direction,word,query", [
-    (LangU2Adapter, "language-to-problem", list("abx"), lambda ad: ad.prefix_query(1)),
-    (LangU2Adapter, "problem-to-language", list("1ab"), lambda ad: ad.member_query()),
-    (LangU1Adapter, "language-to-problem", list("acx"), lambda ad: ad.prefix_query(1)),
-    (LangU1Adapter, "problem-to-language", [0, 1, 1], lambda ad: ad.member_query()),
-])
-def test_query_in_the_wrong_direction_raises_internal_error(adapter, direction, word, query):
+# (name, build, setter, query, want, good letter, bad letter): on each
+# three-letter word the bad letter, written where it would change the answer,
+# and the good letter at positions -1 and 3 are refused
+REFUSED_EDITS = [
+    ("u1-monoid", lambda: PrefixU1ViaMonoid(u2(), *find_violation(u2(), "ZE"), 3, [1, 0, 1]),
+     "set_bit", lambda g: g.query(3), True, 0, 7),
+    ("u1-language", lambda: PrefixU1ViaLanguage([1, 0, 1]),
+     "set_bit", lambda g: g.query(3), True, 0, 7),
+    ("u2-language", lambda: PrefixU2ViaLanguage(list("1ab")),
+     "set_letter", lambda g: g.query(3), "b", "a", "c"),
+    ("l-u1", lambda: membership_l_u1(list("cxa")),
+     "set_letter", lambda g: g.query(), True, "c", "b"),
+    ("l-u2", lambda: membership_l_u2(list("bxa")),
+     "set_letter", lambda g: g.query(), True, "c", "d"),
+    ("infix", lambda: InfixAdapter(_abstar_dfa(), list("aab")),
+     "set_letter", lambda g: g.infix_query(0, 2), True, "a", "c"),
+]
+
+
+@pytest.mark.parametrize("pos,bad", [(1, True), (-1, False), (3, False)],
+                         ids=["bad-letter", "position-minus-1", "position-n"])
+@pytest.mark.parametrize("name,build,setter,query,want,good,bad_letter", REFUSED_EDITS,
+                         ids=[case[0] for case in REFUSED_EDITS])
+def test_a_refused_edit_changes_nothing(name, build, setter, query, want, good, bad_letter,
+                                        pos, bad):
     # a raise, not an assert, so the check also holds under python -O
-    ad = adapter(direction, word)
-    with pytest.raises(InternalError, match="has no"):
-        query(ad)
-    assert ad.queries == 0
+    g = build()
+    with pytest.raises(RangeError if bad else PositionOutOfRange):
+        getattr(g, setter)(pos, bad_letter if bad else good)
+    assert query(g) == want, name

@@ -58,8 +58,8 @@ def test_factories_reject_letters_outside_the_callers_semigroup(gal):
 def test_auto_ladder_order():
     # auto leaves sg out; sg follows kary and is built only by name
     names = [name for name, _ in REGISTRY]
-    assert [name for name, _ in AUTO_LADDER] == ["count", "nilpotent", "zg", "kary"]
-    assert names[: names.index("kary") + 2] == ["count", "nilpotent", "zg", "kary", "sg"]
+    assert [name for name, _ in AUTO_LADDER] == ["zg", "kary"]
+    assert names == ["zg", "kary", "sg", "prefix", "naive"]
 
 
 def test_auto_engine_is_the_first_eligible_entry(gal):
@@ -79,6 +79,19 @@ def test_every_sg_semigroup_is_eligible_for_sg_and_kary(gal):
         if check_variety(s, "SG"):
             names = [engine for engine, _ in eligible_engines(s)]
             assert "sg" in names and "kary" in names, (name, names)
+
+
+def test_one_registry_row_per_engine_and_every_engine_is_eligible(gal):
+    # criterion 1 walks eligible_engines: a second row that builds the same
+    # engine class would only rerun its cells, and a class no row builds on
+    # the gallery would go untested there
+    built = set()
+    for name, s in sorted(gal.items()):
+        classes = [type(factory(s, [])).__name__ for _, factory in eligible_engines(s)]
+        assert len(classes) == len(set(classes)), (name, classes)
+        built.update(classes)
+    assert built == {"CountEngine", "NilpotentEngine", "DivisionEngine", "KaryEngine",
+                     "SgEngine", "VebPrefixEngine"}
 
 
 def test_cli_engine_choices_are_auto_plus_the_registry(capsys):
