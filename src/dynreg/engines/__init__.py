@@ -3,7 +3,7 @@ from .combinators import DivisionEngine, ProductEngine
 from .counting import CountEngine, NilpotentEngine
 from .dispatch import REGISTRY, build_first, eligible_engines, make_auto_engine
 from .kary import KaryEngine, make_kary_engine
-from .language import LanguageEngine, make_language_engine
+from .language import KaryLanguageEngine, LanguageEngine, make_language_engine
 from .prefix import VebPrefixEngine, make_prefix_engine
 from .semidirect import SemidirectEngine, SemidirectSpec, make_semidirect_engine
 from .sg import SgEngine, make_sg_engine
@@ -20,6 +20,7 @@ __all__ = [
     "DivisionEngine",
     "Engine",
     "KaryEngine",
+    "KaryLanguageEngine",
     "LanguageEngine",
     "NaiveEngine",
     "NilpotentEngine",

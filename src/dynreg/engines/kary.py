@@ -16,6 +16,12 @@ binary tree, and the height is ceil(log_k n) (one level when n = 1). The
 level lists share one int object per code, since codes above 256 are not
 CPython's cached small ints, and update stores the shared object of the new
 code, so edits do not grow the lists' memory.
+
+An update checks its position, then maps its letter to a monoid id through
+the letter map `ids`: {i: i} over the caller's ids for a plain engine, the
+alphabet map of a language (language.py). A letter the map lacks raises
+RangeError before any state changes. `word` keeps the caller's letters and
+the climb runs on the id, so a language engine keeps one per-letter list.
 """
 
 from __future__ import annotations
@@ -68,9 +74,15 @@ def _tables(monoid, k):
 
 class KaryEngine(Engine):
     kind = "kary"
+    STEP = 0  # what an update charges before its climb
 
     def __init__(self, monoid, word, k=None):
         super().__init__(monoid, word)
+        self.ids = {i: i for i in range(self.size)}  # letter -> id
+        self._build(monoid, word if isinstance(word, np.ndarray) else self.word, k)
+
+    def _build(self, monoid, ids, k):
+        """The tables and levels over ids, the checked ids of the n letters."""
         self.identity = monoid.identity  # the caller's, None if it has none
         self.semigroup = monoid = adjoin_identity(monoid)
         if k is None:
@@ -95,7 +107,7 @@ class KaryEngine(Engine):
             return
         value = np.asarray(self.value, dtype=np.int64)
         weights = np.asarray(self._pow, dtype=np.int64)
-        vals = np.asarray(word if isinstance(word, np.ndarray) else self.word, dtype=np.int64)
+        vals = np.asarray(ids, dtype=np.int64)
         while True:
             pad = -len(vals) % k
             if pad:
@@ -107,11 +119,16 @@ class KaryEngine(Engine):
             vals = value[codes]
 
     def update(self, pos, letter):
-        self._check(pos, letter)
+        if not (0 <= pos < self.n):
+            raise PositionOutOfRange(f"position {pos} outside 0..{self.n - 1}")
+        try:
+            v = self.ids[letter]
+        except (KeyError, TypeError):  # TypeError: an unhashable letter
+            raise RangeError(f"letter {letter!r} not in the alphabet") from None
         self.word[pos] = letter
         k, b, pw, value, shared = self.k, self._b, self._pow, self.value, self._codes
-        v, j = letter, pos
-        steps = 0
+        j = pos
+        steps = self.STEP
         for codes in self.levels:
             steps += 1
             d = pw[j % k]

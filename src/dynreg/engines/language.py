@@ -1,25 +1,30 @@
-"""Language facade: the k-ary tree, or stable-semigroup chunking for Q_LZG.
+"""Language engines: one k-ary tree over the letters, or stable-semigroup
+chunking for Q_LZG.
 
-A Q_LZG word is cut into blocks of s letters (s the stability index) plus a
-verbatim tail of fewer than s letters. Block images live in the stable
-semigroup and feed the certificate engine if one is found, else a verified
-window-statistics engine, else the k-ary tree (correct, but the O(1) bound
-is lost; the kind tag says "-downgraded").
+Every language outside Q_LZG, Q_SG_ONLY as well as OUTSIDE_Q_SG, is a
+KaryLanguageEngine (dispatch.py says why): a k-ary tree over the syntactic
+monoid whose letter map is the alphabet map eta, so an update is one call
+that checks the letter once, stores it in the one letter list `word` and
+climbs with its id. A query reads the top code's accept bit from a per-code
+list built once from the tree's value table.
 
-Every other language, Q_SG_ONLY as well as OUTSIDE_Q_SG, is one unchunked
-k-ary tree over the syntactic monoid; dispatch.py says why.
+A Q_LZG word goes to the chunked facade, LanguageEngine. It is cut into
+blocks of s letters (s the stability index) plus a verbatim tail of fewer
+than s letters. Block images live in the stable semigroup and feed the
+certificate engine if one is found, else a verified window-statistics
+engine, else the k-ary tree (correct, but the O(1) bound is lost; the kind
+tag says "-downgraded"). Membership composes the inner evaluation with the
+tail image in the syntactic monoid and tests the accept set. The block
+images go to the inner engine as one array, checked by Engine.__init__ with
+one min and max.
 
-Membership composes the inner evaluation with the tail image in the
-syntactic monoid and tests the accept set. The block images go to the inner
-engine as one array, checked by Engine.__init__ with one min and max.
-
-A chunked facade keeps its last membership bit. An edit clears it only when
-it changes its block's image, and so reaches inner.update, or changes a tail
-letter (one at pos >= blocks * s, which is every letter when n < s). A query
-on a kept bit calls neither inner engine method and charges only the
+The chunked facade keeps its last membership bit. An edit clears it only
+when it changes its block's image, and so reaches inner.update, or changes a
+tail letter (one at pos >= blocks * s, which is every letter when n < s). A
+query on a kept bit calls neither inner engine method and charges only the
 facade's own s + 1 steps: op_count counts the work that ran. An edit that
 writes the letter already there takes the same path, and keeps its block's
-image.
+image. Neither engine stops early on such an edit.
 """
 
 from __future__ import annotations
@@ -30,10 +35,42 @@ from ..algebra.core import table_array
 from ..errors import InternalError, PositionOutOfRange, RangeError
 from ..syntactic.classify import Q_LZG
 from .base import Engine
-from .dispatch import ENGINES, LZG_LADDER, build_first
+from .dispatch import LZG_LADDER, build_first
+from .kary import KaryEngine
+
+
+class KaryLanguageEngine(KaryEngine):
+    """Membership of a word outside Q_LZG: a k-ary tree over the syntactic
+    monoid that takes letters. An update charges its own step and the levels
+    it climbs, a query its own step and the top read."""
+
+    kind = "language[kary]"
+    STEP = 1
+
+    def __init__(self, morphism, word):
+        # the ids come from eta, so they need no Engine.__init__ check, and
+        # the engine keeps no list of them
+        self.word = list(word)
+        self.n = len(self.word)
+        self.size = morphism.target.size
+        self._steps = 0
+        self.ids = morphism.eta
+        self._build(morphism.target, _letter_ids(morphism, self.word), None)
+        accept = morphism.accept
+        self._accepts = [v in accept for v in self.value]  # code -> membership bit
+        # the top level's one code; an empty word reads as identity digits
+        self._top = self.levels[-1] if self.levels else [
+            self.semigroup.identity * sum(self._pow)]
+
+    def query(self):
+        """Membership bit for the current word."""
+        self._steps += 2
+        return self._accepts[self._top[0]]
 
 
 class LanguageEngine(Engine):
+    """The chunked facade over a Q_LZG word."""
+
     def __init__(self, morphism, stable, report, word):
         self.morphism = morphism
         self.stable = stable
@@ -41,17 +78,12 @@ class LanguageEngine(Engine):
         self.word = list(word)
         self.n = len(self.word)
         self._steps = 0
-        ids = _letter_ids(morphism, self.word)
         self.s = stable.index
-        self.chunked = report.cls == Q_LZG
         self._eta = morphism.eta
-        if not self.chunked:
-            self.inner = ENGINES["kary"](morphism.target, ids)
-            self.kind = "language[kary]"
-            return
         self.blocks = self.n // self.s
-        tag, self.inner = build_first(LZG_LADDER, stable.stable,
-                                      _block_images(morphism, stable, ids, self.blocks))
+        tag, self.inner = build_first(
+            LZG_LADDER, stable.stable,
+            _block_images(morphism, stable, _letter_ids(morphism, self.word), self.blocks))
         self.kind = f"language[{tag}]"
         self._bit = None  # the last membership bit, None once the word's value may change
         self._images, self._image = stable.block_images, stable.block_image
@@ -63,11 +95,6 @@ class LanguageEngine(Engine):
         if letter not in self._eta:
             raise RangeError(f"letter {letter!r} not in the alphabet")
         word = self.word
-        if not self.chunked:
-            self._steps += 1
-            word[pos] = letter
-            self.inner.update(pos, self._eta[letter])
-            return
         s = self.s
         b = pos // s
         if b < self.blocks:
@@ -95,13 +122,6 @@ class LanguageEngine(Engine):
 
     def query(self):
         """Membership bit for the current word."""
-        if not self.chunked:
-            self._steps += 1
-            v = self.inner.query()
-            m = self.morphism
-            if v is None:
-                v = m.target.identity
-            return v in m.accept
         self._steps += self.s + 1
         bit = self._bit
         if bit is not None:
@@ -152,4 +172,7 @@ def _block_images(morphism, stable, ids, blocks):
 
 
 def make_language_engine(morphism, stable, report, word):
-    return LanguageEngine(morphism, stable, report, word)
+    """The chunked facade for a Q_LZG language, else one k-ary tree."""
+    if report.cls == Q_LZG:
+        return LanguageEngine(morphism, stable, report, word)
+    return KaryLanguageEngine(morphism, word)

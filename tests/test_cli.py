@@ -9,8 +9,9 @@ from dynreg.jsonio import semigroup_to_json
 
 
 def run_cli(args, **kw):
+    # the CLI runs under the same -O level as the tests
     return subprocess.run(
-        [sys.executable, "-m", "dynreg.cli", *args],
+        [sys.executable, *["-O"] * sys.flags.optimize, "-m", "dynreg.cli", *args],
         capture_output=True,
         text=True,
         **kw,
@@ -21,6 +22,9 @@ def run_cli(args, **kw):
 def files(tmp_path):
     lang = tmp_path / "abstar.json"
     lang.write_text(json.dumps({"alphabet": "ab", "regex": "a*b*"}))
+    # outside Q_LZG, so one k-ary tree serves it
+    (tmp_path / "sgonly.json").write_text(
+        json.dumps({"alphabet": "abcx", "regex": "(a+b+c)*bc*x(a+b+c)*"}))
     sg = tmp_path / "abse.json"
     sg.write_text(json.dumps(semigroup_to_json(ab_star_semigroup())))
     stream = tmp_path / "stream.txt"
@@ -286,6 +290,11 @@ BAD_BENCH = {
     (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "I 1\n"),
     # bench configs of the wrong shape, and an empty word: RangeError
     *[(["bench", f"{{dir}}/{name}.json"], None) for name in BAD_BENCH],
+    # a language outside Q_LZG: the k-ary engine's own letter and position
+    # checks, and the initial word's
+    (["run", "{dir}/sgonly.json", "--word", "abxc"], "U 1 z\nQ\n"),
+    (["run", "{dir}/sgonly.json", "--word", "abxc"], "U 4 a\nQ\n"),
+    (["run", "{dir}/sgonly.json", "--word", "abzc"], "Q\n"),
 ])
 def test_bad_input_matrix_exit_code_2(files, args, stream):
     (files / "nonassoc.json").write_text(json.dumps({"table": [[1, 0], [1, 1]]}))

@@ -163,6 +163,28 @@ def test_kary_levels_match_naive(gal, name, forced_k):
             assert eng.prefix(length) == acc, (n, length)
 
 
+def test_kary_update_maps_its_letter_before_it_changes_anything(gal):
+    # a letter equal to an id (1.0 == 1) edits like that id; any other
+    # letter raises RangeError and leaves word, levels and answers as they
+    # were, so the word and the tree never disagree
+    s = gal["S3"]
+    word = [0, 1, 2, 3, 4, 5, 0]
+    eng = make_kary_engine(s, list(word))
+    ora = make_naive_engine(s, list(word))
+    eng.update(2, 1.0)
+    ora.update(2, 1)
+    assert eng.query() == ora.query() and eng.infix(1, 3) == ora.infix(1, 3)
+    for letter in (1.5, "1", None, -1, s.size, [1]):
+        levels = [list(codes) for codes in eng.levels]
+        snap, ops = eng.snapshot(), eng.op_count
+        with pytest.raises(RangeError):
+            eng.update(3, letter)
+        assert eng.snapshot() == snap and eng.op_count == ops, letter
+        assert eng.levels == levels and eng.query() == ora.query(), letter
+    with pytest.raises(PositionOutOfRange):
+        eng.update(len(word), 0)
+
+
 def test_kary_rejects_a_branching_factor_below_2(gal):
     # a one-digit node never narrows its level, so the build would not end
     for k in (0, 1):

@@ -4,6 +4,8 @@ import zlib
 import pytest
 
 from dynreg.engines import (
+    KaryLanguageEngine,
+    LanguageEngine,
     WindowStatsEngine,
     make_language_engine,
     make_naive_engine,
@@ -14,8 +16,9 @@ from dynreg.algebra.core import FiniteSemigroup
 from dynreg.algebra.varieties import check_variety
 from dynreg.engines import windowstats
 from dynreg.engines.windowstats import WindowStatsPlan, _exponent, _nslots, _slots_of_append, _verify_plan, _word_counts
+from dynreg.engines.kary import branching, make_kary_engine
 from dynreg.engines.zg import make_zg_engine
-from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, RangeError
+from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, PositionOutOfRange, RangeError
 from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
 from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex
 from dynreg.syntactic.dfa import Dfa
@@ -77,6 +80,8 @@ def _assert_kept_key(eng):
 FIRST_LETTER_DFA = Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1})  # window plan keyed on the first letter
 # An even number of a's and ends with b, (b+ab*a)*b: Q_LZG, no window plan
 EVEN_A_DFA = Dfa("ab", [[2, 1], [2, 1], [0, 3], [0, 3]], 0, {1})
+# The Cayley DFA of S3, accepting the identity: outside Q_SG
+S3_DFA = Dfa("ab", [[2, 3], [3, 2], [0, 5], [1, 4], [5, 0], [4, 1]], 0, {0})
 
 
 @pytest.mark.parametrize("which", ["ab_star", "first_letter"])
@@ -356,12 +361,54 @@ def test_bulk_block_images_match_block_image(rx, alpha):
 def test_unknown_initial_letter_raises_range_error():
     # one check serves every facade branch: chunked (window) and unchunked
     # kary (a Q_SG_ONLY language and S3)
-    s3_delta = [[2, 3], [3, 2], [0, 5], [1, 4], [5, 0], [4, 1]]  # Cayley DFA of S3
     for m, sd, rep in (analyze_regex("a*b*", "ab"),
                        analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx"),
-                       analyze_dfa(Dfa("ab", s3_delta, 0, {0}))):
+                       analyze_dfa(S3_DFA)):
         with pytest.raises(RangeError, match="'z' not in the alphabet"):
             make_language_engine(m, sd, rep, list("abz"))
+
+
+KARY_LANGUAGES = {
+    "S3": lambda: analyze_dfa(S3_DFA),
+    "edit-sg": lambda: analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx"),
+}
+
+
+@pytest.mark.parametrize("name", KARY_LANGUAGES)
+def test_kary_language_engine_matches_a_bare_kary_tree(name):
+    # one call per edit: the update charges its own step on top of what a
+    # bare kary tree over the same ids charges, a query charges 2, and the
+    # engine keeps the letters; a bad edit changes nothing
+    m, sd, rep = KARY_LANGUAGES[name]()
+    assert rep.cls != Q_LZG
+    k = branching(m.target.size, 2**12)
+    rng = random.Random(zlib.crc32(f"kary language {name}".encode()))
+    for n in (0, 1, k, k * k + 1, 2**12):
+        word = [rng.choice(m.alphabet) for _ in range(n)]
+        eng = make_language_engine(m, sd, rep, list(word))
+        bare = make_kary_engine(m.target, [m.eta[a] for a in word])
+        assert type(eng) is KaryLanguageEngine and eng.kind == "language[kary]"
+        assert eng.k == bare.k and eng.snapshot() == tuple(word)
+        for _ in range(150 if n else 0):
+            p, c = rng.randrange(n), rng.choice(m.alphabet)
+            ops, bare_ops = eng.op_count, bare.op_count
+            eng.update(p, c)
+            bare.update(p, m.eta[c])
+            word[p] = c
+            assert eng.op_count - ops == 1 + bare.op_count - bare_ops, (n, p, c)
+            ops = eng.op_count
+            assert eng.query() == m.member(word), (n, p, c)
+            assert eng.op_count - ops == 2, (n, p, c)
+            assert eng.snapshot() == tuple(word), (n, p, c)
+        want = m.member(word)
+        bad = [(-1, m.alphabet[0]), (n, m.alphabet[0]),
+               *[(p, c) for p in range(min(n, 1)) for c in ("z", None, 1.5, [0])]]
+        for p, c in bad:
+            ops = eng.op_count
+            with pytest.raises(PositionOutOfRange if p in (-1, n) else RangeError):
+                eng.update(p, c)
+            assert eng.op_count == ops and eng.snapshot() == tuple(word), (n, p, c)
+            assert eng.query() == want, (n, p, c)
 
 
 def test_language_constant_cost_for_q_lzg():
@@ -449,8 +496,8 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
     # an edit that writes the letter already there is no special case: on the
     # chunked path it pays the facade's step and two block folds (one step in
     # the tail), keeps its block's image and so reaches neither inner engine
-    # method, and its query answers from the kept bit; on the unchunked path
-    # it reaches inner.update like any other edit
+    # method, and its query answers from the kept bit; on the k-ary path it
+    # pays its own step and the level-0 digit read, so it reached the tree
     if name == "edit-sg":
         m, sd, rep = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")
     else:
@@ -460,11 +507,13 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
     n = 8 * s + s - 1
     word = [rng.choice(m.alphabet) for _ in range(n)]
     eng = make_language_engine(m, sd, rep, list(word))
-    assert eng.chunked is (name != "edit-sg"), eng.kind
+    chunked = name != "edit-sg"
+    assert type(eng) is (LanguageEngine if chunked else KaryLanguageEngine), eng.kind
     calls = []
-    inner_update, inner_query = eng.inner.update, eng.inner.query
-    eng.inner.update = lambda b, img: (calls.append("update"), inner_update(b, img))
-    eng.inner.query = lambda: (calls.append("query"), inner_query())[1]
+    if chunked:
+        inner_update, inner_query = eng.inner.update, eng.inner.query
+        eng.inner.update = lambda b, img: (calls.append("update"), inner_update(b, img))
+        eng.inner.query = lambda: (calls.append("query"), inner_query())[1]
     for _ in range(200):
         p = rng.randrange(n)
         c = rng.choice([a for a in m.alphabet if a != word[p]])
@@ -474,12 +523,14 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
         calls.clear()
         ops = eng.op_count
         eng.update(p, c)
-        if eng.chunked:
+        if chunked:
             assert eng.op_count - ops == (1 if p >= 8 * s else 1 + 2 * s), (name, p)
             assert calls == [], (name, p)
             ops = eng.op_count
             assert eng.query() == m.member(word), (name, p)
             assert eng.op_count - ops == s + 1 and calls == [], (name, p)
         else:
-            assert calls == ["update"], (name, p)
+            assert eng.op_count - ops == 2, (name, p)
+            ops = eng.op_count
             assert eng.query() == m.member(word), (name, p)
+            assert eng.op_count - ops == 2, (name, p)

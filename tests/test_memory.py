@@ -38,11 +38,12 @@ def test_sg_engine_holds_a_few_bytes_per_letter():
 @pytest.mark.parametrize("rx, alphabet, kind, budget", [
     ("a*b*", "ab", "language[window]", 14),
     ("(ab)*", "ab", "language[zg]", 14),
-    ("(a+b+c)*bc*x(a+b+c)*", "abcx", "language[kary]", 24),
+    ("(a+b+c)*bc*x(a+b+c)*", "abcx", "language[kary]", 16),
 ])
 def test_language_facade_holds_a_few_bytes_per_letter(rx, alphabet, kind, budget):
-    # the facade's letter list and the inner engine's stores; one more
-    # per-letter store would cross the budget
+    # one letter list and the engine's own stores (the chunked facade's
+    # inner engine, or the k-ary levels); one more per-letter store would
+    # cross the budget
     m, sd, rep = analyze_regex(rx, alphabet)
     rng = random.Random(16)
     word = [rng.choice(alphabet) for _ in range(N)]
