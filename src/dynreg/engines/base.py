@@ -11,6 +11,8 @@ op_count, a VebMap's probes, a layer's steps.
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from ..errors import PositionOutOfRange, RangeError
@@ -27,6 +29,17 @@ def check_letters(word, size):
     for a in word:
         if not (0 <= a < size):
             raise RangeError(f"letter {a} out of range")
+
+
+def check_letter(letter, size):
+    """RangeError unless letter is an integer in 0..size-1, numpy integers
+    included: a float, str, None or list is no letter, not even 1.0."""
+    try:
+        index(letter)
+    except TypeError:
+        raise RangeError(f"letter {letter!r} is not an integer") from None
+    if not (0 <= letter < size):
+        raise RangeError(f"letter {letter} out of range")
 
 
 class Engine:
@@ -50,8 +63,8 @@ class Engine:
     def _check(self, pos, letter):
         if not (0 <= pos < self.n):
             raise PositionOutOfRange(f"position {pos} outside 0..{self.n - 1}")
-        if not (0 <= letter < self.size):
-            raise RangeError(f"letter {letter} out of range")
+        if type(letter) is not int or not (0 <= letter < self.size):
+            check_letter(letter, self.size)
 
     def update(self, pos, letter):
         raise NotImplementedError

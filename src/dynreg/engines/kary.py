@@ -17,6 +17,12 @@ level lists share one int object per code, since codes above 256 are not
 CPython's cached small ints, and update stores the shared object of the new
 code, so edits do not grow the lists' memory.
 
+The build reads the ids in the narrowest dtype that holds every id, the
+adjoined identity included: a level is padded in that dtype, and its codes
+are built digit column by digit column (Horner's rule, in place) in one
+int64 array of one entry per node, so the build makes no full-length int64
+copy of the word.
+
 An update checks its position, then maps its letter to a monoid id through
 the letter map `ids`: {i: i} over the caller's ids for a plain engine, the
 alphabet map of a language (language.py). A letter the map lacks raises
@@ -105,14 +111,19 @@ class KaryEngine(Engine):
         self._codes = shared.tolist()   # update stores these, not fresh ints
         if not self.n:
             return
-        value = np.asarray(self.value, dtype=np.int64)
-        weights = np.asarray(self._pow, dtype=np.int64)
-        vals = np.asarray(ids, dtype=np.int64)
+        # every level's digits in the narrowest dtype that holds the ids
+        value = np.asarray(self.value, dtype=np.min_scalar_type(b - 1))
+        vals = np.asarray(ids, dtype=value.dtype)
         while True:
             pad = -len(vals) % k
             if pad:
-                vals = np.concatenate([vals, np.full(pad, monoid.identity, dtype=np.int64)])
-            codes = vals.reshape(-1, k) @ weights
+                vals = np.concatenate([vals, np.full(pad, monoid.identity, dtype=vals.dtype)])
+            # Horner's rule over the digit columns, last digit first, in place
+            digits = vals.reshape(-1, k)
+            codes = digits[:, k - 1].astype(np.int64)
+            for i in range(k - 2, -1, -1):
+                codes *= b
+                codes += digits[:, i]
             self.levels.append(shared[codes].tolist())
             if len(codes) == 1:
                 break

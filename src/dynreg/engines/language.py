@@ -25,6 +25,15 @@ query on a kept bit calls neither inner engine method and charges only the
 facade's own s + 1 steps: op_count counts the work that ran. An edit that
 writes the letter already there takes the same path, and keeps its block's
 image. Neither engine stops early on such an edit.
+
+Both engines build from the letters' monoid ids, taken by one of two routes
+(_letter_ids). The bulk route applies when every letter is a one-character
+str whose text encodes as latin-1 and the monoid has fewer than 255
+elements: the encoded text goes through one bytes.translate with a 256-entry
+id table, where byte 255 marks a character outside the alphabet. Every other
+word, and every word in which that byte appears, takes the per-letter route,
+one eta lookup per letter, which alone raises RangeError; so both routes
+give the same ids, dtype and errors.
 """
 
 from __future__ import annotations
@@ -92,8 +101,10 @@ class LanguageEngine(Engine):
     def update(self, pos, letter):
         if not (0 <= pos < self.n):
             raise PositionOutOfRange(f"position {pos} outside 0..{self.n - 1}")
-        if letter not in self._eta:
-            raise RangeError(f"letter {letter!r} not in the alphabet")
+        try:
+            self._eta[letter]
+        except (KeyError, TypeError):  # TypeError: an unhashable letter
+            raise RangeError(f"letter {letter!r} not in the alphabet") from None
         word = self.word
         s = self.s
         b = pos // s
@@ -144,13 +155,59 @@ class LanguageEngine(Engine):
         return (self.inner,)
 
 
+# The byte the bulk route's id table gives a character outside the alphabet;
+# a monoid with fewer elements never has it as an id.
+NOT_A_LETTER = 255
+
+
 def _letter_ids(morphism, word):
-    """The monoid ids of the letters of word, as a narrow numpy array."""
+    """The monoid ids of the letters of word, as a narrow numpy array: the
+    bulk route when it applies and finds every letter, else the per-letter
+    route, which alone raises."""
+    ids = _bulk_letter_ids(morphism, word)
+    return _each_letter_ids(morphism, word) if ids is None else ids
+
+
+def _bulk_letter_ids(morphism, word):
+    """The ids by one bytes.translate of the word's latin-1 text, or None.
+
+    The route applies when the letters are str whose joined text encodes as
+    latin-1, every letter has one character (the text has n, and no letter
+    is empty), and the monoid has fewer than NOT_A_LETTER elements. It gives
+    None also when a character is not a letter of the alphabet.
+    """
+    if morphism.target.size >= NOT_A_LETTER:
+        return None
     try:
-        return np.fromiter(map(morphism.eta.__getitem__, word),
+        raw = "".join(word).encode("latin-1")
+    except (TypeError, UnicodeEncodeError):  # a letter not a str, or not latin-1
+        return None
+    if len(raw) != len(word) or not all(word):
+        return None
+    table = bytearray([NOT_A_LETTER]) * 256
+    for a, v in morphism.eta.items():
+        if isinstance(a, str) and len(a) == 1 and ord(a) < 256:
+            table[ord(a)] = v
+    raw = raw.translate(table)
+    if NOT_A_LETTER in raw:
+        return None
+    return np.frombuffer(raw, dtype=np.uint8)
+
+
+def _each_letter_ids(morphism, word):
+    """The ids by one eta lookup per letter; RangeError names the first
+    letter outside the alphabet, unhashable ones included."""
+    eta = morphism.eta
+    try:
+        return np.fromiter(map(eta.__getitem__, word),
                            dtype=table_array(morphism.target).dtype, count=len(word))
-    except KeyError as exc:
-        raise RangeError(f"letter {exc.args[0]!r} not in the alphabet") from None
+    except (KeyError, TypeError):  # TypeError: an unhashable letter
+        for a in word:
+            try:
+                eta[a]
+            except (KeyError, TypeError):
+                raise RangeError(f"letter {a!r} not in the alphabet") from None
+        raise
 
 
 def _block_images(morphism, stable, ids, blocks):

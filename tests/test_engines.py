@@ -19,6 +19,7 @@ from dynreg.engines import (
     make_kary_engine,
     make_naive_engine,
     make_prefix_engine,
+    make_semidirect_engine,
     make_sg_engine,
     make_windowstats_engine,
     make_zg_engine,
@@ -72,6 +73,40 @@ def test_array_words_are_checked_like_lists():
             with pytest.raises(RangeError) as from_array:
                 make(s, arr)
             assert str(from_array.value) == str(from_list.value), (make, word)
+
+
+def test_check_refuses_letters_that_are_not_integers(gal):
+    # Engine._check: a float, str, None or list letter raises RangeError
+    # before any state changes; a numpy integer edits like the int it equals
+    from test_semidirect import translation_action_spec
+
+    spec = translation_action_spec()
+    z4 = cyclic(4)
+    builds = {
+        "naive": lambda w: make_naive_engine(z4, w),
+        "count": lambda w: CountEngine(z4, w),
+        "nilpotent": lambda w: NilpotentEngine(gal["asq0"], w),
+        "window": lambda w: make_windowstats_engine(ab_star_semigroup(), w),
+        "prefix": lambda w: make_prefix_engine(gal["U2"], w),
+        "sg": lambda w: make_sg_engine(gal["abstar"], w),
+        "semidirect": lambda w: make_semidirect_engine(spec, w),
+        "division": lambda w: DivisionEngine(rep=list(range(4)), project={v: v % 2 for v in range(4)},
+                                             inner=make_naive_engine(z4, w)),
+    }
+    word = [0, 2, 1, 1, 0]
+    for name, build in builds.items():
+        eng, twin = build(list(word)), build(list(word))
+        state = eng.inner if name == "division" else eng  # division keeps no word
+        want = eng.query()
+        for letter in (1.5, "1", None, [1]):
+            snap, ops = state.snapshot(), eng.op_count
+            with pytest.raises(RangeError, match="is not an integer"):
+                eng.update(2, letter)
+            assert state.snapshot() == snap and eng.op_count == ops, (name, letter)
+            assert eng.query() == want, (name, letter)
+        eng.update(2, np.int64(0))
+        twin.update(2, 0)
+        assert eng.query() == twin.query(), name
 
 
 # -- kary ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from dynreg.engines import (
@@ -17,11 +18,13 @@ from dynreg.algebra.varieties import check_variety
 from dynreg.engines import windowstats
 from dynreg.engines.windowstats import WindowStatsPlan, _exponent, _nslots, _slots_of_append, _verify_plan, _word_counts
 from dynreg.engines.kary import branching, make_kary_engine
+from dynreg.engines.language import _bulk_letter_ids, _each_letter_ids, _letter_ids
 from dynreg.engines.zg import make_zg_engine
 from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, PositionOutOfRange, RangeError
 from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
 from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex
 from dynreg.syntactic.dfa import Dfa
+from dynreg.syntactic.monoid import Morphism
 from helpers import FoldOracle, decoded_recovery, reference_window_search, semigroup_tables
 
 
@@ -360,12 +363,66 @@ def test_bulk_block_images_match_block_image(rx, alpha):
 
 def test_unknown_initial_letter_raises_range_error():
     # one check serves every facade branch: chunked (window) and unchunked
-    # kary (a Q_SG_ONLY language and S3)
+    # kary (a Q_SG_ONLY language and S3); an unhashable letter is no letter
     for m, sd, rep in (analyze_regex("a*b*", "ab"),
                        analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx"),
                        analyze_dfa(S3_DFA)):
         with pytest.raises(RangeError, match="'z' not in the alphabet"):
             make_language_engine(m, sd, rep, list("abz"))
+        with pytest.raises(RangeError, match=r"\['b'\] not in the alphabet"):
+            make_language_engine(m, sd, rep, ["a", ["b"]])
+    # a refused edit on the chunked facade changes nothing
+    m, sd, rep = analyze_regex("a*b*", "ab")
+    eng = make_language_engine(m, sd, rep, list("aabbbb"))
+    assert type(eng) is LanguageEngine and eng.blocks
+    want = eng.query()
+    for letter in ([0], "z", None, 1.5):
+        snap, ops = eng.snapshot(), eng.op_count
+        with pytest.raises(RangeError, match="not in the alphabet"):
+            eng.update(0, letter)
+        assert eng.snapshot() == snap and eng.op_count == ops, letter
+        assert eng.query() == want, letter
+
+
+def _ids_or_error(route, morphism, word):
+    """What a letter-id route gives on word: (dtype, ids) or its error."""
+    try:
+        ids = route(morphism, word)
+    except RangeError as exc:
+        return "RangeError", str(exc)
+    return ids.dtype, ids.tolist()
+
+
+def test_bulk_letter_ids_match_the_per_letter_route():
+    # the bulk route (one bytes.translate) gives the ids and dtype of the
+    # per-letter route, and falls back to it for its errors; it applies only
+    # to one-character latin-1 str letters over fewer than 255 elements
+    ascii_m = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")[0]
+    latin_m = analyze_regex("a*é*", "aé")[0]
+    greek_m = analyze_regex("a*α*", "aα")[0]
+    multi_m = analyze_dfa(Dfa(["ab", "c"], [[1, 0], [0, 1]], 0, {0}))[0]
+    wide_m = Morphism(cyclic(300), {"a": 1, "b": 299}, {0}, "ab")
+    rng = random.Random(zlib.crc32(b"bulk letter ids"))
+
+    def word(alphabet, n):
+        return [rng.choice(alphabet) for _ in range(n)]
+
+    cases = [(ascii_m, word("abcx", n), True) for n in (0, 1, 2, 7, 1000)]
+    cases += [(latin_m, word("aé", n), True) for n in (1, 300)]
+    cases += [(greek_m, word("aα", 300), False), (greek_m, ["α"], False), (greek_m, list("aa"), True)]
+    cases += [(multi_m, ["ab", "c", "c"], False), (multi_m, ["c", "c"], True)]
+    cases += [(wide_m, word("ab", 50), False)]
+    cases += [(m, w, False) for m in (ascii_m, multi_m) for w in (["", "ab"], ["a", "", "bc"])]
+    for bad in ("z", None, 1.5, [0]):
+        for pos in (0, 4, 9):
+            w = word("abcx", 10)
+            w[pos] = bad
+            cases.append((ascii_m, w, False))
+    cases += [(ascii_m, np.array(word("abcx", 40)), True), (ascii_m, np.array([], dtype=str), True)]
+    for m, w, bulk in cases:
+        want = _ids_or_error(_each_letter_ids, m, w)
+        assert _ids_or_error(_letter_ids, m, w) == want, (m, w)
+        assert (_bulk_letter_ids(m, w) is not None) is bulk, (m, w)
 
 
 KARY_LANGUAGES = {
