@@ -3,7 +3,7 @@ from .combinators import DivisionEngine, ProductEngine
 from .counting import CountEngine, NilpotentEngine
 from .dispatch import REGISTRY, build_first, eligible_engines, make_auto_engine
 from .kary import KaryEngine, make_kary_engine
-from .language import KaryLanguageEngine, LanguageEngine, make_language_engine
+from .language import KaryLanguageEngine, LanguageEngine, WindowLanguageEngine, make_language_engine
 from .prefix import VebPrefixEngine, make_prefix_engine
 from .semidirect import SemidirectEngine, SemidirectSpec, make_semidirect_engine
 from .sg import SgEngine, make_sg_engine
@@ -30,6 +30,7 @@ __all__ = [
     "SemidirectSpec",
     "SgEngine",
     "VebPrefixEngine",
+    "WindowLanguageEngine",
     "WindowStatsEngine",
     "WindowStatsPlan",
     "build_first",

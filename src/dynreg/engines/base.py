@@ -20,15 +20,21 @@ from ..veb import VebMap
 
 
 def check_letters(word, size):
-    """RangeError naming the first letter outside 0..size-1. An ndarray is
-    checked with one min and one max; other sequences letter by letter."""
+    """RangeError naming the first letter that is not an integer in
+    0..size-1. A nonempty ndarray must have an integer dtype, checked by
+    dtype, not by scan, and is range-checked with one min and one max;
+    other sequences are checked letter by letter, as check_letter does."""
     if isinstance(word, np.ndarray):
-        if not len(word) or (word.min() >= 0 and word.max() < size):
+        if not len(word):
+            return
+        if not np.issubdtype(word.dtype, np.integer):
+            raise RangeError(f"letters of dtype {word.dtype} are not integers")
+        if word.min() >= 0 and word.max() < size:
             return
         word = word[(word < 0) | (word >= size)][:1].tolist()
     for a in word:
-        if not (0 <= a < size):
-            raise RangeError(f"letter {a} out of range")
+        if type(a) is not int or not (0 <= a < size):
+            check_letter(a, size)
 
 
 def check_letter(letter, size):

@@ -8,7 +8,9 @@ up to kary, which takes any semigroup; the entries after it are built only
 when asked for by name. The constant-time count and nilpotent engines have no
 row of their own: a commutative or nilpotent-plus-identity monoid is a
 one-factor zg certificate, so the zg row builds them.
-LZG_LADDER is the language facade's ladder over a Q_LZG stable semigroup.
+LZG_LADDER is the language facade's ladder over a Q_LZG stable semigroup;
+where it stops at the window rung, language.py builds the fused window
+engine, which runs the plan itself, instead of a facade over a window engine.
 
 Neither ladder holds sg, by measurement: from n = 2^10 to 2^20 log log n
 and log n / log log n stay within 10 % of each other, and on the Q_SG_ONLY

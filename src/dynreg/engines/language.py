@@ -8,35 +8,59 @@ that checks the letter once, stores it in the one letter list `word` and
 climbs with its id. A query reads the top code's accept bit from a per-code
 list built once from the tree's value table.
 
-A Q_LZG word goes to the chunked facade, LanguageEngine. It is cut into
-blocks of s letters (s the stability index) plus a verbatim tail of fewer
-than s letters. Block images live in the stable semigroup and feed the
-certificate engine if one is found, else a verified window-statistics
-engine, else the k-ary tree (correct, but the O(1) bound is lost; the kind
-tag says "-downgraded"). Membership composes the inner evaluation with the
-tail image in the syntactic monoid and tests the accept set. The block
-images go to the inner engine as one array, checked by Engine.__init__ with
-one min and max.
+A Q_LZG word is cut into blocks of s letters (s the stability index) plus a
+tail of fewer than s letters. Every chunked engine keeps the word as block
+codes (ChunkedEngine): a block's alphabet indices packed base |A|, its first
+letter the most significant digit, one code per block in an array of the
+narrowest typecode that holds |A|^s codes, and the tail as a list of
+alphabet indices. Letters are alphabet indices, not monoid ids, since eta
+need not be injective and snapshot() decodes the letters from the codes. A
+code indexes the code table, code -> stable image of the block: a list
+built once over every code while there are at most EAGER_CODES of them,
+else a dict that fills a missing code from StableData.block_image on first
+read. Both read as img[code].
 
-The chunked facade keeps its last membership bit. An edit clears it only
-when it changes its block's image, and so reaches inner.update, or changes a
-tail letter (one at pos >= blocks * s, which is every letter when n < s). A
-query on a kept bit calls neither inner engine method and charges only the
-facade's own s + 1 steps: op_count counts the work that ran. An edit that
-writes the letter already there takes the same path, and keeps its block's
-image. Neither engine stops early on such an edit.
+Two engines run on the codes, picked by LZG_LADDER's order. Where the zg
+rung refuses the stable semigroup and a window plan is verified, the fused
+WindowLanguageEngine keeps the plan's slot counts and packed key itself: it
+reads a block's neighbour images from the code table, moves the key by the
+plan's deltas, and answers from one recovery lookup. Every other Q_LZG
+word goes to LanguageEngine, the generic facade, whose inner engine over the
+block images is the first rung of LZG_LADDER that builds: zg, else window,
+else the k-ary tree (correct, but the O(1) bound is lost; the kind tag says
+"-downgraded").
 
-Both engines build from the letters' monoid ids, taken by one of two routes
-(_letter_ids). The bulk route applies when every letter is a one-character
-str whose text encodes as latin-1 and the monoid has fewer than 255
-elements: the encoded text goes through one bytes.translate with a 256-entry
-id table, where byte 255 marks a character outside the alphabet. Every other
-word, and every word in which that byte appears, takes the per-letter route,
-one eta lookup per letter, which alone raises RangeError; so both routes
-give the same ids, dtype and errors.
+Membership composes the blocks' evaluation with the tail's value in the
+syntactic monoid and tests the accept set, by one list of accept bits, one
+per stable element, kept until a tail letter changes. Both engines keep
+their last membership bit. An edit clears it only when it changes its
+block's image, or changes a tail letter (one at pos >= blocks * s, which is
+every letter when n < s). A query on a kept bit charges only the engine's
+own s + 1 steps: op_count counts the work that ran. An edit that writes the
+letter already there takes the same path, and keeps its block's image.
+Neither engine stops early on such an edit.
+
+Both charge the facade's steps: a block edit 1 + 2s (its own step and the
+two block reads), a tail edit 1, a query s + 1. The generic facade adds its
+inner engine's op_count; the fused engine adds what a WindowStatsEngine
+inside the generic facade would charge, 4 per block edit that changes the
+image and nslots + 1 per query that evaluates a word with a block, so the
+two window forms count alike.
+
+The k-ary engine builds from the letters' monoid ids (_letter_ids), the
+chunked engines from their alphabet indices (_alphabet_indices), each taken
+by one of two routes. The bulk route applies when every letter is a
+one-character str whose text encodes as latin-1 and the values are fewer
+than 255: the encoded text goes through one bytes.translate with a
+256-entry table, where byte 255 marks a character outside the alphabet.
+Every other word, and every word in which that byte appears, takes the
+per-letter route, one dict lookup per letter, which alone raises
+RangeError; so both routes give the same values, dtype and errors.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -46,6 +70,13 @@ from ..syntactic.classify import Q_LZG
 from .base import Engine
 from .dispatch import LZG_LADDER, build_first
 from .kary import KaryEngine
+from .windowstats import _word_counts, synthesize_window_plan
+from .zg import in_zg_class
+
+# The most codes, |A|^s, for which the code table is a list built up front,
+# one table lookup per code or fewer; above it the table is a dict filled on
+# first read.
+EAGER_CODES = 1 << 10
 
 
 class KaryLanguageEngine(KaryEngine):
@@ -77,82 +108,216 @@ class KaryLanguageEngine(KaryEngine):
         return self._accepts[self._top[0]]
 
 
-class LanguageEngine(Engine):
-    """The chunked facade over a Q_LZG word."""
+class ChunkedEngine(Engine):
+    """The block-code layer of a Q_LZG word: the letter check, the codes and
+    the tail, the code table, the accept bits and snapshot(). Subclasses
+    call _build from __init__ and keep the block images' evaluation."""
 
-    def __init__(self, morphism, stable, report, word):
+    def _build(self, morphism, stable, word):
+        """Codes, tail and code table of word; returns the block images, one
+        stable id per block, for the subclass's own state."""
         self.morphism = morphism
         self.stable = stable
-        self.report = report
-        self.word = list(word)
-        self.n = len(self.word)
+        self.n = n = len(word)
+        self.s = s = stable.index
+        self.blocks = blocks = n // s
         self._steps = 0
-        self.s = stable.index
-        self._eta = morphism.eta
-        self.blocks = self.n // self.s
-        tag, self.inner = build_first(
-            LZG_LADDER, stable.stable,
-            _block_images(morphism, stable, _letter_ids(morphism, self.word), self.blocks))
-        self.kind = f"language[{tag}]"
+        self.letters = letters = list(morphism.eta)  # alphabet index -> letter
+        self._index = {a: i for i, a in enumerate(letters)}
+        self._base = base = len(letters)
+        self._places = [base ** (s - 1 - r) for r in range(s)]  # digit r's place in a code
+        self._block_steps = 1 + 2 * s  # the facade's step and the two block reads
         self._bit = None  # the last membership bit, None once the word's value may change
-        self._images, self._image = stable.block_images, stable.block_image
-        self._block_steps = 1 + 2 * self.s  # the facade's step and the two block folds
+        self._accepts = None  # the accept bits, None once a tail letter changed
+        # alphabet index -> monoid id
+        self._ids = np.array([morphism.eta[a] for a in letters], dtype=table_array(morphism.target).dtype)
+        indices = _alphabet_indices(self._index, word)
+        self.tail = indices[blocks * s :].tolist()
+        ncodes = base**s
+        codes = _pack(indices[: blocks * s].reshape(blocks, s), base, ncodes)
+        self.codes = _code_store(codes)
+        if ncodes > EAGER_CODES:
+            self._img = _LazyCodeTable(stable, self)
+            return _block_images(morphism, stable, self._ids[indices], blocks)
+        self._img = _code_images(morphism, stable, self._ids.tolist())
+        return np.array(self._img, dtype=np.min_scalar_type(len(stable.inclusion) - 1))[codes]
 
-    def update(self, pos, letter):
+    def _letter(self, pos, letter):
+        """The alphabet index of letter, after the position and letter checks."""
         if not (0 <= pos < self.n):
             raise PositionOutOfRange(f"position {pos} outside 0..{self.n - 1}")
         try:
-            self._eta[letter]
+            return self._index[letter]
         except (KeyError, TypeError):  # TypeError: an unhashable letter
             raise RangeError(f"letter {letter!r} not in the alphabet") from None
-        word = self.word
+
+    def _tail_write(self, pos, a):
+        """A tail edit: one step; the kept bit and the accept bits go once
+        the letter changes, since tail letters are read at query time."""
+        self._steps += 1
+        tail, t = self.tail, pos - self.blocks * self.s
+        if tail[t] != a:
+            tail[t] = a
+            self._bit = self._accepts = None
+
+    def _accept_list(self):
+        """Accept bits by the blocks' evaluation: entry x for stable element
+        x, whether x times the tail's value is in the language, and one more
+        last, for a word with no blocks, whether the tail alone is."""
+        m = self.morphism
+        t, ids = m.target.table, self._ids
+        v = m.target.identity
+        for a in self.tail:
+            v = t[v][ids[a]]
+        accept = m.accept
+        self._accepts = [t[x][v] in accept for x in self.stable.inclusion] + [v in accept]
+        return self._accepts
+
+    def snapshot(self):
+        letters, places, base = self.letters, self._places, self._base
+        return tuple(letters[code // p % base] for code in self.codes for p in places) + tuple(
+            letters[a] for a in self.tail)
+
+
+class LanguageEngine(ChunkedEngine):
+    """The generic chunked facade: block codes over an inner engine of the
+    block images, the zg and kary-downgraded kinds."""
+
+    def __init__(self, morphism, stable, word):
+        images = self._build(morphism, stable, word)
+        tag, self.inner = build_first(LZG_LADDER, stable.stable, images)
+        self.kind = f"language[{tag}]"
+
+    def update(self, pos, letter):
+        a = self._letter(pos, letter)
         s = self.s
         b = pos // s
-        if b < self.blocks:
-            # the inner engine sees the block only when its image changes
-            self._steps += self._block_steps
-            lo = b * s
-            block = word[lo : lo + s]
-            # a seen block's image is one dict lookup; block_image folds the rest
-            images = self._images
-            old = images.get(tuple(block))
-            if old is None:
-                old = self._image(block)
-            block[pos - lo] = letter
-            img = images.get(tuple(block))
-            if img is None:
-                img = self._image(block)
-            if img != old:
-                self.inner.update(b, img)
-                self._bit = None
-        else:
-            self._steps += 1
-            if word[pos] != letter:
-                self._bit = None  # tail letters are read verbatim at query time
-        word[pos] = letter
+        if b >= self.blocks:
+            self._tail_write(pos, a)
+            return
+        # the inner engine sees the block only when its image changes
+        self._steps += self._block_steps
+        codes, img = self.codes, self._img
+        code = codes[b]
+        place = self._places[pos - b * s]
+        new = codes[b] = code + (a - code // place % self._base) * place
+        cur = img[new]
+        if img[code] != cur:
+            self.inner.update(b, cur)
+            self._bit = None
 
     def query(self):
         """Membership bit for the current word."""
         self._steps += self.s + 1
         bit = self._bit
-        if bit is not None:
+        if bit is None:
             # the inner engine and the tail are as the kept bit saw them
-            return bit
-        m = self.morphism
-        inner_val = self.inner.query()
-        acc = None
-        if inner_val is not None:
-            acc = self.stable.inclusion[inner_val]
-        for a in self.word[self.blocks * self.s :]:
-            x = m.eta[a]
-            acc = x if acc is None else m.target.table[acc][x]
-        if acc is None:
-            acc = m.target.identity
-        self._bit = acc in m.accept
-        return self._bit
+            val = self.inner.query()
+            bit = self._bit = (self._accepts or self._accept_list())[-1 if val is None else val]
+        return bit
 
     def _parts(self):
         return (self.inner,)
+
+
+class WindowLanguageEngine(ChunkedEngine):
+    """The fused window kind: block codes and the window plan's counts and
+    packed key, with no inner engine and no per-letter list."""
+
+    kind = "language[window]"
+
+    def __init__(self, morphism, stable, word, plan):
+        images = self._build(morphism, stable, word)
+        self.plan = plan
+        self.semigroup = stable.stable
+        self.counts = _word_counts(stable.stable, images, plan.nslots)
+        self.code = plan.pack(self.counts)
+        self._recover_steps = plan.nslots + 1
+
+    def update(self, pos, letter):
+        a = self._letter(pos, letter)
+        s = self.s
+        b = pos // s
+        if b >= self.blocks:
+            self._tail_write(pos, a)
+            return
+        self._steps += self._block_steps
+        codes, img = self.codes, self._img
+        code = codes[b]
+        place = self._places[pos - b * s]
+        new = codes[b] = code + (a - code // place % self._base) * place
+        old, cur = img[code], img[new]
+        if old == cur:
+            return
+        self._steps += 4  # what a WindowStatsEngine's update charges
+        self._bit = None
+        prev = img[codes[b - 1]] + 1 if b else 0
+        nxt = img[codes[b + 1]] + 1 if b + 1 < self.blocks else 0
+        self.code = self.plan.shift(self.semigroup, self.counts, self.code, prev, old, cur, nxt)
+
+    def query(self):
+        """Membership bit for the current word."""
+        self._steps += self.s + 1
+        bit = self._bit
+        if bit is None:
+            accepts = self._accepts or self._accept_list()
+            if self.blocks:
+                self._steps += self._recover_steps
+                plan, img, codes = self.plan, self._img, self.codes
+                bit = accepts[plan.recovery[
+                    self.code + img[codes[-1]] * plan.last_place + img[codes[0]] * plan.first_place]]
+            else:
+                bit = accepts[-1]
+            self._bit = bit
+        return bit
+
+
+def _pack(cols, base, ncodes):
+    """The code of each row of alphabet indices, first column the most
+    significant digit, by Horner's rule in place, in the narrowest dtype
+    that holds ncodes codes (Python ints past 64 bits)."""
+    codes = cols[:, 0].astype(np.min_scalar_type(ncodes - 1))
+    for c in range(1, cols.shape[1]):
+        codes *= base
+        codes += cols[:, c]
+    return codes
+
+
+_TYPECODES = {np.dtype(dtype): typecode for dtype, typecode in (
+    (np.uint8, "B"), (np.uint16, "H"), (np.uint32, "I"), (np.uint64, "Q"))}
+
+
+def _code_store(codes):
+    """The codes in an array of their dtype's width; a list of ints past 64 bits."""
+    typecode = _TYPECODES.get(codes.dtype)
+    return codes.tolist() if typecode is None else array(typecode, codes.tobytes())
+
+
+def _code_images(morphism, stable, ids):
+    """The stable image of every code, in code order: the monoid values of
+    the one-letter codes, extended by one letter s - 1 times, a code's
+    value followed by each letter in index order."""
+    t = morphism.target.table
+    vals = ids
+    for _ in range(stable.index - 1):
+        vals = [t[v][x] for v in vals for x in ids]
+    to_stable = stable.to_stable
+    return [to_stable[v] for v in vals]
+
+
+class _LazyCodeTable(dict):
+    """code -> stable image, each code filled on first read from
+    StableData.block_image: the code table past EAGER_CODES codes."""
+
+    def __init__(self, stable, engine):
+        super().__init__()
+        self._image = stable.block_image
+        self._letters, self._places, self._base = engine.letters, engine._places, engine._base
+
+    def __missing__(self, code):
+        letters, base = self._letters, self._base
+        img = self[code] = self._image([letters[code // p % base] for p in self._places])
+        return img
 
 
 # The byte the bulk route's id table gives a character outside the alphabet;
@@ -161,22 +326,33 @@ NOT_A_LETTER = 255
 
 
 def _letter_ids(morphism, word):
-    """The monoid ids of the letters of word, as a narrow numpy array: the
-    bulk route when it applies and finds every letter, else the per-letter
-    route, which alone raises."""
-    ids = _bulk_letter_ids(morphism, word)
-    return _each_letter_ids(morphism, word) if ids is None else ids
+    """The monoid ids of the letters of word."""
+    return _mapped(morphism.eta, morphism.target.size, word)
 
 
-def _bulk_letter_ids(morphism, word):
-    """The ids by one bytes.translate of the word's latin-1 text, or None.
+def _alphabet_indices(index, word):
+    """The alphabet indices of the letters of word, by index: letter -> index."""
+    return _mapped(index, len(index), word)
+
+
+def _mapped(values, bound, word):
+    """The values of the letters of word, by values: letter -> int below
+    bound, as a numpy array of the narrowest dtype that holds bound values:
+    the bulk route when it applies and finds every letter, else the
+    per-letter route, which alone raises."""
+    out = _bulk_values(values, bound, word)
+    return _each_value(values, bound, word) if out is None else out
+
+
+def _bulk_values(values, bound, word):
+    """The values by one bytes.translate of the word's latin-1 text, or None.
 
     The route applies when the letters are str whose joined text encodes as
     latin-1, every letter has one character (the text has n, and no letter
-    is empty), and the monoid has fewer than NOT_A_LETTER elements. It gives
-    None also when a character is not a letter of the alphabet.
+    is empty), and bound is below NOT_A_LETTER. It gives None also when a
+    character is not a letter of the alphabet.
     """
-    if morphism.target.size >= NOT_A_LETTER:
+    if bound >= NOT_A_LETTER:
         return None
     try:
         raw = "".join(word).encode("latin-1")
@@ -185,7 +361,7 @@ def _bulk_letter_ids(morphism, word):
     if len(raw) != len(word) or not all(word):
         return None
     table = bytearray([NOT_A_LETTER]) * 256
-    for a, v in morphism.eta.items():
+    for a, v in values.items():
         if isinstance(a, str) and len(a) == 1 and ord(a) < 256:
             table[ord(a)] = v
     raw = raw.translate(table)
@@ -194,17 +370,16 @@ def _bulk_letter_ids(morphism, word):
     return np.frombuffer(raw, dtype=np.uint8)
 
 
-def _each_letter_ids(morphism, word):
-    """The ids by one eta lookup per letter; RangeError names the first
+def _each_value(values, bound, word):
+    """The values by one lookup per letter; RangeError names the first
     letter outside the alphabet, unhashable ones included."""
-    eta = morphism.eta
     try:
-        return np.fromiter(map(eta.__getitem__, word),
-                           dtype=table_array(morphism.target).dtype, count=len(word))
+        return np.fromiter(map(values.__getitem__, word),
+                           dtype=np.min_scalar_type(bound - 1), count=len(word))
     except (KeyError, TypeError):  # TypeError: an unhashable letter
         for a in word:
             try:
-                eta[a]
+                values[a]
             except (KeyError, TypeError):
                 raise RangeError(f"letter {a!r} not in the alphabet") from None
         raise
@@ -229,7 +404,14 @@ def _block_images(morphism, stable, ids, blocks):
 
 
 def make_language_engine(morphism, stable, report, word):
-    """The chunked facade for a Q_LZG language, else one k-ary tree."""
-    if report.cls == Q_LZG:
-        return LanguageEngine(morphism, stable, report, word)
-    return KaryLanguageEngine(morphism, word)
+    """One k-ary tree outside Q_LZG. In Q_LZG, the fused window engine where
+    LZG_LADDER stops at its window rung: the zg rung refuses the stable
+    semigroup's class and a window plan is verified. Else the generic
+    facade, which walks the ladder itself."""
+    if report.cls != Q_LZG:
+        return KaryLanguageEngine(morphism, word)
+    s = stable.stable
+    plan = None if in_zg_class(s) else synthesize_window_plan(s)
+    if plan is None:
+        return LanguageEngine(morphism, stable, word)
+    return WindowLanguageEngine(morphism, stable, word, plan)

@@ -13,8 +13,11 @@ depends only on the (previous, old, new, next) letters. The plan builds that
 table lazily, keyed by one int over those letters, from the same
 per-position rule as the bulk count and the plan search, and drops slots
 whose changes cancel; an update rewrites only the count of each slot left
-and moves the code by the change of its capped digit. Updates and queries
-are therefore constant time, with word-length-independent step counts.
+and moves the code by the change of its capped digit (WindowStatsPlan.shift).
+Updates and queries are therefore constant time, with word-length-independent
+step counts. The language facade's window kind (language.py) runs the same
+plan on its block images itself, through pack and shift, with no
+WindowStatsEngine.
 
 Whether the key determines the evaluation is decided by exhaustive
 reachability over the capped-statistic automaton, carrying the true
@@ -64,6 +67,34 @@ class WindowStatsPlan:
             return c if c < threshold else threshold + (c - threshold) % period
 
         self.cap = cap
+
+    def pack(self, counts):
+        """The key of exact slot counts, letters aside: each capped count at its place."""
+        return sum(self.cap(c) * self.radix**i for i, c in enumerate(counts))
+
+    def shift(self, semigroup, counts, code, prev, old, new, nxt):
+        """The key once the letter between prev and nxt goes from old to new,
+        each neighbour given as 1 + its letter, 0 past an end of the word;
+        counts change in place. An edit rewrites the count of each slot its
+        delta keeps and moves the key by the change of that slot's capped
+        digit."""
+        size = semigroup.size
+        key = ((prev * (size + 1) + nxt) * size + old) * size + new
+        delta = self.deltas.get(key)
+        if delta is None:
+            delta = self.deltas[key] = _slot_delta(
+                semigroup, self.radix, prev - 1 if prev else None, old, new, nxt - 1 if nxt else None)
+        threshold, period = self.threshold, self.period
+        for slot, d, place in delta:
+            c = counts[slot]
+            e = c + d
+            counts[slot] = e
+            if c < threshold or e < threshold:
+                code += (self.cap(e) - self.cap(c)) * place
+            elif period > 1:
+                # at or above the threshold a digit is threshold + (count - threshold) % period
+                code += ((e - threshold) % period - (c - threshold) % period) * place
+        return code
 
 
 def _exponent(s):
@@ -193,32 +224,15 @@ class WindowStatsEngine(Engine):
         self.plan = plan
         letters = word if isinstance(word, np.ndarray) else self.word
         self.counts = _word_counts(semigroup, letters, plan.nslots)
-        cap, radix = plan.cap, plan.radix
-        self.code = sum(cap(c) * radix**i for i, c in enumerate(self.counts))
+        self.code = plan.pack(self.counts)
 
     def update(self, pos, letter):
         self._check(pos, letter)
         self._steps += 4
-        word, plan, size = self.word, self.plan, self.size
-        old = word[pos]
+        word = self.word
         prev = word[pos - 1] + 1 if pos else 0
         nxt = word[pos + 1] + 1 if pos + 1 < self.n else 0
-        key = ((prev * (size + 1) + nxt) * size + old) * size + letter
-        delta = plan.deltas.get(key)
-        if delta is None:
-            delta = plan.deltas[key] = _slot_delta(
-                self.semigroup, plan.radix, prev - 1 if prev else None, old, letter, nxt - 1 if nxt else None)
-        counts, threshold, period, code = self.counts, plan.threshold, plan.period, self.code
-        for slot, d, place in delta:
-            c = counts[slot]
-            e = c + d
-            counts[slot] = e
-            if c < threshold or e < threshold:
-                code += (plan.cap(e) - plan.cap(c)) * place
-            elif period > 1:
-                # at or above the threshold a digit is threshold + (count - threshold) % period
-                code += ((e - threshold) % period - (c - threshold) % period) * place
-        self.code = code
+        self.code = self.plan.shift(self.semigroup, self.counts, self.code, prev, word[pos], letter, nxt)
         word[pos] = letter
 
     def query(self):

@@ -30,6 +30,12 @@ def _certificate(monoid):
         return exc.with_traceback(None)  # keep no frames alive in the memo
 
 
+def in_zg_class(semigroup):
+    """Whether make_zg_engine's class check passes, that is, whether it
+    raises anything but NotZg, with no engine built."""
+    return not isinstance(_certificate(adjoin_identity(semigroup)), NotZg)
+
+
 def make_zg_engine(semigroup, word):
     # S is in ZG exactly when S^1 is, so the certificate search's own ZG
     # check (NotZg) is this factory's class check

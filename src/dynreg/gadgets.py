@@ -273,7 +273,7 @@ class InfixAdapter:
         self.n = len(word)
         if self.n == 0:
             raise RangeError("infix adapter needs a non-empty word")
-        pad = dfa.alphabet[0]
+        self.pad = pad = dfa.alphabet[0]
         marked = marked_infix_dfa(dfa, mark)
         self.morphism, self.stable_d, self.report = analyze_dfa(marked)
         padded = [pad] + list(word) + [pad]
@@ -296,8 +296,9 @@ class InfixAdapter:
         self.queries += 1
         eng = self.engine
         left, right = i, j + 2  # padded positions around the infix
-        old_left = eng.word[left]
-        old_right = eng.word[right]
+        # the letters there: the word's own, or the pad past either end
+        old_left = self.w[i - 1] if i else self.pad
+        old_right = self.w[j + 1] if j + 1 < self.n else self.pad
         eng.update(left, self.mark)
         eng.update(right, self.mark)
         ans = eng.query()

@@ -1,12 +1,14 @@
 import itertools
 import random
 import re
+import zlib
 
 import pytest
 
 from helpers import membership_l_u1, membership_l_u2
 
 from dynreg.algebra import find_violation
+from dynreg.engines import make_language_engine
 from dynreg.errors import NotAWitness, PositionOutOfRange, RangeError
 from dynreg.gadgets import (
     InfixAdapter,
@@ -15,7 +17,7 @@ from dynreg.gadgets import (
     PrefixU2ViaLanguage,
 )
 from dynreg.gallery import cyclic, u2
-from dynreg.syntactic import minimize_dfa, parse_regex, regex_to_dfa
+from dynreg.syntactic import analyze_regex, minimize_dfa, parse_regex, regex_to_dfa
 
 L_U1 = re.compile(r"c*x[ac]*$")
 L_U2 = re.compile(r"[abc]*bc*x[abc]*$")
@@ -164,6 +166,29 @@ def test_infix_adapter_random_n64():
         p, c = rng.randrange(64), rng.choice("ab")
         ad.set_letter(p, c)
         w[p] = c
+
+
+@pytest.mark.parametrize("rx", ["a*b*", "(a+b)*a(a+b)*b(a+b)*", "a(a+b)*b"])
+def test_infix_answers_follow_set_letter_on_window_languages(rx):
+    # languages whose own facade is the window kind. The adapter reads the
+    # letters around an infix from its own word, the pad letter past either
+    # end, and not from the engine: a(a+b)*b's marked language gets the
+    # chunked kary-downgraded facade, which keeps no letter list
+    m = analyze_regex(rx, "ab")[0]
+    assert make_language_engine(*analyze_regex(rx, "ab"), list("ab")).kind == "language[window]"
+    d = minimize_dfa(regex_to_dfa(parse_regex(rx, "ab"), "ab"))
+    rng = random.Random(zlib.crc32(f"infix {rx}".encode()))
+    n = 40
+    w = [rng.choice("ab") for _ in range(n)]
+    ad = InfixAdapter(d, list(w))
+    for _ in range(300):
+        p, c = rng.randrange(n), rng.choice("ab")
+        ad.set_letter(p, c)
+        w[p] = c
+        i = rng.choice([0, rng.randrange(n)])
+        j = rng.choice([n - 1, rng.randrange(i, n)])
+        assert ad.infix_query(i, j) == m.member(w[i : j + 1]), (rx, i, j)
+        assert ad.engine.snapshot() == (ad.pad, *w, ad.pad), rx
 
 
 # (name, build, setter, query, want, good letter, bad letter): on each

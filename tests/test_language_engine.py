@@ -7,6 +7,7 @@ import pytest
 from dynreg.engines import (
     KaryLanguageEngine,
     LanguageEngine,
+    WindowLanguageEngine,
     WindowStatsEngine,
     make_language_engine,
     make_naive_engine,
@@ -15,10 +16,10 @@ from dynreg.engines import (
 )
 from dynreg.algebra.core import FiniteSemigroup
 from dynreg.algebra.varieties import check_variety
-from dynreg.engines import windowstats
+from dynreg.engines import language, windowstats
 from dynreg.engines.windowstats import WindowStatsPlan, _exponent, _nslots, _slots_of_append, _verify_plan, _word_counts
 from dynreg.engines.kary import branching, make_kary_engine
-from dynreg.engines.language import _bulk_letter_ids, _each_letter_ids, _letter_ids
+from dynreg.engines.language import _bulk_values, _each_value, _mapped
 from dynreg.engines.zg import make_zg_engine
 from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, PositionOutOfRange, RangeError
 from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
@@ -351,14 +352,33 @@ def test_language_differential_random(rx, alpha):
     ("((abc)(abc))*((acb)(acb))*", "abc"),
 ])
 def test_bulk_block_images_match_block_image(rx, alpha):
-    # the vectorized first images equal the per-block rule updates use
+    # the vectorized first images equal the per-block rule: the code table
+    # read at each block's code, and the inner engine's word or the fused
+    # window engine's counts and key
     m, sd, rep = analyze_regex(rx, alpha)
     rng = random.Random(zlib.crc32(f"block images {rx}".encode()))
     for n in (0, 1, sd.index, sd.index + 1, 50):
         word = [rng.choice(alpha) for _ in range(n)]
         eng = make_language_engine(m, sd, rep, word)
         blocks = [word[b * sd.index : (b + 1) * sd.index] for b in range(n // sd.index)]
-        assert eng.inner.snapshot() == tuple(sd.block_image(b) for b in blocks), (rx, n)
+        images = tuple(sd.block_image(b) for b in blocks)
+        assert _decoded_images(eng) == images, (rx, n)
+        if type(eng) is WindowLanguageEngine:
+            _assert_fused_key(eng, images)
+        else:
+            assert eng.inner.snapshot() == images, (rx, n)
+
+
+def _decoded_images(eng):
+    """The stable images of a chunked engine's blocks, read from its codes."""
+    return tuple(eng._img[code] for code in eng.codes)
+
+
+def _assert_fused_key(eng, images):
+    """The fused window engine's counts and key are those of its block images."""
+    counts = _word_counts(eng.semigroup, list(images), eng.plan.nslots)
+    assert eng.counts == counts
+    assert eng.code == eng.plan.pack(counts)
 
 
 def test_unknown_initial_letter_raises_range_error():
@@ -371,23 +391,24 @@ def test_unknown_initial_letter_raises_range_error():
             make_language_engine(m, sd, rep, list("abz"))
         with pytest.raises(RangeError, match=r"\['b'\] not in the alphabet"):
             make_language_engine(m, sd, rep, ["a", ["b"]])
-    # a refused edit on the chunked facade changes nothing
-    m, sd, rep = analyze_regex("a*b*", "ab")
-    eng = make_language_engine(m, sd, rep, list("aabbbb"))
-    assert type(eng) is LanguageEngine and eng.blocks
-    want = eng.query()
-    for letter in ([0], "z", None, 1.5):
-        snap, ops = eng.snapshot(), eng.op_count
-        with pytest.raises(RangeError, match="not in the alphabet"):
-            eng.update(0, letter)
-        assert eng.snapshot() == snap and eng.op_count == ops, letter
-        assert eng.query() == want, letter
+    # a refused edit on either chunked engine, fused window or generic zg, changes nothing
+    for rx, cls in (("a*b*", WindowLanguageEngine), ("(aa)*ba*", LanguageEngine)):
+        m, sd, rep = analyze_regex(rx, "ab")
+        eng = make_language_engine(m, sd, rep, list("aabbbb"))
+        assert type(eng) is cls and eng.blocks
+        want = eng.query()
+        for letter in ([0], "z", None, 1.5):
+            snap, ops = eng.snapshot(), eng.op_count
+            with pytest.raises(RangeError, match="not in the alphabet"):
+                eng.update(0, letter)
+            assert eng.snapshot() == snap and eng.op_count == ops, letter
+            assert eng.query() == want, letter
 
 
-def _ids_or_error(route, morphism, word):
-    """What a letter-id route gives on word: (dtype, ids) or its error."""
+def _ids_or_error(route, values, bound, word):
+    """What a letter-map route gives on word: (dtype, values) or its error."""
     try:
-        ids = route(morphism, word)
+        ids = route(values, bound, word)
     except RangeError as exc:
         return "RangeError", str(exc)
     return ids.dtype, ids.tolist()
@@ -396,7 +417,8 @@ def _ids_or_error(route, morphism, word):
 def test_bulk_letter_ids_match_the_per_letter_route():
     # the bulk route (one bytes.translate) gives the ids and dtype of the
     # per-letter route, and falls back to it for its errors; it applies only
-    # to one-character latin-1 str letters over fewer than 255 elements
+    # to one-character latin-1 str letters and fewer than 255 values. Both
+    # maps take it: monoid ids (eta) and alphabet indices
     ascii_m = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")[0]
     latin_m = analyze_regex("a*é*", "aé")[0]
     greek_m = analyze_regex("a*α*", "aα")[0]
@@ -420,9 +442,13 @@ def test_bulk_letter_ids_match_the_per_letter_route():
             cases.append((ascii_m, w, False))
     cases += [(ascii_m, np.array(word("abcx", 40)), True), (ascii_m, np.array([], dtype=str), True)]
     for m, w, bulk in cases:
-        want = _ids_or_error(_each_letter_ids, m, w)
-        assert _ids_or_error(_letter_ids, m, w) == want, (m, w)
-        assert (_bulk_letter_ids(m, w) is not None) is bulk, (m, w)
+        index = {a: i for i, a in enumerate(m.eta)}
+        for values, bound in ((m.eta, m.target.size), (index, len(index))):
+            want = _ids_or_error(_each_value, values, bound, w)
+            assert _ids_or_error(_mapped, values, bound, w) == want, (m, w)
+            # wide_m has 300 elements but two letters, so its indices take the bulk route
+            bulk_here = bulk or (m is wide_m and values is index)
+            assert (_bulk_values(values, bound, w) is not None) is bulk_here, (m, w)
 
 
 KARY_LANGUAGES = {
@@ -498,12 +524,24 @@ CACHED_LANGUAGES = {
 }
 
 
+WINDOW_NAMES = ("a*b*", "first letter")  # the CACHED_LANGUAGES that get the fused window kind
+
+
+def _spy_on_inner(eng, calls):
+    """Record each call into the generic facade's inner engine in calls."""
+    inner_update, inner_query = eng.inner.update, eng.inner.query
+    eng.inner.update = lambda b, img: (calls.append(("update", b)), inner_update(b, img))
+    eng.inner.query = lambda: (calls.append(("query",)), inner_query())[1]
+
+
 def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
     # an edit that keeps its block's image reaches neither inner.update nor
-    # inner.query. Against a twin facade whose bit is cleared before each
-    # query, so its inner query always runs, every update adds the same to
-    # op_count; a query that runs the inner query adds the same as the
-    # twin's, and one on a kept bit adds only the facade's own s + 1 steps
+    # inner.query; on the fused window kind, which has no inner engine, it
+    # leaves the counts and the packed key as they were. Against a twin
+    # whose bit is cleared before each query, so its evaluation always
+    # runs, every update adds the same to op_count; a query that evaluates
+    # adds the same as the twin's, and one on a kept bit adds only the
+    # facade's own s + 1 steps
     for name, analyze in CACHED_LANGUAGES.items():
         m, sd, rep = analyze()
         alphabet = m.alphabet
@@ -513,10 +551,11 @@ def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
         word = [rng.choice(alphabet) for _ in range(n)]
         eng = make_language_engine(m, sd, rep, list(word))
         twin = make_language_engine(m, sd, rep, list(word))
+        fused = name in WINDOW_NAMES
+        assert type(eng) is (WindowLanguageEngine if fused else LanguageEngine), (name, eng.kind)
         calls = []
-        inner_update, inner_query = eng.inner.update, eng.inner.query
-        eng.inner.update = lambda b, img: (calls.append(("update", b)), inner_update(b, img))
-        eng.inner.query = lambda: (calls.append(("query",)), inner_query())[1]
+        if not fused:
+            _spy_on_inner(eng, calls)
         assert eng.query() == twin.query()
         kept = 0
         for _ in range(400):
@@ -527,11 +566,14 @@ def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
                 block[: p - lo] + [c] + block[p - lo + 1 :])
             tail_change = p >= 8 * s and word[p] != c
             calls.clear()
+            key = (list(eng.counts), eng.code) if fused else None
             ops, twin_ops = eng.op_count, twin.op_count
             eng.update(p, c)
             twin.update(p, c)
             word[p] = c
             assert eng.op_count - ops == twin.op_count - twin_ops, (name, p, c)
+            if fused and same:
+                assert (eng.counts, eng.code) == key, (name, p, c)
             twin._bit = None
             ops, twin_ops = eng.op_count, twin.op_count
             assert eng.query() == twin.query() == m.member(word), (name, p, c)
@@ -541,20 +583,26 @@ def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
                 assert eng.op_count - ops == twin.op_count - twin_ops, (name, p, c)
             else:
                 assert eng.op_count - ops == s + 1, (name, p, c)
-            assert calls == want, (name, p, c)
+            if not fused:
+                assert calls == want, (name, p, c)
             kept += same and not tail_change
         assert 0 < kept < 400, name
-        blocks = [word[b * s : (b + 1) * s] for b in range(8)]
-        assert eng.inner.snapshot() == tuple(sd.block_image(b) for b in blocks), name
+        images = tuple(sd.block_image(word[b * s : (b + 1) * s]) for b in range(8))
+        assert _decoded_images(eng) == images, name
+        if fused:
+            _assert_fused_key(eng, images)
+        else:
+            assert eng.inner.snapshot() == images, name
 
 
 @pytest.mark.parametrize("name", [*CACHED_LANGUAGES, "edit-sg"])
 def test_same_letter_edit_takes_the_ordinary_path(name):
     # an edit that writes the letter already there is no special case: on the
-    # chunked path it pays the facade's step and two block folds (one step in
+    # chunked path it pays the facade's step and two block reads (one step in
     # the tail), keeps its block's image and so reaches neither inner engine
-    # method, and its query answers from the kept bit; on the k-ary path it
-    # pays its own step and the level-0 digit read, so it reached the tree
+    # method (the fused window kind keeps its counts and key), and its query
+    # answers from the kept bit; on the k-ary path it pays its own step and
+    # the level-0 digit read, so it reached the tree
     if name == "edit-sg":
         m, sd, rep = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")
     else:
@@ -565,12 +613,12 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
     word = [rng.choice(m.alphabet) for _ in range(n)]
     eng = make_language_engine(m, sd, rep, list(word))
     chunked = name != "edit-sg"
-    assert type(eng) is (LanguageEngine if chunked else KaryLanguageEngine), eng.kind
+    fused = name in WINDOW_NAMES
+    want_type = WindowLanguageEngine if fused else LanguageEngine if chunked else KaryLanguageEngine
+    assert type(eng) is want_type, eng.kind
     calls = []
-    if chunked:
-        inner_update, inner_query = eng.inner.update, eng.inner.query
-        eng.inner.update = lambda b, img: (calls.append("update"), inner_update(b, img))
-        eng.inner.query = lambda: (calls.append("query"), inner_query())[1]
+    if chunked and not fused:
+        _spy_on_inner(eng, calls)
     for _ in range(200):
         p = rng.randrange(n)
         c = rng.choice([a for a in m.alphabet if a != word[p]])
@@ -578,11 +626,14 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
         word[p] = c
         assert eng.query() == m.member(word), (name, p, c)
         calls.clear()
+        key = (list(eng.counts), eng.code) if fused else None
         ops = eng.op_count
         eng.update(p, c)
         if chunked:
             assert eng.op_count - ops == (1 if p >= 8 * s else 1 + 2 * s), (name, p)
             assert calls == [], (name, p)
+            if fused:
+                assert (eng.counts, eng.code) == key, (name, p)
             ops = eng.op_count
             assert eng.query() == m.member(word), (name, p)
             assert eng.op_count - ops == s + 1 and calls == [], (name, p)
@@ -591,3 +642,82 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
             ops = eng.op_count
             assert eng.query() == m.member(word), (name, p)
             assert eng.op_count - ops == 2, (name, p)
+
+
+WINDOW_LANGUAGES = {
+    "a*b*": lambda: analyze_regex("a*b*", "ab"),
+    "a(a+b)*b": lambda: analyze_regex("a(a+b)*b", "ab"),
+    "(a+b)*a(a+b)*b(a+b)*": lambda: analyze_regex("(a+b)*a(a+b)*b(a+b)*", "ab"),
+    "(a+b+c)*ab(a+b+c)*": lambda: analyze_regex("(a+b+c)*ab(a+b+c)*", "abc"),
+    "first letter": lambda: analyze_dfa(FIRST_LETTER_DFA),
+    "a*(b+c)*": lambda: analyze_regex("a*(b+c)*", "abc"),  # b and c share one image
+}
+
+
+def _refused_edits(eng, alphabet):
+    """Edits the engine must refuse: a position past either end, and letters
+    outside the alphabet, unhashable ones included, each with its error."""
+    n = eng.n
+    bad = [(-1, alphabet[0], PositionOutOfRange), (n, alphabet[0], PositionOutOfRange)]
+    return bad + [(0, c, RangeError) for c in ("z", [0], None, 1.5) if n]
+
+
+@pytest.mark.parametrize("name", WINDOW_LANGUAGES)
+def test_fused_window_engine_matches_membership(name, monkeypatch):
+    # the fused window engine against m.member at every word length around
+    # the block size, tail edits included; its twin reads a code table
+    # filled on first read (as past EAGER_CODES codes) and must give the
+    # same answers and op counts. snapshot() decodes the letters from the
+    # codes, also where two letters share one image
+    m, sd, rep = WINDOW_LANGUAGES[name]()
+    s, alphabet = sd.index, m.alphabet
+    assert name != "a*(b+c)*" or m.eta["b"] == m.eta["c"]
+    rng = random.Random(zlib.crc32(f"fused window {name}".encode()))
+    for n in sorted({0, 1, s - 1, s, s + 1, 9 * s - 1, 200}):
+        word = [rng.choice(alphabet) for _ in range(n)]
+        eng = make_language_engine(m, sd, rep, list(word))
+        with monkeypatch.context() as patch:
+            patch.setattr(language, "EAGER_CODES", 0)
+            lazy = make_language_engine(m, sd, rep, list(word))
+        assert type(eng) is type(lazy) is WindowLanguageEngine, (name, eng.kind)
+        assert type(eng._img) is list and type(lazy._img) is not list
+        assert eng.snapshot() == lazy.snapshot() == tuple(word), (name, n)
+        assert eng.query() == lazy.query() == m.member(word), (name, n)
+        tail = n % s
+        for k in range(300 if n else 0):
+            # every third edit lands in the tail, when there is one
+            p = n - 1 - rng.randrange(tail) if tail and k % 3 == 0 else rng.randrange(n)
+            c = rng.choice(alphabet)
+            for e in (eng, lazy):
+                e.update(p, c)
+            word[p] = c
+            assert eng.query() == lazy.query() == m.member(word), (name, n, p, c)
+            assert eng.op_count == lazy.op_count, (name, n, p, c)
+            assert eng.snapshot() == tuple(word), (name, n, p, c)
+        want, snap, ops = eng.query(), eng.snapshot(), eng.op_count
+        for p, c, error in _refused_edits(eng, alphabet):
+            with pytest.raises(error):
+                eng.update(p, c)
+            assert eng.snapshot() == snap and eng.op_count == ops, (name, n, p, c)
+        assert eng.query() == want, name
+        assert _decoded_images(eng) == _decoded_images(lazy), (name, n)
+
+
+def test_codes_past_64_bits_stay_exact():
+    # a's counted modulo 70 over {a, b}: s = 69, so a block has 2^69 codes,
+    # kept as Python ints in a list, with the code table filled on first read
+    k = 70
+    m, sd, rep = analyze_dfa(Dfa("ab", [[(q + 1) % k, q] for q in range(k)], 0, {0}))
+    s = sd.index
+    assert rep.cls == Q_LZG and 2**s > 2**64
+    rng = random.Random(zlib.crc32(b"codes past 64 bits"))
+    for n in (0, 1, s, s + 1, 3 * s + 5):
+        word = [rng.choice("ab") for _ in range(n)]
+        eng = make_language_engine(m, sd, rep, list(word))
+        assert type(eng.codes) is list and type(eng._img) is not list, eng.kind
+        for _ in range(100 if n else 0):
+            p, c = rng.randrange(n), rng.choice("ab")
+            eng.update(p, c)
+            word[p] = c
+            assert eng.query() == m.member(word), (n, p, c)
+        assert eng.snapshot() == tuple(word), n

@@ -36,14 +36,15 @@ def test_sg_engine_holds_a_few_bytes_per_letter():
 
 
 @pytest.mark.parametrize("rx, alphabet, kind, budget", [
-    ("a*b*", "ab", "language[window]", 14),
-    ("(ab)*", "ab", "language[zg]", 14),
+    ("a*b*", "ab", "language[window]", 3),
+    ("(ab)*", "ab", "language[zg]", 6),
     ("(a+b+c)*bc*x(a+b+c)*", "abcx", "language[kary]", 16),
 ])
 def test_language_facade_holds_a_few_bytes_per_letter(rx, alphabet, kind, budget):
-    # one letter list and the engine's own stores (the chunked facade's
-    # inner engine, or the k-ary levels); one more per-letter store would
-    # cross the budget
+    # a chunked engine keeps one code byte per block of s = 2 letters, and
+    # the zg kind's inner engine one list slot per block (0.8 and 4.6 B per
+    # letter); the k-ary kind keeps one letter list and its levels. One more
+    # per-letter store would cross the budget
     m, sd, rep = analyze_regex(rx, alphabet)
     rng = random.Random(16)
     word = [rng.choice(alphabet) for _ in range(N)]
@@ -68,6 +69,25 @@ def test_kary_language_build_peak_stays_near_its_held_bytes():
         tracemalloc.stop()
     assert engine.kind == "language[kary]"
     assert peak / N <= 20, f"build peak {peak / N:.1f} B per letter"
+
+
+def test_window_language_build_peak_stays_near_its_held_bytes():
+    # the build maps the letters to alphabet indices in one bytes.translate
+    # and packs one code per block in a narrow dtype; it makes no list of
+    # the letters and no inner engine (those peaked near 16 B per letter
+    # against 4.3 now)
+    m, sd, rep = analyze_regex("a*b*", "ab")
+    rng = random.Random(16)
+    word = [rng.choice("ab") for _ in range(N)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        engine = make_language_engine(m, sd, rep, word)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert engine.kind == "language[window]"
+    assert peak / N <= 6, f"build peak {peak / N:.1f} B per letter"
 
 
 def test_kary_memory_stays_flat_under_edits():

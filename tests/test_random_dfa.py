@@ -14,8 +14,9 @@ it past FEW_MAX.
 import random
 import zlib
 
-from dynreg.engines import make_language_engine, make_naive_engine, make_sg_engine
-from dynreg.syntactic import Q_SG_ONLY, Dfa, analyze_dfa
+from dynreg.engines import WindowLanguageEngine, build_first, make_language_engine, make_naive_engine, make_sg_engine
+from dynreg.engines.dispatch import LZG_LADDER
+from dynreg.syntactic import Q_LZG, Q_SG_ONLY, Dfa, analyze_dfa
 
 DFAS = 200
 MONOID_CAP = 30
@@ -66,6 +67,11 @@ def test_random_dfa_differential():
             word = [rng.choice(alphabet) for _ in range(n)]
             eng = make_language_engine(m, sd, report, word)
             kinds.add(eng.kind)
+            if report.cls == Q_LZG and not n:
+                # the facade's pick is the first rung of LZG_LADDER that builds
+                tag = build_first(LZG_LADDER, sd.stable, [])[0]
+                assert eng.kind == f"language[{tag}]", (delta, finals)
+                assert (type(eng) is WindowLanguageEngine) is (tag == "window"), (delta, finals)
             assert eng.query() == m.member(word), (delta, finals, n)
             for _ in range(EDITS if n else 0):
                 p, a = rng.randrange(n), rng.choice(alphabet)

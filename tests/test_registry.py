@@ -5,6 +5,7 @@ import random
 import re
 import zlib
 
+import numpy as np
 import pytest
 
 from dynreg import cli
@@ -53,6 +54,29 @@ def test_factories_reject_letters_outside_the_callers_semigroup(gal):
                 with pytest.raises(RangeError):
                     eng.update(1, bad)
                 assert eng.query() == s.table[0][0], (name, engine, bad)
+
+
+NON_INTEGER_WORDS = [
+    [0, 1.5], [0, 1.0], [0, "a"], [0, None], [0, [1]],
+    np.array([0, 1.5]), np.array([0.0, 1.0]), np.array(["0", "1"]),
+]
+
+
+def test_factories_refuse_non_integer_letters_at_build(gal):
+    # the build check refuses what update's check refuses: a float, even
+    # 1.0, a str, None or a list; a non-integer ndarray is refused by its
+    # dtype, whatever its values
+    for name, s in _semigroups(gal):
+        for engine, factory in REGISTRY:
+            try:
+                factory(s, [0, 0])
+            except NotApplicable:
+                continue
+            for word in NON_INTEGER_WORDS:
+                with pytest.raises(RangeError):
+                    factory(s, word)
+            for word in ([0, np.int64(0)], np.array([0, 0], dtype=np.uint8)):
+                assert factory(s, word).query() == s.table[0][0], (name, engine)
 
 
 def test_auto_ladder_order():
