@@ -129,8 +129,7 @@ class ChunkedEngine(Engine):
         self._block_steps = 1 + 2 * s  # the facade's step and the two block reads
         self._bit = None  # the last membership bit, None once the word's value may change
         self._accepts = None  # the accept bits, None once a tail letter changed
-        # alphabet index -> monoid id
-        self._ids = np.array([morphism.eta[a] for a in letters], dtype=table_array(morphism.target).dtype)
+        self._ids = ids = [morphism.eta[a] for a in letters]  # alphabet index -> monoid id
         indices = _alphabet_indices(self._index, word)
         self.tail = indices[blocks * s :].tolist()
         ncodes = base**s
@@ -138,8 +137,9 @@ class ChunkedEngine(Engine):
         self.codes = _code_store(codes)
         if ncodes > EAGER_CODES:
             self._img = _LazyCodeTable(stable, self)
-            return _block_images(morphism, stable, self._ids[indices], blocks)
-        self._img = _code_images(morphism, stable, self._ids.tolist())
+            ids = np.array(ids, dtype=table_array(morphism.target).dtype)
+            return _block_images(morphism, stable, ids[indices], blocks)
+        self._img = _code_images(morphism, stable, ids)
         return np.array(self._img, dtype=np.min_scalar_type(len(stable.inclusion) - 1))[codes]
 
     def _letter(self, pos, letter):
