@@ -1,4 +1,4 @@
-"""The engine registry, both engine ladders, and the one walk that picks an engine.
+"""The engine registry, the auto ladder, and the one walk that picks an engine.
 
 REGISTRY lists (name, factory), one row per engine route. Every factory
 checks its own class: before it reads the word it raises NotApplicable when
@@ -8,14 +8,14 @@ up to kary, which takes any semigroup; the entries after it are built only
 when asked for by name. The constant-time count and nilpotent engines have no
 row of their own: a commutative or nilpotent-plus-identity monoid is a
 one-factor zg certificate, so the zg row builds them.
-LZG_LADDER is the language facade's ladder over a Q_LZG stable semigroup;
-where it stops at the window rung, language.py builds the fused window
-engine, which runs the plan itself, instead of a facade over a window engine.
+A Q_LZG language picks its engine in language.make_language_engine (zg,
+else the fused window engine, else kary-downgraded), by the stable
+semigroup's certificate and window plan, with no ladder walk.
 
-Neither ladder holds sg, by measurement: from n = 2^10 to 2^20 log log n
+AUTO_LADDER holds no sg, by measurement: from n = 2^10 to 2^20 log log n
 and log n / log log n stay within 10 % of each other, and on the Q_SG_ONLY
 test languages the vEB engine ran over 10x slower per edit than kary.
-sg stays selectable by name as the O(log log n) witness. Both ladders end
+sg stays selectable by name as the O(log log n) witness. The ladder ends
 in kary, so a zg rung without a plan reads kary-downgraded.
 """
 
@@ -28,13 +28,11 @@ from .base import make_naive_engine
 from .kary import make_kary_engine
 from .prefix import make_prefix_engine
 from .sg import make_sg_engine
-from .windowstats import make_windowstats_engine
 from .zg import make_zg_engine
 
 logger = logging.getLogger(__name__)
 
 AUTO_LADDER = (("zg", make_zg_engine), ("kary", make_kary_engine))
-LZG_LADDER = (("zg", make_zg_engine), ("window", make_windowstats_engine), ("kary", make_kary_engine))
 REGISTRY = AUTO_LADDER + (
     ("sg", make_sg_engine), ("prefix", make_prefix_engine), ("naive", make_naive_engine))
 ENGINES = dict(REGISTRY)

@@ -16,18 +16,18 @@ narrowest typecode that holds |A|^s codes, and the tail as a list of
 alphabet indices. Letters are alphabet indices, not monoid ids, since eta
 need not be injective and snapshot() decodes the letters from the codes. A
 code indexes the code table, code -> stable image of the block: a list
-built once over every code while there are at most EAGER_CODES of them,
-else a dict that fills a missing code from StableData.block_image on first
-read. Both read as img[code].
+built once over every code while the word has at least EAGER_LETTERS
+letters per code, else a dict that fills a missing code on first read by
+folding its letters through the monoid table. Both read as img[code].
 
-Two engines run on the codes, picked by LZG_LADDER's order. Where the zg
-rung refuses the stable semigroup and a window plan is verified, the fused
-WindowLanguageEngine keeps the plan's slot counts and packed key itself: it
-reads a block's neighbour images from the code table, moves the key by the
-plan's deltas, and answers from one recovery lookup. Every other Q_LZG
-word goes to LanguageEngine, the generic facade, whose inner engine over the
-block images is the first rung of LZG_LADDER that builds: zg, else window,
-else the k-ary tree (correct, but the O(1) bound is lost; the kind tag says
+Two engines run on the codes, picked by make_language_engine from the
+stable semigroup. Where the zg certificate search finds a certificate,
+LanguageEngine, the generic facade, runs a zg engine over the block images.
+Else, where a window plan is verified, the fused WindowLanguageEngine keeps
+the plan's slot counts and packed key itself: it reads a block's neighbour
+images from the code table, moves the key by the plan's deltas, and answers
+from one recovery lookup. Else the generic facade runs a k-ary tree over
+the block images (correct, but the O(1) bound is lost; the kind tag says
 "-downgraded").
 
 Membership composes the blocks' evaluation with the tail's value in the
@@ -43,9 +43,8 @@ Neither engine stops early on such an edit.
 Both charge the facade's steps: a block edit 1 + 2s (its own step and the
 two block reads), a tail edit 1, a query s + 1. The generic facade adds its
 inner engine's op_count; the fused engine adds what a WindowStatsEngine
-inside the generic facade would charge, 4 per block edit that changes the
-image and nslots + 1 per query that evaluates a word with a block, so the
-two window forms count alike.
+over the block images charges, 4 per block edit that changes the image and
+nslots + 1 per query that evaluates a word with a block.
 
 The k-ary engine builds from the letters' monoid ids (_letter_ids), the
 chunked engines from their alphabet indices (_alphabet_indices), each taken
@@ -60,6 +59,7 @@ RangeError; so both routes give the same values, dtype and errors.
 
 from __future__ import annotations
 
+import logging
 from array import array
 
 import numpy as np
@@ -68,15 +68,17 @@ from ..algebra.core import table_array
 from ..errors import InternalError, PositionOutOfRange, RangeError
 from ..syntactic.classify import Q_LZG
 from .base import Engine
-from .dispatch import LZG_LADDER, build_first
-from .kary import KaryEngine
+from .kary import KaryEngine, make_kary_engine
 from .windowstats import _word_counts, synthesize_window_plan
-from .zg import in_zg_class
+from .zg import has_zg_certificate, make_zg_engine
 
-# The most codes, |A|^s, for which the code table is a list built up front,
-# one table lookup per code or fewer; above it the table is a dict filled on
-# first read.
-EAGER_CODES = 1 << 10
+logger = logging.getLogger(__name__)
+
+# The code table is a list over every code, built up front, while the word
+# has at least EAGER_LETTERS letters per code (so the list's 8 B pointers
+# come to at most a byte per letter); past that it is a dict filled on first
+# read. A list read took 24 ns less than the dict's.
+EAGER_LETTERS = 8
 
 
 class KaryLanguageEngine(KaryEngine):
@@ -135,8 +137,8 @@ class ChunkedEngine(Engine):
         ncodes = base**s
         codes = _pack(indices[: blocks * s].reshape(blocks, s), base, ncodes)
         self.codes = _code_store(codes)
-        if ncodes > EAGER_CODES:
-            self._img = _LazyCodeTable(stable, self)
+        if ncodes * EAGER_LETTERS > n:
+            self._img = _CodeTable(morphism, stable, ids, self._places, base)
             ids = np.array(ids, dtype=table_array(morphism.target).dtype)
             return _block_images(morphism, stable, ids[indices], blocks)
         self._img = _code_images(morphism, stable, ids)
@@ -183,9 +185,9 @@ class LanguageEngine(ChunkedEngine):
     """The generic chunked facade: block codes over an inner engine of the
     block images, the zg and kary-downgraded kinds."""
 
-    def __init__(self, morphism, stable, word):
+    def __init__(self, morphism, stable, word, tag, factory):
         images = self._build(morphism, stable, word)
-        tag, self.inner = build_first(LZG_LADDER, stable.stable, images)
+        self.inner = factory(stable.stable, images)
         self.kind = f"language[{tag}]"
 
     def update(self, pos, letter):
@@ -305,18 +307,22 @@ def _code_images(morphism, stable, ids):
     return [to_stable[v] for v in vals]
 
 
-class _LazyCodeTable(dict):
-    """code -> stable image, each code filled on first read from
-    StableData.block_image: the code table past EAGER_CODES codes."""
+class _CodeTable(dict):
+    """code -> stable image of the block, each code filled on first read by
+    folding its letters' monoid ids, first letter first, through the monoid
+    table: one entry per distinct block read, held here alone."""
 
-    def __init__(self, stable, engine):
+    def __init__(self, morphism, stable, ids, places, base):
         super().__init__()
-        self._image = stable.block_image
-        self._letters, self._places, self._base = engine.letters, engine._places, engine._base
+        self._table, self._identity = morphism.target.table, morphism.target.identity
+        self._to_stable, self._ids, self._places, self._base = stable.to_stable, ids, places, base
 
     def __missing__(self, code):
-        letters, base = self._letters, self._base
-        img = self[code] = self._image([letters[code // p % base] for p in self._places])
+        t, ids, base = self._table, self._ids, self._base
+        v = self._identity
+        for p in self._places:
+            v = t[v][ids[code // p % base]]
+        img = self[code] = self._to_stable[v]
         return img
 
 
@@ -404,14 +410,21 @@ def _block_images(morphism, stable, ids, blocks):
 
 
 def make_language_engine(morphism, stable, report, word):
-    """One k-ary tree outside Q_LZG. In Q_LZG, the fused window engine where
-    LZG_LADDER stops at its window rung: the zg rung refuses the stable
-    semigroup's class and a window plan is verified. Else the generic
-    facade, which walks the ladder itself."""
+    """One k-ary tree outside Q_LZG. In Q_LZG, by the stable semigroup: the
+    generic facade over a zg engine when the zg certificate search finds a
+    certificate, else the fused window engine when a window plan is
+    verified, else the generic facade over a k-ary tree, kind
+    language[kary-downgraded], logged: its answers stay exact, its O(1)
+    bound is lost."""
     if report.cls != Q_LZG:
         return KaryLanguageEngine(morphism, word)
     s = stable.stable
-    plan = None if in_zg_class(s) else synthesize_window_plan(s)
-    if plan is None:
-        return LanguageEngine(morphism, stable, word)
-    return WindowLanguageEngine(morphism, stable, word, plan)
+    if has_zg_certificate(s):
+        return LanguageEngine(morphism, stable, word, "zg", make_zg_engine)
+    plan = synthesize_window_plan(s)
+    if plan is not None:
+        return WindowLanguageEngine(morphism, stable, word, plan)
+    logger.warning(
+        "no zg certificate and no window plan for the %d-element stable semigroup; "
+        "built the kary engine instead, answers stay exact", s.size)
+    return LanguageEngine(morphism, stable, word, "kary-downgraded", make_kary_engine)

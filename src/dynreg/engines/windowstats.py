@@ -15,9 +15,10 @@ per-position rule as the bulk count and the plan search, and drops slots
 whose changes cancel; an update rewrites only the count of each slot left
 and moves the code by the change of its capped digit (WindowStatsPlan.shift).
 Updates and queries are therefore constant time, with word-length-independent
-step counts. The language facade's window kind (language.py) runs the same
-plan on its block images itself, through pack and shift, with no
-WindowStatsEngine.
+step counts. WindowStatsEngine runs a plan over a word of semigroup
+elements; the language engines build none: their window kind
+(language.WindowLanguageEngine) runs the same plan on its block images
+itself, through pack and shift, and the tests compare the two.
 
 Whether the key determines the evaluation is decided by exhaustive
 reachability over the capped-statistic automaton, carrying the true
@@ -27,7 +28,7 @@ word length. This covers stable semigroups whose local monoids are in ZG but
 which are not in ZG themselves (the counters play the commutative part, the
 last letter the definite part, the first letter the reverse-definite part,
 as the length-1 prefix and suffix of local testability); when every plan
-fails, `dispatch.LZG_LADDER` goes on to its last rung, the k-ary tree.
+fails, `language.make_language_engine` builds the k-ary tree instead.
 """
 
 from __future__ import annotations

@@ -30,10 +30,12 @@ def _certificate(monoid):
         return exc.with_traceback(None)  # keep no frames alive in the memo
 
 
-def in_zg_class(semigroup):
-    """Whether make_zg_engine's class check passes, that is, whether it
-    raises anything but NotZg, with no engine built."""
-    return not isinstance(_certificate(adjoin_identity(semigroup)), NotZg)
+def has_zg_certificate(semigroup):
+    """Whether make_zg_engine builds over semigroup: the monoid S^1 is in ZG
+    and the certificate search found a certificate. Reads the memoized
+    search, with no engine built."""
+    cert = _certificate(adjoin_identity(semigroup))
+    return cert is not None and not isinstance(cert, NotZg)
 
 
 def make_zg_engine(semigroup, word):

@@ -13,7 +13,6 @@ from dynreg.engines import (
     DivisionEngine,
     NilpotentEngine,
     ProductEngine,
-    build_first,
     eligible_engines,
     make_auto_engine,
     make_kary_engine,
@@ -24,9 +23,10 @@ from dynreg.engines import (
     make_windowstats_engine,
     make_zg_engine,
 )
-from dynreg.engines.dispatch import LZG_LADDER
 from dynreg.engines.kary import branching
+from dynreg.engines.zg import has_zg_certificate
 from dynreg.errors import (
+    NoWindowPlan,
     NoZgCertificate,
     NotApplicable,
     NotCommutative,
@@ -410,22 +410,23 @@ def test_zg_constant_update_cost_across_sizes(gal):
 def test_zg_engine_downgrades_above_the_congruence_search_bound(gal):
     # zg5 x Z3 is in ZG but not commutative; with 15 elements it is above
     # the congruence search's bound, so no certificate is found: the zg
-    # factory raises; auto and the facade's Q_LZG ladder (which tries window
-    # first) both fall back to the k-ary tree, and the answers of both stay
-    # exact
+    # factory raises, and so does the window factory, so auto and a Q_LZG
+    # language over it (make_language_engine, which tries window next) both
+    # fall back to the k-ary tree, whose answers stay exact
     s = direct_product(gal["zg5"], gal["Z3"])
     assert s.size == 15
     assert check_variety(s, "ZG") and not check_variety(s, "COM")
     with pytest.raises(NoZgCertificate):
         make_zg_engine(s, [0])
+    assert not has_zg_certificate(s)
+    with pytest.raises(NoWindowPlan):
+        make_windowstats_engine(s, [0])
     assert make_auto_engine(s, [0]).kind == "kary-downgraded"
-    assert build_first(LZG_LADDER, s, [0])[0] == "kary-downgraded"
     rng = random.Random(15)
-    for factory in (make_auto_engine, lambda s, w: build_first(LZG_LADDER, s, w)[1]):
-        for n in (1, 2, 9, 60):
-            assert run_differential(
-                s, factory, n, 300, rng, oracle_cls=make_naive_engine
-            ) == 0
+    for n in (1, 2, 9, 60):
+        assert run_differential(
+            s, make_auto_engine, n, 300, rng, oracle_cls=make_naive_engine
+        ) == 0
 
 
 # -- prefix -----------------------------------------------------------------------

@@ -16,12 +16,12 @@ from dynreg.engines import (
 )
 from dynreg.algebra.core import FiniteSemigroup
 from dynreg.algebra.varieties import check_variety
-from dynreg.engines import language, windowstats
+from dynreg.engines import language, windowstats, zg
 from dynreg.engines.windowstats import WindowStatsPlan, _exponent, _nslots, _slots_of_append, _verify_plan, _word_counts
 from dynreg.engines.kary import branching, make_kary_engine
 from dynreg.engines.language import _bulk_values, _each_value, _mapped
 from dynreg.engines.zg import make_zg_engine
-from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, PositionOutOfRange, RangeError
+from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, NoZgCertificate, PositionOutOfRange, RangeError
 from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
 from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex
 from dynreg.syntactic.dfa import Dfa
@@ -665,19 +665,21 @@ def _refused_edits(eng, alphabet):
 @pytest.mark.parametrize("name", WINDOW_LANGUAGES)
 def test_fused_window_engine_matches_membership(name, monkeypatch):
     # the fused window engine against m.member at every word length around
-    # the block size, tail edits included; its twin reads a code table
-    # filled on first read (as past EAGER_CODES codes) and must give the
-    # same answers and op counts. snapshot() decodes the letters from the
-    # codes, also where two letters share one image
+    # the block size, tail edits included, over a code table built up front
+    # (a list) and, in its twin, one filled on first read (a dict, as for a
+    # word with fewer than EAGER_LETTERS letters per code): both must give
+    # the same answers and op counts. snapshot() decodes the letters from
+    # the codes, also where two letters share one image
     m, sd, rep = WINDOW_LANGUAGES[name]()
     s, alphabet = sd.index, m.alphabet
     assert name != "a*(b+c)*" or m.eta["b"] == m.eta["c"]
     rng = random.Random(zlib.crc32(f"fused window {name}".encode()))
     for n in sorted({0, 1, s - 1, s, s + 1, 9 * s - 1, 200}):
         word = [rng.choice(alphabet) for _ in range(n)]
-        eng = make_language_engine(m, sd, rep, list(word))
         with monkeypatch.context() as patch:
-            patch.setattr(language, "EAGER_CODES", 0)
+            patch.setattr(language, "EAGER_LETTERS", 0)
+            eng = make_language_engine(m, sd, rep, list(word))
+            patch.setattr(language, "EAGER_LETTERS", n + 1)
             lazy = make_language_engine(m, sd, rep, list(word))
         assert type(eng) is type(lazy) is WindowLanguageEngine, (name, eng.kind)
         assert type(eng._img) is list and type(lazy._img) is not list
@@ -721,3 +723,53 @@ def test_codes_past_64_bits_stay_exact():
             word[p] = c
             assert eng.query() == m.member(word), (n, p, c)
         assert eng.snapshot() == tuple(word), n
+
+
+@pytest.mark.parametrize("rx", ["(aa)*ba*", "(ab)*"])
+def test_zg_language_without_a_certificate_gets_the_fused_window_engine(rx, monkeypatch):
+    # these stable semigroups are in ZG and have a window plan: with a
+    # certificate they build the zg kind; where the certificate search finds
+    # none (forced here), the window plan serves them through the fused
+    # engine, not through the generic facade
+    m, sd, rep = analyze_regex(rx, "ab")
+    assert make_language_engine(m, sd, rep, []).kind == "language[zg]"
+    monkeypatch.setattr(zg, "_certificate", lambda monoid: None)
+    assert not zg.has_zg_certificate(sd.stable)
+    with pytest.raises(NoZgCertificate):
+        make_zg_engine(sd.stable, [0])
+    rng = random.Random(zlib.crc32(f"no certificate {rx}".encode()))
+    for n in (0, 1, 2, 3, 64):
+        word = [rng.choice("ab") for _ in range(n)]
+        eng = make_language_engine(m, sd, rep, list(word))
+        assert type(eng) is WindowLanguageEngine and eng.kind == "language[window]", (rx, eng.kind)
+        assert eng.query() == m.member(word), (rx, n)
+        for _ in range(100 if n else 0):
+            p, c = rng.randrange(n), rng.choice("ab")
+            eng.update(p, c)
+            word[p] = c
+            assert eng.query() == m.member(word), (rx, n, p, c)
+
+
+@pytest.mark.parametrize("name", CACHED_LANGUAGES)
+def test_both_code_tables_give_each_code_its_block_image(name):
+    # the code table built up front (a list over every code, for a word of at
+    # least EAGER_LETTERS letters per code) and the one filled on first read
+    # (a dict, for a shorter word, which folds a code's letters through the
+    # monoid table itself) give every code the image sd.block_image gives its
+    # letters; the dict holds only the codes read, and the stable data's own
+    # block memo stays as it was
+    m, sd, rep = CACHED_LANGUAGES[name]()
+    s = sd.index
+    ncodes = len(m.alphabet) ** s
+    word = [m.alphabet[0]] * (language.EAGER_LETTERS * ncodes)
+    eager = make_language_engine(m, sd, rep, word)
+    lazy = make_language_engine(m, sd, rep, word[:-1])
+    assert type(eager._img) is list and len(eager._img) == ncodes, name
+    assert type(lazy._img) is not list and len(lazy._img) == 0, name
+    memo = dict(sd.block_images)
+    got = [lazy._img[code] for code in reversed(range(ncodes))][::-1]
+    assert len(lazy._img) == ncodes and sd.block_images == memo, name
+    places = [len(m.alphabet) ** (s - 1 - r) for r in range(s)]
+    letters = eager.letters
+    want = [sd.block_image([letters[code // p % len(letters)] for p in places]) for code in range(ncodes)]
+    assert got == eager._img == want, name
