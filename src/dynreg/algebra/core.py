@@ -261,10 +261,20 @@ def adjoin_zero(s, reuse=False):
 
 
 def adjoin_identity(s, reuse=True):
-    """S^1: add a fresh neutral element unless one already exists."""
+    """S^1: add a fresh neutral element unless one already exists. S^1 is
+    built once per table and names (memoized), so the zg certificate test
+    and the zg build over one semigroup share it."""
     if reuse and s.identity is not None:
         return s
+    return _with_identity(s, tuple(s.names))
+
+
+@memo
+def _with_identity(s, names):
+    """S^1 of s, named names + 1*. The names are part of the memo key, as s
+    hashes and compares by its table alone: an equal table under other
+    names gets an S^1 of its own."""
     n = s.size
     table = [row + [x] for x, row in enumerate(s.table)]
     table.append(list(range(n)) + [n])
-    return FiniteSemigroup(table, names=s.names + ["1*"], validate=False)
+    return FiniteSemigroup(table, names=[*names, "1*"], validate=False)

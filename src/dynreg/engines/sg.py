@@ -21,18 +21,13 @@ single-letter run's goes to the new letter or the next run entry when the
 edit rewrites one, else to any other run entry. That preserves the word's
 evaluation even though per-run masses drift. Both rules pass down only the
 net change of the entries an edit touches, so an edit that leaves an entry's
-key and label alone stops in the layer below, and a thick layer does O(1)
-vEB operations per edit.
-
-A pair or run layer whose input map is in VebMap list mode (at most FEW_MAX
-keys) is a leaf: edit stops after its own map, since a word of O(1) letters
-is folded at query time in O(1), and a query walks down only to the first
-leaf. The insert that takes a leaf past FEW_MAX keys makes it thick for good
-(list mode is one-way): it takes its letters out, empties the stale leaves
-below and inserts them anew through edit. The stack is built from numpy
-arrays, one whole-array pass per layer: load() bulk-builds each layer's maps
-in turn, and each rule's load() returns the collapsed or grouped word for
-the layer below.
+key and label alone stops in the layer below, and every layer does O(1)
+vEB operations per edit, whatever the length of its word. A query walks
+down to the first layer that holds at most one letter, or to the base, and
+reads the answer there. The stack is built from numpy arrays, one
+whole-array pass per layer: load() bulk-builds each layer's maps in turn,
+and each rule's load() returns the collapsed or grouped word for the layer
+below.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from ..algebra.rees import rees_decompose
 from ..algebra.varieties import check_variety
 from ..errors import InternalError, NotSg
 from ..memo import memo
-from ..veb import VebMap, fold_rows
+from ..veb import VebMap
 from .base import Engine
 
 
@@ -142,14 +137,12 @@ class _Layer:
     def edit(self, key, old, new):
         """The letter at key goes from old to new, None meaning absent: old
         None is an insert, new None a delete. Edit the input word and hand
-        the net change to the rule, which edits the layer below; the base and
-        a leaf (inp in list mode; see the module docstring) stop after their
-        own map. The layers below a leaf are leaves too, and stale."""
+        the net change to the rule, which edits the layer below; the base
+        stops after its own map."""
         self.steps += 1
         if old == new:
             return
         inp = self.inp
-        few = inp.few
         if old is None:
             inp.insert(key, new)
         elif new is None:
@@ -157,41 +150,14 @@ class _Layer:
         else:
             inp.update(key, new)
         rule = self.rule
-        if rule is None:
-            return
-        if few is None:
+        if rule is not None:
             rule.pass_down(self, key, old, new)
-        elif inp.few is None:  # this insert took the leaf past FEW_MAX keys
-            self._thicken(few)
-
-    def _thicken(self, keys):
-        """Make a leaf thick. keys is the key list its input map kept up to
-        the insert that left list mode, which still holds every key: the
-        letters are read through it, since items() in bucket mode scans the
-        whole span. The layer takes them out of its maps again, empties the
-        stale layers below, each map a short list, and inserts them anew
-        through edit, so a layer below that passes FEW_MAX on the way turns
-        thick in turn. Nothing span-sized is allocated."""
-        inp = self.inp
-        word = [(k, inp.retrieve(k)) for k in keys]
-        for k in keys:
-            inp.delete(k)
-        layer = self
-        while layer is not None:
-            for m in layer.maps():
-                if m.few is not None:
-                    for k in m.few[::-1]:
-                        m.delete(k)
-            layer = layer.down
-        for k, a in word:
-            self.edit(k, None, a)
 
     def validate(self):
-        """Check a thick layer's word below against its own, and the layers
-        below in turn; a leaf's stale layer below is only checked in itself."""
+        """Check the layer's word below against its own, and the layers
+        below in turn."""
         if self.rule is not None:
-            if self.inp.few is None:
-                self.rule.check_down(self)
+            self.rule.check_down(self)
             self.down.validate()
 
 
@@ -601,7 +567,6 @@ class SgEngine(Engine):
             raise NotSg("semigroup does not satisfy the swap equation")
         super().__init__(semigroup, word)
         s0 = self.s0 = adjoin_zero(semigroup, reuse=True)
-        self._fold_rows = fold_rows(s0.table)
         span = max(self.n, 1)
         layer = None
         for spec in reversed(build_layer_plan(s0)):
@@ -628,15 +593,14 @@ class SgEngine(Engine):
         self.top.edit(pos + 1, old, letter)
 
     def query(self):
-        """Walk down from the top to the first layer that is a leaf or whose
-        word is empty or one letter long, or to the base, whose nonempty word
-        is the zero. Every layer preserves the word's evaluation, so a leaf
-        answers with the fold of its listed letters through the table, one
-        probe per letter read; a thick layer's one letter is read with its
-        probes. Every layer passed charges one step."""
+        """Walk down from the top to the first layer whose word is empty or
+        one letter long, or to the base, whose nonempty word is the zero.
+        Every layer preserves the word's evaluation, so a layer's one letter
+        is the answer, read with its probes. Every layer passed charges one
+        step."""
         self._steps += 1
         layer = self.top
-        while layer.inp.size > 1 and layer.down is not None and layer.inp.few is None:
+        while layer.inp.size > 1 and layer.down is not None:
             layer.steps += 1
             layer = layer.down
         layer.steps += 1
@@ -645,8 +609,6 @@ class SgEngine(Engine):
             value = None
         elif layer.down is None:
             value = self.s0.zero
-        elif inp.few is not None:
-            value = inp.fold(self._fold_rows)
         else:
             value = inp.retrieve(inp.find_next(1))
         return value

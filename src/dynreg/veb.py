@@ -21,20 +21,18 @@ word (Python int) scanned with bit tricks.
 Bulk build: VebMap.build takes sorted keys and their labels as arrays. It
 checks them in one vectorized pass and scatters label + 1 into the cells
 that __init__ allocated, through a numpy view of them (widened first when
-the largest label needs it). A build of at most FEW_MAX keys (see list mode
-below) stops there. A larger build counts the buckets with one bincount
-into the count cells and fills the summary vEB bottom-up from the sorted
-non-empty buckets. A vEB's shape
-is a function of its key set -- a node keeps its min out of its clusters and
-every other key in its cluster, and a bitmask leaf is the OR of its keys --
-so the fill gives exactly the tree that inserting the buckets one at a time
-gives, level by level, with one bitwise_or.reduceat for all bitmask leaves
-of a level.
+the largest label needs it), counts the buckets with one bincount into the
+count cells and fills the summary vEB bottom-up from the sorted non-empty
+buckets. A vEB's shape is a function of its key set -- a node keeps its min
+out of its clusters and every other key in its cluster, and a bitmask leaf
+is the OR of its keys -- so the fill gives exactly the tree that inserting
+the buckets one at a time gives, level by level, with one
+bitwise_or.reduceat for all bitmask leaves of a level.
 
 probes counts memory-cell-level accesses; writes counts cells written during
 construction. Both exist so tests can assert the complexity claims. The
 build charges writes (the label and bucket arrays, plus two per key) but no
-probes. How the operations charge probes in bucket mode:
+probes. How the operations charge probes:
 
 - insert and delete: 2 (the label cell and the bucket count) plus the
   summary vEB's probes when a bucket turns non-empty or empty; retrieve and
@@ -51,31 +49,12 @@ probes. How the operations charge probes in bucket mode:
 
 The scans add the cells read in one step, not one by one, so the counts are
 those of a cell-by-cell scan at a fraction of its interpreter cost.
-
-List mode: while a map holds at most FEW_MAX keys, few is its sorted key
-list and the bucket counts and the summary vEB are left untouched (all
-zero, all empty). The label cells serve retrieve and update, at one byte
-per key of the span however few keys the map holds (a span of Python
-pointers before the cells were typed, 8 MiB at span 2^20); insert,
-delete, find_prev and find_next bisect few instead of scanning
-buckets. Each bisect charges len(few).bit_length() probes, that is
-ceil(log2(len + 1)), a constant since len <= FEW_MAX; insert and delete add
-one for the label cell. The insert that takes the map past FEW_MAX keys
-counts every listed key into its bucket and the summary vEB, charged as a
-bucket-mode insert charges them (one probe for the count plus the summary
-vEB's), and sets few to None. The switch is one-way: a map in
-bucket mode stays there however far it shrinks, and costs exactly what the
-bucket layout above says. The sg engine takes list mode as its leaf test:
-a layer whose input map keeps a key list (a few keys over a span of up to
-2^19) edits nothing below it and is folded at query time from few, by
-fold over the semigroup's table as fold_rows lays it out.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right, insort
 
 import numpy as np
 
@@ -83,19 +62,11 @@ from .errors import (DuplicateKey, InternalError, KeyOrderError, KeyRangeError, 
                      VebError)
 from .memo import memo
 
-FEW_MAX = 64    # a map keeps a sorted key list up to this many keys
 LABEL_MAX = 2 ** (8 * array("I").itemsize) - 2   # the widest label cell holds label + 1
 
 
 def _label_error(label):
     return VebError(f"label {label!r} is not an int in 0..{LABEL_MAX}")
-
-
-def fold_rows(table):
-    """A multiplication table (nested lists) as VebMap.fold reads it, each
-    row indexed by label cell: rows[v][label + 1] = table[v][label], so a
-    fold decodes no cell."""
-    return [[None, *row] for row in table]
 
 
 def _widened(cells):
@@ -340,7 +311,6 @@ class VebMap:
         # recursive vEB over the indices 0..n_buckets of non-empty buckets
         self.occupied = _make(max(self.n_buckets, 1).bit_length())
         self.size = 0
-        self.few = []   # sorted keys while size <= FEW_MAX, then None
         self.writes += span + self.n_buckets + 1     # label + bucket arrays
 
     # -- core operations ---------------------------------------------------
@@ -364,30 +334,11 @@ class VebMap:
             self._store_refused(key, label)
         self.writes += 1
         self.size += 1
-        few = self.few
-        if few is not None:
-            self.probes += len(few).bit_length()
-            insort(few, key)
-            if len(few) > FEW_MAX:
-                self._to_buckets()
-            return
         b = self.ktab[key]
         self.probes += 1
         if self.bucket_count[b] == 0:
             self.occupied.insert(b, self)
         self.bucket_count[b] += 1
-
-    def _to_buckets(self):
-        """Leave list mode: count every listed key into its bucket and the
-        summary vEB, charged as a bucket-mode insert charges them."""
-        ktab, counts = self.ktab, self.bucket_count
-        for key in self.few:
-            b = ktab[key]
-            self.probes += 1
-            if counts[b] == 0:
-                self.occupied.insert(b, self)
-            counts[b] += 1
-        self.few = None
 
     def _store_refused(self, key, label):
         """Store a label that the label cells refused: widen byte cells to
@@ -411,11 +362,6 @@ class VebMap:
         self.labels[key] = 0
         self.writes += 1
         self.size -= 1
-        few = self.few
-        if few is not None:
-            self.probes += len(few).bit_length()
-            del few[bisect_left(few, key)]
-            return
         b = self.ktab[key]
         self.probes += 1
         self.bucket_count[b] -= 1
@@ -428,17 +374,6 @@ class VebMap:
         self.probes += 1
         v = self.labels[key]
         return v - 1 if v else None
-
-    def fold(self, rows):
-        """The product of a non-empty list-mode map's labels in key order,
-        under a multiplication table prepared by fold_rows; one probe per
-        label read."""
-        labels, few = self.labels, self.few
-        value = labels[few[0]] - 1
-        for k in few[1:]:
-            value = rows[value][labels[k]]
-        self.probes += len(few)
-        return value
 
     def update(self, key, label):
         """Relabel an existing key in O(1)."""
@@ -463,11 +398,6 @@ class VebMap:
             return None
         if key > self.span:
             key = self.span
-        few = self.few
-        if few is not None:
-            self.probes += len(few).bit_length()
-            i = bisect_right(few, key)
-            return few[i - 1] if i else None
         labels = self.labels
         b = self.ktab[key]
         lo = (b - 1) * self.width + 1
@@ -499,11 +429,6 @@ class VebMap:
             return None
         if key < 1:
             key = 1
-        few = self.few
-        if few is not None:
-            self.probes += len(few).bit_length()
-            i = bisect_left(few, key)
-            return few[i] if i < len(few) else None
         labels = self.labels
         b = self.ktab[key]
         hi = b * self.width
@@ -557,10 +482,6 @@ class VebMap:
         if not n:
             return m
         m._scatter(keys, labels)
-        if n <= FEW_MAX:
-            m.few = keys.tolist()
-            return m
-        m.few = None
         counts = np.bincount((keys - 1) // m.width + 1, minlength=m.n_buckets + 1)
         np.frombuffer(m.bucket_count, dtype=np.uint8)[:] = counts
         buckets = np.flatnonzero(counts)
@@ -588,12 +509,9 @@ class VebMap:
     # -- helpers -------------------------------------------------------------
 
     def items(self):
-        """All (key, label) pairs in key order (linear scan in bucket mode;
-        debug/tests)."""
-        keys = self.few
-        if keys is None:
-            keys = [x for x in range(1, self.span + 1) if self.labels[x]]
-        return [(x, self.labels[x] - 1) for x in keys]
+        """All (key, label) pairs in key order, by a scan of the label
+        cells (debug/tests)."""
+        return [(x, v - 1) for x, v in enumerate(self.labels) if v]
 
     def __len__(self):
         return self.size

@@ -123,6 +123,17 @@ def test_product_quotient_generated_adjoin():
     assert m1.identity == s.size
 
 
+def test_adjoin_identity_builds_s1_once_per_table_and_names():
+    s = ab_star_semigroup()
+    assert adjoin_identity(s) is adjoin_identity(ab_star_semigroup())
+    renamed = build_semigroup(s.table, names=[f"x{i}" for i in range(s.size)])
+    assert renamed == s and adjoin_identity(renamed) is not adjoin_identity(s)
+    assert adjoin_identity(renamed).names == [*renamed.names, "1*"]
+    assert adjoin_identity(s).names == [*s.names, "1*"]
+    m1 = adjoin_identity(s)
+    assert adjoin_identity(m1) is m1 and adjoin_identity(m1, reuse=False).size == m1.size + 1
+
+
 def test_enumerate_congruences_counts():
     assert len(enumerate_congruences(build_semigroup([[0]]))) == 1
     assert len(enumerate_congruences(cyclic(2))) == 2

@@ -26,15 +26,12 @@ def test_library_has_no_assert_statements():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
-# a pair-layer group of one letter, checked with assertions stripped;
-# FEW_MAX = 0 keeps the short layers thick, so validate() checks the groups
+# a pair-layer group of one letter, checked with assertions stripped
 CORRUPT_GROUP_UNDER_O = """
-from dynreg import veb
 from dynreg.algebra import FiniteSemigroup
 from dynreg.engines import make_sg_engine
 from dynreg.errors import InternalError
 
-veb.FEW_MAX = 0
 s = FiniteSemigroup([[1, 2, 2], [2, 2, 2], [2, 2, 2]])
 eng = make_sg_engine(s, [0] * 6)
 below = eng.layers[1]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynreg.errors import DuplicateKey, KeyOrderError, KeyRangeError, MissingKey, VebError
-from dynreg.veb import FEW_MAX, LABEL_MAX, VebMap, _Bits, _empty
+from dynreg.veb import LABEL_MAX, VebMap, _Bits, _empty
 
 
 def test_empty_map():
@@ -73,7 +73,6 @@ def _differential(span, steps, seed, keys=()):
     rng = random.Random(seed)
     m = VebMap.build(span, keys, [0] * len(keys))
     ref = dict.fromkeys(keys, 0)
-    peak = len(ref)
     for _ in range(steps):
         op = rng.random()
         k = rng.randint(1, span)
@@ -81,7 +80,6 @@ def _differential(span, steps, seed, keys=()):
             lab = rng.randrange(9)
             m.insert(k, lab)
             ref[k] = lab
-            peak = max(peak, len(ref))
         elif op < 0.55 and ref:
             k = rng.choice(list(ref))
             m.delete(k)
@@ -93,15 +91,11 @@ def _differential(span, steps, seed, keys=()):
         else:
             assert m.find_next(k) == min((x for x in ref if x >= k), default=None)
     assert m.items() == sorted(ref.items())
-    # list mode until the key count first passes FEW_MAX, bucket mode after
-    assert (m.few is None) == (peak > FEW_MAX)
-    return peak
 
 
-@pytest.mark.parametrize("span,seed", [(1, 6), (FEW_MAX, 7), (2**8, 1), (2**12, 2), (2**16, 3)])
+@pytest.mark.parametrize("span,seed", [(1, 6), (64, 7), (2**8, 1), (2**12, 2), (2**16, 3)])
 def test_differential_against_sorted_map(span, seed):
-    peak = _differential(span, 20_000, seed)
-    assert peak > FEW_MAX or span <= FEW_MAX
+    _differential(span, 20_000, seed)
 
 
 def _still_empty(node):
@@ -166,10 +160,9 @@ def test_probes_within_loglog_bound():
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.lists(st.integers(1, 200), unique=True, min_size=FEW_MAX - 8, max_size=FEW_MAX + 2),
+@given(st.lists(st.integers(1, 200), unique=True, min_size=56, max_size=66),
        st.lists(st.tuples(st.integers(1, 200), st.booleans()), min_size=24, max_size=80))
 def test_hypothesis_matches_dict(start, ops):
-    # the start keys put the map on either side of FEW_MAX, the ops across it
     start.sort()
     m = VebMap.build(200, start, [k % 5 for k in start])
     ref = {k: k % 5 for k in start}
@@ -193,22 +186,9 @@ def _probed(m, op, key):
     return op(key), m.probes - before
 
 
-def _bucket_map(span, keys, labels):
-    """A bucket-mode map holding keys: built with every key of the span
-    (more than FEW_MAX), then deleted down to keys."""
-    m = VebMap.build(span, range(1, span + 1), [0] * span)
-    assert m.few is None
-    for k in range(1, span + 1):
-        if k not in keys:
-            m.delete(k)
-    for k, label in zip(keys, labels):
-        m.update(k, label)
-    return m
-
-
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_probes_hit_in_own_bucket_cost_distance_plus_one(d):
-    m = _bucket_map(256, [7, 12], [1, 2])  # width 3: buckets 7..9, 10..12
+    m = VebMap.build(256, [7, 12], [1, 2])  # width 3: buckets 7..9, 10..12
     assert m.width == 3
     assert _probed(m, m.find_prev, 7 + d) == (7, d + 1)
     assert _probed(m, m.find_next, 12 - d) == (12, d + 1)
@@ -217,7 +197,7 @@ def test_probes_hit_in_own_bucket_cost_distance_plus_one(d):
 def test_probes_miss_falls_through_to_bucket_summary():
     # span 65: width 3 and 22 buckets, so the summary of non-empty buckets
     # is one bitmask word and each of its searches costs exactly one probe
-    m = _bucket_map(65, [5, 40], [1, 2])  # buckets 4..6 and 40..42
+    m = VebMap.build(65, [5, 40], [1, 2])  # buckets 4..6 and 40..42
     assert (m.width, m.n_buckets) == (3, 22)
     # own bucket 31..33 read from 32 down (2), summary (1), bucket 4..6 from
     # 6 down to the hit at 5 (2)
@@ -233,7 +213,7 @@ def test_probes_miss_through_a_recursive_summary():
     # span 1024: width 4 and 256 buckets; occupied buckets 1, 125 and 250.
     # The root vEB node keeps bucket 1 as its min, 250 as its max, and
     # buckets 125 and 250 in clusters 7 and 15 of bitmask leaves.
-    m = _bucket_map(1024, [2, 500, 1000], [1, 2, 3])
+    m = VebMap.build(1024, [2, 500, 1000], [1, 2, 3])
     assert (m.width, m.n_buckets) == (4, 256)
     # bucket 997..1000 read at 997 (1); root (1), cluster 15 min (1),
     # summary pred (1), cluster 7 max (1); bucket 497..500 hit at 500 (1)
@@ -244,7 +224,7 @@ def test_probes_miss_through_a_recursive_summary():
 
 
 def test_probes_for_keys_outside_the_span():
-    m = _bucket_map(65, [1, 65], [1, 2])
+    m = VebMap.build(65, [1, 65], [1, 2])
     assert _probed(m, m.find_prev, 0) == (None, 0)
     assert _probed(m, m.find_prev, -3) == (None, 0)
     assert _probed(m, m.find_next, 66) == (None, 0)
@@ -255,7 +235,7 @@ def test_probes_for_keys_outside_the_span():
 
 def test_probes_in_a_partial_last_bucket():
     # span 65 = 21 * 3 + 2: the last bucket holds only keys 64 and 65
-    m = _bucket_map(65, [10, 65], [1, 2])
+    m = VebMap.build(65, [10, 65], [1, 2])
     assert (m.width, m.n_buckets) == (3, 22)
     assert _probed(m, m.find_prev, 65) == (65, 1)
     assert _probed(m, m.find_next, 64) == (65, 2)
@@ -269,56 +249,6 @@ def test_probes_in_a_partial_last_bucket():
     # last bucket 65, 64 (2), summary (1), bucket 10..12 from 12 down (3)
     assert _probed(m, m.find_prev, 65) == (10, 6)
     assert _probed(m, m.find_next, 11) == (None, 3)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, FEW_MAX])
-def test_list_mode_searches_charge_ceil_log2_of_len_plus_one(n):
-    span = 2**19
-    keys = list(range(1000, 1000 + 7 * n, 7))
-    m = VebMap.build(span, keys, [0] * n)
-    assert m.few == keys
-    cost = math.ceil(math.log2(n + 1))
-    assert _probed(m, m.find_prev, span) == (keys[-1] if keys else None, cost)
-    assert _probed(m, m.find_prev, 999) == (None, cost)
-    assert _probed(m, m.find_next, 1) == (keys[0] if keys else None, cost)
-    assert _probed(m, m.find_next, 2000 + 7 * n) == (None, cost)
-    # keys outside the span still answer at once, or clamp and search
-    assert _probed(m, m.find_prev, 0) == (None, 0)
-    assert _probed(m, m.find_next, span + 1) == (None, 0)
-    assert _probed(m, m.find_prev, span + 5) == (keys[-1] if keys else None, cost)
-    if n < FEW_MAX:
-        # insert and delete: the label cell plus one search of the list
-        assert _probed(m, lambda k: m.insert(k, 0), 3) == (None, 1 + cost)
-        assert _probed(m, m.delete, 3) == (None, 1 + math.ceil(math.log2(n + 2)))
-        assert m.few == keys
-
-
-@pytest.mark.parametrize("span", [FEW_MAX + 1, 4096, 2**16])
-def test_switch_to_buckets_builds_the_map_bulk_build_builds(span):
-    rng = random.Random(zlib.crc32(f"veb switch {span}".encode()))
-    keys = sorted(rng.sample(range(1, span + 1), FEW_MAX + 1))
-    built = VebMap.build(span, keys, [0] * len(keys))
-    inserted = VebMap(span)
-    for k in keys[:-1]:
-        inserted.insert(k, 0)
-    assert inserted.few == keys[:-1]
-    before = inserted.probes
-    inserted.insert(keys[-1], 0)
-    switch = inserted.probes - before
-    assert built.few is None and inserted.few is None
-    assert built.bucket_count == inserted.bucket_count
-    assert _summary_tree(built.occupied) == _summary_tree(inserted.occupied)
-    # the switch charges the label cell and the list search, then what bucket
-    # mode charges for counting each key into its bucket and the summary
-    counted = VebMap(span)
-    counted.few = None
-    for k in keys:
-        counted.insert(k, 0)
-    assert switch == 1 + FEW_MAX.bit_length() + counted.probes - len(keys)
-    # one-way: deleting back below FEW_MAX keys stays in bucket mode
-    for k in keys[1:]:
-        inserted.delete(k)
-    assert inserted.few is None and inserted.items() == [(keys[0], 0)]
 
 
 # -- bulk build: the map that inserting the same keys one by one builds ------
@@ -410,7 +340,7 @@ def test_bulk_build_rejects_bad_input():
 
 @pytest.mark.parametrize("label", ["a", None, 1.5, -1, -2, LABEL_MAX + 1])
 def test_bad_labels_raise_veb_error_naming_the_label(label):
-    m = VebMap.build(100, range(1, 100), [0] * 99)   # bucket mode
+    m = VebMap.build(100, range(1, 100), [0] * 99)
     for write in (lambda: VebMap(8).insert(3, label), lambda: m.update(5, label),
                   lambda: VebMap.build(8, [2, 5], [1, label])):
         with pytest.raises(VebError, match=f"label {label!r} "):
@@ -446,8 +376,8 @@ def test_numpy_scalar_labels_store_their_value():
 
 
 def test_wide_labels_differential_against_dict():
-    # labels past a byte over a span past FEW_MAX keys: the widened cells in
-    # list and bucket mode, reached by insert and by update
+    # labels past a byte, reached by insert and by update: the widened cells
+    # under every operation
     rng = random.Random(zlib.crc32(b"veb wide labels"))
     span = 1000
     m, ref = VebMap(span), {}
@@ -470,6 +400,6 @@ def test_wide_labels_differential_against_dict():
         else:
             assert m.find_next(k) == min((x for x in ref if x >= k), default=None)
         if step == 50:
-            assert m.few is not None and isinstance(m.labels, array)
-    assert m.few is None and len(m) == len(ref)
+            assert isinstance(m.labels, array)
+    assert len(m) == len(ref)
     assert m.items() == sorted(ref.items())
