@@ -17,7 +17,7 @@ from .algebra.green import green_j, local_monoids
 from .algebra.rees import rees_decompose
 from .algebra.varieties import check_variety
 from .engines.base import make_naive_engine
-from .engines.dispatch import ENGINES, make_auto_engine
+from .engines.dispatch import ENGINES
 from .engines.language import make_language_engine
 from .errors import AlgebraError, EngineError, InternalError, RangeError, VebError
 from .gallery import gallery
@@ -52,12 +52,6 @@ def _resolve_input(obj):
     if isinstance(obj, dict) and "table" in obj:
         return ("semigroup", semigroup_from_json(obj))
     return ("language",) + analyze_dfa(language_from_json(obj))
-
-
-def _semigroup_engine(s, word, kind):
-    if kind == "auto":
-        return make_auto_engine(s, word)
-    return ENGINES[kind](s, word)
 
 
 def _position(tok, line):
@@ -107,7 +101,7 @@ def cmd_run(args):
     else:
         s = resolved[1]
         word = [s.id_of(tok) for tok in args.word.split()]
-        engine = _semigroup_engine(s, word, args.engine)
+        engine = ENGINES[args.engine](s, word)
         oracle = make_naive_engine(s, list(word)) if args.check else None
 
         def apply_update(pos, letter):
@@ -205,7 +199,7 @@ def _bench_cells(cfg):
             _known("language", kind.split(":", 1)[1], list(BENCH_LANGUAGES))
             target = None
         else:
-            _known("engine", kind, ["auto", *ENGINES])
+            _known("engine", kind, list(ENGINES))
             if "gallery" in cell:
                 target = gal[_known("gallery", cell["gallery"], sorted(gal))]
             elif "semigroup" in cell:
@@ -230,7 +224,7 @@ def _bench_cell(engine_kind, n, ops, seed, target):
     else:
         s = target
         word = [rng.randrange(s.size) for _ in range(n)]
-        eng = _semigroup_engine(s, word, engine_kind)
+        eng = ENGINES[engine_kind](s, word)
         pick = lambda: rng.randrange(s.size)
     max_upd = 0
     max_qry = 0
@@ -323,7 +317,7 @@ def main(argv=None):
     p.add_argument("--stream", required=True, help="update/query stream file")
     p.add_argument("--check", action="store_true",
                    help="shadow with the naive oracle; exit 1 on mismatch")
-    p.add_argument("--engine", default="auto", choices=["auto", *ENGINES])
+    p.add_argument("--engine", default="auto", choices=list(ENGINES))
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="operation-count benchmarks to CSV")

@@ -1,7 +1,7 @@
 from .base import Engine, NaiveEngine, make_naive_engine
 from .combinators import DivisionEngine, ProductEngine
 from .counting import CountEngine, NilpotentEngine
-from .dispatch import REGISTRY, build_first, eligible_engines, make_auto_engine
+from .dispatch import REGISTRY, eligible_engines, make_auto_engine, route
 from .kary import KaryEngine, make_kary_engine
 from .language import KaryLanguageEngine, LanguageEngine, WindowLanguageEngine, make_language_engine
 from .prefix import VebPrefixEngine, make_prefix_engine
@@ -33,7 +33,6 @@ __all__ = [
     "WindowLanguageEngine",
     "WindowStatsEngine",
     "WindowStatsPlan",
-    "build_first",
     "eligible_engines",
     "make_auto_engine",
     "make_kary_engine",
@@ -44,5 +43,6 @@ __all__ = [
     "make_sg_engine",
     "make_windowstats_engine",
     "make_zg_engine",
+    "route",
     "synthesize_window_plan",
 ]

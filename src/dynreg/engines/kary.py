@@ -24,20 +24,22 @@ int64 array of one entry per node, so the build makes no full-length int64
 copy of the word.
 
 An update checks its position, then maps its letter to a monoid id through
-the letter map `ids`: {i: i} over the caller's ids for a plain engine, the
-alphabet map of a language (language.py). A letter the map lacks raises
+the letter map `ids`: _CallerIds for a plain engine, the alphabet map of a
+language (language.py). A letter the map refuses, 1.0 too, raises
 RangeError before any state changes. `word` keeps the caller's letters and
 the climb runs on the id, so a language engine keeps one per-letter list.
 """
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 
 from ..algebra.core import adjoin_identity
 from ..errors import PositionOutOfRange, RangeError
 from ..memo import memo
-from .base import Engine
+from .base import Engine, check_letter
 
 
 # A forced branching factor may build up to max(n, FORCED_CELLS_MAX) table
@@ -78,13 +80,27 @@ def _tables(monoid, k):
     return inf[:, 0, k - 1].tolist(), inf.ravel().tolist()
 
 
+class _CallerIds:
+    """Each of the caller's ids to itself, numpy integers to their int, by
+    check_letter: a dict {i: i} would find 1.0 under the key 1."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def __getitem__(self, letter):
+        if type(letter) is not int or not (0 <= letter < self.size):
+            check_letter(letter, self.size)
+            return index(letter)
+        return letter
+
+
 class KaryEngine(Engine):
     kind = "kary"
     STEP = 0  # what an update charges before its climb
 
     def __init__(self, monoid, word, k=None):
         super().__init__(monoid, word)
-        self.ids = {i: i for i in range(self.size)}  # letter -> id
+        self.ids = _CallerIds(self.size)  # letter -> id
         self._build(monoid, word if isinstance(word, np.ndarray) else self.word, k)
 
     def _build(self, monoid, ids, k):

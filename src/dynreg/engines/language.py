@@ -1,12 +1,12 @@
 """Language engines: one k-ary tree over the letters, or stable-semigroup
 chunking for Q_LZG.
 
-Every language outside Q_LZG, Q_SG_ONLY as well as OUTSIDE_Q_SG, is a
-KaryLanguageEngine (dispatch.py says why): a k-ary tree over the syntactic
-monoid whose letter map is the alphabet map eta, so an update is one call
-that checks the letter once, stores it in the one letter list `word` and
-climbs with its id. A query reads the top code's accept bit from a per-code
-list built once from the tree's value table.
+Every language outside Q_LZG, and a Q_LZG one that dispatch.route
+downgrades, is a KaryLanguageEngine (dispatch.py says why): a k-ary tree
+over the syntactic monoid whose letter map is the alphabet map eta, so an
+update is one call that checks the letter once, stores it in the one letter
+list `word` and climbs with its id. A query reads the top code's accept bit
+from a per-code list built once from the tree's value table.
 
 A Q_LZG word is cut into blocks of s letters (s the stability index) plus a
 tail of fewer than s letters. Every chunked engine keeps the word as block
@@ -20,15 +20,11 @@ built once over every code while the word has at least EAGER_LETTERS
 letters per code, else a dict that fills a missing code on first read by
 folding its letters through the monoid table. Both read as img[code].
 
-Two engines run on the codes, picked by make_language_engine from the
-stable semigroup. Where the zg certificate search finds a certificate,
-LanguageEngine, the generic facade, runs a zg engine over the block images.
-Else, where a window plan is verified, the fused WindowLanguageEngine keeps
-the plan's slot counts and packed key itself: it reads a block's neighbour
-images from the code table, moves the key by the plan's deltas, and answers
-from one recovery lookup. Else the generic facade runs a k-ary tree over
-the block images (correct, but the O(1) bound is lost; the kind tag says
-"-downgraded").
+Two engines run on the codes. Where route picks zg, LanguageEngine runs a
+zg engine over the block images. Where it picks window, the fused
+WindowLanguageEngine keeps the plan's slot counts and packed key itself: it
+reads a block's neighbour images from the code table, moves the key by the
+plan's deltas, and answers from one recovery lookup.
 
 Membership composes the blocks' evaluation with the tail's value in the
 syntactic monoid and tests the accept set, by one list of accept bits, one
@@ -41,8 +37,8 @@ letter already there takes the same path, and keeps its block's image.
 Neither engine stops early on such an edit.
 
 Both charge the facade's steps: a block edit 1 + 2s (its own step and the
-two block reads), a tail edit 1, a query s + 1. The generic facade adds its
-inner engine's op_count; the fused engine adds what a WindowStatsEngine
+two block reads), a tail edit 1, a query s + 1. LanguageEngine adds its
+zg engine's op_count; the fused engine adds what a WindowStatsEngine
 over the block images charges, 4 per block edit that changes the image and
 nslots + 1 per query that evaluates a word with a block.
 
@@ -59,7 +55,6 @@ RangeError; so both routes give the same values, dtype and errors.
 
 from __future__ import annotations
 
-import logging
 from array import array
 
 import numpy as np
@@ -68,11 +63,10 @@ from ..algebra.core import table_array
 from ..errors import InternalError, PositionOutOfRange, RangeError
 from ..syntactic.classify import Q_LZG
 from .base import Engine
-from .kary import KaryEngine, make_kary_engine
-from .windowstats import _word_counts, synthesize_window_plan
-from .zg import has_zg_certificate, make_zg_engine
-
-logger = logging.getLogger(__name__)
+from .dispatch import route
+from .kary import KaryEngine
+from .windowstats import _word_counts
+from .zg import make_zg_engine
 
 # The code table is a list over every code, built up front, while the word
 # has at least EAGER_LETTERS letters per code (so the list's 8 B pointers
@@ -182,13 +176,13 @@ class ChunkedEngine(Engine):
 
 
 class LanguageEngine(ChunkedEngine):
-    """The generic chunked facade: block codes over an inner engine of the
-    block images, the zg and kary-downgraded kinds."""
+    """The zg kind: block codes over a zg engine of the block images."""
 
-    def __init__(self, morphism, stable, word, tag, factory):
+    kind = "language[zg]"
+
+    def __init__(self, morphism, stable, word):
         images = self._build(morphism, stable, word)
-        self.inner = factory(stable.stable, images)
-        self.kind = f"language[{tag}]"
+        self.inner = make_zg_engine(stable.stable, images)
 
     def update(self, pos, letter):
         a = self._letter(pos, letter)
@@ -197,7 +191,7 @@ class LanguageEngine(ChunkedEngine):
         if b >= self.blocks:
             self._tail_write(pos, a)
             return
-        # the inner engine sees the block only when its image changes
+        # the zg engine sees the block only when its image changes
         self._steps += self._block_steps
         codes, img = self.codes, self._img
         code = codes[b]
@@ -213,7 +207,7 @@ class LanguageEngine(ChunkedEngine):
         self._steps += self.s + 1
         bit = self._bit
         if bit is None:
-            # the inner engine and the tail are as the kept bit saw them
+            # the zg engine and the tail are as the kept bit saw them
             val = self.inner.query()
             bit = self._bit = (self._accepts or self._accept_list())[-1 if val is None else val]
         return bit
@@ -410,21 +404,14 @@ def _block_images(morphism, stable, ids, blocks):
 
 
 def make_language_engine(morphism, stable, report, word):
-    """One k-ary tree outside Q_LZG. In Q_LZG, by the stable semigroup: the
-    generic facade over a zg engine when the zg certificate search finds a
-    certificate, else the fused window engine when a window plan is
-    verified, else the generic facade over a k-ary tree, kind
-    language[kary-downgraded], logged: its answers stay exact, its O(1)
-    bound is lost."""
-    if report.cls != Q_LZG:
-        return KaryLanguageEngine(morphism, word)
-    s = stable.stable
-    if has_zg_certificate(s):
-        return LanguageEngine(morphism, stable, word, "zg", make_zg_engine)
-    plan = synthesize_window_plan(s)
-    if plan is not None:
+    """One k-ary tree outside Q_LZG. In Q_LZG, what dispatch.route picks
+    for the stable semigroup: the zg facade, the fused window engine, or
+    the k-ary tree of kind language[kary-downgraded]."""
+    tag, plan = route(stable.stable, window=True) if report.cls == Q_LZG else ("kary", None)
+    if tag == "zg":
+        return LanguageEngine(morphism, stable, word)
+    if tag == "window":
         return WindowLanguageEngine(morphism, stable, word, plan)
-    logger.warning(
-        "no zg certificate and no window plan for the %d-element stable semigroup; "
-        "built the kary engine instead, answers stay exact", s.size)
-    return LanguageEngine(morphism, stable, word, "kary-downgraded", make_kary_engine)
+    engine = KaryLanguageEngine(morphism, word)
+    engine.kind = f"language[{tag}]"
+    return engine

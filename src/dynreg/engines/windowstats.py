@@ -28,7 +28,7 @@ word length. This covers stable semigroups whose local monoids are in ZG but
 which are not in ZG themselves (the counters play the commutative part, the
 last letter the definite part, the first letter the reverse-definite part,
 as the length-1 prefix and suffix of local testability); when every plan
-fails, `language.make_language_engine` builds the k-ary tree instead.
+fails, `dispatch.route` picks the k-ary tree instead.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ The certificate splits the monoid into commutative and nilpotent-plus-identity
 quotients; each factor gets its O(1) engine, glued back with product and
 division combinators. The decomposition is only guaranteed to exist as a
 variety statement, so the certificate search can fail; the factory then
-raises NoZgCertificate and the caller's ladder picks the next engine.
+raises NoZgCertificate, and dispatch.route picks the next engine.
 """
 
 from __future__ import annotations
@@ -30,19 +30,17 @@ def _certificate(monoid):
         return exc.with_traceback(None)  # keep no frames alive in the memo
 
 
-def has_zg_certificate(semigroup):
-    """Whether make_zg_engine builds over semigroup: the monoid S^1 is in ZG
-    and the certificate search found a certificate. Reads the memoized
-    search, with no engine built."""
-    cert = _certificate(adjoin_identity(semigroup))
-    return cert is not None and not isinstance(cert, NotZg)
+def zg_certificate(semigroup):
+    """The memoized certificate search over the monoid S^1: the certificate,
+    None when the search fails, or the NotZg of a semigroup outside ZG."""
+    return _certificate(adjoin_identity(semigroup))
 
 
 def make_zg_engine(semigroup, word):
     # S is in ZG exactly when S^1 is, so the certificate search's own ZG
     # check (NotZg) is this factory's class check
     monoid = adjoin_identity(semigroup)
-    cert = _certificate(monoid)
+    cert = zg_certificate(semigroup)
     if isinstance(cert, NotZg):
         raise NotZg(*cert.args)
     if cert is None:

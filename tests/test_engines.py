@@ -24,7 +24,7 @@ from dynreg.engines import (
     make_zg_engine,
 )
 from dynreg.engines.kary import branching
-from dynreg.engines.zg import has_zg_certificate
+from dynreg.engines.zg import zg_certificate
 from dynreg.errors import (
     NoWindowPlan,
     NoZgCertificate,
@@ -76,14 +76,16 @@ def test_array_words_are_checked_like_lists():
 
 
 def test_check_refuses_letters_that_are_not_integers(gal):
-    # Engine._check: a float, str, None or list letter raises RangeError
-    # before any state changes; a numpy integer edits like the int it equals
+    # Engine._check, and the plain k-ary tree's letter map: a float, even
+    # 1.0, a str, None or list letter raises RangeError before any state
+    # changes; a numpy integer edits like the int it equals
     from test_semidirect import translation_action_spec
 
     spec = translation_action_spec()
     z4 = cyclic(4)
     builds = {
         "naive": lambda w: make_naive_engine(z4, w),
+        "kary": lambda w: make_kary_engine(gal["S3"], w),
         "count": lambda w: CountEngine(z4, w),
         "nilpotent": lambda w: NilpotentEngine(gal["asq0"], w),
         "window": lambda w: make_windowstats_engine(ab_star_semigroup(), w),
@@ -98,7 +100,7 @@ def test_check_refuses_letters_that_are_not_integers(gal):
         eng, twin = build(list(word)), build(list(word))
         state = eng.inner if name == "division" else eng  # division keeps no word
         want = eng.query()
-        for letter in (1.5, "1", None, [1]):
+        for letter in (1.5, 1.0, np.float64(1.0), "1", None, [1]):
             snap, ops = state.snapshot(), eng.op_count
             with pytest.raises(RangeError, match="is not an integer"):
                 eng.update(2, letter)
@@ -199,17 +201,17 @@ def test_kary_levels_match_naive(gal, name, forced_k):
 
 
 def test_kary_update_maps_its_letter_before_it_changes_anything(gal):
-    # a letter equal to an id (1.0 == 1) edits like that id; any other
-    # letter raises RangeError and leaves word, levels and answers as they
-    # were, so the word and the tree never disagree
+    # a numpy integer edits like the id it equals; any other letter, a float
+    # equal to an id (1.0 == 1) included, raises RangeError and leaves word,
+    # levels and answers as they were, so the word and the tree never disagree
     s = gal["S3"]
     word = [0, 1, 2, 3, 4, 5, 0]
     eng = make_kary_engine(s, list(word))
     ora = make_naive_engine(s, list(word))
-    eng.update(2, 1.0)
+    eng.update(2, np.int64(1))
     ora.update(2, 1)
     assert eng.query() == ora.query() and eng.infix(1, 3) == ora.infix(1, 3)
-    for letter in (1.5, "1", None, -1, s.size, [1]):
+    for letter in (1.0, np.float64(1.0), 1.5, "1", None, -1, s.size, [1]):
         levels = [list(codes) for codes in eng.levels]
         snap, ops = eng.snapshot(), eng.op_count
         with pytest.raises(RangeError):
@@ -410,15 +412,15 @@ def test_zg_constant_update_cost_across_sizes(gal):
 def test_zg_engine_downgrades_above_the_congruence_search_bound(gal):
     # zg5 x Z3 is in ZG but not commutative; with 15 elements it is above
     # the congruence search's bound, so no certificate is found: the zg
-    # factory raises, and so does the window factory, so auto and a Q_LZG
-    # language over it (make_language_engine, which tries window next) both
-    # fall back to the k-ary tree, whose answers stay exact
+    # factory raises, and so does the window factory, so route picks the
+    # k-ary tree for auto and for a Q_LZG language over it (which tries
+    # window next), and its answers stay exact
     s = direct_product(gal["zg5"], gal["Z3"])
     assert s.size == 15
     assert check_variety(s, "ZG") and not check_variety(s, "COM")
     with pytest.raises(NoZgCertificate):
         make_zg_engine(s, [0])
-    assert not has_zg_certificate(s)
+    assert zg_certificate(s) is None
     with pytest.raises(NoWindowPlan):
         make_windowstats_engine(s, [0])
     assert make_auto_engine(s, [0]).kind == "kary-downgraded"

@@ -172,8 +172,9 @@ def test_infix_adapter_random_n64():
 def test_infix_answers_follow_set_letter_on_window_languages(rx):
     # languages whose own facade is the window kind. The adapter reads the
     # letters around an infix from its own word, the pad letter past either
-    # end, and not from the engine: a(a+b)*b's marked language gets the
-    # chunked kary-downgraded facade, which keeps no letter list
+    # end, and not from the engine, whose kind follows the marked language
+    # (a*b*'s gets language[kary], a(a+b)*b's language[kary-downgraded]);
+    # a chunked kind keeps no letter list
     m = analyze_regex(rx, "ab")[0]
     assert make_language_engine(*analyze_regex(rx, "ab"), list("ab")).kind == "language[window]"
     d = minimize_dfa(regex_to_dfa(parse_regex(rx, "ab"), "ab"))

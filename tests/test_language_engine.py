@@ -254,11 +254,12 @@ def test_first_letter_window_language_matches_membership():
 
 def test_downgraded_lzg_language_matches_membership():
     # A Q_LZG language whose stable semigroup is not in ZG and has no
-    # window plan, so the facade falls back to the chunked k-ary tree,
+    # window plan, so route falls back to the k-ary tree over the letters,
     # tagged kary-downgraded
     m, sd, rep = analyze_dfa(EVEN_A_DFA)
     assert rep.cls == Q_LZG
     assert synthesize_window_plan(sd.stable) is None
+    assert type(make_language_engine(m, sd, rep, [])) is KaryLanguageEngine
     _member_under_edits(m, sd, rep, "ab", 5, "language[kary-downgraded]")
 
 
@@ -348,12 +349,11 @@ def test_language_differential_random(rx, alpha):
 
 @pytest.mark.parametrize("rx,alpha", [
     ("a*b*", "ab"),
-    ("(b+ab*a)*b", "ab"),  # EVEN_A_DFA's language: a chunked k-ary tree
-    ("((abc)(abc))*((acb)(acb))*", "abc"),
+    ("(ab)*", "ab"),
 ])
 def test_bulk_block_images_match_block_image(rx, alpha):
     # the vectorized first images equal the per-block rule: the code table
-    # read at each block's code, and the inner engine's word or the fused
+    # read at each block's code, and the zg engine's word or the fused
     # window engine's counts and key
     m, sd, rep = analyze_regex(rx, alpha)
     rng = random.Random(zlib.crc32(f"block images {rx}".encode()))
@@ -519,7 +519,7 @@ def test_language_constant_cost_for_q_lzg():
 CACHED_LANGUAGES = {
     "a*b*": lambda: analyze_regex("a*b*", "ab"),
     "(aa)*ba*": lambda: analyze_regex("(aa)*ba*", "ab"),
-    "even a": lambda: analyze_dfa(EVEN_A_DFA),
+    "(ab)*": lambda: analyze_regex("(ab)*", "ab"),
     "first letter": lambda: analyze_dfa(FIRST_LETTER_DFA),
 }
 
@@ -528,7 +528,7 @@ WINDOW_NAMES = ("a*b*", "first letter")  # the CACHED_LANGUAGES that get the fus
 
 
 def _spy_on_inner(eng, calls):
-    """Record each call into the generic facade's inner engine in calls."""
+    """Record each call into the zg facade's inner engine in calls."""
     inner_update, inner_query = eng.inner.update, eng.inner.query
     eng.inner.update = lambda b, img: (calls.append(("update", b)), inner_update(b, img))
     eng.inner.query = lambda: (calls.append(("query",)), inner_query())[1]
@@ -730,11 +730,11 @@ def test_zg_language_without_a_certificate_gets_the_fused_window_engine(rx, monk
     # these stable semigroups are in ZG and have a window plan: with a
     # certificate they build the zg kind; where the certificate search finds
     # none (forced here), the window plan serves them through the fused
-    # engine, not through the generic facade
+    # engine, not through the k-ary tree
     m, sd, rep = analyze_regex(rx, "ab")
     assert make_language_engine(m, sd, rep, []).kind == "language[zg]"
     monkeypatch.setattr(zg, "_certificate", lambda monoid: None)
-    assert not zg.has_zg_certificate(sd.stable)
+    assert zg.zg_certificate(sd.stable) is None
     with pytest.raises(NoZgCertificate):
         make_zg_engine(sd.stable, [0])
     rng = random.Random(zlib.crc32(f"no certificate {rx}".encode()))

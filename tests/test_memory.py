@@ -39,12 +39,14 @@ def test_sg_engine_holds_a_few_bytes_per_letter():
     ("a*b*", "ab", "language[window]", 3),
     ("(ab)*", "ab", "language[zg]", 6),
     ("(a+b+c)*bc*x(a+b+c)*", "abcx", "language[kary]", 16),
+    ("(b+ab*a)*b", "ab", "language[kary-downgraded]", 16),
 ])
 def test_language_facade_holds_a_few_bytes_per_letter(rx, alphabet, kind, budget):
     # a chunked engine keeps one code byte per block of s = 2 letters, and
     # the zg kind's inner engine one list slot per block (0.8 and 4.6 B per
     # letter); the k-ary kind keeps one letter list and its levels. One more
-    # per-letter store would cross the budget
+    # per-letter store would cross the budget. A downgraded Q_LZG language
+    # is the k-ary kind too
     m, sd, rep = analyze_regex(rx, alphabet)
     rng = random.Random(16)
     word = [rng.choice(alphabet) for _ in range(N)]

@@ -1,6 +1,8 @@
-"""Engine selection: every factory owns its precondition, and one ladder walk
-picks an engine and decides every downgrade. Every engine keeps one contract."""
+"""Engine selection: every factory owns its precondition, and one decision,
+dispatch.route, picks an engine and logs every downgrade. Every engine keeps
+one contract."""
 
+import logging
 import random
 import re
 import zlib
@@ -9,11 +11,17 @@ import numpy as np
 import pytest
 
 from dynreg import cli
-from dynreg.algebra.core import restriction
+from dynreg.algebra.core import direct_product, restriction
 from dynreg.algebra.varieties import check_variety
-from dynreg.engines import REGISTRY, eligible_engines, make_auto_engine, make_windowstats_engine
-from dynreg.engines.dispatch import AUTO_LADDER
+from dynreg.engines import (
+    REGISTRY,
+    eligible_engines,
+    make_auto_engine,
+    make_language_engine,
+    make_windowstats_engine,
+)
 from dynreg.errors import NotApplicable, RangeError
+from dynreg.syntactic import analyze_dfa, analyze_regex
 
 
 def _semigroups(gal):
@@ -82,8 +90,34 @@ def test_factories_refuse_non_integer_letters_at_build(gal):
 def test_auto_ladder_order():
     # auto leaves sg out; sg follows kary and is built only by name
     names = [name for name, _ in REGISTRY]
-    assert [name for name, _ in AUTO_LADDER] == ["zg", "kary"]
     assert names == ["zg", "kary", "sg", "prefix", "naive"]
+
+
+def test_route_alone_logs_each_downgrade_once(gal, caplog):
+    # one WARNING from dispatch per downgraded build: auto over zg5 x Z3 (in
+    # ZG, no certificate) and the even-a language (Q_LZG, neither a
+    # certificate nor a window plan); zg, kary, window and language[kary]
+    # builds log nothing
+    from test_language_engine import EVEN_A_DFA
+
+    builds = [
+        (lambda: make_auto_engine(direct_product(gal["zg5"], gal["Z3"]), [0]), "kary-downgraded"),
+        (lambda: make_language_engine(*analyze_dfa(EVEN_A_DFA), list("ab")),
+         "language[kary-downgraded]"),
+        (lambda: make_auto_engine(gal["Z2xzg5"], [0]), "zg"),
+        (lambda: make_auto_engine(gal["S3"], [0]), "kary"),
+        (lambda: make_language_engine(*analyze_regex("(aa)*ba*", "ab"), list("ab")), "language[zg]"),
+        (lambda: make_language_engine(*analyze_regex("a*b*", "ab"), list("ab")), "language[window]"),
+        (lambda: make_language_engine(*analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx"), list("abcx")),
+         "language[kary]"),
+    ]
+    for build, kind in builds:
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG):
+            assert build().kind == kind
+        logged = [(r.name, r.levelno) for r in caplog.records]
+        want = [("dynreg.engines.dispatch", logging.WARNING)] if "downgraded" in kind else []
+        assert logged == want, kind
 
 
 def test_auto_engine_is_the_first_eligible_entry(gal):
