@@ -139,7 +139,13 @@ class FiniteSemigroup:
         )
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self.table))
+        # the table never changes, so its hash is taken once: every memo
+        # lookup keyed by a semigroup hashes it
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(tuple(tuple(r) for r in self.table))
+            return self._hash
 
 
 def build_semigroup(table, identity_hint=None, names=None):

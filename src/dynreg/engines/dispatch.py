@@ -11,7 +11,8 @@ builds them. ENGINES maps each name, and "auto", to its factory.
 route() alone picks, for make_auto_engine and for a Q_LZG language
 (language.make_language_engine): zg where the memoized certificate search
 certifies the semigroup; else, for a language, the fused window engine where
-a window plan is verified; else the k-ary tree over the caller's letters.
+a window plan is verified; else the k-ary tree over the caller's letters
+(for a language, over the values of its blocks of letters).
 It alone logs a downgrade, the k-ary tree built where the constant-time
 class held but no plan was found.
 

@@ -1,13 +1,15 @@
 """k-ary tree of packed codes, branching k ~ log n, one flat list per level.
 
-Level 1 holds, for each run of k consecutive letters, their packed base-|M|
+Level 1 holds, for each run of k consecutive leaves, their packed base-|M|
 code; level l + 1 holds the codes of k consecutive level-l values, and the top
 level holds a single code. Every level is padded to a multiple of k with the
-adjoined identity, so every node has exactly k digits and one pair of tables
-serves all of them: value[code] is the product of the k digits and
-inf[code*k*k + i*k + j] the product of digits i..j. An update rewrites one
-digit per level, climbing from the leaf and stopping at the first level whose
-digit is unchanged; a query reads the top code.
+adjoined identity, so every node has exactly k digits and one table serves
+all of them: value[code], the product of the k digits, which every tree
+builds (_tables). Only prefix and infix read inf[code*k*k + i*k + j], the
+product of digits i..j; it is built on a tree's first such query (_infixes),
+so language engines never build it. Both are memoized per (monoid, k). An
+update rewrites one digit per level, climbing from the leaf and stopping at
+the first level whose digit is unchanged; a query reads the top code.
 
 The branching factor is the largest k >= 2 whose tables, |M|^k * k^2 cells,
 are no larger than the word, and below n.bit_length(): that cap only binds
@@ -17,29 +19,29 @@ level lists share one int object per code, since codes above 256 are not
 CPython's cached small ints, and update stores the shared object of the new
 code, so edits do not grow the lists' memory.
 
-The build reads the ids in the narrowest dtype that holds every id, the
-adjoined identity included: a level is padded in that dtype, and its codes
-are built digit column by digit column (Horner's rule, in place) in one
-int64 array of one entry per node, so the build makes no full-length int64
-copy of the word.
+build_levels, shared with the language engine (language.py, whose leaves are
+the values of blocks of letters), reads the leaves in the narrowest dtype
+that holds every id, the adjoined identity included: a level is padded in
+that dtype, and its codes are built digit column by digit column (Horner's
+rule, in place) in one int64 array of one entry per node, so the build makes
+no full-length int64 copy of the leaves.
 
-An update checks its position, then maps its letter to a monoid id through
-the letter map `ids`: _CallerIds for a plain engine, the alphabet map of a
-language (language.py). A letter the map refuses, 1.0 too, raises
-RangeError before any state changes. `word` keeps the caller's letters and
-the climb runs on the id, so a language engine keeps one per-letter list.
+KaryEngine's letters are the caller's ids: update checks them by
+Engine._check, so a float, 1.0 too, raises RangeError before any state
+changes, and stores a numpy integer as the int it equals.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import index
 
 import numpy as np
 
-from ..algebra.core import adjoin_identity
+from ..algebra.core import adjoin_identity, table_array
 from ..errors import PositionOutOfRange, RangeError
 from ..memo import memo
-from .base import Engine, check_letter
+from .base import Engine
 
 
 # A forced branching factor may build up to max(n, FORCED_CELLS_MAX) table
@@ -61,11 +63,28 @@ def branching(msize, n):
 
 @memo
 def _tables(monoid, k):
-    """(value, inf) for k-digit codes: value[code] is the product of the
-    digits, inf[code*k*k + i*k + j] the product of digits i..j (i <= j).
+    """The tables every tree over monoid with k-digit codes shares: value,
+    value[code] the product of the k digits of code, digit i at place b**i
+    the i-th from the left, as a list and as an array of the narrowest dtype
+    that holds the ids; and one int object per code, as an object array and
+    as a list, which the levels reference instead of fresh ints.
 
-    Memoized per (table, k), so every engine over the same monoid shares them.
+    Memoized per (table, k), so every tree over the same monoid shares them.
     """
+    b = monoid.size
+    t = table_array(monoid)
+    codes = np.arange(b**k)
+    value = codes % b
+    for i in range(1, k):
+        value = t[value, codes // b**i % b]
+    shared = codes.astype(object)
+    return value.tolist(), value, shared, shared.tolist()
+
+
+@memo
+def _infixes(monoid, k):
+    """inf[code*k*k + i*k + j], the product of digits i..j of code (i <= j);
+    built on a tree's first prefix or infix query, memoized as _tables."""
     b = monoid.size
     t = np.asarray(monoid.table, dtype=np.int64)
     codes = np.arange(b**k, dtype=np.int64)
@@ -77,34 +96,41 @@ def _tables(monoid, k):
         for j in range(i + 1, k):
             acc = t[acc, digits[j]]
             inf[:, i, j] = acc
-    return inf[:, 0, k - 1].tolist(), inf.ravel().tolist()
+    return inf.ravel().tolist()
 
 
-class _CallerIds:
-    """Each of the caller's ids to itself, numpy integers to their int, by
-    check_letter: a dict {i: i} would find 1.0 under the key 1."""
-
-    def __init__(self, size):
-        self.size = size
-
-    def __getitem__(self, letter):
-        if type(letter) is not int or not (0 <= letter < self.size):
-            check_letter(letter, self.size)
-            return index(letter)
-        return letter
+def build_levels(monoid, k, vals):
+    """The levels of the k-ary tree over the leaf ids vals (a numpy array of
+    monoid, which has an identity): level 0 packs the leaves and the last
+    level is the single top code, or there are no levels for no leaves.
+    Lists, not arrays: the per-edit loop indexes scalars."""
+    b = monoid.size
+    _, value, shared, _ = _tables(monoid, k)
+    levels = []
+    # every level's digits in the narrowest dtype that holds the ids
+    vals = np.asarray(vals, dtype=value.dtype)
+    while len(vals):
+        pad = -len(vals) % k
+        if pad:
+            vals = np.concatenate([vals, np.full(pad, monoid.identity, dtype=vals.dtype)])
+        # Horner's rule over the digit columns, last digit first, in place
+        digits = vals.reshape(-1, k)
+        codes = digits[:, k - 1].astype(np.int64)
+        for i in range(k - 2, -1, -1):
+            codes *= b
+            codes += digits[:, i]
+        levels.append(shared[codes].tolist())
+        if len(codes) == 1:
+            break
+        vals = value[codes]
+    return levels
 
 
 class KaryEngine(Engine):
     kind = "kary"
-    STEP = 0  # what an update charges before its climb
 
     def __init__(self, monoid, word, k=None):
         super().__init__(monoid, word)
-        self.ids = _CallerIds(self.size)  # letter -> id
-        self._build(monoid, word if isinstance(word, np.ndarray) else self.word, k)
-
-    def _build(self, monoid, ids, k):
-        """The tables and levels over ids, the checked ids of the n letters."""
         self.identity = monoid.identity  # the caller's, None if it has none
         self.semigroup = monoid = adjoin_identity(monoid)
         if k is None:
@@ -119,43 +145,20 @@ class KaryEngine(Engine):
         self.k = k
         self._b = b = monoid.size
         self._pow = [b**i for i in range(k)]
-        self.value, self.inf = _tables(monoid, k)
-        # levels[0] packs the letters; levels[-1] is the single top code.
-        # Lists, not arrays: the per-edit loop indexes scalars.
-        self.levels = []
-        shared = np.arange(b**k).astype(object)  # one int object per code
-        self._codes = shared.tolist()   # update stores these, not fresh ints
-        if not self.n:
-            return
-        # every level's digits in the narrowest dtype that holds the ids
-        value = np.asarray(self.value, dtype=np.min_scalar_type(b - 1))
-        vals = np.asarray(ids, dtype=value.dtype)
-        while True:
-            pad = -len(vals) % k
-            if pad:
-                vals = np.concatenate([vals, np.full(pad, monoid.identity, dtype=vals.dtype)])
-            # Horner's rule over the digit columns, last digit first, in place
-            digits = vals.reshape(-1, k)
-            codes = digits[:, k - 1].astype(np.int64)
-            for i in range(k - 2, -1, -1):
-                codes *= b
-                codes += digits[:, i]
-            self.levels.append(shared[codes].tolist())
-            if len(codes) == 1:
-                break
-            vals = value[codes]
+        # update stores the shared code objects, not fresh ints
+        self.value, _, _, self._shared = _tables(monoid, k)
+        self.levels = build_levels(monoid, k, word if isinstance(word, np.ndarray) else self.word)
+
+    @cached_property
+    def inf(self):
+        return _infixes(self.semigroup, self.k)
 
     def update(self, pos, letter):
-        if not (0 <= pos < self.n):
-            raise PositionOutOfRange(f"position {pos} outside 0..{self.n - 1}")
-        try:
-            v = self.ids[letter]
-        except (KeyError, TypeError):  # TypeError: an unhashable letter
-            raise RangeError(f"letter {letter!r} not in the alphabet") from None
-        self.word[pos] = letter
-        k, b, pw, value, shared = self.k, self._b, self._pow, self.value, self._codes
+        self._check(pos, letter)
+        v = self.word[pos] = index(letter)
+        k, b, pw, value, shared = self.k, self._b, self._pow, self.value, self._shared
         j = pos
-        steps = self.STEP
+        steps = 0
         for codes in self.levels:
             steps += 1
             d = pw[j % k]

@@ -1,34 +1,41 @@
-"""Language engines: one k-ary tree over the letters, or stable-semigroup
-chunking for Q_LZG.
+"""Language engines: letters kept as block codes, under a k-ary tree
+outside Q_LZG and under stable-semigroup chunking in Q_LZG.
+
+Every language engine keeps the word as block codes (ChunkedEngine): a
+block of s letters is its alphabet indices packed base |A|, its first
+letter the most significant digit, one code per block in an array of the
+narrowest typecode that holds |A|^s codes; the tail of fewer than s letters
+is a list of alphabet indices. Letters are alphabet indices, not monoid
+ids, since eta need not be injective and snapshot() decodes the letters
+from the codes. A code indexes the code table, code -> the block's value:
+its monoid value for the k-ary engine, its stable image in Q_LZG. The table
+is a list built once over every code while the word has at least
+EAGER_LETTERS letters per code, else a dict that fills a missing code on
+first read by folding its letters through the monoid table. Both read as
+img[code]. No engine keeps a list of the letters.
 
 Every language outside Q_LZG, and a Q_LZG one that dispatch.route
-downgrades, is a KaryLanguageEngine (dispatch.py says why): a k-ary tree
-over the syntactic monoid whose letter map is the alphabet map eta, so an
-update is one call that checks the letter once, stores it in the one letter
-list `word` and climbs with its id. A query reads the top code's accept bit
-from a per-code list built once from the tree's value table.
+downgrades, is a KaryLanguageEngine (dispatch.py says why). Its blocks have
+block_length letters, the largest s with |A|^s * EAGER_LETTERS <= n (and
+s < n.bit_length(), which binds only for a one-letter alphabet), so its
+code table is always the list. The leaves of a k-ary tree over the monoid
+(kary.py, k = branching(|M|, n)) are the blocks' values, then one per tail
+letter. An update rewrites its block's code and reads the old and new
+codes' values, or a tail letter's monoid id; it climbs only when the leaf's
+value changes. A query reads the top code's value and one accept bit, one
+per monoid element. An update charges 2 and one per level it climbs, a
+query 2: no charge grows with n but the climb.
 
-A Q_LZG word is cut into blocks of s letters (s the stability index) plus a
-tail of fewer than s letters. Every chunked engine keeps the word as block
-codes (ChunkedEngine): a block's alphabet indices packed base |A|, its first
-letter the most significant digit, one code per block in an array of the
-narrowest typecode that holds |A|^s codes, and the tail as a list of
-alphabet indices. Letters are alphabet indices, not monoid ids, since eta
-need not be injective and snapshot() decodes the letters from the codes. A
-code indexes the code table, code -> stable image of the block: a list
-built once over every code while the word has at least EAGER_LETTERS
-letters per code, else a dict that fills a missing code on first read by
-folding its letters through the monoid table. Both read as img[code].
+A Q_LZG word is cut into blocks of s letters, s the stability index. Where
+route picks zg, LanguageEngine runs a zg engine over the block images.
+Where it picks window, the fused WindowLanguageEngine keeps the plan's slot
+counts and packed key itself: it reads a block's neighbour images from the
+code table, moves the key by the plan's deltas, and answers from one
+recovery lookup.
 
-Two engines run on the codes. Where route picks zg, LanguageEngine runs a
-zg engine over the block images. Where it picks window, the fused
-WindowLanguageEngine keeps the plan's slot counts and packed key itself: it
-reads a block's neighbour images from the code table, moves the key by the
-plan's deltas, and answers from one recovery lookup.
-
-Membership composes the blocks' evaluation with the tail's value in the
-syntactic monoid and tests the accept set, by one list of accept bits, one
-per stable element, kept until a tail letter changes. Both engines keep
+Q_LZG membership composes the blocks' evaluation with the tail's value in
+the syntactic monoid and tests the accept set, by one list of accept bits,
+one per stable element, kept until a tail letter changes. Both engines keep
 their last membership bit. An edit clears it only when it changes its
 block's image, or changes a tail letter (one at pos >= blocks * s, which is
 every letter when n < s). A query on a kept bit charges only the engine's
@@ -42,9 +49,8 @@ zg engine's op_count; the fused engine adds what a WindowStatsEngine
 over the block images charges, 4 per block edit that changes the image and
 nslots + 1 per query that evaluates a word with a block.
 
-The k-ary engine builds from the letters' monoid ids (_letter_ids), the
-chunked engines from their alphabet indices (_alphabet_indices), each taken
-by one of two routes. The bulk route applies when every letter is a
+Every engine builds from the letters' alphabet indices (_alphabet_indices),
+taken by one of two routes. The bulk route applies when every letter is a
 one-character str whose text encodes as latin-1 and the values are fewer
 than 255: the encoded text goes through one bytes.translate with a
 256-entry table, where byte 255 marks a character outside the alphabet.
@@ -59,12 +65,12 @@ from array import array
 
 import numpy as np
 
-from ..algebra.core import table_array
+from ..algebra.core import adjoin_identity, table_array
 from ..errors import InternalError, PositionOutOfRange, RangeError
 from ..syntactic.classify import Q_LZG
 from .base import Engine
 from .dispatch import route
-from .kary import KaryEngine
+from .kary import _tables, branching, build_levels
 from .windowstats import _word_counts
 from .zg import make_zg_engine
 
@@ -75,68 +81,52 @@ from .zg import make_zg_engine
 EAGER_LETTERS = 8
 
 
-class KaryLanguageEngine(KaryEngine):
-    """Membership of a word outside Q_LZG: a k-ary tree over the syntactic
-    monoid that takes letters. An update charges its own step and the levels
-    it climbs, a query its own step and the top read."""
-
-    kind = "language[kary]"
-    STEP = 1
-
-    def __init__(self, morphism, word):
-        # the ids come from eta, so they need no Engine.__init__ check, and
-        # the engine keeps no list of them
-        self.word = list(word)
-        self.n = len(self.word)
-        self.size = morphism.target.size
-        self._steps = 0
-        self.ids = morphism.eta
-        self._build(morphism.target, _letter_ids(morphism, self.word), None)
-        accept = morphism.accept
-        self._accepts = [v in accept for v in self.value]  # code -> membership bit
-        # the top level's one code; an empty word reads as identity digits
-        self._top = self.levels[-1] if self.levels else [
-            self.semigroup.identity * sum(self._pow)]
-
-    def query(self):
-        """Membership bit for the current word."""
-        self._steps += 2
-        return self._accepts[self._top[0]]
-
-
 class ChunkedEngine(Engine):
-    """The block-code layer of a Q_LZG word: the letter check, the codes and
-    the tail, the code table, the accept bits and snapshot(). Subclasses
-    call _build from __init__ and keep the block images' evaluation."""
+    """The block-code layer: the letter check, the codes and the tail, the
+    code table and snapshot(). Subclasses call _build from __init__ and keep
+    the blocks' evaluation; the Q_LZG ones (_build_stable) also keep the
+    tail's accept bits."""
 
-    def _build(self, morphism, stable, word):
-        """Codes, tail and code table of word; returns the block images, one
-        stable id per block, for the subclass's own state."""
+    def _build(self, morphism, word, s, image):
+        """Codes, tail and code table of word in blocks of s letters, the
+        table giving a block of monoid value v the value image[v] (image a
+        list, or None for v itself); returns those block values as an array,
+        for the subclass's own state."""
         self.morphism = morphism
-        self.stable = stable
         self.n = n = len(word)
-        self.s = s = stable.index
+        self.s = s
         self.blocks = blocks = n // s
         self._steps = 0
         self.letters = letters = list(morphism.eta)  # alphabet index -> letter
         self._index = {a: i for i, a in enumerate(letters)}
         self._base = base = len(letters)
         self._places = [base ** (s - 1 - r) for r in range(s)]  # digit r's place in a code
-        self._block_steps = 1 + 2 * s  # the facade's step and the two block reads
-        self._bit = None  # the last membership bit, None once the word's value may change
-        self._accepts = None  # the accept bits, None once a tail letter changed
-        self._ids = ids = [morphism.eta[a] for a in letters]  # alphabet index -> monoid id
+        self._ids = [morphism.eta[a] for a in letters]  # alphabet index -> monoid id
         indices = _alphabet_indices(self._index, word)
         self.tail = indices[blocks * s :].tolist()
         ncodes = base**s
         codes = _pack(indices[: blocks * s].reshape(blocks, s), base, ncodes)
         self.codes = _code_store(codes)
+        t = table_array(morphism.target)
+        ids = np.array(self._ids, dtype=t.dtype)
         if ncodes * EAGER_LETTERS > n:
-            self._img = _CodeTable(morphism, stable, ids, self._places, base)
-            ids = np.array(ids, dtype=table_array(morphism.target).dtype)
-            return _block_images(morphism, stable, ids[indices], blocks)
-        self._img = _code_images(morphism, stable, ids)
-        return np.array(self._img, dtype=np.min_scalar_type(len(stable.inclusion) - 1))[codes]
+            self._img = _CodeTable(morphism, image, self._ids, self._places, base)
+            return _block_values(t, image, ids[indices[: blocks * s].reshape(blocks, s)])
+        values = _code_values(t, image, ids, s)
+        self._img = values.tolist()
+        return values[codes]
+
+    def _build_stable(self, morphism, stable, word):
+        """_build in blocks of s letters, s the stability index, each to its
+        stable image."""
+        self.stable = stable
+        self._block_steps = 1 + 2 * stable.index  # the facade's step and the two block reads
+        self._bit = None  # the last membership bit, None once the word's value may change
+        self._accepts = None  # the accept bits, None once a tail letter changed
+        image = [-1] * morphism.target.size  # monoid id -> stable id, -1 outside it
+        for x, v in enumerate(stable.inclusion):
+            image[v] = x
+        return self._build(morphism, word, stable.index, image)
 
     def _letter(self, pos, letter):
         """The alphabet index of letter, after the position and letter checks."""
@@ -175,13 +165,85 @@ class ChunkedEngine(Engine):
             letters[a] for a in self.tail)
 
 
+class KaryLanguageEngine(ChunkedEngine):
+    """Membership of a word outside Q_LZG: a k-ary tree over the monoid
+    values of its blocks of s letters, then of its tail letters. An update
+    charges 2, its own step and its leaf's value read, and one more per level
+    it climbs, none when the leaf keeps its value; a query charges 2."""
+
+    kind = "language[kary]"
+
+    def __init__(self, morphism, word):
+        monoid = adjoin_identity(morphism.target)
+        n = len(word)
+        values = self._build(morphism, word, block_length(len(morphism.eta), n), None)
+        tail = np.array([self._ids[a] for a in self.tail], dtype=values.dtype)
+        self.k = k = branching(monoid.size, max(n, 1))
+        self._b = b = monoid.size
+        self._pow = [b**i for i in range(k)]
+        # update stores the shared code objects, not fresh ints
+        self.value, _, _, self._shared = _tables(monoid, k)
+        self.levels = build_levels(monoid, k, np.concatenate([values, tail]))
+        # the top level's one code; an empty word reads as identity digits
+        self._top = self.levels[-1] if self.levels else [monoid.identity * sum(self._pow)]
+        accept = morphism.accept
+        self._accepts = [v in accept for v in range(b)]  # monoid value -> membership bit
+
+    def update(self, pos, letter):
+        a = self._letter(pos, letter)
+        s = self.s
+        j = pos // s
+        if j < self.blocks:
+            codes, img = self.codes, self._img
+            code = codes[j]
+            place = self._places[pos - j * s]
+            new = codes[j] = code + (a - code // place % self._base) * place
+            old, v = img[code], img[new]
+        else:
+            # each tail letter is a leaf of its own, after the blocks
+            tail, t = self.tail, pos - j * s
+            old, v = self._ids[tail[t]], self._ids[a]
+            tail[t] = a
+            j += t
+        steps = 2
+        if old != v:
+            k, b, pw, value, shared = self.k, self._b, self._pow, self.value, self._shared
+            for codes in self.levels:
+                steps += 1
+                d = pw[j % k]
+                j //= k
+                code = codes[j]
+                old = code // d % b
+                if old == v:
+                    break
+                code = codes[j] = shared[code + (v - old) * d]
+                v = value[code]
+        self._steps += steps
+
+    def query(self):
+        """Membership bit for the current word."""
+        self._steps += 2
+        return self._accepts[self.value[self._top[0]]]
+
+
+def block_length(base, n):
+    """The largest s >= 1 with base^s * EAGER_LETTERS <= n and s < n.bit_length():
+    the first bound keeps the code table within a pointer per EAGER_LETTERS
+    letters, the second keeps s near log2 n where the first never binds
+    (base = 1)."""
+    s = 1
+    while base ** (s + 1) * EAGER_LETTERS <= n and s + 1 < n.bit_length():
+        s += 1
+    return s
+
+
 class LanguageEngine(ChunkedEngine):
     """The zg kind: block codes over a zg engine of the block images."""
 
     kind = "language[zg]"
 
     def __init__(self, morphism, stable, word):
-        images = self._build(morphism, stable, word)
+        images = self._build_stable(morphism, stable, word)
         self.inner = make_zg_engine(stable.stable, images)
 
     def update(self, pos, letter):
@@ -223,7 +285,7 @@ class WindowLanguageEngine(ChunkedEngine):
     kind = "language[window]"
 
     def __init__(self, morphism, stable, word, plan):
-        images = self._build(morphism, stable, word)
+        images = self._build_stable(morphism, stable, word)
         self.plan = plan
         self.semigroup = stable.stable
         self.counts = _word_counts(stable.stable, images, plan.nslots)
@@ -289,45 +351,60 @@ def _code_store(codes):
     return codes.tolist() if typecode is None else array(typecode, codes.tobytes())
 
 
-def _code_images(morphism, stable, ids):
-    """The stable image of every code, in code order: the monoid values of
-    the one-letter codes, extended by one letter s - 1 times, a code's
-    value followed by each letter in index order."""
-    t = morphism.target.table
+def _code_values(t, image, ids, s):
+    """The table value of every s-letter code, in code order, as an array:
+    the one-letter codes' monoid ids, extended by one letter s - 1 times, a
+    code's value followed by each letter in index order, then mapped through
+    image."""
     vals = ids
-    for _ in range(stable.index - 1):
-        vals = [t[v][x] for v in vals for x in ids]
-    to_stable = stable.to_stable
-    return [to_stable[v] for v in vals]
+    for _ in range(s - 1):
+        vals = t[vals[:, None], ids].ravel()
+    return _imaged(image, vals)
+
+
+def _block_values(t, image, cols):
+    """The table value of each row of monoid ids: the columns folded left
+    through the monoid table t, then mapped through image, all as
+    whole-array steps."""
+    acc = cols[:, 0]
+    for c in range(1, cols.shape[1]):
+        acc = t[acc, cols[:, c]]
+    return _imaged(image, acc)
+
+
+def _imaged(image, vals):
+    """The monoid values vals mapped through image; None maps each to itself."""
+    if image is None:
+        return vals
+    out = np.array(image, dtype=np.min_scalar_type(-len(image)))[vals]
+    if (out < 0).any():
+        raise InternalError("a block image lies outside the stable semigroup")
+    return out
 
 
 class _CodeTable(dict):
-    """code -> stable image of the block, each code filled on first read by
+    """code -> table value of the block, each code filled on first read by
     folding its letters' monoid ids, first letter first, through the monoid
-    table: one entry per distinct block read, held here alone."""
+    table, then mapped through image (None: the monoid value itself): one
+    entry per distinct block read, held here alone."""
 
-    def __init__(self, morphism, stable, ids, places, base):
+    def __init__(self, morphism, image, ids, places, base):
         super().__init__()
         self._table, self._identity = morphism.target.table, morphism.target.identity
-        self._to_stable, self._ids, self._places, self._base = stable.to_stable, ids, places, base
+        self._image, self._ids, self._places, self._base = image, ids, places, base
 
     def __missing__(self, code):
         t, ids, base = self._table, self._ids, self._base
         v = self._identity
         for p in self._places:
             v = t[v][ids[code // p % base]]
-        img = self[code] = self._to_stable[v]
+        img = self[code] = v if self._image is None else self._image[v]
         return img
 
 
 # The byte the bulk route's id table gives a character outside the alphabet;
 # a monoid with fewer elements never has it as an id.
 NOT_A_LETTER = 255
-
-
-def _letter_ids(morphism, word):
-    """The monoid ids of the letters of word."""
-    return _mapped(morphism.eta, morphism.target.size, word)
 
 
 def _alphabet_indices(index, word):
@@ -383,24 +460,6 @@ def _each_value(values, bound, word):
             except (KeyError, TypeError):
                 raise RangeError(f"letter {a!r} not in the alphabet") from None
         raise
-
-
-def _block_images(morphism, stable, ids, blocks):
-    """Stable ids of the first `blocks` length-s blocks of the letter ids:
-    the s columns of the blocks folded left through the monoid table, then
-    mapped through to_stable, all as whole-array steps."""
-    cols = ids[: blocks * stable.index].reshape(blocks, stable.index)
-    t = table_array(morphism.target)
-    acc = cols[:, 0]
-    for c in range(1, stable.index):
-        acc = t[acc, cols[:, c]]
-    size = morphism.target.size
-    to_stable = np.full(size, -1, dtype=np.min_scalar_type(-size))
-    to_stable[stable.inclusion] = np.arange(len(stable.inclusion))
-    images = to_stable[acc]
-    if (images < 0).any():
-        raise InternalError("a block image lies outside the stable semigroup")
-    return images
 
 
 def make_language_engine(morphism, stable, report, word):

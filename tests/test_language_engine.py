@@ -458,40 +458,94 @@ KARY_LANGUAGES = {
 
 
 @pytest.mark.parametrize("name", KARY_LANGUAGES)
-def test_kary_language_engine_matches_a_bare_kary_tree(name):
-    # one call per edit: the update charges its own step on top of what a
-    # bare kary tree over the same ids charges, a query charges 2, and the
-    # engine keeps the letters; a bad edit changes nothing
+def test_kary_language_engine_matches_a_bare_kary_tree(name, monkeypatch):
+    # the tree's leaves are the monoid values of the blocks of s letters, then
+    # one per tail letter: a bare kary tree over those values, at the same
+    # k, holds the same levels. An update charges 2 (its own step and its
+    # leaf's value read) plus what the bare tree charges for its leaf, and
+    # nothing more when the leaf keeps its value, whatever n; a query charges
+    # 2. With s forced to 5, n = 4 is a word of tail letters alone and the
+    # code table is filled on first read. A bad edit changes nothing
     m, sd, rep = KARY_LANGUAGES[name]()
     assert rep.cls != Q_LZG
-    k = branching(m.target.size, 2**12)
-    rng = random.Random(zlib.crc32(f"kary language {name}".encode()))
-    for n in (0, 1, k, k * k + 1, 2**12):
+    for forced in (None, 5):
+        with monkeypatch.context() as patch:
+            if forced:
+                patch.setattr(language, "block_length", lambda base, n: forced)
+            _kary_language_against_bare_trees(m, sd, rep, name, forced)
+
+
+def _kary_language_against_bare_trees(m, sd, rep, name, forced):
+    """The checks above at block length forced, or the derived one for None."""
+    sizes = (0, 1, forced - 1, forced, forced + 1, 2 * forced + 3) if forced else (0, 1, 2**12)
+    rng = random.Random(zlib.crc32(f"kary language {name} {forced}".encode()))
+    for n in sizes:
         word = [rng.choice(m.alphabet) for _ in range(n)]
         eng = make_language_engine(m, sd, rep, list(word))
-        bare = make_kary_engine(m.target, [m.eta[a] for a in word])
         assert type(eng) is KaryLanguageEngine and eng.kind == "language[kary]"
-        assert eng.k == bare.k and eng.snapshot() == tuple(word)
-        for _ in range(150 if n else 0):
-            p, c = rng.randrange(n), rng.choice(m.alphabet)
+        s = eng.s
+        blocks = n // s
+        assert s == (forced or language.block_length(len(m.alphabet), n)) and eng.blocks == blocks
+        assert eng.k == branching(m.target.size, max(n, 1)), n
+
+        def leaf(p):
+            return p // s if p < blocks * s else p - blocks * s + blocks
+
+        def leaf_value(j):
+            return m.image(word[j * s : (j + 1) * s] if j < blocks else [word[blocks * s + j - blocks]])
+
+        leaves = blocks + n - blocks * s
+        bare = make_kary_engine(m.target, [leaf_value(j) for j in range(leaves)], k=eng.k)
+        assert eng.levels == bare.levels and eng.snapshot() == tuple(word), n
+        tail_edits = 0
+        for i in range(300 if n else 0):
+            # every third edit lands in the tail, when there is one
+            p = rng.randrange(blocks * s, n) if n > blocks * s and i % 3 == 0 else rng.randrange(n)
+            c = rng.choice(m.alphabet)
+            j = leaf(p)
+            old = leaf_value(j)
+            word[p] = c
             ops, bare_ops = eng.op_count, bare.op_count
             eng.update(p, c)
-            bare.update(p, m.eta[c])
-            word[p] = c
-            assert eng.op_count - ops == 1 + bare.op_count - bare_ops, (n, p, c)
+            if leaf_value(j) != old:
+                bare.update(j, leaf_value(j))
+            assert eng.op_count - ops == 2 + bare.op_count - bare_ops, (n, p, c)
+            assert eng.op_count - ops <= 2 + len(eng.levels), (n, p, c)
+            assert eng.levels == bare.levels, (n, p, c)
             ops = eng.op_count
             assert eng.query() == m.member(word), (n, p, c)
             assert eng.op_count - ops == 2, (n, p, c)
             assert eng.snapshot() == tuple(word), (n, p, c)
+            tail_edits += p >= blocks * s
+        assert tail_edits or n == blocks * s, n
         want = m.member(word)
-        bad = [(-1, m.alphabet[0]), (n, m.alphabet[0]),
-               *[(p, c) for p in range(min(n, 1)) for c in ("z", None, 1.5, [0])]]
-        for p, c in bad:
-            ops = eng.op_count
-            with pytest.raises(PositionOutOfRange if p in (-1, n) else RangeError):
+        for p, c, error in _refused_edits(eng, m.alphabet):
+            ops, levels = eng.op_count, [list(codes) for codes in eng.levels]
+            with pytest.raises(error):
                 eng.update(p, c)
             assert eng.op_count == ops and eng.snapshot() == tuple(word), (n, p, c)
-            assert eng.query() == want, (n, p, c)
+            assert eng.levels == levels and eng.query() == want, (n, p, c)
+
+
+def test_kary_language_engine_over_a_one_letter_alphabet():
+    # one letter: every block has the one code 0, so the block length is
+    # bounded by n's bit length alone, not by the code table; every edit
+    # keeps its leaf's value, and the answer is the membership of a^n
+    m = analyze_regex("(aaa)*", "a")[0]
+    assert list(m.eta) == ["a"]
+    for n in (0, 1, 2, 7, 8, 9, 64, 2**12):
+        eng = KaryLanguageEngine(m, ["a"] * n)
+        assert eng.s < max(n.bit_length(), 2) and eng.snapshot() == ("a",) * n, n
+        want = n % 3 == 0
+        assert eng.query() is want, n
+        for p in range(0, n, max(n // 8, 1)):
+            ops = eng.op_count
+            eng.update(p, "a")
+            assert eng.op_count - ops == 2 and eng.query() is want, (n, p)
+        for p, c, error in _refused_edits(eng, "a"):
+            with pytest.raises(error):
+                eng.update(p, c)
+        assert eng.snapshot() == ("a",) * n and eng.query() is want, n
 
 
 def test_language_constant_cost_for_q_lzg():
@@ -602,7 +656,7 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
     # the tail), keeps its block's image and so reaches neither inner engine
     # method (the fused window kind keeps its counts and key), and its query
     # answers from the kept bit; on the k-ary path it pays its own step and
-    # the level-0 digit read, so it reached the tree
+    # the read of its block's value, which it keeps, so it climbs no level
     if name == "edit-sg":
         m, sd, rep = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")
     else:
