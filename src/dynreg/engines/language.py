@@ -29,9 +29,14 @@ query 2: no charge grows with n but the climb.
 A Q_LZG word is cut into blocks of s letters, s the stability index. Where
 route picks zg, LanguageEngine runs a zg engine over the block images.
 Where it picks window, the fused WindowLanguageEngine keeps the plan's slot
-counts and packed key itself: it reads a block's neighbour images from the
-code table, moves the key by the plan's deltas, and answers from one
-recovery lookup.
+counts and packed key itself, and an update runs in one frame: the
+position and letter checks, the code write and, when the block's image
+changes, the rule of WindowStatsPlan.shift inline (the delta of the
+block's neighbour images from the code table, then each kept slot's count
+and capped digit moved by arithmetic). It also keeps _ends, the last
+block's image at the plan's last_place plus the first block's at
+first_place, refreshed only when the image of block 0 or of the last block
+changes, so a query on a cleared bit is one lookup, recovery[code + _ends].
 
 Q_LZG membership composes the blocks' evaluation with the tail's value in
 the syntactic monoid and tests the accept set, by one list of accept bits,
@@ -71,7 +76,7 @@ from ..syntactic.classify import Q_LZG
 from .base import Engine
 from .dispatch import route
 from .kary import _tables, branching, build_levels
-from .windowstats import _word_counts
+from .windowstats import _slot_delta, _word_counts
 from .zg import make_zg_engine
 
 # The code table is a list over every code, built up front, while the word
@@ -280,7 +285,10 @@ class LanguageEngine(ChunkedEngine):
 
 class WindowLanguageEngine(ChunkedEngine):
     """The fused window kind: block codes and the window plan's counts and
-    packed key, with no inner engine and no per-letter list."""
+    packed key, with no inner engine and no per-letter list. An update runs
+    in one frame: the checks, the code write and, when the block's image
+    changes, the rule of WindowStatsPlan.shift. _ends holds the part of the
+    recovery key that the end blocks give, kept across edits elsewhere."""
 
     kind = "language[window]"
 
@@ -291,27 +299,58 @@ class WindowLanguageEngine(ChunkedEngine):
         self.counts = _word_counts(stable.stable, images, plan.nslots)
         self.code = plan.pack(self.counts)
         self._recover_steps = plan.nslots + 1
+        # the end blocks' part of the recovery key, refreshed when either image
+        # changes; read from the images so that a dict code table stays unread
+        self._ends = 0
+        if len(images):
+            self._ends = int(images[-1]) * plan.last_place + int(images[0]) * plan.first_place
 
     def update(self, pos, letter):
-        a = self._letter(pos, letter)
+        if not (0 <= pos < self.n):
+            raise PositionOutOfRange(f"position {pos} outside 0..{self.n - 1}")
+        try:
+            a = self._index[letter]
+        except (KeyError, TypeError):  # TypeError: an unhashable letter
+            raise RangeError(f"letter {letter!r} not in the alphabet") from None
         s = self.s
         b = pos // s
         if b >= self.blocks:
             self._tail_write(pos, a)
             return
-        self._steps += self._block_steps
         codes, img = self.codes, self._img
         code = codes[b]
         place = self._places[pos - b * s]
         new = codes[b] = code + (a - code // place % self._base) * place
         old, cur = img[code], img[new]
         if old == cur:
+            self._steps += self._block_steps
             return
-        self._steps += 4  # what a WindowStatsEngine's update charges
+        self._steps += self._block_steps + 4  # 4: what a WindowStatsEngine's update charges
         self._bit = None
+        # WindowStatsPlan.shift: the delta of (prev, old, cur, nxt), each
+        # slot's count and capped digit moved by arithmetic
+        last = self.blocks - 1
         prev = img[codes[b - 1]] + 1 if b else 0
-        nxt = img[codes[b + 1]] + 1 if b + 1 < self.blocks else 0
-        self.code = self.plan.shift(self.semigroup, self.counts, self.code, prev, old, cur, nxt)
+        nxt = img[codes[b + 1]] + 1 if b < last else 0
+        plan, size = self.plan, self.semigroup.size
+        key = ((prev * (size + 1) + nxt) * size + old) * size + cur
+        delta = plan.deltas.get(key)
+        if delta is None:
+            delta = plan.deltas[key] = _slot_delta(
+                self.semigroup, plan.radix, prev - 1 if prev else None, old, cur, nxt - 1 if nxt else None)
+        counts, packed = self.counts, self.code
+        threshold, period = plan.threshold, plan.period
+        for slot, d, place in delta:
+            c = counts[slot]
+            e = counts[slot] = c + d
+            if c < threshold or e < threshold:
+                packed += ((e if e < threshold else threshold + (e - threshold) % period)
+                           - (c if c < threshold else threshold + (c - threshold) % period)) * place
+            elif period > 1:
+                packed += ((e - threshold) % period - (c - threshold) % period) * place
+        self.code = packed
+        if b == 0 or b == last:
+            self._ends = img[codes[-1]] * plan.last_place + img[codes[0]] * plan.first_place
 
     def query(self):
         """Membership bit for the current word."""
@@ -321,9 +360,7 @@ class WindowLanguageEngine(ChunkedEngine):
             accepts = self._accepts or self._accept_list()
             if self.blocks:
                 self._steps += self._recover_steps
-                plan, img, codes = self.plan, self._img, self.codes
-                bit = accepts[plan.recovery[
-                    self.code + img[codes[-1]] * plan.last_place + img[codes[0]] * plan.first_place]]
+                bit = accepts[self.plan.recovery[self.code + self._ends]]
             else:
                 bit = accepts[-1]
             self._bit = bit
@@ -386,7 +423,8 @@ class _CodeTable(dict):
     """code -> table value of the block, each code filled on first read by
     folding its letters' monoid ids, first letter first, through the monoid
     table, then mapped through image (None: the monoid value itself): one
-    entry per distinct block read, held here alone."""
+    entry per distinct block read, held here alone. A value that image maps
+    to -1 raises InternalError, as _imaged does for the list table."""
 
     def __init__(self, morphism, image, ids, places, base):
         super().__init__()
@@ -398,8 +436,12 @@ class _CodeTable(dict):
         v = self._identity
         for p in self._places:
             v = t[v][ids[code // p % base]]
-        img = self[code] = v if self._image is None else self._image[v]
-        return img
+        if self._image is not None:
+            v = self._image[v]
+            if v < 0:
+                raise InternalError("a block image lies outside the stable semigroup")
+        self[code] = v
+        return v
 
 
 # The byte the bulk route's id table gives a character outside the alphabet;

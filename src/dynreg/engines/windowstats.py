@@ -16,9 +16,12 @@ whose changes cancel; an update rewrites only the count of each slot left
 and moves the code by the change of its capped digit (WindowStatsPlan.shift).
 Updates and queries are therefore constant time, with word-length-independent
 step counts. WindowStatsEngine runs a plan over a word of semigroup
-elements; the language engines build none: their window kind
-(language.WindowLanguageEngine) runs the same plan on its block images
-itself, through pack and shift, and the tests compare the two.
+elements, and shift is its update rule. The language engines build none:
+their window kind (language.WindowLanguageEngine) runs the same plan on its
+block images itself, packing the key once at build and then moving it by
+the rule of shift written inline, with no call per edit into pack or
+shift; it shares the plan's deltas table, and the tests compare it against
+WindowStatsEngine as the reference.
 
 Whether the key determines the evaluation is decided by exhaustive
 reachability over the capped-statistic automaton, carrying the true

@@ -21,7 +21,7 @@ from dynreg.engines.windowstats import WindowStatsPlan, _exponent, _nslots, _slo
 from dynreg.engines.kary import branching, make_kary_engine
 from dynreg.engines.language import _bulk_values, _each_value, _mapped
 from dynreg.engines.zg import make_zg_engine
-from dynreg.errors import EngineError, NotApplicable, NoWindowPlan, NoZgCertificate, PositionOutOfRange, RangeError
+from dynreg.errors import EngineError, InternalError, NotApplicable, NoWindowPlan, NoZgCertificate, PositionOutOfRange, RangeError
 from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
 from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex
 from dynreg.syntactic.dfa import Dfa
@@ -391,18 +391,20 @@ def test_unknown_initial_letter_raises_range_error():
             make_language_engine(m, sd, rep, list("abz"))
         with pytest.raises(RangeError, match=r"\['b'\] not in the alphabet"):
             make_language_engine(m, sd, rep, ["a", ["b"]])
-    # a refused edit on either chunked engine, fused window or generic zg, changes nothing
+    # a refused edit on either chunked engine, fused window or generic zg,
+    # changes nothing: a letter outside the alphabet or a position past
+    # either end
     for rx, cls in (("a*b*", WindowLanguageEngine), ("(aa)*ba*", LanguageEngine)):
         m, sd, rep = analyze_regex(rx, "ab")
         eng = make_language_engine(m, sd, rep, list("aabbbb"))
         assert type(eng) is cls and eng.blocks
         want = eng.query()
-        for letter in ([0], "z", None, 1.5):
+        for p, c, error in _refused_edits(eng, "ab"):
             snap, ops = eng.snapshot(), eng.op_count
-            with pytest.raises(RangeError, match="not in the alphabet"):
-                eng.update(0, letter)
-            assert eng.snapshot() == snap and eng.op_count == ops, letter
-            assert eng.query() == want, letter
+            with pytest.raises(error, match="not in the alphabet" if error is RangeError else "outside"):
+                eng.update(p, c)
+            assert eng.snapshot() == snap and eng.op_count == ops, (rx, p, c)
+            assert eng.query() == want, (rx, p, c)
 
 
 def _ids_or_error(route, values, bound, word):
@@ -757,6 +759,95 @@ def test_fused_window_engine_matches_membership(name, monkeypatch):
             assert eng.snapshot() == snap and eng.op_count == ops, (name, n, p, c)
         assert eng.query() == want, name
         assert _decoded_images(eng) == _decoded_images(lazy), (name, n)
+
+
+def _end_key(eng):
+    """The end blocks' part of the fused window engine's recovery key,
+    recomputed from its codes."""
+    plan, img, codes = eng.plan, eng._img, eng.codes
+    return img[codes[-1]] * plan.last_place + img[codes[0]] * plan.first_place
+
+
+@pytest.mark.parametrize("name", ["first letter", "(a+b+c)*ab(a+b+c)*", "a*b*"])
+def test_fused_window_engine_keeps_its_end_key(name, monkeypatch):
+    # the fused engine keeps the end blocks' part of the recovery key and
+    # refreshes it only when the image of block 0 or of the last block
+    # changes. Edits inside those two blocks alone, on words of 1, 2 and 9
+    # blocks with and without a tail, over the code table built up front and
+    # its twin filled on first read, must keep it equal to the value the
+    # codes give, with the answers and op counts of both twins in step
+    m, sd, rep = WINDOW_LANGUAGES[name]()
+    s, alphabet = sd.index, m.alphabet
+    assert synthesize_window_plan(sd.stable).first is (name != "a*b*")
+    rng = random.Random(zlib.crc32(f"end key {name}".encode()))
+    for blocks in (1, 2, 9):
+        for n in (blocks * s, blocks * s + s - 1):
+            word = [rng.choice(alphabet) for _ in range(n)]
+            with monkeypatch.context() as patch:
+                patch.setattr(language, "EAGER_LETTERS", 0)
+                eng = make_language_engine(m, sd, rep, list(word))
+                patch.setattr(language, "EAGER_LETTERS", n + 1)
+                lazy = make_language_engine(m, sd, rep, list(word))
+            assert type(eng) is type(lazy) is WindowLanguageEngine, (name, eng.kind)
+            assert type(eng._img) is list and type(lazy._img) is not list
+            ends = [*range(s), *range((blocks - 1) * s, blocks * s)]
+            for _ in range(60):
+                p, c = rng.choice(ends), rng.choice(alphabet)
+                word[p] = c
+                images = tuple(sd.block_image(word[b * s : (b + 1) * s]) for b in range(blocks))
+                for e in (eng, lazy):
+                    e.update(p, c)
+                    assert e.query() == m.member(word), (name, n, p, c)
+                    _assert_fused_key(e, images)
+                    assert e._ends == _end_key(e), (name, n, p, c)
+                assert eng.op_count == lazy.op_count, (name, n, p, c)
+
+
+@pytest.mark.parametrize("threshold, period", [(1, 1), (3, 2), (2, 4)])
+def test_fused_window_shift_matches_the_reference_engine(threshold, period):
+    # the fused engine's inline shift against WindowStatsEngine over its
+    # block images, on hand-made plans of each cap shape (the verified plans
+    # of the window languages all keep presence bits): after every edit both
+    # hold the same counts and packed key. No query runs, since a hand-made
+    # plan has no recovery table
+    for name in ("a*b*", "(a+b+c)*ab(a+b+c)*"):
+        m, sd, rep = WINDOW_LANGUAGES[name]()
+        s, alphabet = sd.index, m.alphabet
+        plan = WindowStatsPlan(False, threshold, period, _nslots(sd.stable))
+        rng = random.Random(zlib.crc32(f"fused shift {name} {threshold} {period}".encode()))
+        for n in (s, 2 * s + 1, 9 * s):
+            eng = WindowLanguageEngine(m, sd, [rng.choice(alphabet) for _ in range(n)], plan)
+            ref = WindowStatsEngine(sd.stable, list(_decoded_images(eng)), plan)
+            assert (eng.counts, eng.code) == (ref.counts, ref.code), (name, n)
+            for _ in range(200):
+                p, c = rng.randrange(n), rng.choice(alphabet)
+                eng.update(p, c)
+                if p < eng.blocks * s:
+                    ref.update(p // s, eng._img[eng.codes[p // s]])
+                assert (eng.counts, eng.code) == (ref.counts, ref.code), (name, n, p, c)
+
+
+def test_code_table_refuses_an_image_outside_the_stable_semigroup():
+    # the code table filled on first read checks what the list table's
+    # _imaged checks: a code whose monoid value the image maps to -1, outside
+    # the stable semigroup, raises InternalError and is not stored, where
+    # the fused window engine would read -1 as no neighbour
+    m, sd, rep = analyze_regex("a*b*", "ab")
+    s, letters = sd.index, list(m.eta)
+    ids = [m.eta[a] for a in letters]
+    places = [len(letters) ** (s - 1 - r) for r in range(s)]
+    image = [-1] * m.target.size
+    for x, v in enumerate(sd.inclusion):
+        image[v] = x
+    assert language._CodeTable(m, image, ids, places, len(letters))[0] == sd.block_image(letters[:1] * s)
+    v = m.target.identity
+    for _ in range(s):  # code 0: s copies of the first letter
+        v = m.target.table[v][ids[0]]
+    image[v] = -1
+    table = language._CodeTable(m, image, ids, places, len(letters))
+    with pytest.raises(InternalError, match="outside the stable semigroup"):
+        table[0]
+    assert len(table) == 0
 
 
 def test_codes_past_64_bits_stay_exact():
