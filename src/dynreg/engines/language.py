@@ -14,26 +14,37 @@ EAGER_LETTERS letters per code, else a dict that fills a missing code on
 first read by folding its letters through the monoid table. Both read as
 img[code]. No engine keeps a list of the letters.
 
-Every language outside Q_LZG, and a Q_LZG one that dispatch.route
-downgrades, is a KaryLanguageEngine (dispatch.py says why). Its blocks have
-block_length letters, the largest s with |A|^s * EAGER_LETTERS <= n (and
-s < n.bit_length(), which binds only for a one-letter alphabet), so its
-code table is always the list. The leaves of a k-ary tree over the monoid
-(kary.py, k = branching(|M|, n)) are the blocks' values, then one per tail
-letter. An update rewrites its block's code and reads the old and new
-codes' values, or a tail letter's monoid id; it climbs only when the leaf's
-value changes. A query reads the top code's value and one accept bit, one
-per monoid element. An update charges 2 and one per level it climbs, a
-query 2: no charge grows with n but the climb.
+One rule sets s for every engine: block_length(|A|, n), in Q_LZG rounded
+down to a multiple of the stability index i and at least i. stable_data
+stops once eta(A^i) is idempotent as a set, so eta(A^ki) = eta(A^i) for
+every k >= 1: a block of any multiple of i letters has its image in the
+stable semigroup. The code table is the list unless i alone makes
+|A|^s * EAGER_LETTERS > n.
 
-A Q_LZG word is cut into blocks of s letters, s the stability index. Where
-route picks zg, LanguageEngine runs a zg engine over the block images.
-Where it picks window, the fused WindowLanguageEngine keeps the plan's slot
-counts and packed key itself, and an update runs in one frame: the
-position and letter checks, the code write and, when the block's image
-changes, the rule of WindowStatsPlan.shift inline (the delta of the
-block's neighbour images from the code table, then each kept slot's count
-and capped digit moved by arithmetic). It also keeps _ends, the last
+One rule sets the charges. A code is below n, one word of the word RAM, so
+a code or table read is one step. An update charges 2, its own step and
+one read (its block's code value, or its tail letter); a query charges 2,
+its own step and one read. Each engine adds what its evaluation runs: the
+k-ary tree one per level it climbs; the zg kind its zg engine's op_count;
+the fused window kind 4 per block edit that changes the block's image
+(what a WindowStatsEngine update charges) and nslots + 1 per query that
+evaluates a word with a block. No charge grows with n but the climb.
+
+Every language outside Q_LZG, and a Q_LZG one that dispatch.route
+downgrades, is a KaryLanguageEngine (dispatch.py says why). The leaves of a
+k-ary tree over the monoid (kary.py, k = branching(|M|, n)) are the blocks'
+values, then one per tail letter. An update rewrites its block's code and
+reads the old and new codes' values, or a tail letter's monoid id; it
+climbs only when the leaf's value changes. A query reads the top code's
+value and one accept bit, one per monoid element.
+
+In Q_LZG, where route picks zg, LanguageEngine runs a zg engine over the
+block images. Where it picks window, the fused WindowLanguageEngine keeps
+the plan's slot counts and packed key itself, and an update runs in one
+frame: the position and letter checks, the code write and, when the
+block's image changes, the rule of WindowStatsPlan.shift inline (the delta
+of the block's neighbour images from the code table, then each kept slot's
+count and capped digit moved by arithmetic). It also keeps _ends, the last
 block's image at the plan's last_place plus the first block's at
 first_place, refreshed only when the image of block 0 or of the last block
 changes, so a query on a cleared bit is one lookup, recovery[code + _ends].
@@ -43,19 +54,12 @@ the syntactic monoid and tests the accept set, by one list of accept bits,
 one per stable element, kept until a tail letter changes. Both engines keep
 their last membership bit. An edit clears it only when it changes its
 block's image, or changes a tail letter (one at pos >= blocks * s, which is
-every letter when n < s). A query on a kept bit charges only the engine's
-own s + 1 steps: op_count counts the work that ran. An edit that writes the
-letter already there takes the same path, and keeps its block's image.
-Neither engine stops early on such an edit.
+every letter when n < s). A query on a kept bit charges only its 2: op_count
+counts the work that ran. An edit that writes the letter already there
+takes the same path, keeps its block's image, and stops no earlier.
 
-Both charge the facade's steps: a block edit 1 + 2s (its own step and the
-two block reads), a tail edit 1, a query s + 1. LanguageEngine adds its
-zg engine's op_count; the fused engine adds what a WindowStatsEngine
-over the block images charges, 4 per block edit that changes the image and
-nslots + 1 per query that evaluates a word with a block.
-
-Every engine builds from the letters' alphabet indices (_alphabet_indices),
-taken by one of two routes. The bulk route applies when every letter is a
+Every engine builds from the letters' alphabet indices (_mapped), taken by
+one of two routes. The bulk route applies when every letter is a
 one-character str whose text encodes as latin-1 and the values are fewer
 than 255: the encoded text goes through one bytes.translate with a
 256-entry table, where byte 255 marks a character outside the alphabet.
@@ -92,22 +96,23 @@ class ChunkedEngine(Engine):
     the blocks' evaluation; the Q_LZG ones (_build_stable) also keep the
     tail's accept bits."""
 
-    def _build(self, morphism, word, s, image):
-        """Codes, tail and code table of word in blocks of s letters, the
-        table giving a block of monoid value v the value image[v] (image a
-        list, or None for v itself); returns those block values as an array,
-        for the subclass's own state."""
+    def _build(self, morphism, word, unit, image):
+        """Codes, tail and code table of word in blocks of s letters, s the
+        block_length rounded down to a multiple of unit and at least unit,
+        the table giving a block of monoid value v the value image[v] (image
+        a list, or None for v itself); returns those block values as an
+        array, for the subclass's own state."""
         self.morphism = morphism
         self.n = n = len(word)
-        self.s = s
+        self.letters = letters = list(morphism.eta)  # alphabet index -> letter
+        self._base = base = len(letters)
+        self.s = s = unit * max(block_length(base, n) // unit, 1)
         self.blocks = blocks = n // s
         self._steps = 0
-        self.letters = letters = list(morphism.eta)  # alphabet index -> letter
         self._index = {a: i for i, a in enumerate(letters)}
-        self._base = base = len(letters)
         self._places = [base ** (s - 1 - r) for r in range(s)]  # digit r's place in a code
         self._ids = [morphism.eta[a] for a in letters]  # alphabet index -> monoid id
-        indices = _alphabet_indices(self._index, word)
+        indices = _mapped(self._index, base, word)
         self.tail = indices[blocks * s :].tolist()
         ncodes = base**s
         codes = _pack(indices[: blocks * s].reshape(blocks, s), base, ncodes)
@@ -121,17 +126,16 @@ class ChunkedEngine(Engine):
         self._img = values.tolist()
         return values[codes]
 
-    def _build_stable(self, morphism, stable, word):
-        """_build in blocks of s letters, s the stability index, each to its
+    def _build_stable(self, morphism, sd, word):
+        """_build in blocks of a multiple of the stability index, each to its
         stable image."""
-        self.stable = stable
-        self._block_steps = 1 + 2 * stable.index  # the facade's step and the two block reads
+        self.stable = sd
         self._bit = None  # the last membership bit, None once the word's value may change
         self._accepts = None  # the accept bits, None once a tail letter changed
         image = [-1] * morphism.target.size  # monoid id -> stable id, -1 outside it
-        for x, v in enumerate(stable.inclusion):
+        for x, v in enumerate(sd.inclusion):
             image[v] = x
-        return self._build(morphism, word, stable.index, image)
+        return self._build(morphism, word, sd.index, image)
 
     def _letter(self, pos, letter):
         """The alphabet index of letter, after the position and letter checks."""
@@ -143,9 +147,10 @@ class ChunkedEngine(Engine):
             raise RangeError(f"letter {letter!r} not in the alphabet") from None
 
     def _tail_write(self, pos, a):
-        """A tail edit: one step; the kept bit and the accept bits go once
-        the letter changes, since tail letters are read at query time."""
-        self._steps += 1
+        """A tail edit: its step and the tail letter's read; the kept bit and
+        the accept bits go once the letter changes, since tail letters are
+        read at query time."""
+        self._steps += 2
         tail, t = self.tail, pos - self.blocks * self.s
         if tail[t] != a:
             tail[t] = a
@@ -172,16 +177,14 @@ class ChunkedEngine(Engine):
 
 class KaryLanguageEngine(ChunkedEngine):
     """Membership of a word outside Q_LZG: a k-ary tree over the monoid
-    values of its blocks of s letters, then of its tail letters. An update
-    charges 2, its own step and its leaf's value read, and one more per level
-    it climbs, none when the leaf keeps its value; a query charges 2."""
+    values of its blocks, then of its tail letters."""
 
     kind = "language[kary]"
 
     def __init__(self, morphism, word):
         monoid = adjoin_identity(morphism.target)
         n = len(word)
-        values = self._build(morphism, word, block_length(len(morphism.eta), n), None)
+        values = self._build(morphism, word, 1, None)
         tail = np.array([self._ids[a] for a in self.tail], dtype=values.dtype)
         self.k = k = branching(monoid.size, max(n, 1))
         self._b = b = monoid.size
@@ -247,9 +250,9 @@ class LanguageEngine(ChunkedEngine):
 
     kind = "language[zg]"
 
-    def __init__(self, morphism, stable, word):
-        images = self._build_stable(morphism, stable, word)
-        self.inner = make_zg_engine(stable.stable, images)
+    def __init__(self, morphism, sd, word):
+        images = self._build_stable(morphism, sd, word)
+        self.inner = make_zg_engine(sd.stable, images)
 
     def update(self, pos, letter):
         a = self._letter(pos, letter)
@@ -259,7 +262,7 @@ class LanguageEngine(ChunkedEngine):
             self._tail_write(pos, a)
             return
         # the zg engine sees the block only when its image changes
-        self._steps += self._block_steps
+        self._steps += 2
         codes, img = self.codes, self._img
         code = codes[b]
         place = self._places[pos - b * s]
@@ -271,7 +274,7 @@ class LanguageEngine(ChunkedEngine):
 
     def query(self):
         """Membership bit for the current word."""
-        self._steps += self.s + 1
+        self._steps += 2
         bit = self._bit
         if bit is None:
             # the zg engine and the tail are as the kept bit saw them
@@ -292,18 +295,19 @@ class WindowLanguageEngine(ChunkedEngine):
 
     kind = "language[window]"
 
-    def __init__(self, morphism, stable, word, plan):
-        images = self._build_stable(morphism, stable, word)
+    def __init__(self, morphism, sd, word, plan):
+        images = self._build_stable(morphism, sd, word)
         self.plan = plan
-        self.semigroup = stable.stable
-        self.counts = _word_counts(stable.stable, images, plan.nslots)
+        self.semigroup = sd.stable
+        self.counts = _word_counts(sd.stable, images, plan.nslots)
         self.code = plan.pack(self.counts)
-        self._recover_steps = plan.nslots + 1
         # the end blocks' part of the recovery key, refreshed when either image
         # changes; read from the images so that a dict code table stays unread
-        self._ends = 0
         if len(images):
             self._ends = int(images[-1]) * plan.last_place + int(images[0]) * plan.first_place
+            self._recovery, self._eval_steps = plan.recovery, 2 + plan.nslots + 1
+        else:  # no block: the key never moves, and its one entry reads the tail's bit
+            self._ends, self._recovery, self._eval_steps = 0, {self.code: -1}, 2
 
     def update(self, pos, letter):
         if not (0 <= pos < self.n):
@@ -323,9 +327,9 @@ class WindowLanguageEngine(ChunkedEngine):
         new = codes[b] = code + (a - code // place % self._base) * place
         old, cur = img[code], img[new]
         if old == cur:
-            self._steps += self._block_steps
+            self._steps += 2
             return
-        self._steps += self._block_steps + 4  # 4: what a WindowStatsEngine's update charges
+        self._steps += 6  # 2 and the 4 a WindowStatsEngine update charges
         self._bit = None
         # WindowStatsPlan.shift: the delta of (prev, old, cur, nxt), each
         # slot's count and capped digit moved by arithmetic
@@ -354,16 +358,13 @@ class WindowLanguageEngine(ChunkedEngine):
 
     def query(self):
         """Membership bit for the current word."""
-        self._steps += self.s + 1
         bit = self._bit
         if bit is None:
+            self._steps += self._eval_steps
             accepts = self._accepts or self._accept_list()
-            if self.blocks:
-                self._steps += self._recover_steps
-                bit = accepts[self.plan.recovery[self.code + self._ends]]
-            else:
-                bit = accepts[-1]
-            self._bit = bit
+            bit = self._bit = accepts[self._recovery[self.code + self._ends]]
+        else:
+            self._steps += 2
         return bit
 
 
@@ -449,11 +450,6 @@ class _CodeTable(dict):
 NOT_A_LETTER = 255
 
 
-def _alphabet_indices(index, word):
-    """The alphabet indices of the letters of word, by index: letter -> index."""
-    return _mapped(index, len(index), word)
-
-
 def _mapped(values, bound, word):
     """The values of the letters of word, by values: letter -> int below
     bound, as a numpy array of the narrowest dtype that holds bound values:
@@ -504,15 +500,15 @@ def _each_value(values, bound, word):
         raise
 
 
-def make_language_engine(morphism, stable, report, word):
+def make_language_engine(morphism, sd, report, word):
     """One k-ary tree outside Q_LZG. In Q_LZG, what dispatch.route picks
     for the stable semigroup: the zg facade, the fused window engine, or
     the k-ary tree of kind language[kary-downgraded]."""
-    tag, plan = route(stable.stable, window=True) if report.cls == Q_LZG else ("kary", None)
+    tag, plan = route(sd.stable, window=True) if report.cls == Q_LZG else ("kary", None)
     if tag == "zg":
-        return LanguageEngine(morphism, stable, word)
+        return LanguageEngine(morphism, sd, word)
     if tag == "window":
-        return WindowLanguageEngine(morphism, stable, word, plan)
+        return WindowLanguageEngine(morphism, sd, word, plan)
     engine = KaryLanguageEngine(morphism, word)
     engine.kind = f"language[{tag}]"
     return engine

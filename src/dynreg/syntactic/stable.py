@@ -16,12 +16,13 @@ class StableData:
         self.block_images = {}          # block tuple -> stable id, filled by block_image
 
     def block_image(self, block):
-        """Stable id of a length-s block of alphabet symbols (memoized)."""
+        """Stable id of a block of alphabet symbols whose length is a positive
+        multiple of s, since eta(Sigma^ks) = eta(Sigma^s) (memoized)."""
         block = tuple(block)
         hit = self.block_images.get(block)
         if hit is None:
-            if len(block) != self.index:
-                raise InternalError(f"block length {len(block)} != stability index")
+            if not block or len(block) % self.index:
+                raise InternalError(f"block length {len(block)} is not a multiple of the stability index")
             hit = self.to_stable[self._morphism.image(block)]
             self.block_images[block] = hit
         return hit

@@ -14,7 +14,7 @@ from dynreg.engines import (
     make_windowstats_engine,
     synthesize_window_plan,
 )
-from dynreg.algebra.core import FiniteSemigroup
+from dynreg.algebra.core import FiniteSemigroup, table_array
 from dynreg.algebra.varieties import check_variety
 from dynreg.engines import language, windowstats, zg
 from dynreg.engines.windowstats import WindowStatsPlan, _exponent, _nslots, _slots_of_append, _verify_plan, _word_counts
@@ -223,14 +223,15 @@ def test_window_factory_without_plan_raises_engine_error():
 
 def _member_under_edits(m, sd, rep, alphabet, seed, kind, sizes=(0, 1, 2, 3, 64)):
     """Answers against m.member under random edits. Sizes below s or not a
-    multiple of s leave tail letters, and some tail edit must flip the
-    answer, which the facade's kept bit must not hide."""
+    multiple of s leave tail letters, and where any does, some tail edit
+    must flip the answer, which the facade's kept bit must not hide."""
     rng = random.Random(seed)
-    tail_flips = 0
+    tail_flips = tails = 0
     for n in sizes:
         word = [rng.choice(alphabet) for _ in range(n)]
         eng = make_language_engine(m, sd, rep, list(word))
         assert eng.kind == kind
+        tails += n % eng.s
         got = eng.query()
         assert got == m.member(word)
         for _ in range(300 if n else 0):
@@ -239,8 +240,8 @@ def _member_under_edits(m, sd, rep, alphabet, seed, kind, sizes=(0, 1, 2, 3, 64)
             word[p] = c
             before, got = got, eng.query()
             assert got == m.member(word), (n, p, c)
-            tail_flips += p >= n - n % sd.index and got != before
-    assert tail_flips
+            tail_flips += p >= n - n % eng.s and got != before
+    assert tail_flips or not tails
 
 
 def test_first_letter_window_language_matches_membership():
@@ -354,14 +355,16 @@ def test_language_differential_random(rx, alpha):
 def test_bulk_block_images_match_block_image(rx, alpha):
     # the vectorized first images equal the per-block rule: the code table
     # read at each block's code, and the zg engine's word or the fused
-    # window engine's counts and key
+    # window engine's counts and key; at 2^10 a block has 3 times the
+    # stability index's letters
     m, sd, rep = analyze_regex(rx, alpha)
     rng = random.Random(zlib.crc32(f"block images {rx}".encode()))
-    for n in (0, 1, sd.index, sd.index + 1, 50):
+    for n in (0, 1, sd.index, sd.index + 1, 50, 2**10):
         word = [rng.choice(alpha) for _ in range(n)]
         eng = make_language_engine(m, sd, rep, word)
-        blocks = [word[b * sd.index : (b + 1) * sd.index] for b in range(n // sd.index)]
-        images = tuple(sd.block_image(b) for b in blocks)
+        s = eng.s
+        assert s == (3 * sd.index if n == 2**10 else sd.index), (rx, n)
+        images = tuple(sd.block_image(word[b * s : (b + 1) * s]) for b in range(n // s))
         assert _decoded_images(eng) == images, (rx, n)
         if type(eng) is WindowLanguageEngine:
             _assert_fused_key(eng, images)
@@ -372,6 +375,31 @@ def test_bulk_block_images_match_block_image(rx, alpha):
 def _decoded_images(eng):
     """The stable images of a chunked engine's blocks, read from its codes."""
     return tuple(eng._img[code] for code in eng.codes)
+
+
+def _stable_image(m, sd):
+    """monoid id -> stable id, -1 outside the stable semigroup."""
+    image = [-1] * m.target.size
+    for x, v in enumerate(sd.inclusion):
+        image[v] = x
+    return image
+
+
+def _table_twins(m, sd, rep, word):
+    """Two engines over word with the same block length: one whose code table
+    is the list over every code, one whose table is filled on first read.
+    Each engine builds the table its size gives; where that is the other
+    kind, a table of the asked kind over the same codes is swapped in."""
+    eager, lazy = (make_language_engine(m, sd, rep, list(word)) for _ in range(2))
+    image = _stable_image(m, sd)
+    if type(eager._img) is not list:
+        t = table_array(m.target)
+        ids = np.array(eager._ids, dtype=t.dtype)
+        eager._img = language._code_values(t, image, ids, eager.s).tolist()
+    if type(lazy._img) is list:
+        lazy._img = language._CodeTable(m, image, lazy._ids, lazy._places, lazy._base)
+    assert type(eager._img) is list and type(lazy._img) is not list
+    return eager, lazy
 
 
 def _assert_fused_key(eng, images):
@@ -572,6 +600,71 @@ def test_language_constant_cost_for_q_lzg():
         worst_by_lang[rx] = worst[0]
 
 
+# (update, query) charge of each edit case: an edit that changes its block's
+# image, one that keeps it, and one that changes a tail letter, each then
+# queried. A query after a kept image reads the kept bit; after a change it
+# evaluates: the window kind's nslots + 1 (8 slots for a*b*, 10 for the first
+# letter), the zg kind's inner query. S3's k-ary tree has no kept bit, and
+# in a group a changed leaf changes every level above it, so its climb,
+# marked None, is the tree's height, the one charge that grows with n
+PINNED_CHARGES = {
+    "a*b*": {"change": (6, 11), "keep": (2, 2), "tail": (2, 11)},
+    "first letter": {"change": (6, 13), "keep": (2, 2), "tail": (2, 13)},
+    "(ab)*": {"change": (4, 6), "keep": (2, 2), "tail": (2, 6)},
+    "S3": {"change": (None, 2), "keep": (2, 2), "tail": (None, 2)},
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CHARGES)
+def test_each_edit_case_charges_one_constant_at_every_size(name):
+    # seeded edits chosen to hit each case, ten of each, at n = 2^10, 2^14
+    # and 2^18, where a block has 6 to 15 letters: every case charges its
+    # pinned constant at every size, since a code read is one step whatever
+    # the block length. a*b* and (ab)* start from a member word, where a
+    # uniform word's blocks would all have the zero image
+    m, sd, rep = {**CACHED_LANGUAGES, "S3": lambda: analyze_dfa(S3_DFA)}[name]()
+    kary = name == "S3"
+    image = m.image if kary else sd.block_image
+    for n in (2**10, 2**14, 2**18):
+        rng = random.Random(zlib.crc32(f"pinned charges {name} {n}".encode()))
+        if name == "a*b*":
+            word = ["a"] * (n // 2) + ["b"] * (n - n // 2)
+        elif name == "(ab)*":
+            word = ["a", "b"] * (n // 2)
+        else:
+            word = rng.choices(m.alphabet, k=n)
+        eng = make_language_engine(m, sd, rep, list(word))
+        s, blocks = eng.s, eng.blocks
+        assert s > (sd.index if not kary else 1) and n > blocks * s, (name, n, s)
+        want = dict(PINNED_CHARGES[name])
+        if kary:
+            climb = 2 + len(eng.levels)
+            want = {case: (climb if u is None else u, q) for case, (u, q) in want.items()}
+        ops = eng.op_count
+        assert eng.query() == m.member(word) and eng.op_count - ops == want["change"][1], (name, n)
+
+        def case_of(p, c):
+            if p >= blocks * s:
+                return "tail" if word[p] != c else None
+            lo = p - p % s
+            block = word[lo : lo + s]
+            return "keep" if image(block) == image(block[: p - lo] + [c] + block[p - lo + 1 :]) else "change"
+
+        for case in ("change", "keep", "tail") * 10:
+            while True:
+                p = rng.randrange(blocks * s, n) if case == "tail" else rng.randrange(blocks * s)
+                c = rng.choice(m.alphabet)
+                if case_of(p, c) == case:
+                    break
+            word[p] = c
+            ops = eng.op_count
+            eng.update(p, c)
+            update = eng.op_count - ops
+            ops = eng.op_count
+            assert eng.query() == m.member(word), (name, n, p, c)
+            assert (update, eng.op_count - ops) == want[case], (name, n, case, p, c)
+
+
 CACHED_LANGUAGES = {
     "a*b*": lambda: analyze_regex("a*b*", "ab"),
     "(aa)*ba*": lambda: analyze_regex("(aa)*ba*", "ab"),
@@ -596,8 +689,7 @@ def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
     # leaves the counts and the packed key as they were. Against a twin
     # whose bit is cleared before each query, so its evaluation always
     # runs, every update adds the same to op_count; a query that evaluates
-    # adds the same as the twin's, and one on a kept bit adds only the
-    # facade's own s + 1 steps
+    # adds the same as the twin's, and one on a kept bit adds only its own 2
     for name, analyze in CACHED_LANGUAGES.items():
         m, sd, rep = analyze()
         alphabet = m.alphabet
@@ -607,6 +699,7 @@ def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
         word = [rng.choice(alphabet) for _ in range(n)]
         eng = make_language_engine(m, sd, rep, list(word))
         twin = make_language_engine(m, sd, rep, list(word))
+        assert eng.s == s, name
         fused = name in WINDOW_NAMES
         assert type(eng) is (WindowLanguageEngine if fused else LanguageEngine), (name, eng.kind)
         calls = []
@@ -638,7 +731,7 @@ def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
                 want.append(("query",))
                 assert eng.op_count - ops == twin.op_count - twin_ops, (name, p, c)
             else:
-                assert eng.op_count - ops == s + 1, (name, p, c)
+                assert eng.op_count - ops == 2, (name, p, c)
             if not fused:
                 assert calls == want, (name, p, c)
             kept += same and not tail_change
@@ -653,12 +746,12 @@ def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
 
 @pytest.mark.parametrize("name", [*CACHED_LANGUAGES, "edit-sg"])
 def test_same_letter_edit_takes_the_ordinary_path(name):
-    # an edit that writes the letter already there is no special case: on the
-    # chunked path it pays the facade's step and two block reads (one step in
-    # the tail), keeps its block's image and so reaches neither inner engine
-    # method (the fused window kind keeps its counts and key), and its query
-    # answers from the kept bit; on the k-ary path it pays its own step and
-    # the read of its block's value, which it keeps, so it climbs no level
+    # an edit that writes the letter already there is no special case: it
+    # pays its own step and one read, in a block or in the tail, on every
+    # engine. On the chunked path it keeps its block's image and so reaches
+    # neither inner engine method (the fused window kind keeps its counts
+    # and key), and its query answers from the kept bit for 2; on the k-ary
+    # path it keeps its block's value, so it climbs no level
     if name == "edit-sg":
         m, sd, rep = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")
     else:
@@ -673,7 +766,7 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
     want_type = WindowLanguageEngine if fused else LanguageEngine if chunked else KaryLanguageEngine
     assert type(eng) is want_type, eng.kind
     calls = []
-    if chunked and not fused:
+    if want_type is LanguageEngine:
         _spy_on_inner(eng, calls)
     for _ in range(200):
         p = rng.randrange(n)
@@ -685,19 +778,12 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
         key = (list(eng.counts), eng.code) if fused else None
         ops = eng.op_count
         eng.update(p, c)
-        if chunked:
-            assert eng.op_count - ops == (1 if p >= 8 * s else 1 + 2 * s), (name, p)
-            assert calls == [], (name, p)
-            if fused:
-                assert (eng.counts, eng.code) == key, (name, p)
-            ops = eng.op_count
-            assert eng.query() == m.member(word), (name, p)
-            assert eng.op_count - ops == s + 1 and calls == [], (name, p)
-        else:
-            assert eng.op_count - ops == 2, (name, p)
-            ops = eng.op_count
-            assert eng.query() == m.member(word), (name, p)
-            assert eng.op_count - ops == 2, (name, p)
+        assert eng.op_count - ops == 2 and calls == [], (name, p)
+        if fused:
+            assert (eng.counts, eng.code) == key, (name, p)
+        ops = eng.op_count
+        assert eng.query() == m.member(word), (name, p)
+        assert eng.op_count - ops == 2 and calls == [], (name, p)
 
 
 WINDOW_LANGUAGES = {
@@ -719,29 +805,25 @@ def _refused_edits(eng, alphabet):
 
 
 @pytest.mark.parametrize("name", WINDOW_LANGUAGES)
-def test_fused_window_engine_matches_membership(name, monkeypatch):
+def test_fused_window_engine_matches_membership(name):
     # the fused window engine against m.member at every word length around
-    # the block size, tail edits included, over a code table built up front
-    # (a list) and, in its twin, one filled on first read (a dict, as for a
-    # word with fewer than EAGER_LETTERS letters per code): both must give
-    # the same answers and op counts. snapshot() decodes the letters from
-    # the codes, also where two letters share one image
+    # the block size, tail edits included, and at 2^12, where a block has
+    # several times the stability index's letters, over a code table built
+    # up front (a list) and, in its twin, one filled on first read (a dict):
+    # both must give the same answers and op counts. snapshot() decodes the
+    # letters from the codes, also where two letters share one image
     m, sd, rep = WINDOW_LANGUAGES[name]()
     s, alphabet = sd.index, m.alphabet
     assert name != "a*(b+c)*" or m.eta["b"] == m.eta["c"]
     rng = random.Random(zlib.crc32(f"fused window {name}".encode()))
-    for n in sorted({0, 1, s - 1, s, s + 1, 9 * s - 1, 200}):
+    for n in sorted({0, 1, s - 1, s, s + 1, 9 * s - 1, 200, 2**12}):
         word = [rng.choice(alphabet) for _ in range(n)]
-        with monkeypatch.context() as patch:
-            patch.setattr(language, "EAGER_LETTERS", 0)
-            eng = make_language_engine(m, sd, rep, list(word))
-            patch.setattr(language, "EAGER_LETTERS", n + 1)
-            lazy = make_language_engine(m, sd, rep, list(word))
+        eng, lazy = _table_twins(m, sd, rep, word)
         assert type(eng) is type(lazy) is WindowLanguageEngine, (name, eng.kind)
-        assert type(eng._img) is list and type(lazy._img) is not list
+        assert eng.s % s == 0 and (n < 2**12 or eng.s > s), (name, n, eng.s)
         assert eng.snapshot() == lazy.snapshot() == tuple(word), (name, n)
         assert eng.query() == lazy.query() == m.member(word), (name, n)
-        tail = n % s
+        tail = n % eng.s
         for k in range(300 if n else 0):
             # every third edit lands in the tail, when there is one
             p = n - 1 - rng.randrange(tail) if tail and k % 3 == 0 else rng.randrange(n)
@@ -769,38 +851,36 @@ def _end_key(eng):
 
 
 @pytest.mark.parametrize("name", ["first letter", "(a+b+c)*ab(a+b+c)*", "a*b*"])
-def test_fused_window_engine_keeps_its_end_key(name, monkeypatch):
+def test_fused_window_engine_keeps_its_end_key(name):
     # the fused engine keeps the end blocks' part of the recovery key and
     # refreshes it only when the image of block 0 or of the last block
     # changes. Edits inside those two blocks alone, on words of 1, 2 and 9
-    # blocks with and without a tail, over the code table built up front and
-    # its twin filled on first read, must keep it equal to the value the
-    # codes give, with the answers and op counts of both twins in step
+    # blocks of the stability index's letters and of about 2^10 letters in
+    # longer blocks, with and without a tail, over the code table built up
+    # front and its twin filled on first read, must keep it equal to the
+    # value the codes give, with the answers and op counts of both twins in
+    # step
     m, sd, rep = WINDOW_LANGUAGES[name]()
-    s, alphabet = sd.index, m.alphabet
+    i, alphabet = sd.index, m.alphabet
     assert synthesize_window_plan(sd.stable).first is (name != "a*b*")
     rng = random.Random(zlib.crc32(f"end key {name}".encode()))
-    for blocks in (1, 2, 9):
-        for n in (blocks * s, blocks * s + s - 1):
-            word = [rng.choice(alphabet) for _ in range(n)]
-            with monkeypatch.context() as patch:
-                patch.setattr(language, "EAGER_LETTERS", 0)
-                eng = make_language_engine(m, sd, rep, list(word))
-                patch.setattr(language, "EAGER_LETTERS", n + 1)
-                lazy = make_language_engine(m, sd, rep, list(word))
-            assert type(eng) is type(lazy) is WindowLanguageEngine, (name, eng.kind)
-            assert type(eng._img) is list and type(lazy._img) is not list
-            ends = [*range(s), *range((blocks - 1) * s, blocks * s)]
-            for _ in range(60):
-                p, c = rng.choice(ends), rng.choice(alphabet)
-                word[p] = c
-                images = tuple(sd.block_image(word[b * s : (b + 1) * s]) for b in range(blocks))
-                for e in (eng, lazy):
-                    e.update(p, c)
-                    assert e.query() == m.member(word), (name, n, p, c)
-                    _assert_fused_key(e, images)
-                    assert e._ends == _end_key(e), (name, n, p, c)
-                assert eng.op_count == lazy.op_count, (name, n, p, c)
+    for n in (i, 2 * i - 1, 2 * i, 3 * i - 1, 9 * i, 10 * i - 1, 2**10, 2**10 + 2 * i - 1):
+        word = [rng.choice(alphabet) for _ in range(n)]
+        eng, lazy = _table_twins(m, sd, rep, word)
+        assert type(eng) is type(lazy) is WindowLanguageEngine, (name, eng.kind)
+        s, blocks = eng.s, eng.blocks
+        assert (s > i) is (n >= 2**10), (name, n, s)
+        ends = [*range(s), *range((blocks - 1) * s, blocks * s)]
+        for _ in range(60):
+            p, c = rng.choice(ends), rng.choice(alphabet)
+            word[p] = c
+            images = tuple(sd.block_image(word[b * s : (b + 1) * s]) for b in range(blocks))
+            for e in (eng, lazy):
+                e.update(p, c)
+                assert e.query() == m.member(word), (name, n, p, c)
+                _assert_fused_key(e, images)
+                assert e._ends == _end_key(e), (name, n, p, c)
+            assert eng.op_count == lazy.op_count, (name, n, p, c)
 
 
 @pytest.mark.parametrize("threshold, period", [(1, 1), (3, 2), (2, 4)])
@@ -812,11 +892,12 @@ def test_fused_window_shift_matches_the_reference_engine(threshold, period):
     # plan has no recovery table
     for name in ("a*b*", "(a+b+c)*ab(a+b+c)*"):
         m, sd, rep = WINDOW_LANGUAGES[name]()
-        s, alphabet = sd.index, m.alphabet
+        i, alphabet = sd.index, m.alphabet
         plan = WindowStatsPlan(False, threshold, period, _nslots(sd.stable))
         rng = random.Random(zlib.crc32(f"fused shift {name} {threshold} {period}".encode()))
-        for n in (s, 2 * s + 1, 9 * s):
+        for n in (i, 2 * i + 1, 9 * i, 2**10):
             eng = WindowLanguageEngine(m, sd, [rng.choice(alphabet) for _ in range(n)], plan)
+            s = eng.s
             ref = WindowStatsEngine(sd.stable, list(_decoded_images(eng)), plan)
             assert (eng.counts, eng.code) == (ref.counts, ref.code), (name, n)
             for _ in range(200):
@@ -836,9 +917,7 @@ def test_code_table_refuses_an_image_outside_the_stable_semigroup():
     s, letters = sd.index, list(m.eta)
     ids = [m.eta[a] for a in letters]
     places = [len(letters) ** (s - 1 - r) for r in range(s)]
-    image = [-1] * m.target.size
-    for x, v in enumerate(sd.inclusion):
-        image[v] = x
+    image = _stable_image(m, sd)
     assert language._CodeTable(m, image, ids, places, len(letters))[0] == sd.block_image(letters[:1] * s)
     v = m.target.identity
     for _ in range(s):  # code 0: s copies of the first letter

@@ -37,14 +37,16 @@ def test_sg_engine_holds_a_few_bytes_per_letter():
 
 @pytest.mark.parametrize("rx, alphabet, kind, budget", [
     ("a*b*", "ab", "language[window]", 3),
-    ("(ab)*", "ab", "language[zg]", 6),
+    ("(ab)*", "ab", "language[zg]", 3),
     ("(a+b+c)*bc*x(a+b+c)*", "abcx", "language[kary]", 3),
     ("(b+ab*a)*b", "ab", "language[kary-downgraded]", 3),
 ])
 def test_language_facade_holds_a_few_bytes_per_letter(rx, alphabet, kind, budget):
-    # a chunked engine keeps one code byte per block of s = 2 letters, and
-    # the zg kind's inner engine one list slot per block (0.8 and 4.6 B per
-    # letter); the k-ary kind keeps one code per block of 6 or 13 letters,
+    # a chunked engine keeps one code per block of 12 letters (block_length
+    # rounded down to a multiple of the stability index 2), and the zg
+    # kind's inner engine one list slot per block (0.9 and 1.4 B per
+    # letter, the code table included); the k-ary kind keeps one code per
+    # block of 6 or 13 letters,
     # its code table and the levels over the blocks (2.3 and 1.9 B per
     # letter, the memoized value table and the shared code objects
     # included). One more per-letter store would cross the budget. A
@@ -81,7 +83,7 @@ def test_window_language_build_peak_stays_near_its_held_bytes():
     # the build maps the letters to alphabet indices in one bytes.translate
     # and packs one code per block in a narrow dtype; it makes no list of
     # the letters and no inner engine (those peaked near 16 B per letter
-    # against 4.3 now)
+    # against 2.9 now)
     m, sd, rep = analyze_regex("a*b*", "ab")
     rng = random.Random(16)
     word = [rng.choice("ab") for _ in range(N)]

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from dynreg.algebra import check_variety
-from dynreg.errors import RegexSyntaxError
+from dynreg.errors import InternalError, RegexSyntaxError
 from dynreg.gallery import ab_star_semigroup
 from dynreg.syntactic import (
     Morphism,
@@ -206,6 +206,24 @@ def test_block_image_memoized():
     assert sd.block_image("ab") == sd.block_image(("a", "b"))
     v = sd.block_image("ba")
     assert sd.inclusion[v] == m.image("ba")
+
+
+def test_block_image_of_a_block_of_two_stability_indices():
+    # eta(A^2s) = eta(A^s), so a 2s-letter block has its image in the stable
+    # semigroup too, the image of its letters' product
+    for rx in ("a*b*", "(aa)*ba*", "(ab)*"):
+        m, sd, rep = analyze_regex(rx, "ab")
+        for block in itertools.product("ab", repeat=2 * sd.index):
+            assert sd.inclusion[sd.block_image(block)] == m.image(block), (rx, block)
+
+
+def test_block_image_refuses_a_length_that_is_not_a_multiple_of_s():
+    m, sd, rep = analyze_regex("a*b*", "ab")
+    assert sd.index == 2
+    for block in ("", "a", "aba", "abbab"):
+        with pytest.raises(InternalError, match="not a multiple of the stability index"):
+            sd.block_image(block)
+    assert sd.block_images == {}
 
 
 # -- classifier ---------------------------------------------------------------
