@@ -26,9 +26,9 @@ a code or table read is one step. An update charges 2, its own step and
 one read (its block's code value, or its tail letter); a query charges 2,
 its own step and one read. Each engine adds what its evaluation runs: the
 k-ary tree one per level it climbs; the zg kind its zg engine's op_count;
-the fused window kind 4 per block edit that changes the block's image
-(what a WindowStatsEngine update charges) and nslots + 1 per query that
-evaluates a word with a block. No charge grows with n but the climb.
+the window kind 4 per block edit that changes the block's image (what a
+WindowStatsEngine update charges) and nslots + 1 per query that evaluates
+a word with a block. No charge grows with n but the climb.
 
 Every language outside Q_LZG, and a Q_LZG one that dispatch.route
 downgrades, is a KaryLanguageEngine (dispatch.py says why). The leaves of a
@@ -39,15 +39,25 @@ climbs only when the leaf's value changes. A query reads the top code's
 value and one accept bit, one per monoid element.
 
 In Q_LZG, where route picks zg, LanguageEngine runs a zg engine over the
-block images. Where it picks window, the fused WindowLanguageEngine keeps
-the plan's slot counts and packed key itself, and an update runs in one
+block images. Where it picks window, a plan of presence bits (threshold 1,
+period 1) gets the fused WindowLanguageEngine, and a counted plan (found
+so far only for semigroups in ZG whose certificate search fails) gets
+LanguageEngine over a WindowStatsEngine of the block images, the
+reference the fused engine is tested against; both are of kind
+language[window]. The fused engine keeps
+the plan's slot counts as fields of one int x, slot i's count at bit i * w
+with w = blocks.bit_length() + 1: a count is at most blocks, so the top
+bit of each field, its guard bit, stays clear. An update runs in one
 frame: the position and letter checks, the code write and, when the
-block's image changes, the rule of WindowStatsPlan.shift inline (the delta
-of the block's neighbour images from the code table, then each kept slot's
-count and capped digit moved by arithmetic). It also keeps _ends, the last
-block's image at the plan's last_place plus the first block's at
-first_place, refreshed only when the image of block 0 or of the last block
-changes, so a query on a cleared bit is one lookup, recovery[code + _ends].
+block's image changes, one add to x of the delta of the block's neighbour
+images, each net slot change at its field. The presence key is one SWAR
+test, (x + M) & H, with 2^(w-1) - 1 in every field of M and the guard bits
+in H: a field's guard bit is set exactly when its count is not 0. Above
+the fields sits _ends, the last block's image plus the first block's
+times the plan's first_place // last_place, refreshed only when the image
+of block 0 or of the last block changes. A query on a cleared bit reads
+the key plus _ends in the engine's own dict; on a miss it compresses the
+guard bits to the plan's digits and reads plan.recovery once.
 
 Q_LZG membership composes the blocks' evaluation with the tail's value in
 the syntactic monoid and tests the accept set, by one list of accept bits,
@@ -80,7 +90,7 @@ from ..syntactic.classify import Q_LZG
 from .base import Engine
 from .dispatch import route
 from .kary import _tables, branching, build_levels
-from .windowstats import _slot_delta, _word_counts
+from .windowstats import WindowStatsEngine, _slot_delta, _word_counts
 from .zg import make_zg_engine
 
 # The code table is a list over every code, built up front, while the word
@@ -198,7 +208,12 @@ class KaryLanguageEngine(ChunkedEngine):
         self._accepts = [v in accept for v in range(b)]  # monoid value -> membership bit
 
     def update(self, pos, letter):
-        a = self._letter(pos, letter)
+        if not (0 <= pos < self.n):
+            raise PositionOutOfRange(f"position {pos} outside 0..{self.n - 1}")
+        try:
+            a = self._index[letter]
+        except (KeyError, TypeError):  # TypeError: an unhashable letter
+            raise RangeError(f"letter {letter!r} not in the alphabet") from None
         s = self.s
         j = pos // s
         if j < self.blocks:
@@ -246,13 +261,19 @@ def block_length(base, n):
 
 
 class LanguageEngine(ChunkedEngine):
-    """The zg kind: block codes over a zg engine of the block images."""
+    """The zg kind, block codes over a zg engine of the block images; with a
+    window plan, block codes over a WindowStatsEngine running the plan on
+    the block images, of kind language[window]."""
 
     kind = "language[zg]"
 
-    def __init__(self, morphism, sd, word):
+    def __init__(self, morphism, sd, word, plan=None):
         images = self._build_stable(morphism, sd, word)
-        self.inner = make_zg_engine(sd.stable, images)
+        if plan is None:
+            self.inner = make_zg_engine(sd.stable, images)
+        else:
+            self.kind = "language[window]"
+            self.inner = WindowStatsEngine(sd.stable, images, plan)
 
     def update(self, pos, letter):
         a = self._letter(pos, letter)
@@ -287,27 +308,41 @@ class LanguageEngine(ChunkedEngine):
 
 
 class WindowLanguageEngine(ChunkedEngine):
-    """The fused window kind: block codes and the window plan's counts and
-    packed key, with no inner engine and no per-letter list. An update runs
-    in one frame: the checks, the code write and, when the block's image
-    changes, the rule of WindowStatsPlan.shift. _ends holds the part of the
-    recovery key that the end blocks give, kept across edits elsewhere."""
+    """The fused window kind, for a plan of presence bits: block codes and
+    the plan's slot counts as fields of one int, with no inner engine and
+    no per-letter list. An update runs in one frame: the checks, the code
+    write and, when the block's image changes, one add of its delta. The
+    key is one SWAR test of the counts; _ends holds the part that the end
+    blocks give, kept across edits elsewhere."""
 
     kind = "language[window]"
 
     def __init__(self, morphism, sd, word, plan):
+        if plan.radix != 2:
+            raise InternalError("the fused window engine runs plans of presence bits only")
         images = self._build_stable(morphism, sd, word)
         self.plan = plan
         self.semigroup = sd.stable
-        self.counts = _word_counts(sd.stable, images, plan.nslots)
-        self.code = plan.pack(self.counts)
-        # the end blocks' part of the recovery key, refreshed when either image
-        # changes; read from the images so that a dict code table stays unread
+        self._size = sd.stable.size
+        nslots = plan.nslots
+        # a count is at most blocks, so each field's top bit, its guard bit, stays clear
+        self._w = w = self.blocks.bit_length() + 1
+        counts = _word_counts(sd.stable, images, nslots)
+        self._x = sum(c << (i * w) for i, c in enumerate(counts))
+        ones = sum(1 << (i * w) for i in range(nslots))  # a 1 at the bottom of every field
+        self._m = ones * ((1 << (w - 1)) - 1)
+        self._h = ones << (w - 1)
+        # the end blocks' part, above the fields: the last block's image, plus
+        # the first block's in plans with `first`
+        self._last_at = 1 << (nslots * w)
+        self._first_at = plan.first_place // plan.last_place << (nslots * w)
+        self._deltas = {}  # as plan.deltas, each delta one int of field changes
+        # read from the images so that a dict code table stays unread
         if len(images):
-            self._ends = int(images[-1]) * plan.last_place + int(images[0]) * plan.first_place
-            self._recovery, self._eval_steps = plan.recovery, 2 + plan.nslots + 1
-        else:  # no block: the key never moves, and its one entry reads the tail's bit
-            self._ends, self._recovery, self._eval_steps = 0, {self.code: -1}, 2
+            self._ends = int(images[-1]) * self._last_at + int(images[0]) * self._first_at
+            self._evals, self._eval_steps = {}, 2 + nslots + 1
+        else:  # no block: the key is 0, and its one entry reads the tail's bit
+            self._ends, self._evals, self._eval_steps = 0, {0: -1}, 2
 
     def update(self, pos, letter):
         if not (0 <= pos < self.n):
@@ -331,41 +366,48 @@ class WindowLanguageEngine(ChunkedEngine):
             return
         self._steps += 6  # 2 and the 4 a WindowStatsEngine update charges
         self._bit = None
-        # WindowStatsPlan.shift: the delta of (prev, old, cur, nxt), each
-        # slot's count and capped digit moved by arithmetic
         last = self.blocks - 1
         prev = img[codes[b - 1]] + 1 if b else 0
         nxt = img[codes[b + 1]] + 1 if b < last else 0
-        plan, size = self.plan, self.semigroup.size
+        size = self._size
         key = ((prev * (size + 1) + nxt) * size + old) * size + cur
-        delta = plan.deltas.get(key)
-        if delta is None:
-            delta = plan.deltas[key] = _slot_delta(
-                self.semigroup, plan.radix, prev - 1 if prev else None, old, cur, nxt - 1 if nxt else None)
-        counts, packed = self.counts, self.code
-        threshold, period = plan.threshold, plan.period
-        for slot, d, place in delta:
-            c = counts[slot]
-            e = counts[slot] = c + d
-            if c < threshold or e < threshold:
-                packed += ((e if e < threshold else threshold + (e - threshold) % period)
-                           - (c if c < threshold else threshold + (c - threshold) % period)) * place
-            elif period > 1:
-                packed += ((e - threshold) % period - (c - threshold) % period) * place
-        self.code = packed
+        try:
+            self._x += self._deltas[key]
+        except KeyError:
+            self._x += self._delta(key, prev, old, cur, nxt)
         if b == 0 or b == last:
-            self._ends = img[codes[-1]] * plan.last_place + img[codes[0]] * plan.first_place
+            self._ends = img[codes[-1]] * self._last_at + img[codes[0]] * self._first_at
+
+    def _delta(self, key, prev, old, cur, nxt):
+        """The net slot changes of the edit, as WindowStatsPlan.shift keys
+        them, as one int: each change at its slot's field; kept in _deltas."""
+        w = self._w
+        delta = self._deltas[key] = sum(d << (slot * w) for slot, d, _ in _slot_delta(
+            self.semigroup, self.plan.radix, prev - 1 if prev else None, old, cur, nxt - 1 if nxt else None))
+        return delta
 
     def query(self):
         """Membership bit for the current word."""
         bit = self._bit
         if bit is None:
             self._steps += self._eval_steps
-            accepts = self._accepts or self._accept_list()
-            bit = self._bit = accepts[self._recovery[self.code + self._ends]]
+            key = ((self._x + self._m) & self._h) + self._ends
+            try:
+                ev = self._evals[key]
+            except KeyError:
+                ev = self._evals[key] = self._recover(key)
+            bit = self._bit = (self._accepts or self._accept_list())[ev]
         else:
             self._steps += 2
         return bit
+
+    def _recover(self, key):
+        """The evaluation of a key, from plan.recovery: each guard bit
+        compressed to its slot's digit, the end blocks' part moved to the
+        plan's last_place."""
+        plan, w = self.plan, self._w
+        digits = sum((key >> (i * w + w - 1) & 1) << i for i in range(plan.nslots))
+        return plan.recovery[digits + (key >> (plan.nslots * w)) * plan.last_place]
 
 
 def _pack(cols, base, ncodes):
@@ -502,13 +544,14 @@ def _each_value(values, bound, word):
 
 def make_language_engine(morphism, sd, report, word):
     """One k-ary tree outside Q_LZG. In Q_LZG, what dispatch.route picks
-    for the stable semigroup: the zg facade, the fused window engine, or
-    the k-ary tree of kind language[kary-downgraded]."""
+    for the stable semigroup: the zg facade; for a window plan, the fused
+    window engine where the plan keeps presence bits, else the facade over
+    WindowStatsEngine; or the k-ary tree of kind language[kary-downgraded]."""
     tag, plan = route(sd.stable, window=True) if report.cls == Q_LZG else ("kary", None)
-    if tag == "zg":
-        return LanguageEngine(morphism, sd, word)
-    if tag == "window":
+    if tag == "window" and plan.radix == 2:  # presence bits: threshold 1, period 1
         return WindowLanguageEngine(morphism, sd, word, plan)
+    if tag in ("zg", "window"):
+        return LanguageEngine(morphism, sd, word, plan)
     engine = KaryLanguageEngine(morphism, word)
     engine.kind = f"language[{tag}]"
     return engine

@@ -16,12 +16,15 @@ whose changes cancel; an update rewrites only the count of each slot left
 and moves the code by the change of its capped digit (WindowStatsPlan.shift).
 Updates and queries are therefore constant time, with word-length-independent
 step counts. WindowStatsEngine runs a plan over a word of semigroup
-elements, and shift is its update rule. The language engines build none:
-their window kind (language.WindowLanguageEngine) runs the same plan on its
-block images itself, packing the key once at build and then moving it by
-the rule of shift written inline, with no call per edit into pack or
-shift; it shares the plan's deltas table, and the tests compare it against
-WindowStatsEngine as the reference.
+elements, and shift is its update rule. For a plan of presence bits
+(threshold 1, period 1), the language engines' window kind
+(language.WindowLanguageEngine) runs the plan on its block images itself:
+the exact counts are fields of one int, wide enough that a count never
+reaches a field's top bit, an edit adds the delta of _slot_delta as one
+int, and the key is one SWAR test of every field at once, compressed to
+the plan's digits only on the first read of each key. A counted plan runs
+here, under the language facade; the tests compare the fused engine
+against WindowStatsEngine as the reference.
 
 Whether the key determines the evaluation is decided by exhaustive
 reachability over the capped-statistic automaton, carrying the true

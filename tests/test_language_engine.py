@@ -402,11 +402,31 @@ def _table_twins(m, sd, rep, word):
     return eager, lazy
 
 
+def _window_state(eng):
+    """(slot counts, key, end blocks' part) of a window engine in the
+    plan's layout: a WindowStatsEngine's own, read through the facade's
+    inner engine, or decoded from the fused engine's one int, with each
+    count's field, its guard bit by the SWAR test and _ends."""
+    eng = getattr(eng, "inner", eng)
+    plan = eng.plan
+    if type(eng) is WindowStatsEngine:
+        word = eng.word
+        return eng.counts, eng.code, word[-1] * plan.last_place + word[0] * plan.first_place if word else 0
+    w, x, top = eng._w, eng._x, plan.nslots * eng._w
+    assert x >> top == 0, "a count carried past the top field"
+    counts = [x >> (i * w) & ((1 << w) - 1) for i in range(plan.nslots)]
+    key = (x + eng._m) & eng._h
+    code = sum((key >> (i * w + w - 1) & 1) << i for i in range(plan.nslots))
+    return counts, code, (eng._ends >> top) * plan.last_place
+
+
 def _assert_fused_key(eng, images):
-    """The fused window engine's counts and key are those of its block images."""
-    counts = _word_counts(eng.semigroup, list(images), eng.plan.nslots)
-    assert eng.counts == counts
-    assert eng.code == eng.plan.pack(counts)
+    """The fused window engine's counts, key and end blocks' part are those
+    of its block images."""
+    plan = eng.plan
+    counts = _word_counts(eng.semigroup, list(images), plan.nslots)
+    ends = images[-1] * plan.last_place + images[0] * plan.first_place if images else 0
+    assert _window_state(eng) == (counts, plan.pack(counts), ends)
 
 
 def test_unknown_initial_letter_raises_range_error():
@@ -715,14 +735,14 @@ def test_edit_that_keeps_the_block_image_skips_the_inner_engine():
                 block[: p - lo] + [c] + block[p - lo + 1 :])
             tail_change = p >= 8 * s and word[p] != c
             calls.clear()
-            key = (list(eng.counts), eng.code) if fused else None
+            key = _window_state(eng) if fused else None
             ops, twin_ops = eng.op_count, twin.op_count
             eng.update(p, c)
             twin.update(p, c)
             word[p] = c
             assert eng.op_count - ops == twin.op_count - twin_ops, (name, p, c)
             if fused and same:
-                assert (eng.counts, eng.code) == key, (name, p, c)
+                assert _window_state(eng) == key, (name, p, c)
             twin._bit = None
             ops, twin_ops = eng.op_count, twin.op_count
             assert eng.query() == twin.query() == m.member(word), (name, p, c)
@@ -775,12 +795,12 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
         word[p] = c
         assert eng.query() == m.member(word), (name, p, c)
         calls.clear()
-        key = (list(eng.counts), eng.code) if fused else None
+        key = _window_state(eng) if fused else None
         ops = eng.op_count
         eng.update(p, c)
         assert eng.op_count - ops == 2 and calls == [], (name, p)
         if fused:
-            assert (eng.counts, eng.code) == key, (name, p)
+            assert _window_state(eng) == key, (name, p)
         ops = eng.op_count
         assert eng.query() == m.member(word), (name, p)
         assert eng.op_count - ops == 2 and calls == [], (name, p)
@@ -843,13 +863,6 @@ def test_fused_window_engine_matches_membership(name):
         assert _decoded_images(eng) == _decoded_images(lazy), (name, n)
 
 
-def _end_key(eng):
-    """The end blocks' part of the fused window engine's recovery key,
-    recomputed from its codes."""
-    plan, img, codes = eng.plan, eng._img, eng.codes
-    return img[codes[-1]] * plan.last_place + img[codes[0]] * plan.first_place
-
-
 @pytest.mark.parametrize("name", ["first letter", "(a+b+c)*ab(a+b+c)*", "a*b*"])
 def test_fused_window_engine_keeps_its_end_key(name):
     # the fused engine keeps the end blocks' part of the recovery key and
@@ -879,33 +892,65 @@ def test_fused_window_engine_keeps_its_end_key(name):
                 e.update(p, c)
                 assert e.query() == m.member(word), (name, n, p, c)
                 _assert_fused_key(e, images)
-                assert e._ends == _end_key(e), (name, n, p, c)
             assert eng.op_count == lazy.op_count, (name, n, p, c)
+
+
+@pytest.mark.parametrize("name", ["a*b*", "first letter"])
+def test_fused_window_counts_fill_their_fields(name):
+    # the fused engine's fields are blocks.bit_length() + 1 bits wide, so a
+    # count of blocks, the most a slot can hold, leaves the guard bit clear.
+    # On words of 2^m - 1 and 2^m blocks, every block is set to one letter's
+    # block, which brings that block image's count to blocks, then to the
+    # other letter's, then back: after every edit the answer is m.member's
+    # and the fields and key are those of the block images
+    m, sd, rep = WINDOW_LANGUAGES[name]()
+    i, alphabet = sd.index, m.alphabet
+    for blocks in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32):
+        word = random.Random(zlib.crc32(f"full fields {name} {blocks}".encode())).choices(alphabet, k=blocks * i)
+        eng = make_language_engine(m, sd, rep, list(word))
+        assert type(eng) is WindowLanguageEngine and eng.blocks == blocks, (name, blocks, eng.kind)
+        full = 0
+        for c in (alphabet[0], alphabet[1], alphabet[0]):
+            for p in range(blocks * i):
+                eng.update(p, c)
+                word[p] = c
+                assert eng.query() == m.member(word), (name, blocks, p, c)
+                _assert_fused_key(eng, tuple(sd.block_image(word[b * i : (b + 1) * i]) for b in range(blocks)))
+            full += max(_window_state(eng)[0]) == blocks
+        assert full == 3, (name, blocks)
 
 
 @pytest.mark.parametrize("threshold, period", [(1, 1), (3, 2), (2, 4)])
 def test_fused_window_shift_matches_the_reference_engine(threshold, period):
-    # the fused engine's inline shift against WindowStatsEngine over its
-    # block images, on hand-made plans of each cap shape (the verified plans
-    # of the window languages all keep presence bits): after every edit both
-    # hold the same counts and packed key. No query runs, since a hand-made
+    # the window kind's edits against WindowStatsEngine over its block
+    # images, on hand-made plans of each cap shape: the fused engine runs
+    # the plan of presence bits (the verified plans of the window languages
+    # all keep them), the facade over WindowStatsEngine the counted ones,
+    # which the fused engine refuses. After every edit both hold the same
+    # counts, key and end blocks' part. No query runs, since a hand-made
     # plan has no recovery table
     for name in ("a*b*", "(a+b+c)*ab(a+b+c)*"):
         m, sd, rep = WINDOW_LANGUAGES[name]()
         i, alphabet = sd.index, m.alphabet
         plan = WindowStatsPlan(False, threshold, period, _nslots(sd.stable))
+        fused = (threshold, period) == (1, 1)
         rng = random.Random(zlib.crc32(f"fused shift {name} {threshold} {period}".encode()))
+        if not fused:
+            with pytest.raises(InternalError, match="presence bits only"):
+                WindowLanguageEngine(m, sd, list(alphabet), plan)
         for n in (i, 2 * i + 1, 9 * i, 2**10):
-            eng = WindowLanguageEngine(m, sd, [rng.choice(alphabet) for _ in range(n)], plan)
+            word = [rng.choice(alphabet) for _ in range(n)]
+            eng = (WindowLanguageEngine if fused else LanguageEngine)(m, sd, word, plan)
+            assert eng.kind == "language[window]", (name, n)
             s = eng.s
             ref = WindowStatsEngine(sd.stable, list(_decoded_images(eng)), plan)
-            assert (eng.counts, eng.code) == (ref.counts, ref.code), (name, n)
+            assert _window_state(eng) == _window_state(ref), (name, n)
             for _ in range(200):
                 p, c = rng.randrange(n), rng.choice(alphabet)
                 eng.update(p, c)
                 if p < eng.blocks * s:
                     ref.update(p // s, eng._img[eng.codes[p // s]])
-                assert (eng.counts, eng.code) == (ref.counts, ref.code), (name, n, p, c)
+                assert _window_state(eng) == _window_state(ref), (name, n, p, c)
 
 
 def test_code_table_refuses_an_image_outside_the_stable_semigroup():
@@ -953,8 +998,10 @@ def test_codes_past_64_bits_stay_exact():
 def test_zg_language_without_a_certificate_gets_the_fused_window_engine(rx, monkeypatch):
     # these stable semigroups are in ZG and have a window plan: with a
     # certificate they build the zg kind; where the certificate search finds
-    # none (forced here), the window plan serves them through the fused
-    # engine, not through the k-ary tree
+    # none (forced here), the window plan serves them through the window
+    # kind, not through the k-ary tree: (ab)*'s plan keeps presence bits and
+    # gets the fused engine, (aa)*ba*'s counts to 5 and gets the facade over
+    # WindowStatsEngine
     m, sd, rep = analyze_regex(rx, "ab")
     assert make_language_engine(m, sd, rep, []).kind == "language[zg]"
     monkeypatch.setattr(zg, "_certificate", lambda monoid: None)
@@ -965,7 +1012,9 @@ def test_zg_language_without_a_certificate_gets_the_fused_window_engine(rx, monk
     for n in (0, 1, 2, 3, 64):
         word = [rng.choice("ab") for _ in range(n)]
         eng = make_language_engine(m, sd, rep, list(word))
-        assert type(eng) is WindowLanguageEngine and eng.kind == "language[window]", (rx, eng.kind)
+        fused = rx == "(ab)*"
+        assert type(eng) is (WindowLanguageEngine if fused else LanguageEngine), (rx, type(eng))
+        assert eng.kind == "language[window]", (rx, eng.kind)
         assert eng.query() == m.member(word), (rx, n)
         for _ in range(100 if n else 0):
             p, c = rng.randrange(n), rng.choice("ab")
