@@ -39,14 +39,9 @@ from operator import index
 import numpy as np
 
 from ..algebra.core import adjoin_identity, table_array
-from ..errors import PositionOutOfRange, RangeError
+from ..errors import PositionOutOfRange
 from ..memo import memo
 from .base import Engine
-
-
-# A forced branching factor may build up to max(n, FORCED_CELLS_MAX) table
-# cells; the automatic one builds at most n.
-FORCED_CELLS_MAX = 1 << 20
 
 
 def branching(msize, n):
@@ -129,20 +124,11 @@ def build_levels(monoid, k, vals):
 class KaryEngine(Engine):
     kind = "kary"
 
-    def __init__(self, monoid, word, k=None):
+    def __init__(self, monoid, word):
         super().__init__(monoid, word)
         self.identity = monoid.identity  # the caller's, None if it has none
         self.semigroup = monoid = adjoin_identity(monoid)
-        if k is None:
-            k = branching(monoid.size, max(self.n, 1))
-        elif k < 2:
-            raise RangeError(f"branching factor {k} below 2")
-        elif (cells := monoid.size**k * k * k) > max(self.n, FORCED_CELLS_MAX):
-            raise RangeError(
-                f"branching factor {k} over {monoid.size} elements needs {cells} "
-                f"table cells, more than max(n, {FORCED_CELLS_MAX})"
-            )
-        self.k = k
+        self.k = k = branching(monoid.size, max(self.n, 1))
         self._b = b = monoid.size
         self._pow = [b**i for i in range(k)]
         # update stores the shared code objects, not fresh ints
@@ -213,7 +199,7 @@ class KaryEngine(Engine):
                 return t[left][right]
 
 
-def make_kary_engine(semigroup, word, k=None):
+def make_kary_engine(semigroup, word):
     """Dynamic word engine with prefix/infix queries; adjoins an identity if
     the input is not a monoid (letters keep their original ids)."""
-    return KaryEngine(semigroup, word, k=k)
+    return KaryEngine(semigroup, word)

@@ -26,9 +26,10 @@ a code or table read is one step. An update charges 2, its own step and
 one read (its block's code value, or its tail letter); a query charges 2,
 its own step and one read. Each engine adds what its evaluation runs: the
 k-ary tree one per level it climbs; the zg kind its zg engine's op_count;
-the window kind 4 per block edit that changes the block's image (what a
-WindowStatsEngine update charges) and nslots + 1 per query that evaluates
-a word with a block. No charge grows with n but the climb.
+the window kind 4 per block edit that changes the block's image and
+nslots + 1 per query that evaluates a word with a block, what a
+WindowStatsEngine update and query charge. No charge grows with n but the
+climb.
 
 Every language outside Q_LZG, and a Q_LZG one that dispatch.route
 downgrades, is a KaryLanguageEngine (dispatch.py says why). The leaves of a
@@ -39,25 +40,25 @@ climbs only when the leaf's value changes. A query reads the top code's
 value and one accept bit, one per monoid element.
 
 In Q_LZG, where route picks zg, LanguageEngine runs a zg engine over the
-block images. Where it picks window, a plan of presence bits (threshold 1,
-period 1) gets the fused WindowLanguageEngine, and a counted plan (found
-so far only for semigroups in ZG whose certificate search fails) gets
-LanguageEngine over a WindowStatsEngine of the block images, the
-reference the fused engine is tested against; both are of kind
-language[window]. The fused engine keeps
-the plan's slot counts as fields of one int x, slot i's count at bit i * w
-with w = blocks.bit_length() + 1: a count is at most blocks, so the top
-bit of each field, its guard bit, stays clear. An update runs in one
-frame: the position and letter checks, the code write and, when the
+block images. Where it picks window, WindowLanguageEngine runs the verified
+plan on the block images itself, whatever its cap, with no inner engine;
+windowstats.WindowStatsEngine is the reference it is tested against. It
+keeps the plan's exact slot counts as fields of one int x, slot i's count
+at bit i * w with w = blocks.bit_length() + 1: a count is at most blocks,
+so the top bit of each field, its guard bit, stays clear. An update runs
+in one frame: the position and letter checks, the code write and, when the
 block's image changes, one add to x of the delta of the block's neighbour
-images, each net slot change at its field. The presence key is one SWAR
+images, each net slot change at its field. Above the fields sits _ends,
+the last block's image plus the first block's times the plan's
+first_place // last_place, refreshed only when the image of block 0 or of
+the last block changes. Counts are capped only when a query reads a key.
+For a plan of presence bits (threshold 1, period 1) the key is one SWAR
 test, (x + M) & H, with 2^(w-1) - 1 in every field of M and the guard bits
-in H: a field's guard bit is set exactly when its count is not 0. Above
-the fields sits _ends, the last block's image plus the first block's
-times the plan's first_place // last_place, refreshed only when the image
-of block 0 or of the last block changes. A query on a cleared bit reads
-the key plus _ends in the engine's own dict; on a miss it compresses the
-guard bits to the plan's digits and reads plan.recovery once.
+in H: a field's guard bit is set exactly when its count is not 0. A query
+on a cleared bit reads that key plus _ends in the engine's own dict, and
+on a miss packs the key in the plan's layout and reads plan.recovery once.
+For a counted plan a query on a cleared bit decodes the nslots fields,
+packs their caps by plan.pack and reads plan.recovery.
 
 Q_LZG membership composes the blocks' evaluation with the tail's value in
 the syntactic monoid and tests the accept set, by one list of accept bits,
@@ -90,7 +91,7 @@ from ..syntactic.classify import Q_LZG
 from .base import Engine
 from .dispatch import route
 from .kary import _tables, branching, build_levels
-from .windowstats import WindowStatsEngine, _slot_delta, _word_counts
+from .windowstats import _slot_delta, _word_counts
 from .zg import make_zg_engine
 
 # The code table is a list over every code, built up front, while the word
@@ -261,19 +262,13 @@ def block_length(base, n):
 
 
 class LanguageEngine(ChunkedEngine):
-    """The zg kind, block codes over a zg engine of the block images; with a
-    window plan, block codes over a WindowStatsEngine running the plan on
-    the block images, of kind language[window]."""
+    """The zg kind: block codes over a zg engine of the block images."""
 
     kind = "language[zg]"
 
-    def __init__(self, morphism, sd, word, plan=None):
+    def __init__(self, morphism, sd, word):
         images = self._build_stable(morphism, sd, word)
-        if plan is None:
-            self.inner = make_zg_engine(sd.stable, images)
-        else:
-            self.kind = "language[window]"
-            self.inner = WindowStatsEngine(sd.stable, images, plan)
+        self.inner = make_zg_engine(sd.stable, images)
 
     def update(self, pos, letter):
         a = self._letter(pos, letter)
@@ -308,18 +303,17 @@ class LanguageEngine(ChunkedEngine):
 
 
 class WindowLanguageEngine(ChunkedEngine):
-    """The fused window kind, for a plan of presence bits: block codes and
-    the plan's slot counts as fields of one int, with no inner engine and
-    no per-letter list. An update runs in one frame: the checks, the code
-    write and, when the block's image changes, one add of its delta. The
-    key is one SWAR test of the counts; _ends holds the part that the end
-    blocks give, kept across edits elsewhere."""
+    """The window kind: block codes and the plan's exact slot counts as
+    fields of one int, with no inner engine and no per-letter list. An
+    update runs in one frame: the checks, the code write and, when the
+    block's image changes, one add of its delta. A query caps the counts:
+    by one SWAR test for presence bits, else field by field; _ends holds
+    the part of the key that the end blocks give, kept across edits
+    elsewhere."""
 
     kind = "language[window]"
 
     def __init__(self, morphism, sd, word, plan):
-        if plan.radix != 2:
-            raise InternalError("the fused window engine runs plans of presence bits only")
         images = self._build_stable(morphism, sd, word)
         self.plan = plan
         self.semigroup = sd.stable
@@ -329,18 +323,22 @@ class WindowLanguageEngine(ChunkedEngine):
         self._w = w = self.blocks.bit_length() + 1
         counts = _word_counts(sd.stable, images, nslots)
         self._x = sum(c << (i * w) for i, c in enumerate(counts))
-        ones = sum(1 << (i * w) for i in range(nslots))  # a 1 at the bottom of every field
+        # the SWAR test's masks for presence bits; a counted plan has none
+        ones = sum(1 << (i * w) for i in range(nslots)) if plan.radix == 2 else 0
         self._m = ones * ((1 << (w - 1)) - 1)
         self._h = ones << (w - 1)
         # the end blocks' part, above the fields: the last block's image, plus
         # the first block's in plans with `first`
         self._last_at = 1 << (nslots * w)
         self._first_at = plan.first_place // plan.last_place << (nslots * w)
-        self._deltas = {}  # as plan.deltas, each delta one int of field changes
+        self._deltas = {}  # update's key of the 4 images -> its slot changes as one int
         # read from the images so that a dict code table stays unread
         if len(images):
             self._ends = int(images[-1]) * self._last_at + int(images[0]) * self._first_at
-            self._evals, self._eval_steps = {}, 2 + nslots + 1
+            # key -> evaluation: the SWAR key's, filled from plan.recovery on
+            # first read, or for a counted plan plan.recovery itself
+            self._evals = {} if self._h else plan.recovery
+            self._eval_steps = 2 + nslots + 1
         else:  # no block: the key is 0, and its one entry reads the tail's bit
             self._ends, self._evals, self._eval_steps = 0, {0: -1}, 2
 
@@ -379,11 +377,11 @@ class WindowLanguageEngine(ChunkedEngine):
             self._ends = img[codes[-1]] * self._last_at + img[codes[0]] * self._first_at
 
     def _delta(self, key, prev, old, cur, nxt):
-        """The net slot changes of the edit, as WindowStatsPlan.shift keys
-        them, as one int: each change at its slot's field; kept in _deltas."""
+        """The net slot changes of the edit as one int, each change at its
+        slot's field; kept in _deltas."""
         w = self._w
-        delta = self._deltas[key] = sum(d << (slot * w) for slot, d, _ in _slot_delta(
-            self.semigroup, self.plan.radix, prev - 1 if prev else None, old, cur, nxt - 1 if nxt else None))
+        delta = self._deltas[key] = sum(d << (slot * w) for slot, d in _slot_delta(
+            self.semigroup, prev - 1 if prev else None, old, cur, nxt - 1 if nxt else None))
         return delta
 
     def query(self):
@@ -391,23 +389,26 @@ class WindowLanguageEngine(ChunkedEngine):
         bit = self._bit
         if bit is None:
             self._steps += self._eval_steps
-            key = ((self._x + self._m) & self._h) + self._ends
-            try:
-                ev = self._evals[key]
-            except KeyError:
-                ev = self._evals[key] = self._recover(key)
+            h = self._h
+            if h:  # presence bits: the key by one SWAR test, packed on its first read
+                key = ((self._x + self._m) & h) + self._ends
+                try:
+                    ev = self._evals[key]
+                except KeyError:
+                    ev = self._evals[key] = self.plan.recovery[self._packed()]
+            else:  # counts: decoded and capped at every read
+                ev = self._evals[self._packed()]
             bit = self._bit = (self._accepts or self._accept_list())[ev]
         else:
             self._steps += 2
         return bit
 
-    def _recover(self, key):
-        """The evaluation of a key, from plan.recovery: each guard bit
-        compressed to its slot's digit, the end blocks' part moved to the
-        plan's last_place."""
-        plan, w = self.plan, self._w
-        digits = sum((key >> (i * w + w - 1) & 1) << i for i in range(plan.nslots))
-        return plan.recovery[digits + (key >> (plan.nslots * w)) * plan.last_place]
+    def _packed(self):
+        """The plan's key of the word: the nslots fields decoded and packed
+        by plan.pack, the end blocks' part moved to the plan's last_place."""
+        plan, w, x = self.plan, self._w, self._x
+        top, mask = plan.nslots * w, (1 << w) - 1
+        return plan.pack([x >> (i * w) & mask for i in range(plan.nslots)]) + (self._ends >> top) * plan.last_place
 
 
 def _pack(cols, base, ncodes):
@@ -544,14 +545,13 @@ def _each_value(values, bound, word):
 
 def make_language_engine(morphism, sd, report, word):
     """One k-ary tree outside Q_LZG. In Q_LZG, what dispatch.route picks
-    for the stable semigroup: the zg facade; for a window plan, the fused
-    window engine where the plan keeps presence bits, else the facade over
-    WindowStatsEngine; or the k-ary tree of kind language[kary-downgraded]."""
+    for the stable semigroup: the zg facade, the window engine with its
+    plan, or the k-ary tree of kind language[kary-downgraded]."""
     tag, plan = route(sd.stable, window=True) if report.cls == Q_LZG else ("kary", None)
-    if tag == "window" and plan.radix == 2:  # presence bits: threshold 1, period 1
+    if tag == "window":
         return WindowLanguageEngine(morphism, sd, word, plan)
-    if tag in ("zg", "window"):
-        return LanguageEngine(morphism, sd, word, plan)
+    if tag == "zg":
+        return LanguageEngine(morphism, sd, word)
     engine = KaryLanguageEngine(morphism, word)
     engine.kind = f"language[{tag}]"
     return engine

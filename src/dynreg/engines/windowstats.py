@@ -1,30 +1,22 @@
 """Constant-time engine from local statistics, verified at build time.
 
 The engine maintains exact occurrence counters, one per letter value and one
-per value of a product of two adjacent letters, and next to them one int,
-the code: the same counters projected through a threshold-plus-period cap,
-packed as mixed-radix digits in the plan search's key layout. A query adds
-the last letter and, in plans with `first`, the first letter at their
-places and looks the sum up in the recovery table, which is the search's
-own dict from key to evaluation.
+per value of a product of two adjacent letters. A query projects them
+through the plan's threshold-plus-period cap, packs them as mixed-radix
+digits in the plan search's key layout (WindowStatsPlan.pack), adds the
+last letter and, in plans with `first`, the first letter at their places,
+and looks the sum up in the recovery table, which is the search's own dict
+from key to evaluation.
 
 A substitution changes the slots of at most two positions, so its net change
-depends only on the (previous, old, new, next) letters. The plan builds that
-table lazily, keyed by one int over those letters, from the same
-per-position rule as the bulk count and the plan search, and drops slots
-whose changes cancel; an update rewrites only the count of each slot left
-and moves the code by the change of its capped digit (WindowStatsPlan.shift).
-Updates and queries are therefore constant time, with word-length-independent
-step counts. WindowStatsEngine runs a plan over a word of semigroup
-elements, and shift is its update rule. For a plan of presence bits
-(threshold 1, period 1), the language engines' window kind
-(language.WindowLanguageEngine) runs the plan on its block images itself:
-the exact counts are fields of one int, wide enough that a count never
-reaches a field's top bit, an edit adds the delta of _slot_delta as one
-int, and the key is one SWAR test of every field at once, compressed to
-the plan's digits only on the first read of each key. A counted plan runs
-here, under the language facade; the tests compare the fused engine
-against WindowStatsEngine as the reference.
+depends only on the (previous, old, new, next) letters: _slot_delta gives
+each slot's net change by the same per-position rule as the bulk count and
+the plan search, without the slots whose changes cancel. Updates and queries
+are therefore constant time, with word-length-independent step counts.
+WindowStatsEngine runs a plan over a word of semigroup elements; it is the
+reference for the language engines' window kind
+(language.WindowLanguageEngine), which runs every verified plan on its
+block images itself, the exact counts as fields of one int.
 
 Whether the key determines the evaluation is decided by exhaustive
 reachability over the capped-statistic automaton, carrying the true
@@ -40,6 +32,7 @@ fails, `dispatch.route` picks the k-ary tree instead.
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -62,13 +55,11 @@ class WindowStatsPlan:
         self.period = period
         self.nslots = nslots
         self.radix = radix = threshold + period
+        self.places = [radix**i for i in range(nslots)]  # slot i's digit place
         self.last_place = radix**nslots
         # above the last letter, one of the nslots // 2 letters (see _nslots)
         self.first_place = self.last_place * (nslots // 2) if first else 0
         self.recovery = {}  # key -> element
-        # packed (prev + 1, next + 1, old, new) -> ((slot, net change, radix**slot), ...),
-        # filled lazily; 0 stands for no letter past an end of the word
-        self.deltas = {}
 
         def cap(c):
             return c if c < threshold else threshold + (c - threshold) % period
@@ -77,31 +68,7 @@ class WindowStatsPlan:
 
     def pack(self, counts):
         """The key of exact slot counts, letters aside: each capped count at its place."""
-        return sum(self.cap(c) * self.radix**i for i, c in enumerate(counts))
-
-    def shift(self, semigroup, counts, code, prev, old, new, nxt):
-        """The key once the letter between prev and nxt goes from old to new,
-        each neighbour given as 1 + its letter, 0 past an end of the word;
-        counts change in place. An edit rewrites the count of each slot its
-        delta keeps and moves the key by the change of that slot's capped
-        digit."""
-        size = semigroup.size
-        key = ((prev * (size + 1) + nxt) * size + old) * size + new
-        delta = self.deltas.get(key)
-        if delta is None:
-            delta = self.deltas[key] = _slot_delta(
-                semigroup, self.radix, prev - 1 if prev else None, old, new, nxt - 1 if nxt else None)
-        threshold, period = self.threshold, self.period
-        for slot, d, place in delta:
-            c = counts[slot]
-            e = c + d
-            counts[slot] = e
-            if c < threshold or e < threshold:
-                code += (self.cap(e) - self.cap(c)) * place
-            elif period > 1:
-                # at or above the threshold a digit is threshold + (count - threshold) % period
-                code += ((e - threshold) % period - (c - threshold) % period) * place
-        return code
+        return sum(map(mul, map(self.cap, counts), self.places))
 
 
 def _exponent(s):
@@ -117,11 +84,11 @@ def _slots_of_append(s, last, a):
     return (a, s.size + s.table[last][a])
 
 
-def _slot_delta(s, radix, prev, old, new, nxt):
-    """Net slot changes when the letter between prev and nxt (None past an
-    end of the word) goes from old to new, without the slots that cancel:
-    the slots _slots_of_append gives its own position and the next one.
-    Each slot comes with its net change and its place in the code."""
+def _slot_delta(s, prev, old, new, nxt):
+    """(slot, net change) pairs when the letter between prev and nxt (None
+    past an end of the word) goes from old to new, without the slots that
+    cancel: the slots _slots_of_append gives its own position and the next
+    one."""
     net = {}
     for sign, a in ((-1, old), (1, new)):
         slots = _slots_of_append(s, prev, a)
@@ -129,7 +96,7 @@ def _slot_delta(s, radix, prev, old, new, nxt):
             slots += _slots_of_append(s, a, nxt)
         for slot in slots:
             net[slot] = net.get(slot, 0) + sign
-    return tuple((slot, d, radix**slot) for slot, d in net.items() if d)
+    return [(slot, d) for slot, d in net.items() if d]
 
 
 def _word_counts(s, word, nslots):
@@ -187,8 +154,7 @@ def _verify_plan(s, first, threshold, period):
     """
     plan = WindowStatsPlan(first, threshold, period, _nslots(s))
     size, nslots, cap, t = s.size, plan.nslots, plan.cap, s.table
-    radix, last_place, first_place = plan.radix, plan.last_place, plan.first_place
-    place = [radix**i for i in range(nslots)]
+    radix, last_place, first_place, place = plan.radix, plan.last_place, plan.first_place, plan.places
     bump = [[(cap(d + 1) - d) * p for d in range(radix)] for p in place]
     # moves[last][a]: the place and bumps of a's slot and of the pair slot, a as last letter
     moves = [[(place[a], bump[a], place[p], bump[p], a * last_place)
@@ -231,15 +197,15 @@ class WindowStatsEngine(Engine):
         self.plan = plan
         letters = word if isinstance(word, np.ndarray) else self.word
         self.counts = _word_counts(semigroup, letters, plan.nslots)
-        self.code = plan.pack(self.counts)
 
     def update(self, pos, letter):
         self._check(pos, letter)
         self._steps += 4
-        word = self.word
-        prev = word[pos - 1] + 1 if pos else 0
-        nxt = word[pos + 1] + 1 if pos + 1 < self.n else 0
-        self.code = self.plan.shift(self.semigroup, self.counts, self.code, prev, word[pos], letter, nxt)
+        word, counts = self.word, self.counts
+        prev = word[pos - 1] if pos else None
+        nxt = word[pos + 1] if pos + 1 < self.n else None
+        for slot, d in _slot_delta(self.semigroup, prev, word[pos], letter, nxt):
+            counts[slot] += d
         word[pos] = letter
 
     def query(self):
@@ -247,7 +213,7 @@ class WindowStatsEngine(Engine):
             return None
         plan, word = self.plan, self.word
         self._steps += plan.nslots + 1
-        return plan.recovery[self.code + word[-1] * plan.last_place + word[0] * plan.first_place]
+        return plan.recovery[plan.pack(self.counts) + word[-1] * plan.last_place + word[0] * plan.first_place]
 
 
 def make_windowstats_engine(semigroup, word):

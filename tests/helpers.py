@@ -1,12 +1,14 @@
 """Shared test utilities: fast fold oracle, gallery-wide engine setup,
 small-semigroup enumeration, a reference window plan search, a decoder
-for the window plans' packed keys, and the L_U1 and L_U2 membership
-reductions."""
+for the window plans' packed keys, a k-ary tree at a chosen branching
+factor, and the L_U1 and L_U2 membership reductions."""
 
 import itertools
 
 import numpy as np
+import pytest
 
+from dynreg.engines import kary
 from dynreg.engines.base import make_naive_engine
 from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append
 from dynreg.gadgets import MembershipViaPrefix
@@ -55,6 +57,14 @@ class FoldOracle:
             if odd is not None:
                 cur = np.concatenate([cur, odd])
         return int(cur[0])
+
+
+def kary_tree_at(semigroup, word, k):
+    """make_kary_engine's tree over word with branching factor k in place of
+    the one branching derives from the word's length."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kary, "branching", lambda msize, n: k)
+        return kary.make_kary_engine(semigroup, word)
 
 
 def run_differential(s, factory, n, ops, rng, oracle_cls=FoldOracle):

@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import FoldOracle, run_differential
+from helpers import FoldOracle, kary_tree_at, run_differential
 
 from dynreg.algebra.core import adjoin_identity, direct_product
 from dynreg.algebra.varieties import check_variety
@@ -179,7 +179,7 @@ def test_kary_levels_match_naive(gal, name, forced_k):
     for n in sorted(sizes):
         k = forced_k or branching(s.size, n)
         word = [rng.randrange(s.size) for _ in range(n)]
-        eng = make_kary_engine(s, list(word), k=forced_k)
+        eng = kary_tree_at(s, list(word), forced_k) if forced_k else make_kary_engine(s, list(word))
         ora = make_naive_engine(s, list(word))
         assert eng.k == k
         height = _height(k, n)
@@ -222,23 +222,6 @@ def test_kary_update_maps_its_letter_before_it_changes_anything(gal):
         eng.update(len(word), 0)
 
 
-def test_kary_rejects_a_branching_factor_below_2(gal):
-    # a one-digit node never narrows its level, so the build would not end
-    for k in (0, 1):
-        with pytest.raises(RangeError):
-            make_kary_engine(gal["S3"], [0, 1, 2], k=k)
-
-
-def test_kary_rejects_a_forced_branching_factor_whose_tables_are_too_large(gal):
-    # S3 at k = 6 needs 6^6 * 36 = 1,679,616 cells, over max(n, 2^20)
-    with pytest.raises(RangeError, match="branching factor 6 over 6 elements needs 1679616"):
-        make_kary_engine(gal["S3"], [0, 1, 2], k=6)
-    for name in ("S3", "abstar"):
-        for k in (2, 3, 5):  # at most 6^5 * 25 = 194,400 cells
-            eng = make_kary_engine(gal[name], [0, 1, 2], k=k)
-            assert eng.k == k and len(eng.inf) <= 194_400
-
-
 @pytest.mark.parametrize("msize", [1, 2, 3, 6, 7, 40])
 @pytest.mark.parametrize("n", [1, 2, 4, 256, 4097, 2**20])
 def test_branching_is_the_largest_k_within_a_linear_table_budget(msize, n):
@@ -258,12 +241,13 @@ def test_branching_on_s3_and_the_trivial_monoid(gal):
 
 
 def test_kary_levels_share_one_object_per_code(gal):
-    # k = 3 codes stay below 257, CPython's cached small ints; k = 5 codes do not
+    # k = 3 codes (n = 2^14) stay below 257, CPython's cached small ints;
+    # k = 5 codes (n = 2^18) do not
     s = gal["S3"]
     rng = random.Random(zlib.crc32(b"kary-shared-codes"))
-    word = [rng.randrange(s.size) for _ in range(2**14)]
-    for forced_k, k in ((None, 3), (5, 5)):
-        eng = make_kary_engine(s, word, k=forced_k)
+    word = [rng.randrange(s.size) for _ in range(2**18)]
+    for n, k in ((2**14, 3), (2**18, 5)):
+        eng = make_kary_engine(s, word[:n])
         assert eng.k == k
         for codes in eng.levels:
             assert len({id(c) for c in codes}) == len(set(codes)) <= s.size**k

@@ -14,19 +14,19 @@ from dynreg.engines import (
     make_windowstats_engine,
     synthesize_window_plan,
 )
-from dynreg.algebra.core import FiniteSemigroup, table_array
+from dynreg.algebra.core import FiniteSemigroup, adjoin_identity, table_array
 from dynreg.algebra.varieties import check_variety
 from dynreg.engines import language, windowstats, zg
 from dynreg.engines.windowstats import WindowStatsPlan, _exponent, _nslots, _slots_of_append, _verify_plan, _word_counts
-from dynreg.engines.kary import branching, make_kary_engine
+from dynreg.engines.kary import branching
 from dynreg.engines.language import _bulk_values, _each_value, _mapped
 from dynreg.engines.zg import make_zg_engine
 from dynreg.errors import EngineError, InternalError, NotApplicable, NoWindowPlan, NoZgCertificate, PositionOutOfRange, RangeError
 from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
-from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex
+from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex, classify_language, stable_data
 from dynreg.syntactic.dfa import Dfa
 from dynreg.syntactic.monoid import Morphism
-from helpers import FoldOracle, decoded_recovery, reference_window_search, semigroup_tables
+from helpers import FoldOracle, decoded_recovery, kary_tree_at, reference_window_search, semigroup_tables
 
 
 def test_window_plan_for_ab_star_semigroup():
@@ -74,11 +74,14 @@ def test_window_bulk_counts_match_the_per_position_rule(gal):
 
 
 def _assert_kept_key(eng):
-    """The engine's code packs the caps of the counts recomputed from its word."""
+    """The engine's counts are those recomputed from its word, and its plan
+    packs each count's cap, threshold + (count - threshold) % period from
+    the threshold on, as the digit at its slot's place."""
     plan = eng.plan
     counts = _word_counts(eng.semigroup, eng.word, plan.nslots)
     assert eng.counts == counts
-    assert eng.code == sum(plan.cap(c) * plan.radix**i for i, c in enumerate(counts))
+    t, p = plan.threshold, plan.period
+    assert plan.pack(counts) == sum((c if c < t else t + (c - t) % p) * plan.radix**i for i, c in enumerate(counts))
 
 
 FIRST_LETTER_DFA = Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1})  # window plan keyed on the first letter
@@ -117,8 +120,8 @@ def test_window_engine_keeps_its_capped_key(which):
 
 @pytest.mark.parametrize("threshold, period", [(1, 1), (3, 2), (1, 4)])
 def test_window_code_follows_the_counts_under_each_cap(gal, threshold, period):
-    # counts that cross the threshold and wrap round the period move the
-    # packed code by their capped digits, on hand-made plans of each shape
+    # counts that cross the threshold and wrap round the period pack to
+    # their capped digits, on hand-made plans of each shape
     for name, s in gal.items():
         rng = random.Random(zlib.crc32(f"window code {name} {threshold} {period}".encode()))
         plan = WindowStatsPlan(False, threshold, period, _nslots(s))
@@ -404,20 +407,24 @@ def _table_twins(m, sd, rep, word):
 
 def _window_state(eng):
     """(slot counts, key, end blocks' part) of a window engine in the
-    plan's layout: a WindowStatsEngine's own, read through the facade's
-    inner engine, or decoded from the fused engine's one int, with each
-    count's field, its guard bit by the SWAR test and _ends."""
-    eng = getattr(eng, "inner", eng)
+    plan's layout: a WindowStatsEngine's counts and their plan.pack, or
+    decoded from the fused engine's one int: each count's field, the key of
+    a plan of presence bits by the guard bits of the SWAR test, that of a
+    counted plan by the fields the query packs, and _ends."""
     plan = eng.plan
     if type(eng) is WindowStatsEngine:
         word = eng.word
-        return eng.counts, eng.code, word[-1] * plan.last_place + word[0] * plan.first_place if word else 0
+        return eng.counts, plan.pack(eng.counts), word[-1] * plan.last_place + word[0] * plan.first_place if word else 0
     w, x, top = eng._w, eng._x, plan.nslots * eng._w
     assert x >> top == 0, "a count carried past the top field"
     counts = [x >> (i * w) & ((1 << w) - 1) for i in range(plan.nslots)]
-    key = (x + eng._m) & eng._h
-    code = sum((key >> (i * w + w - 1) & 1) << i for i in range(plan.nslots))
-    return counts, code, (eng._ends >> top) * plan.last_place
+    ends = (eng._ends >> top) * plan.last_place
+    if eng._h:
+        key = (x + eng._m) & eng._h
+        code = sum((key >> (i * w + w - 1) & 1) << i for i in range(plan.nslots))
+    else:
+        code = eng._packed() - ends
+    return counts, code, ends
 
 
 def _assert_fused_key(eng, images):
@@ -545,7 +552,7 @@ def _kary_language_against_bare_trees(m, sd, rep, name, forced):
             return m.image(word[j * s : (j + 1) * s] if j < blocks else [word[blocks * s + j - blocks]])
 
         leaves = blocks + n - blocks * s
-        bare = make_kary_engine(m.target, [leaf_value(j) for j in range(leaves)], k=eng.k)
+        bare = kary_tree_at(m.target, [leaf_value(j) for j in range(leaves)], eng.k)
         assert eng.levels == bare.levels and eng.snapshot() == tuple(word), n
         tail_edits = 0
         for i in range(300 if n else 0):
@@ -623,13 +630,16 @@ def test_language_constant_cost_for_q_lzg():
 # (update, query) charge of each edit case: an edit that changes its block's
 # image, one that keeps it, and one that changes a tail letter, each then
 # queried. A query after a kept image reads the kept bit; after a change it
-# evaluates: the window kind's nslots + 1 (8 slots for a*b*, 10 for the first
-# letter), the zg kind's inner query. S3's k-ary tree has no kept bit, and
-# in a group a changed leaf changes every level above it, so its climb,
-# marked None, is the tree's height, the one charge that grows with n
+# evaluates: the window kind's nslots + 1 (8 slots for a*b* and the counted
+# plans, 10 for the first letter), the zg kind's inner query. S3's k-ary
+# tree has no kept bit, and in a group a changed leaf changes every level
+# above it, so its climb, marked None, is the tree's height, the one charge
+# that grows with n
 PINNED_CHARGES = {
     "a*b*": {"change": (6, 11), "keep": (2, 2), "tail": (2, 11)},
     "first letter": {"change": (6, 13), "keep": (2, 2), "tail": (2, 13)},
+    "counted": {"change": (6, 11), "keep": (2, 2), "tail": (2, 11)},
+    "counted first letter": {"change": (6, 11), "keep": (2, 2), "tail": (2, 11)},
     "(ab)*": {"change": (4, 6), "keep": (2, 2), "tail": (2, 6)},
     "S3": {"change": (None, 2), "keep": (2, 2), "tail": (None, 2)},
 }
@@ -638,11 +648,11 @@ PINNED_CHARGES = {
 @pytest.mark.parametrize("name", PINNED_CHARGES)
 def test_each_edit_case_charges_one_constant_at_every_size(name):
     # seeded edits chosen to hit each case, ten of each, at n = 2^10, 2^14
-    # and 2^18, where a block has 6 to 15 letters: every case charges its
+    # and 2^18, where a block has 3 to 15 letters: every case charges its
     # pinned constant at every size, since a code read is one step whatever
-    # the block length. a*b* and (ab)* start from a member word, where a
-    # uniform word's blocks would all have the zero image
-    m, sd, rep = {**CACHED_LANGUAGES, "S3": lambda: analyze_dfa(S3_DFA)}[name]()
+    # the block length. a*b*, (ab)* and the counted languages start from a
+    # member word, where a uniform word's blocks would all have the zero image
+    m, sd, rep = {**CACHED_LANGUAGES, **WINDOW_LANGUAGES, "S3": lambda: analyze_dfa(S3_DFA)}[name]()
     kary = name == "S3"
     image = m.image if kary else sd.block_image
     for n in (2**10, 2**14, 2**18):
@@ -651,6 +661,8 @@ def test_each_edit_case_charges_one_constant_at_every_size(name):
             word = ["a"] * (n // 2) + ["b"] * (n - n // 2)
         elif name == "(ab)*":
             word = ["a", "b"] * (n // 2)
+        elif name.startswith("counted"):
+            word = ["d"] * (n - 1) + ["b"]
         else:
             word = rng.choices(m.alphabet, k=n)
         eng = make_language_engine(m, sd, rep, list(word))
@@ -806,6 +818,17 @@ def test_same_letter_edit_takes_the_ordinary_path(name):
         assert eng.op_count - ops == 2 and calls == [], (name, p)
 
 
+def _counted_language(table):
+    """The words over a, b, c, d of value 1 in the order-4 semigroup S of
+    table, the letters its elements 0 to 3, through S with an identity
+    adjoined: the stability index is 1, the stable semigroup is S, and its
+    verified window plan counts (threshold 5, period 1)."""
+    m = Morphism(adjoin_identity(FiniteSemigroup([list(row) for row in table])),
+                 {"abcd"[x]: x for x in range(4)}, {1}, "abcd")
+    sd = stable_data(m)
+    return m, sd, classify_language(m, sd)
+
+
 WINDOW_LANGUAGES = {
     "a*b*": lambda: analyze_regex("a*b*", "ab"),
     "a(a+b)*b": lambda: analyze_regex("a(a+b)*b", "ab"),
@@ -813,6 +836,9 @@ WINDOW_LANGUAGES = {
     "(a+b+c)*ab(a+b+c)*": lambda: analyze_regex("(a+b+c)*ab(a+b+c)*", "abc"),
     "first letter": lambda: analyze_dfa(FIRST_LETTER_DFA),
     "a*(b+c)*": lambda: analyze_regex("a*(b+c)*", "abc"),  # b and c share one image
+    # counted plans, reached with no patching: the key without and with the first letter
+    "counted": lambda: _counted_language(((0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 2), (0, 1, 2, 3))),
+    "counted first letter": lambda: _counted_language(((0, 0, 0, 0), (0, 0, 0, 1), (2, 2, 2, 2), (0, 1, 0, 3))),
 }
 
 
@@ -863,7 +889,7 @@ def test_fused_window_engine_matches_membership(name):
         assert _decoded_images(eng) == _decoded_images(lazy), (name, n)
 
 
-@pytest.mark.parametrize("name", ["first letter", "(a+b+c)*ab(a+b+c)*", "a*b*"])
+@pytest.mark.parametrize("name", ["first letter", "(a+b+c)*ab(a+b+c)*", "a*b*", "counted first letter"])
 def test_fused_window_engine_keeps_its_end_key(name):
     # the fused engine keeps the end blocks' part of the recovery key and
     # refreshes it only when the image of block 0 or of the last block
@@ -895,7 +921,7 @@ def test_fused_window_engine_keeps_its_end_key(name):
             assert eng.op_count == lazy.op_count, (name, n, p, c)
 
 
-@pytest.mark.parametrize("name", ["a*b*", "first letter"])
+@pytest.mark.parametrize("name", ["a*b*", "first letter", "counted"])
 def test_fused_window_counts_fill_their_fields(name):
     # the fused engine's fields are blocks.bit_length() + 1 bits wide, so a
     # count of blocks, the most a slot can hold, leaves the guard bit clear.
@@ -923,24 +949,20 @@ def test_fused_window_counts_fill_their_fields(name):
 @pytest.mark.parametrize("threshold, period", [(1, 1), (3, 2), (2, 4)])
 def test_fused_window_shift_matches_the_reference_engine(threshold, period):
     # the window kind's edits against WindowStatsEngine over its block
-    # images, on hand-made plans of each cap shape: the fused engine runs
-    # the plan of presence bits (the verified plans of the window languages
-    # all keep them), the facade over WindowStatsEngine the counted ones,
-    # which the fused engine refuses. After every edit both hold the same
-    # counts, key and end blocks' part. No query runs, since a hand-made
-    # plan has no recovery table
+    # images, on hand-made plans of each cap shape, presence bits (1, 1)
+    # and two counted plans, one with period > 1. After every edit both
+    # hold the same counts, key and end blocks' part: the fused engine's
+    # key by the SWAR test for presence bits, and by the packing its query
+    # runs for a counted plan. No query runs, since a hand-made plan has no
+    # recovery table
     for name in ("a*b*", "(a+b+c)*ab(a+b+c)*"):
         m, sd, rep = WINDOW_LANGUAGES[name]()
         i, alphabet = sd.index, m.alphabet
         plan = WindowStatsPlan(False, threshold, period, _nslots(sd.stable))
-        fused = (threshold, period) == (1, 1)
         rng = random.Random(zlib.crc32(f"fused shift {name} {threshold} {period}".encode()))
-        if not fused:
-            with pytest.raises(InternalError, match="presence bits only"):
-                WindowLanguageEngine(m, sd, list(alphabet), plan)
         for n in (i, 2 * i + 1, 9 * i, 2**10):
             word = [rng.choice(alphabet) for _ in range(n)]
-            eng = (WindowLanguageEngine if fused else LanguageEngine)(m, sd, word, plan)
+            eng = WindowLanguageEngine(m, sd, word, plan)
             assert eng.kind == "language[window]", (name, n)
             s = eng.s
             ref = WindowStatsEngine(sd.stable, list(_decoded_images(eng)), plan)
@@ -998,10 +1020,9 @@ def test_codes_past_64_bits_stay_exact():
 def test_zg_language_without_a_certificate_gets_the_fused_window_engine(rx, monkeypatch):
     # these stable semigroups are in ZG and have a window plan: with a
     # certificate they build the zg kind; where the certificate search finds
-    # none (forced here), the window plan serves them through the window
-    # kind, not through the k-ary tree: (ab)*'s plan keeps presence bits and
-    # gets the fused engine, (aa)*ba*'s counts to 5 and gets the facade over
-    # WindowStatsEngine
+    # none (forced here), the window plan serves them through the fused
+    # window engine, not through the k-ary tree, whether the plan keeps
+    # presence bits, as (ab)*'s does, or counts to 5, as (aa)*ba*'s does
     m, sd, rep = analyze_regex(rx, "ab")
     assert make_language_engine(m, sd, rep, []).kind == "language[zg]"
     monkeypatch.setattr(zg, "_certificate", lambda monoid: None)
@@ -1012,8 +1033,7 @@ def test_zg_language_without_a_certificate_gets_the_fused_window_engine(rx, monk
     for n in (0, 1, 2, 3, 64):
         word = [rng.choice("ab") for _ in range(n)]
         eng = make_language_engine(m, sd, rep, list(word))
-        fused = rx == "(ab)*"
-        assert type(eng) is (WindowLanguageEngine if fused else LanguageEngine), (rx, type(eng))
+        assert type(eng) is WindowLanguageEngine and (eng.plan.radix == 2) is (rx == "(ab)*"), (rx, type(eng))
         assert eng.kind == "language[window]", (rx, eng.kind)
         assert eng.query() == m.member(word), (rx, n)
         for _ in range(100 if n else 0):
