@@ -16,7 +16,7 @@ ZERO = None  # sandwich-matrix entry for products leaving the class
 
 class ReesRepresentation:
     def __init__(self, base, class_elements, group, group_elems, i_count, j_count,
-                 matrix, coord, uncoord, base_idempotent):
+                 matrix, coord, uncoord):
         self.base = base                  # the ambient semigroup
         self.class_elements = class_elements  # sorted tuple of ids in the class
         self.group = group                # structuring group (re-indexed)
@@ -26,7 +26,6 @@ class ReesRepresentation:
         self.matrix = matrix              # j_count x i_count of group ids or ZERO
         self.coord = coord                # ambient id -> (i, g, j)
         self.uncoord = uncoord            # (i, g, j) -> ambient id
-        self.base_idempotent = base_idempotent
         self.g_identity = group.identity
         self._g_inverse = self._invert()
 
@@ -129,7 +128,6 @@ def rees_decompose(s, class_id, jstructure=None, require_maximal=True):
         matrix=matrix,
         coord=coord,
         uncoord=uncoord,
-        base_idempotent=e,
     )
 
 

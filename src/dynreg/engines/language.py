@@ -4,15 +4,15 @@ outside Q_LZG and under stable-semigroup chunking in Q_LZG.
 Every language engine keeps the word as block codes (ChunkedEngine): a
 block of s letters is its alphabet indices packed base |A|, its first
 letter the most significant digit, one code per block in an array of the
-narrowest typecode that holds |A|^s codes; the tail of fewer than s letters
-is a list of alphabet indices. Letters are alphabet indices, not monoid
-ids, since eta need not be injective and snapshot() decodes the letters
-from the codes. A code indexes the code table, code -> the block's value:
-its monoid value for the k-ary engine, its stable image in Q_LZG. The table
-is a list built once over every code while the word has at least
-EAGER_LETTERS letters per code, else a dict that fills a missing code on
-first read by folding its letters through the monoid table. Both read as
-img[code]. No engine keeps a list of the letters.
+narrowest typecode that holds |A|^s codes; the tail of r < s letters is
+one code too, packed the same way in r digits. Letters are alphabet
+indices, not monoid ids, since eta need not be injective and snapshot()
+decodes the letters from the codes. A code indexes the code table, code ->
+the block's value: its monoid value for the k-ary engine, its stable image
+in Q_LZG. The table is a list built once over every code while the word
+has at least EAGER_LETTERS letters per code, else a dict that fills a
+missing code on first read by folding its letters through the monoid
+table. Both read as img[code]. No engine keeps a list of the letters.
 
 One rule sets s for every engine: block_length(|A|, n), in Q_LZG rounded
 down to a multiple of the stability index i and at least i. stable_data
@@ -23,13 +23,13 @@ stable semigroup. The code table is the list unless i alone makes
 
 One rule sets the charges. A code is below n, one word of the word RAM, so
 a code or table read is one step. An update charges 2, its own step and
-one read (its block's code value, or its tail letter); a query charges 2,
-its own step and one read. Each engine adds what its evaluation runs: the
-k-ary tree one per level it climbs; the zg kind its zg engine's op_count;
-the window kind 4 per block edit that changes the block's image and
-nslots + 1 per query that evaluates a word with a block, what a
-WindowStatsEngine update and query charge. No charge grows with n but the
-climb.
+one read (its block's code value, or on a tail edit the tail's value or
+the letter's); a query charges 2, its own step and one read. Each engine
+adds what its evaluation runs: the k-ary tree one per level it climbs; the
+zg kind its zg engine's op_count; the window kind 4 per block edit that
+changes the block's image and nslots + 1 per query that evaluates a word
+with a block, what a WindowStatsEngine update and query charge. No charge
+grows with n but the climb.
 
 Every language outside Q_LZG, and a Q_LZG one that dispatch.route
 downgrades, is a KaryLanguageEngine (dispatch.py says why). The leaves of a
@@ -62,12 +62,16 @@ packs their caps by plan.pack and reads plan.recovery.
 
 Q_LZG membership composes the blocks' evaluation with the tail's value in
 the syntactic monoid and tests the accept set, by one list of accept bits,
-one per stable element, kept until a tail letter changes. Both engines keep
-their last membership bit. An edit clears it only when it changes its
-block's image, or changes a tail letter (one at pos >= blocks * s, which is
-every letter when n < s). A query on a kept bit charges only its 2: op_count
-counts the work that ran. An edit that writes the letter already there
-takes the same path, keeps its block's image, and stops no earlier.
+one per stable element, kept until a tail letter changes. The tail's value
+is kept current: a tail edit rewrites one digit of the tail's code and
+reads its value in a table over the r-letter codes, a list or a dict as
+the block code table is (none when r = 0), so no query folds the tail.
+Both engines keep their last membership bit. An edit clears it only when
+it changes its block's image, or changes a tail letter (one at pos >=
+blocks * s, which is every letter when n < s). A query on a kept bit
+charges only its 2: op_count counts the work that ran. An edit that writes
+the letter already there takes the same path, keeps its block's image, and
+stops no earlier.
 
 Every engine builds from the letters' alphabet indices (_mapped), taken by
 one of two routes. The bulk route applies when every letter is a
@@ -105,7 +109,7 @@ class ChunkedEngine(Engine):
     """The block-code layer: the letter check, the codes and the tail, the
     code table and snapshot(). Subclasses call _build from __init__ and keep
     the blocks' evaluation; the Q_LZG ones (_build_stable) also keep the
-    tail's accept bits."""
+    tail's value and accept bits."""
 
     def _build(self, morphism, word, unit, image):
         """Codes, tail and code table of word in blocks of s letters, s the
@@ -115,7 +119,7 @@ class ChunkedEngine(Engine):
         array, for the subclass's own state."""
         self.morphism = morphism
         self.n = n = len(word)
-        self.letters = letters = list(morphism.eta)  # alphabet index -> letter
+        letters = list(morphism.eta)
         self._base = base = len(letters)
         self.s = s = unit * max(block_length(base, n) // unit, 1)
         self.blocks = blocks = n // s
@@ -124,7 +128,8 @@ class ChunkedEngine(Engine):
         self._places = [base ** (s - 1 - r) for r in range(s)]  # digit r's place in a code
         self._ids = [morphism.eta[a] for a in letters]  # alphabet index -> monoid id
         indices = _mapped(self._index, base, word)
-        self.tail = indices[blocks * s :].tolist()
+        tail = indices[blocks * s :].tolist()
+        self._tail = sum(a * p for a, p in zip(tail, self._places[s - len(tail) :]))
         ncodes = base**s
         codes = _pack(indices[: blocks * s].reshape(blocks, s), base, ncodes)
         self.codes = _code_store(codes)
@@ -146,7 +151,24 @@ class ChunkedEngine(Engine):
         image = [-1] * morphism.target.size  # monoid id -> stable id, -1 outside it
         for x, v in enumerate(sd.inclusion):
             image[v] = x
-        return self._build(morphism, word, sd.index, image)
+        values = self._build(morphism, word, sd.index, image)
+        r = self.n - self.blocks * self.s
+        if r:
+            self._tail_img = _value_table(morphism, self._ids, self._places[self.s - r :], self.n)
+            self._tail_value = self._tail_img[self._tail]
+        else:  # no tail, no table
+            self._tail_img, self._tail_value = None, morphism.target.identity
+        return values
+
+    @property
+    def letters(self):
+        """The alphabet's letters, by alphabet index."""
+        return list(self.morphism.eta)
+
+    def _tail_indices(self):
+        """The tail's alphabet indices, decoded from its code."""
+        base, r = self._base, self.n - self.blocks * self.s
+        return [self._tail // p % base for p in self._places[self.s - r :]]
 
     def _letter(self, pos, letter):
         """The alphabet index of letter, after the position and letter checks."""
@@ -158,13 +180,16 @@ class ChunkedEngine(Engine):
             raise RangeError(f"letter {letter!r} not in the alphabet") from None
 
     def _tail_write(self, pos, a):
-        """A tail edit: its step and the tail letter's read; the kept bit and
-        the accept bits go once the letter changes, since tail letters are
-        read at query time."""
+        """A tail edit: its step, and the tail's value read by its new code;
+        the kept bit and the accept bits go once the letter changes, since
+        the tail's value is read at query time."""
         self._steps += 2
-        tail, t = self.tail, pos - self.blocks * self.s
-        if tail[t] != a:
-            tail[t] = a
+        place = self._places[pos - self.n + self.s]
+        code = self._tail
+        new = code + (a - code // place % self._base) * place
+        if new != code:
+            self._tail = new
+            self._tail_value = self._tail_img[new]
             self._bit = self._accepts = None
 
     def _accept_list(self):
@@ -172,10 +197,7 @@ class ChunkedEngine(Engine):
         x, whether x times the tail's value is in the language, and one more
         last, for a word with no blocks, whether the tail alone is."""
         m = self.morphism
-        t, ids = m.target.table, self._ids
-        v = m.target.identity
-        for a in self.tail:
-            v = t[v][ids[a]]
+        t, v = m.target.table, self._tail_value
         accept = m.accept
         self._accepts = [t[x][v] in accept for x in self.stable.inclusion] + [v in accept]
         return self._accepts
@@ -183,7 +205,7 @@ class ChunkedEngine(Engine):
     def snapshot(self):
         letters, places, base = self.letters, self._places, self._base
         return tuple(letters[code // p % base] for code in self.codes for p in places) + tuple(
-            letters[a] for a in self.tail)
+            letters[a] for a in self._tail_indices())
 
 
 class KaryLanguageEngine(ChunkedEngine):
@@ -196,7 +218,7 @@ class KaryLanguageEngine(ChunkedEngine):
         monoid = adjoin_identity(morphism.target)
         n = len(word)
         values = self._build(morphism, word, 1, None)
-        tail = np.array([self._ids[a] for a in self.tail], dtype=values.dtype)
+        tail = np.array([self._ids[a] for a in self._tail_indices()], dtype=values.dtype)
         self.k = k = branching(monoid.size, max(n, 1))
         self._b = b = monoid.size
         self._pow = [b**i for i in range(k)]
@@ -225,10 +247,12 @@ class KaryLanguageEngine(ChunkedEngine):
             old, v = img[code], img[new]
         else:
             # each tail letter is a leaf of its own, after the blocks
-            tail, t = self.tail, pos - j * s
-            old, v = self._ids[tail[t]], self._ids[a]
-            tail[t] = a
-            j += t
+            place = self._places[pos - self.n + s]
+            code = self._tail
+            was = code // place % self._base
+            self._tail = code + (a - was) * place
+            old, v = self._ids[was], self._ids[a]
+            j += pos - j * s
         steps = 2
         if old != v:
             k, b, pw, value, shared = self.k, self._b, self._pow, self.value, self._shared
@@ -316,7 +340,6 @@ class WindowLanguageEngine(ChunkedEngine):
     def __init__(self, morphism, sd, word, plan):
         images = self._build_stable(morphism, sd, word)
         self.plan = plan
-        self.semigroup = sd.stable
         self._size = sd.stable.size
         nslots = plan.nslots
         # a count is at most blocks, so each field's top bit, its guard bit, stays clear
@@ -341,6 +364,11 @@ class WindowLanguageEngine(ChunkedEngine):
             self._eval_steps = 2 + nslots + 1
         else:  # no block: the key is 0, and its one entry reads the tail's bit
             self._ends, self._evals, self._eval_steps = 0, {0: -1}, 2
+
+    @property
+    def semigroup(self):
+        """The stable semigroup, whose images the plan's slots count."""
+        return self.stable.stable
 
     def update(self, pos, letter):
         if not (0 <= pos < self.n):
@@ -441,6 +469,17 @@ def _code_values(t, image, ids, s):
     for _ in range(s - 1):
         vals = t[vals[:, None], ids].ravel()
     return _imaged(image, vals)
+
+
+def _value_table(morphism, ids, places, n):
+    """code -> monoid value of every code of len(places) letters, ids the
+    letters' monoid ids: a list built up front while n has at least
+    EAGER_LETTERS letters per code, else a _CodeTable, as for the blocks."""
+    base = len(ids)
+    if base ** len(places) * EAGER_LETTERS > n:
+        return _CodeTable(morphism, None, ids, places, base)
+    t = table_array(morphism.target)
+    return _code_values(t, None, np.array(ids, dtype=t.dtype), len(places)).tolist()
 
 
 def _block_values(t, image, cols):

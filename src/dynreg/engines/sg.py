@@ -24,10 +24,11 @@ net change of the entries an edit touches, so an edit that leaves an entry's
 key and label alone stops in the layer below, and every layer does O(1)
 vEB operations per edit, whatever the length of its word. A query walks
 down to the first layer that holds at most one letter, or to the base, and
-reads the answer there. The stack is built from numpy arrays, one
-whole-array pass per layer: load() bulk-builds each layer's maps in turn,
-and each rule's load() returns the collapsed or grouped word for the layer
-below.
+reads the answer there. The stack is built one layer at a time, top
+first: load() bulk-builds each layer's maps with VebMap.build, and each
+rule's load() returns the word for the layer below, grouped in pairs by
+whole-array steps or collapsed by the run rule's one pass over the
+letters.
 """
 
 from __future__ import annotations
@@ -56,17 +57,12 @@ GROUP_MAX = 5  # a pair-layer group holds 2..GROUP_MAX letters
 
 
 class _ReesView:
-    """Rees data of one layer, translated to ambient element ids; the group
+    """Rees data of one layer, translated to ambient element ids: coord maps
+    an element of the class to its (i, g, j) and uncoord back; the group
     arithmetic is the representation's own, and g_rows is its table as
-    nested lists, for the run layer's one-product-at-a-time edits.
+    nested lists, for the run layer's one-product-at-a-time steps."""
 
-    The array collapse reads the same data as arrays: i_of, g_of and j_of map
-    an ambient id to its coordinates (-1 outside the class), p is the
-    sandwich matrix (-1 for a zero entry), u maps (i, g, j) back to the
-    ambient id, and g_table and g_inverse hold the group's arithmetic.
-    """
-
-    def __init__(self, rees, incl, size):
+    def __init__(self, rees, incl):
         self.coord = {incl[x]: c for x, c in rees.coord.items()}
         self.uncoord = {c: incl[x] for c, x in rees.uncoord.items()}
         self.matrix = rees.matrix
@@ -74,28 +70,6 @@ class _ReesView:
         self.g_mul = rees.g_mul
         self.g_inv = rees.g_inv
         self.g_rows = rees.group.table
-        gsize = rees.group.size
-        dtype = np.min_scalar_type(-size)  # every id, coordinate and -1
-        self.i_of, self.g_of, self.j_of = np.full((3, size), -1, dtype=dtype)
-        self.u = np.zeros((rees.i_count, gsize, rees.j_count), dtype=dtype)
-        for x, (i, g, j) in self.coord.items():
-            self.i_of[x], self.g_of[x], self.j_of[x] = i, g, j
-            self.u[i, g, j] = x
-        self.p = np.array([[-1 if v is None else v for v in row] for row in self.matrix],
-                          dtype=dtype)
-        self.g_table = np.asarray(rees.group.table, dtype=dtype)
-        self.g_inverse = np.array([rees.g_inv(x) for x in range(gsize)], dtype=dtype)
-
-
-def _prefix_products(table, x):
-    """Inclusive prefix products of the sequence x under an associative
-    table, by doubling: log2(len(x)) vectorized passes."""
-    x = x.copy()
-    d = 1
-    while d < len(x):
-        x[d:] = table[x[:-d], x[d:]]
-        d *= 2
-    return x
 
 
 class _Layer:
@@ -339,44 +313,41 @@ class _RunRule:
         arrays: each maximal run of C-letters becomes one entry, keyed by its
         last letter and carrying the run's exact group mass.
 
-        A C-letter joins the run of the C-letter before it when their
-        sandwich entry p is nonzero; it then adds the factor p g to the run's
-        mass, and a letter that starts a run adds its g. A run's mass is the
-        product of its factors, P[start - 1]^-1 P[end] for the prefix
-        products P, taken only over the factors that are not the identity.
+        One pass over the letters: a C-letter joins the open run when the
+        sandwich entry p between them is nonzero, and the run's mass g
+        becomes g p g' for the letter's g'; else it closes the run and opens
+        its own.
         """
-        rv = self.rv
-        n = len(keys)
-        i, g, j = rv.i_of[labels], rv.g_of[labels], rv.j_of[labels]
-        inc = i >= 0
-        p = np.full(n, -1, dtype=rv.p.dtype)  # p[t] >= 0: t joins t - 1's run
-        t = np.flatnonzero(inc[1:] & inc[:-1]) + 1
-        p[t] = rv.p[j[t - 1], i[t]]
-        joined = p >= 0
-        last = np.ones(n, dtype=bool)  # t ends its entry
-        last[:-1] = ~joined[1:]
-        ends = np.flatnonzero(last)
-        starts = np.zeros_like(ends)
-        starts[1:] = ends[:-1] + 1
-        e = rv.g_identity
-        factor = np.where(inc, g, e)
-        t = np.flatnonzero(joined)
-        factor[t] = rv.g_table[p[t], g[t]]
-        moved = np.flatnonzero(factor != e)
-        prefix = np.append(e, _prefix_products(rv.g_table, factor[moved]))
-        before = prefix[np.searchsorted(moved, starts, side="left")]
-        upto = prefix[np.searchsorted(moved, ends, side="right")]
-        out = labels[ends]
-        run = inc[ends]
-        mass = rv.g_table[rv.g_inverse[before[run]], upto[run]]
-        out[run] = rv.u[i[starts[run]], mass, j[ends[run]]]
-        return keys[ends], out
+        cls, rv = self.cls, self.rv
+        coord, uncoord, matrix, gt = rv.coord, rv.uncoord, rv.matrix, rv.g_rows
+        out_keys, out_labels = [], []
+        run = None  # (i, g, j) of the open run, keyed by the last key
+        for key, a in zip(keys.tolist(), labels.tolist()):
+            if a in cls:
+                i, g, j = coord[a]
+                if run is not None:
+                    p = matrix[run[2]][i]
+                    if p is not None:
+                        run = (run[0], gt[gt[run[1]][p]][g], j)
+                        out_keys[-1] = key
+                        continue
+                    out_labels[-1] = uncoord[run]
+                run = (i, g, j)
+            elif run is not None:
+                out_labels[-1] = uncoord[run]
+                run = None
+            out_keys.append(key)
+            out_labels.append(a)
+        if run is not None:
+            out_labels[-1] = uncoord[run]
+        return (np.array(out_keys, dtype=keys.dtype),
+                np.array(out_labels, dtype=labels.dtype))
 
     # -- word operations -----------------------------------------------------
 
     def load(self, layer, keys, labels):
         keys, labels = self._collapse(keys, labels)
-        runs = keys[self.rv.i_of[labels] >= 0]
+        runs = keys[np.isin(labels, list(self.cls))]
         self.cset = VebMap.build(layer.span, runs, np.ones(len(runs), dtype=np.int64))
         return keys, labels
 
@@ -553,7 +524,7 @@ def build_layer_plan(s0):
         cls = frozenset(incl[x] for x in js.classes[cid])
         if js.regular[cid]:
             rees = rees_decompose(sub, cid, js)
-            plans.append(("run", cls, _ReesView(rees, incl, s0.size)))
+            plans.append(("run", cls, _ReesView(rees, incl)))
         plans.append(("pair", cls))
         current = [x for x in current if x not in cls]
     return plans

@@ -21,13 +21,11 @@ word (Python int) scanned with bit tricks.
 Bulk build: VebMap.build takes sorted keys and their labels as arrays. It
 checks them in one vectorized pass and scatters label + 1 into the cells
 that __init__ allocated, through a numpy view of them (widened first when
-the largest label needs it), counts the buckets with one bincount into the
-count cells and fills the summary vEB bottom-up from the sorted non-empty
-buckets. A vEB's shape is a function of its key set -- a node keeps its min
-out of its clusters and every other key in its cluster, and a bitmask leaf
-is the OR of its keys -- so the fill gives exactly the tree that inserting
-the buckets one at a time gives, level by level, with one
-bitwise_or.reduceat for all bitmask leaves of a level.
+the largest label needs it), and counts the buckets with one bincount into
+the count cells. The summary vEB takes the non-empty buckets by insert, in
+increasing order, so the tree is the one that inserting the keys one at a
+time gives. There are span / width buckets and each insert visits
+O(log log span) nodes, so the build stays O(span).
 
 probes counts memory-cell-level accesses; writes counts cells written during
 construction. Both exist so tests can assert the complexity claims. The
@@ -133,8 +131,8 @@ class _Node:
     calls, so no step dispatches on the node type.
 
     Every cluster starts out as the shared empty node of its size (see
-    _empty), which answers reads as a fresh empty node would; insert and
-    _fill put a node of its own in its place before they write a key to it.
+    _empty), which answers reads as a fresh empty node would; insert puts a
+    node of its own in its place before it writes a key to it.
     """
 
     __slots__ = ("bits", "lo_bits", "lo_mask", "min", "max", "summary", "clusters")
@@ -242,54 +240,6 @@ def _make(bits):
 def _empty(bits):
     """The shared empty node of a bit size, never written."""
     return _make(bits)
-
-
-def _starts(*columns):
-    """Indices where a run of equal rows of the sorted columns begins."""
-    new = np.zeros(len(columns[0]), dtype=bool)
-    new[0] = True
-    for c in columns:
-        new[1:] |= c[1:] != c[:-1]
-    return np.flatnonzero(new)
-
-
-def _fill(nodes, owner, keys):
-    """Fill empty vEB nodes of one bit size bottom-up, as inserting would.
-    The nodes are the filler's own, never the shared empties.
-
-    keys (non-empty, int64) go to the nodes named by owner (indices into
-    nodes), sorted by (owner, key) with no repeat. A bitmask leaf gets the OR
-    of its keys; a _Node keeps its smallest key as min and out of the
-    clusters, its largest as max, and every other key in the cluster named by
-    its high bits, with that cluster's index in the summary.
-    """
-    starts = _starts(owner)
-    who = owner[starts].tolist()
-    if isinstance(nodes[0], _Bits):
-        bits = np.left_shift(np.uint64(1), keys.astype(np.uint64))
-        for o, mask in zip(who, np.bitwise_or.reduceat(bits, starts).tolist()):
-            nodes[o].mask = mask
-        return
-    ends = np.append(starts[1:], len(keys)) - 1
-    for o, lo, hi in zip(who, keys[starts].tolist(), keys[ends].tolist()):
-        nodes[o].min = lo
-        nodes[o].max = hi
-    rest = np.ones(len(keys), dtype=bool)
-    rest[starts] = False
-    if not rest.any():
-        return
-    keys, owner = keys[rest], owner[rest]
-    lo_bits, lo_mask = nodes[0].lo_bits, nodes[0].lo_mask
-    high = keys >> lo_bits
-    cstarts = _starts(owner, high)
-    cowner, chigh = owner[cstarts], high[cstarts]
-    clusters = [_make(lo_bits) for _ in cstarts]  # in place of the shared empties
-    for o, h, cluster in zip(cowner.tolist(), chigh.tolist(), clusters):
-        nodes[o].clusters[h] = cluster
-    _fill([node.summary for node in nodes], cowner, chigh)
-    child = np.zeros(len(keys), dtype=np.int64)
-    child[cstarts[1:]] = 1
-    _fill(clusters, np.cumsum(child), keys & lo_mask)
 
 
 class VebMap:
@@ -484,8 +434,10 @@ class VebMap:
         m._scatter(keys, labels)
         counts = np.bincount((keys - 1) // m.width + 1, minlength=m.n_buckets + 1)
         np.frombuffer(m.bucket_count, dtype=np.uint8)[:] = counts
-        buckets = np.flatnonzero(counts)
-        _fill([m.occupied], np.zeros(len(buckets), dtype=np.int64), buckets)
+        occupied = m.occupied
+        for b in np.flatnonzero(counts).tolist():
+            occupied.insert(b, m)
+        m.probes = 0   # the build charges writes, not probes
         return m
 
     def _scatter(self, keys, labels):

@@ -1,3 +1,4 @@
+import copy
 import random
 import zlib
 
@@ -695,6 +696,51 @@ def test_each_edit_case_charges_one_constant_at_every_size(name):
             ops = eng.op_count
             assert eng.query() == m.member(word), (name, n, p, c)
             assert (update, eng.op_count - ops) == want[case], (name, n, case, p, c)
+
+
+class _CountingRow(list):
+    """A monoid table row that counts the cells read from it in reads[0]."""
+
+    def __init__(self, row, reads):
+        super().__init__(row)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads[0] += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("name", ["a*b*", "(ab)*"])
+def test_query_after_a_tail_edit_reads_no_tail_letters(name):
+    # the tail edit keeps the tail's value, so the query that follows reads
+    # one monoid-table cell per stable element, for the accept bits, whatever
+    # the tail's length r; folding the tail would read r more
+    m, sd, rep = CACHED_LANGUAGES[name]()
+    n0 = 3 * 2**9  # a block of 6 letters for every n in 2^10..2^11 - 1
+    s = make_language_engine(m, sd, rep, ["a"] * n0).s
+    reads = {}
+    for r in (1, s - 1):
+        n = n0 // s * s + r
+        if name == "(ab)*":
+            word = (["a", "b"] * n)[:n]
+        else:
+            word = ["a"] * (n // 2) + ["b"] * (n - n // 2)
+        eng = make_language_engine(m, sd, rep, list(word))
+        assert (eng.s, eng.n - eng.blocks * eng.s) == (s, r), name
+        counted = [0]
+        target = copy.copy(m.target)
+        target.table = [_CountingRow(row, counted) for row in m.target.table]
+        eng.morphism = Morphism(target, m.eta, m.accept, m.alphabet)
+        rng = random.Random(zlib.crc32(f"tail reads {name} {r}".encode()))
+        reads[r] = set()
+        for _ in range(20):
+            p = rng.randrange(n - r, n)
+            word[p] = "ab"[word[p] == "a"]
+            eng.update(p, word[p])
+            counted[0] = 0
+            assert eng.query() == m.member(word), (name, r, p)
+            reads[r].add(counted[0])
+    assert reads == {r: {len(sd.inclusion)} for r in reads}, name
 
 
 CACHED_LANGUAGES = {

@@ -35,6 +35,25 @@ def test_sg_engine_holds_a_few_bytes_per_letter():
     assert engine.n == N and per_letter <= 48, f"{per_letter:.1f} B per letter"
 
 
+def test_sg_build_peak_stays_bounded():
+    # the build holds the word as narrow numpy arrays, builds each layer's
+    # maps in turn and keeps only the word being built on the way down; the
+    # run layers collapse their word in one pass over two lists of its keys
+    # and letters (a peak of 81.7 B per letter, 69.3 with an all-array
+    # collapse). One more full-length list of ints would cross the budget
+    stable = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")[1].stable
+    rng = random.Random(16)
+    word = [rng.randrange(stable.size) for _ in range(N)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        engine = make_sg_engine(stable, word)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert engine.n == N and peak / N <= 90, f"build peak {peak / N:.1f} B per letter"
+
+
 @pytest.mark.parametrize("rx, alphabet, kind, budget", [
     ("a*b*", "ab", "language[window]", 3),
     ("(ab)*", "ab", "language[zg]", 3),

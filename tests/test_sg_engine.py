@@ -520,3 +520,42 @@ def test_array_collapse_matches_letter_fold(name, s):
             got = [(k, rule.rv.coord[a]) if a in rule.cls else (k, a)
                    for k, a in zip(got_keys.tolist(), got_labels.tolist())]
             assert got == _fold_collapse(rule, keys, labels), (name, n)
+
+
+# -- pinned counts: seeded streams charge exactly what they charged ----------
+
+PINNED_SEMIGROUPS = {
+    "edit-sg": _edit_sg_semigroup,
+    "abstar": lambda: gallery()["abstar"],
+    "M0(Z3,2x2,mixed)": lambda: rees_matrix_semigroup(Z3T, [[0, None], [1, 0]]),
+}
+
+# (op_count, probes of each VebMap top layer first, crc32 of the answers)
+# after the build and 300 update+query pairs; the build charges no probes
+PINNED_SG_COUNTS = {
+    ("edit-sg", 1): (2860, (850, 234, 326, 0, 0, 0, 0, 0, 0), 3972201320),
+    ("edit-sg", 300): (14906, (370, 404, 1952, 1460, 382, 2944, 2177, 1002, 172), 4015925073),
+    ("edit-sg", 4096): (14203, (348, 356, 1841, 1329, 263, 2311, 2140, 1357, 247), 4015925073),
+    ("abstar", 1): (2908, (827, 321, 333, 0, 0, 0, 0, 0), 2651927715),
+    ("abstar", 300): (9679, (331, 298, 1808, 1020, 120, 1309, 1211, 195), 1467995779),
+    ("abstar", 4096): (11842, (402, 423, 2216, 1232, 111, 1654, 1896, 350), 1467995779),
+    ("M0(Z3,2x2,mixed)", 1): (3279, (881, 120, 797, 0), 1299390395),
+    ("M0(Z3,2x2,mixed)", 300): (15817, (1040, 525, 9315, 2258), 3392063667),
+    ("M0(Z3,2x2,mixed)", 4096): (15573, (1094, 474, 9319, 2030), 3392063667),
+}
+
+
+@pytest.mark.parametrize("name,n", list(PINNED_SG_COUNTS))
+def test_seeded_streams_repeat_their_exact_counts(name, n):
+    # op counts are sg's contract: a change to the build or to an edit rule
+    # that moves a single probe shows here
+    s = PINNED_SEMIGROUPS[name]()
+    rng = random.Random(zlib.crc32(f"sg pinned counts {name} {n}".encode()))
+    eng = make_sg_engine(s, [rng.randrange(s.size) for _ in range(n)])
+    answers = [eng.query()]
+    for _ in range(300):
+        eng.update(rng.randrange(n), rng.randrange(s.size))
+        answers.append(eng.query())
+    assert answers[-1] == make_naive_engine(s, eng.snapshot()).query()
+    probes = tuple(m.probes for layer in eng.layers for m in layer.maps())
+    assert (eng.op_count, probes, zlib.crc32(repr(answers).encode())) == PINNED_SG_COUNTS[name, n]
