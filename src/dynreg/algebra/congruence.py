@@ -98,15 +98,16 @@ def _close(s, pairs):
     return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
 
 
-def enumerate_congruences(s, bound=DEFAULT_ENUM_BOUND):
+def enumerate_congruences(s):
     """All congruences, as joins of principal congruences.
 
     The join of two congruences is the transitive closure of their union,
     which is again a congruence, so closing the principal congruences under
-    pairwise join yields the full lattice.
+    pairwise join yields the full lattice. A semigroup of more than
+    DEFAULT_ENUM_BOUND elements raises TooLarge.
     """
-    if s.size > bound:
-        raise TooLarge(f"size {s.size} exceeds enumeration bound {bound}")
+    if s.size > DEFAULT_ENUM_BOUND:
+        raise TooLarge(f"size {s.size} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
     trivial = tuple((x,) for x in range(s.size))
     keys = {trivial}
     principals = set()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..errors import NotZg, TooLarge
-from .congruence import DEFAULT_ENUM_BOUND, enumerate_congruences
+from .congruence import enumerate_congruences
 from .core import quotient
 from .varieties import check_variety
 
@@ -54,7 +54,7 @@ def _one_factor(m, kind):
     return ZgCertificate(m, [m], [kind], emb, {(x,): x for x in range(m.size)})
 
 
-def find_zg_certificate(m, bound=DEFAULT_ENUM_BOUND):
+def find_zg_certificate(m):
     """Certificate for a ZG monoid, or None when the subdirect search fails.
 
     Searches subsets of the congruence lattice whose quotients are each
@@ -67,16 +67,16 @@ def find_zg_certificate(m, bound=DEFAULT_ENUM_BOUND):
     if kind is not None:
         return _one_factor(m, kind)
     try:
-        congs = enumerate_congruences(m, bound=bound)
+        congs = enumerate_congruences(m)
     except TooLarge:
         return None
     return subdirect_certificate(m, congs)
 
 
-def subdirect_certificate(m, congs=None, bound=DEFAULT_ENUM_BOUND):
+def subdirect_certificate(m, congs=None):
     """Search for a multi-factor subdirect certificate (no one-factor shortcut)."""
     if congs is None:
-        congs = enumerate_congruences(m, bound=bound)
+        congs = enumerate_congruences(m)
     candidates = []
     for c in congs:
         if len(c.blocks) in (1, m.size):

@@ -25,10 +25,11 @@ key and label alone stops in the layer below, and every layer does O(1)
 vEB operations per edit, whatever the length of its word. A query walks
 down to the first layer that holds at most one letter, or to the base, and
 reads the answer there. The stack is built one layer at a time, top
-first: load() bulk-builds each layer's maps with VebMap.build, and each
-rule's load() returns the word for the layer below, grouped in pairs by
-whole-array steps or collapsed by the run rule's one pass over the
-letters.
+first: load() builds each layer's maps with VebMap.build, which inserts
+their keys one at a time, and each rule's load() returns the word for the
+layer below. The pair rule groups it by whole-array steps; the run rule
+collapses it by one pass over the letters of _join, the rule by which its
+edits re-join runs.
 """
 
 from __future__ import annotations
@@ -286,8 +287,9 @@ class _RunRule:
     Besides the collapsed word the rule keeps `cset`, the key set of the run
     entries. Every edit goes through one rule, pass_down: cut the run
     holding the key at the key, splice the new letter in, re-join the runs
-    around it where the sandwich matrix allows, and pass down only the net
-    change of the entries. Only a separator relabelled to another separator
+    around it where the sandwich matrix allows (_join, which the build's
+    collapse runs over the whole word), and pass down only the net change
+    of the entries. Only a separator relabelled to another separator
     skips it, since its entry is its letter. The swap claim makes group mass
     freely movable between run entries, and the rule conserves the total
     mass: the cut run's mass, less the old letter's share, goes to the left
@@ -308,47 +310,48 @@ class _RunRule:
 
     # -- helpers -----------------------------------------------------------
 
+    def _join(self, pieces):
+        """The run-join rule: the entries (key, label) that pieces in key
+        order make, each piece a separator (key, label) or a run
+        (key, (i, g, j)) keyed by its last letter. A run joins the open run
+        before it when the sandwich entry p between them is nonzero: the
+        joined run takes the later key and the mass g p g'. A separator, or a
+        run that cannot join, closes the open run."""
+        uncoord, matrix, gt = self.rv.uncoord, self.rv.matrix, self.rv.g_rows
+        last = run = None  # the open run's key and (i, g, j)
+        for key, x in pieces:
+            if run is not None:
+                if isinstance(x, tuple):
+                    p = matrix[run[2]][x[0]]
+                    if p is not None:
+                        last, run = key, (run[0], gt[gt[run[1]][p]][x[1]], x[2])
+                        continue
+                yield last, uncoord[run]
+            if isinstance(x, tuple):
+                last, run = key, x
+            else:
+                yield key, x
+                run = None
+        if run is not None:
+            yield last, uncoord[run]
+
     def _collapse(self, keys, labels):
         """The exact collapsed word of the input word (keys, labels), as two
         arrays: each maximal run of C-letters becomes one entry, keyed by its
-        last letter and carrying the run's exact group mass.
-
-        One pass over the letters: a C-letter joins the open run when the
-        sandwich entry p between them is nonzero, and the run's mass g
-        becomes g p g' for the letter's g'; else it closes the run and opens
-        its own.
-        """
-        cls, rv = self.cls, self.rv
-        coord, uncoord, matrix, gt = rv.coord, rv.uncoord, rv.matrix, rv.g_rows
-        out_keys, out_labels = [], []
-        run = None  # (i, g, j) of the open run, keyed by the last key
-        for key, a in zip(keys.tolist(), labels.tolist()):
-            if a in cls:
-                i, g, j = coord[a]
-                if run is not None:
-                    p = matrix[run[2]][i]
-                    if p is not None:
-                        run = (run[0], gt[gt[run[1]][p]][g], j)
-                        out_keys[-1] = key
-                        continue
-                    out_labels[-1] = uncoord[run]
-                run = (i, g, j)
-            elif run is not None:
-                out_labels[-1] = uncoord[run]
-                run = None
-            out_keys.append(key)
-            out_labels.append(a)
-        if run is not None:
-            out_labels[-1] = uncoord[run]
-        return (np.array(out_keys, dtype=keys.dtype),
-                np.array(out_labels, dtype=labels.dtype))
+        last letter and carrying the run's exact group mass. The run-join
+        rule runs once over the letters, a C-letter as the run of its Rees
+        coordinates, read one at a time from the arrays' buffers."""
+        coord = self.rv.coord
+        letters = zip(keys.data, map(coord.get, labels.data, labels.data))
+        word = np.fromiter(self._join(letters), dtype=[("k", keys.dtype), ("a", labels.dtype)])
+        return word["k"].copy(), word["a"].copy()
 
     # -- word operations -----------------------------------------------------
 
     def load(self, layer, keys, labels):
         keys, labels = self._collapse(keys, labels)
         runs = keys[np.isin(labels, list(self.cls))]
-        self.cset = VebMap.build(layer.span, runs, np.ones(len(runs), dtype=np.int64))
+        self.cset = VebMap.build(layer.span, runs, np.ones(len(runs), dtype=np.uint8))
         return keys, labels
 
     def pass_down(self, layer, key, old, new):
@@ -366,7 +369,7 @@ class _RunRule:
         if not (old_c or joins or old is None):  # a separator entry is its letter
             down.edit(key, old, new)
             return
-        coord, uncoord, matrix, gt = rv.coord, rv.uncoord, rv.matrix, rv.g_rows
+        coord, matrix, gt = rv.coord, rv.matrix, rv.g_rows
         inp, out = layer.inp, down.inp
         if old_c or old is None:
             q = out.find_next(key)  # the entry that holds, or follows, key
@@ -383,10 +386,10 @@ class _RunRule:
         left_in = m_minus is not None and lm is None
         right_in = left_in if old is None else q != key
         was = {}     # the entries replaced: key -> label, in key order
-        pieces = []  # what replaces them: (key, label), or (key, i, g, j) for a run
+        pieces = []  # what replaces them: (key, label), or (key, (i, g, j)) for a run
         if joins and lm in cls:  # the run entry just before the cut
             was[m_minus] = lm
-            pieces.append((m_minus, *coord[lm]))
+            pieces.append((m_minus, coord[lm]))
         e = carry = rv.g_identity  # carry: mass still to be placed
         right = None
         if old_c or left_in:  # q's run holds key: cut it there
@@ -406,46 +409,30 @@ class _RunRule:
                 share = matrix[j_m][i_p]
             carry = gt[g][rv.g_inv(share)]
             if left_in:
-                pieces.append((m_minus, i, carry, j_m))
+                pieces.append((m_minus, (i, carry, j_m)))
                 carry = e
             if right_in:
-                right = (q, i_p, carry, j)
+                right = (q, (i_p, carry, j))
                 carry = e
         elif old is not None:
             was[key] = old
         if new in cls:
             i_n, g_n, j_n = coord[new]
-            pieces.append((key, i_n, gt[g_n][carry], j_n))
+            pieces.append((key, (i_n, gt[g_n][carry], j_n)))
             carry = e
         elif new is not None:
             pieces.append((key, new))
         if right is not None:
             pieces.append(right)
-        elif pieces and len(pieces[-1]) == 4:  # a run the next entry could join
+        elif pieces and isinstance(pieces[-1][1], tuple):  # a run the next entry could join
             nk = q if old is None else out.find_next(key + 1)
             ln = None if nk is None else out.retrieve(nk)
             if ln in cls:
                 was[nk] = ln
                 i2, g2, j2 = coord[ln]
-                pieces.append((nk, i2, gt[g2][carry], j2))
+                pieces.append((nk, (i2, gt[g2][carry], j2)))
                 carry = e
-        now = {}    # the entries after the edit: key -> label
-        run = None  # the last piece while it is a run, which the next may join
-        for piece in pieces:
-            if run is not None:
-                if len(piece) == 4:
-                    p = matrix[run[3]][piece[1]]
-                    if p is not None:
-                        run = (piece[0], run[1], gt[gt[run[2]][p]][piece[2]], piece[3])
-                        continue
-                now[run[0]] = uncoord[run[1:]]
-            if len(piece) == 2:
-                now[piece[0]] = piece[1]
-                run = None
-            else:
-                run = piece
-        if run is not None:
-            now[run[0]] = uncoord[run[1:]]
+        now = dict(self._join(pieces))  # the entries after the edit
         cset = self.cset
         for k, lab in was.items():
             if k not in now:
@@ -485,9 +472,7 @@ class _RunRule:
         _require([k for k, _ in self.cset.items()] == [
             k for k, lab in entries if lab in cls
         ], "cset out of sync with run entries")
-        ekeys, elabels = self._collapse(np.array([k for k, _ in items], dtype=np.int64),
-                                        np.array([lab for _, lab in items], dtype=np.int64))
-        exact = list(zip(ekeys.tolist(), elabels.tolist()))
+        exact = list(self._join((k, rv.coord.get(lab, lab)) for k, lab in items))
 
         def skeleton(word):
             return [(k, rv.coord[lab][0], rv.coord[lab][2]) if lab in cls

@@ -3,9 +3,9 @@
 Layout: keys live in 1..span. An outer array T of size span+1 holds the
 labels directly, keys are grouped into buckets of width ceil(log2 log2 span),
 and a classic recursive vEB over the bucket indices answers prev/next across
-buckets. Bucket indices come from a precomputed division table (shared per
-span), so every step is a table lookup. This brings both memory and
-initialization down to O(span) while keeping all operations O(log log span).
+buckets. Key x lies in bucket ceil(x / width), one integer division. This
+brings both memory and initialization down to O(span) while keeping all
+operations O(log log span).
 
 Labels: a label is an int in 0..LABEL_MAX, which is all the engines store
 (semigroup element ids, prefix ids, a run layer's 1). T is a bytearray
@@ -18,13 +18,10 @@ a bytearray too, since a count never exceeds the width, at most 6.
 The recursive tree bottoms out at universes of at most 64 in a single machine
 word (Python int) scanned with bit tricks.
 
-Bulk build: VebMap.build takes sorted keys and their labels as arrays. It
-checks them in one vectorized pass and scatters label + 1 into the cells
-that __init__ allocated, through a numpy view of them (widened first when
-the largest label needs it), and counts the buckets with one bincount into
-the count cells. The summary vEB takes the non-empty buckets by insert, in
-increasing order, so the tree is the one that inserting the keys one at a
-time gives. There are span / width buckets and each insert visits
+Build: VebMap.build takes strictly increasing keys and their labels and
+inserts them one at a time, in increasing order, so the built map is the one
+that insert gives. A bucket's first key inserts the bucket into the summary
+vEB. There are span / width buckets and each such insert visits
 O(log log span) nodes, so the build stays O(span).
 
 probes counts memory-cell-level accesses; writes counts cells written during
@@ -53,6 +50,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from operator import index
 
 import numpy as np
 
@@ -67,16 +65,15 @@ def _label_error(label):
     return VebError(f"label {label!r} is not an int in 0..{LABEL_MAX}")
 
 
+def _items(seq):
+    """The items of a sequence; a numpy array's as Python numbers, read one
+    at a time through its buffer."""
+    return seq.data if isinstance(seq, np.ndarray) else seq
+
+
 def _widened(cells):
     """The byte label cells as unsigned int cells, same values."""
     return array("I", np.frombuffer(cells, dtype=np.uint8).astype(np.uintc).tobytes())
-
-
-@memo
-def _bucket_table(span, width):
-    """K(x) = ceil(x / width) for x in 0..span, as unsigned int cells of
-    four bytes per key, shared by the maps of one span."""
-    return array("I", ((np.arange(span + 1) + width - 1) // width).astype(np.uintc).tobytes())
 
 
 class _Bits:
@@ -254,8 +251,7 @@ class VebMap:
         self.writes = 0
         lg = math.log2(max(span, 4))
         self.width = max(1, math.ceil(math.log2(lg)))  # ceil(log2 log2), >= 1
-        self.ktab = _bucket_table(span, self.width)
-        self.n_buckets = self.ktab[span]
+        self.n_buckets = (span + self.width - 1) // self.width
         self.labels = bytearray(span + 1)   # label + 1 per key, 0 where absent
         self.bucket_count = bytearray(self.n_buckets + 1)   # each <= width <= 6
         # recursive vEB over the indices 0..n_buckets of non-empty buckets
@@ -269,41 +265,43 @@ class VebMap:
         return KeyRangeError(f"key {key} outside 1..{self.span}")
 
     def insert(self, key, label):
+        try:
+            key = index(key)   # a numpy int as an int; a float is no key
+        except TypeError:
+            raise KeyRangeError(f"key {key!r} is not an integer") from None
         if not 1 <= key <= self.span:
             raise self._range_error(key)
-        self.probes += 1
-        labels = self.labels
-        if labels[key]:
+        if self.labels[key]:
             raise DuplicateKey(f"key {key} already present")
+        self._store(key, label)
+        self.size += 1
+        self.probes += 2   # the label cell and the bucket count
+        self.writes += 2
+        width, counts = self.width, self.bucket_count
+        b = (key + width - 1) // width
+        if not counts[b]:
+            self.occupied.insert(b, self)
+        counts[b] += 1
+
+    def _store(self, key, label):
+        """Write label + 1 into key's cell. An int label past 254 widens byte
+        cells to unsigned ints once; any other label raises VebError."""
         try:
             cell = label + 1
             if not cell:   # -1, or a numpy scalar that wrapped round
                 raise ValueError
-            labels[key] = cell
+            self.labels[key] = cell
         except (TypeError, ValueError, OverflowError):
-            self._store_refused(key, label)
-        self.writes += 1
-        self.size += 1
-        b = self.ktab[key]
-        self.probes += 1
-        if self.bucket_count[b] == 0:
-            self.occupied.insert(b, self)
-        self.bucket_count[b] += 1
-
-    def _store_refused(self, key, label):
-        """Store a label that the label cells refused: widen byte cells to
-        unsigned ints once for an int label past 254, else VebError. insert
-        and update write the cell inline, since both run on most sg edits,
-        and call this only when that write fails."""
-        if isinstance(label, np.integer):
-            label = int(label)   # numpy scalar arithmetic wraps at its dtype
-        if not isinstance(label, int) or not 0 <= label <= LABEL_MAX:
-            raise _label_error(label)
-        if isinstance(self.labels, bytearray) and label >= 255:
-            self.labels = _widened(self.labels)
-        self.labels[key] = label + 1
+            if isinstance(label, np.integer):
+                label = int(label)   # numpy scalar arithmetic wraps at its dtype
+            if not isinstance(label, int) or not 0 <= label <= LABEL_MAX:
+                raise _label_error(label) from None
+            if isinstance(self.labels, bytearray) and label >= 255:
+                self.labels = _widened(self.labels)
+            self.labels[key] = label + 1
 
     def delete(self, key):
+        key = index(key)   # bucket indices must be ints, not numpy scalars
         if not 1 <= key <= self.span:
             raise self._range_error(key)
         self.probes += 1
@@ -312,7 +310,7 @@ class VebMap:
         self.labels[key] = 0
         self.writes += 1
         self.size -= 1
-        b = self.ktab[key]
+        b = (key + self.width - 1) // self.width
         self.probes += 1
         self.bucket_count[b] -= 1
         if self.bucket_count[b] == 0:
@@ -330,27 +328,21 @@ class VebMap:
         if not 1 <= key <= self.span:
             raise self._range_error(key)
         self.probes += 1
-        labels = self.labels
-        if not labels[key]:
+        if not self.labels[key]:
             raise MissingKey(f"key {key} not present")
-        try:
-            cell = label + 1
-            if not cell:
-                raise ValueError
-            labels[key] = cell
-        except (TypeError, ValueError, OverflowError):
-            self._store_refused(key, label)
+        self._store(key, label)
         self.writes += 1
 
     def find_prev(self, key):
         """Largest present key <= key, or None."""
+        key = index(key)
         if key < 1:
             return None
         if key > self.span:
             key = self.span
-        labels = self.labels
-        b = self.ktab[key]
-        lo = (b - 1) * self.width + 1
+        labels, width = self.labels, self.width
+        b = (key + width - 1) // width
+        lo = (b - 1) * width + 1
         x = key
         while x >= lo:
             if labels[x]:
@@ -361,11 +353,11 @@ class VebMap:
         p = self.occupied.pred_lt(b, self)
         if not p:  # None, or the never-occupied bucket 0
             return None
-        hi = p * self.width
+        hi = p * width
         if hi > self.span:
             hi = self.span
         x = hi
-        stop = (p - 1) * self.width
+        stop = (p - 1) * width
         while x > stop:
             if labels[x]:
                 self.probes += hi - x + 1
@@ -375,13 +367,14 @@ class VebMap:
 
     def find_next(self, key):
         """Smallest present key >= key, or None."""
+        key = index(key)
         if key > self.span:
             return None
         if key < 1:
             key = 1
-        labels = self.labels
-        b = self.ktab[key]
-        hi = b * self.width
+        labels, width = self.labels, self.width
+        b = (key + width - 1) // width
+        hi = b * width
         if hi > self.span:
             hi = self.span
         x = key
@@ -394,8 +387,8 @@ class VebMap:
         s = self.occupied.succ_gt(b, self)
         if s is None:
             return None
-        lo = (s - 1) * self.width + 1
-        hi = s * self.width
+        lo = (s - 1) * width + 1
+        hi = s * width
         if hi > self.span:
             hi = self.span
         x = lo
@@ -411,52 +404,20 @@ class VebMap:
     @classmethod
     def build(cls, span, keys, labels):
         """O(span) construction from strictly increasing keys and their labels
-        (sequences or numpy arrays of equal length)."""
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.ndim != 1 or len(keys) != len(labels):
+        (sequences or 1-d numpy arrays of equal length), inserted one at a
+        time; the build charges writes but no probes."""
+        if getattr(keys, "ndim", 1) != 1 or len(keys) != len(labels):
             raise VebError(f"build needs as many labels as keys, got {len(labels)} "
-                           f"labels for {keys.size} keys")
+                           f"labels for {np.size(keys)} keys")
         m = cls(span)
-        n = len(keys)
-        out = (keys < 1) | (keys > span)
-        down = np.zeros(n, dtype=bool)
-        down[1:] = keys[1:] <= keys[:-1]
-        bad = np.flatnonzero(out | down)
-        if len(bad):
-            first = bad[0]
-            if out[first]:
-                raise KeyRangeError(f"key {keys[first]} outside 1..{span}")
-            raise KeyOrderError("keys must be strictly increasing")
-        m.size = n
-        m.writes += 2 * n
-        if not n:
-            return m
-        m._scatter(keys, labels)
-        counts = np.bincount((keys - 1) // m.width + 1, minlength=m.n_buckets + 1)
-        np.frombuffer(m.bucket_count, dtype=np.uint8)[:] = counts
-        occupied = m.occupied
-        for b in np.flatnonzero(counts).tolist():
-            occupied.insert(b, m)
-        m.probes = 0   # the build charges writes, not probes
+        insert, last = m.insert, -math.inf
+        for key, label in zip(_items(keys), _items(labels)):
+            if key <= last:
+                raise KeyOrderError("keys must be strictly increasing")
+            insert(key, label)
+            last = key
+        m.probes = 0
         return m
-
-    def _scatter(self, keys, labels):
-        """Write label + 1 into the cells of keys, in the cells __init__
-        allocated when every label fits a byte, else in unsigned int cells."""
-        given = labels
-        labels = np.asarray(labels)
-        if labels.dtype.kind not in "biu":
-            for x in given.tolist() if isinstance(given, np.ndarray) else given:
-                if not isinstance(x, int) or not 0 <= x <= LABEL_MAX:
-                    raise _label_error(x)
-            labels = labels.astype(np.int64)
-        low, high = labels.min().item(), labels.max().item()
-        if low < 0 or high > LABEL_MAX:
-            raise _label_error(low if low < 0 else high)
-        if high >= 255:
-            self.labels = _widened(self.labels)
-        cells = np.frombuffer(self.labels, dtype=np.uint8 if high < 255 else np.uintc)
-        cells[keys] = labels.astype(cells.dtype) + 1
 
     # -- helpers -------------------------------------------------------------
 

@@ -26,8 +26,8 @@ def _built(factory, *args):
 
 def test_sg_engine_holds_a_few_bytes_per_letter():
     # the stable semigroup of the edit-sg benchmark language; nine span-N
-    # VebMaps hold one label byte per key each, and share one bucket table
-    # of four bytes per key
+    # VebMaps hold one label byte per key each, and a bucket count byte per
+    # bucket of 4 keys
     stable = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")[1].stable
     rng = random.Random(16)
     word = [rng.randrange(stable.size) for _ in range(N)]
@@ -38,9 +38,10 @@ def test_sg_engine_holds_a_few_bytes_per_letter():
 def test_sg_build_peak_stays_bounded():
     # the build holds the word as narrow numpy arrays, builds each layer's
     # maps in turn and keeps only the word being built on the way down; the
-    # run layers collapse their word in one pass over two lists of its keys
-    # and letters (a peak of 81.7 B per letter, 69.3 with an all-array
-    # collapse). One more full-length list of ints would cross the budget
+    # maps insert their keys one at a time, and the run layers collapse their
+    # word in one pass, both reading the arrays' buffers one int at a time
+    # (a peak of 37.5 B per letter, 81.7 when the collapse read lists of
+    # the keys and letters). A full-length list of ints would cross the budget
     stable = analyze_regex("(a+b+c)*bc*x(a+b+c)*", "abcx")[1].stable
     rng = random.Random(16)
     word = [rng.randrange(stable.size) for _ in range(N)]
@@ -51,7 +52,7 @@ def test_sg_build_peak_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert engine.n == N and peak / N <= 90, f"build peak {peak / N:.1f} B per letter"
+    assert engine.n == N and peak / N <= 72, f"build peak {peak / N:.1f} B per letter"
 
 
 @pytest.mark.parametrize("rx, alphabet, kind, budget", [

@@ -559,3 +559,53 @@ def test_seeded_streams_repeat_their_exact_counts(name, n):
     assert answers[-1] == make_naive_engine(s, eng.snapshot()).query()
     probes = tuple(m.probes for layer in eng.layers for m in layer.maps())
     assert (eng.op_count, probes, zlib.crc32(repr(answers).encode())) == PINNED_SG_COUNTS[name, n]
+
+
+# -- steered streams: answers other than the zero ----------------------------
+
+
+def _steered_letter(s, rng, pre, suf):
+    """A letter a for which pre a suf is not the zero (pre, suf None for an
+    empty side), drawn by the value it gives, so that each value reachable
+    is as likely as the current one; any letter when none is reachable."""
+    t = s.table
+    by_value = {}
+    for a in range(s.size):
+        v = a if pre is None else t[pre][a]
+        v = v if suf is None else t[v][suf]
+        if v != s.zero:
+            by_value.setdefault(v, []).append(a)
+    if not by_value:
+        return rng.randrange(s.size)
+    return rng.choice(by_value[rng.choice(sorted(by_value))])
+
+
+@pytest.mark.parametrize("n", [7, 300, 4096])
+@pytest.mark.parametrize("name", list(PINNED_SEMIGROUPS))
+def test_steered_streams_reach_answers_other_than_the_zero(name, n):
+    # a uniform word over these semigroups evaluates to the zero once n is a
+    # few hundred letters. Here the word holds the value of its first letter
+    # (gallery abstar's long non-zero words are a^k b^m, and only a word one
+    # letter away from a^n or b^n has two non-zero values within one edit);
+    # each edit is drawn to keep the word off the zero and to move its
+    # value, and a third of them land within four letters of an end
+    s = PINNED_SEMIGROUPS[name]()
+    t = s.table
+    rng = random.Random(zlib.crc32(f"sg steered stream {name} {n}".encode()))
+    word = [_steered_letter(s, rng, None, None)]
+    for _ in range(n - 1):
+        word.append(rng.choice([a for a in range(s.size) if t[word[0]][a] == word[0]]))
+    eng = CheckedSgEngine(s, list(word))
+    ora = make_naive_engine(s, list(word))
+    answers = [eng.query()]
+    assert answers[0] == ora.query()
+    for _ in range(100):
+        end = rng.randrange(min(n, 4))
+        p = rng.choice([rng.randrange(n), end, n - 1 - end])
+        a = _steered_letter(s, rng, s.eval_word(word[:p]), s.eval_word(word[p + 1:]))
+        word[p] = a
+        eng.update(p, a)
+        ora.update(p, a)
+        answers.append(eng.query())
+        assert answers[-1] == ora.query(), (name, n, p, a)
+    assert len(set(answers) - {s.zero}) >= 2, answers

@@ -61,12 +61,14 @@ def test_update_label():
 
 
 def test_bucketing_matches_ceiling_division():
+    # key x alone in a fresh map marks the count cell of bucket ceil(x / width)
     for span in (1, 4, 17, 256, 4096):
-        m = VebMap(span)
         width = max(1, math.ceil(math.log2(math.log2(max(span, 4)))))
-        assert m.width == width
+        assert VebMap(span).width == width
         for x in range(1, span + 1):
-            assert m.ktab[x] == -(-x // m.width)  # ceil division
+            m = VebMap(span)
+            m.insert(x, 0)
+            assert [b for b, c in enumerate(m.bucket_count) if c] == [-(-x // width)], x
 
 
 def _differential(span, steps, seed, keys=()):
@@ -333,6 +335,32 @@ def test_bulk_build_rejects_bad_input():
         VebMap.build(8, [1, 2], [1])
     with pytest.raises(KeyRangeError):
         VebMap.build(0, [], [])
+
+
+def test_build_refuses_non_integer_keys():
+    # the keys are not cut to ints: 1.5 is no key, not key 1
+    with pytest.raises(KeyRangeError, match="1.5"):
+        VebMap.build(8, np.array([1.5, 3.7]), [1, 2])
+    with pytest.raises(KeyRangeError):
+        VebMap.build(8, [2, 3.0], [1, 2])
+
+
+def test_insert_refuses_non_integer_keys():
+    m = VebMap(8)
+    for key in (2.5, 3.0, np.float64(4.0)):
+        with pytest.raises(KeyRangeError, match="not an integer"):
+            m.insert(key, 1)
+    assert (len(m), m.items(), m.bucket_count) == (0, [], VebMap(8).bucket_count)
+
+
+def test_numpy_integer_keys_are_keys():
+    m = VebMap.build(8, np.array([2, 5], dtype=np.int64), np.array([1, 2], dtype=np.uint8))
+    m.insert(np.int64(3), 7)
+    m.insert(np.uint32(8), 4)
+    m.delete(np.int64(5))
+    assert m.items() == [(2, 1), (3, 7), (8, 4)]
+    assert (m.find_prev(np.int64(7)), m.find_next(np.uint8(4))) == (3, 8)
+    assert all(type(k) is int for k in (m.find_prev(np.int64(7)), m.find_next(np.uint8(4))))
 
 
 # -- labels: ints in 0..LABEL_MAX, one byte each until one passes 254 --------
