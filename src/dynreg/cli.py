@@ -1,7 +1,8 @@
 """Command-line surface: classify, run, bench, algebra.
 
-Exit codes: 0 ok, 1 oracle mismatch, 2 input error. All randomness flows from
---seed (fixed default), so reports are reproducible byte for byte; wall-clock
+Exit codes: 0 ok, 1 oracle mismatch, 2 input error or out of memory, each
+error one line on stderr, no traceback. All randomness flows from --seed
+(fixed default), so reports are reproducible byte for byte; wall-clock
 timings go to stderr only.
 """
 
@@ -336,6 +337,10 @@ def main(argv=None):
     except (AlgebraError, EngineError, InternalError, VebError, ValueError,
             KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # the frames that held the memory are gone by now
+        print(f"error: out of memory in {args.command}: try a shorter word or a smaller "
+              "language", file=sys.stderr)
         return 2
 
 

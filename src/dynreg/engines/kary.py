@@ -8,8 +8,12 @@ all of them: value[code], the product of the k digits, which every tree
 builds (_tables). Only prefix and infix read inf[code*k*k + i*k + j], the
 product of digits i..j; it is built on a tree's first such query (_infixes),
 so language engines never build it. Both are memoized per (monoid, k). An
-update rewrites one digit per level, climbing from the leaf and stopping at
-the first level whose digit is unchanged; a query reads the top code.
+update climbs from the leaf carrying the child's old and new values: at each
+level it adds their difference at the child's digit, reads the node's old
+and new values, and stops at the first node whose value is unchanged, since
+the digit above it is then unchanged too. It charges one step per level it
+rewrites and, where it stops below the top, one for the level above, the
+read of that unchanged digit; a query reads the top code.
 
 The branching factor is the largest k >= 2 whose tables, |M|^k * k^2 cells,
 are no larger than the word, and below n.bit_length(): that cap only binds
@@ -121,6 +125,15 @@ def build_levels(monoid, k, vals):
     return levels
 
 
+def stop_charge(levels, codes):
+    """The charge of a climb that stops at the level codes, the first whose
+    node keeps its value: one per level rewritten, and, below the top, one
+    for the level above, whose digit is read unchanged. Searched for only
+    where a climb stops (the levels' lengths differ, so the search compares
+    no codes), which is cheaper than counting every level climbed."""
+    return min(levels.index(codes) + 2, len(levels))
+
+
 class KaryEngine(Engine):
     kind = "kary"
 
@@ -129,7 +142,7 @@ class KaryEngine(Engine):
         self.identity = monoid.identity  # the caller's, None if it has none
         self.semigroup = monoid = adjoin_identity(monoid)
         self.k = k = branching(monoid.size, max(self.n, 1))
-        self._b = b = monoid.size
+        b = monoid.size
         self._pow = [b**i for i in range(k)]
         # update stores the shared code objects, not fresh ints
         self.value, _, _, self._shared = _tables(monoid, k)
@@ -141,21 +154,24 @@ class KaryEngine(Engine):
 
     def update(self, pos, letter):
         self._check(pos, letter)
-        v = self.word[pos] = index(letter)
-        k, b, pw, value, shared = self.k, self._b, self._pow, self.value, self._shared
+        word = self.word
+        old = word[pos]
+        v = word[pos] = index(letter)
+        if old == v:  # the bottom level's read of the unchanged digit
+            self._steps += 1
+            return
+        k, pw, value, shared, levels = self.k, self._pow, self.value, self._shared, self.levels
         j = pos
-        steps = 0
-        for codes in self.levels:
-            steps += 1
+        for codes in levels:
             d = pw[j % k]
             j //= k
             code = codes[j]
-            old = code // d % b
+            new = codes[j] = shared[code + (v - old) * d]
+            old, v = value[code], value[new]
             if old == v:
-                break
-            code = codes[j] = shared[code + (v - old) * d]
-            v = value[code]
-        self._steps += steps
+                self._steps += stop_charge(levels, codes)
+                return
+        self._steps += len(levels)
 
     def query(self):
         self._steps += 1

@@ -35,9 +35,11 @@ Every language outside Q_LZG, and a Q_LZG one that dispatch.route
 downgrades, is a KaryLanguageEngine (dispatch.py says why). The leaves of a
 k-ary tree over the monoid (kary.py, k = branching(|M|, n)) are the blocks'
 values, then one per tail letter. An update rewrites its block's code and
-reads the old and new codes' values, or a tail letter's monoid id; it
-climbs only when the leaf's value changes. A query reads the top code's
-value and one accept bit, one per monoid element.
+reads the old and new codes' values, or a tail letter's old and new monoid
+ids; only when the leaf's value changes does it climb, with those two
+values, as KaryEngine.update does, and charge the climb as that does. A
+query reads the top code's value and one accept bit, one per monoid
+element.
 
 In Q_LZG, where route picks zg, LanguageEngine runs a zg engine over the
 block images. Where it picks window, WindowLanguageEngine runs the verified
@@ -94,7 +96,7 @@ from ..errors import InternalError, PositionOutOfRange, RangeError
 from ..syntactic.classify import Q_LZG
 from .base import Engine
 from .dispatch import route
-from .kary import _tables, branching, build_levels
+from .kary import _tables, branching, build_levels, stop_charge
 from .windowstats import _slot_delta, _word_counts
 from .zg import make_zg_engine
 
@@ -220,7 +222,7 @@ class KaryLanguageEngine(ChunkedEngine):
         values = self._build(morphism, word, 1, None)
         tail = np.array([self._ids[a] for a in self._tail_indices()], dtype=values.dtype)
         self.k = k = branching(monoid.size, max(n, 1))
-        self._b = b = monoid.size
+        b = monoid.size
         self._pow = [b**i for i in range(k)]
         # update stores the shared code objects, not fresh ints
         self.value, _, _, self._shared = _tables(monoid, k)
@@ -253,20 +255,20 @@ class KaryLanguageEngine(ChunkedEngine):
             self._tail = code + (a - was) * place
             old, v = self._ids[was], self._ids[a]
             j += pos - j * s
-        steps = 2
-        if old != v:
-            k, b, pw, value, shared = self.k, self._b, self._pow, self.value, self._shared
-            for codes in self.levels:
-                steps += 1
-                d = pw[j % k]
-                j //= k
-                code = codes[j]
-                old = code // d % b
-                if old == v:
-                    break
-                code = codes[j] = shared[code + (v - old) * d]
-                v = value[code]
-        self._steps += steps
+        if old == v:
+            self._steps += 2
+            return
+        k, pw, value, shared, levels = self.k, self._pow, self.value, self._shared, self.levels
+        for codes in levels:
+            d = pw[j % k]
+            j //= k
+            code = codes[j]
+            new = codes[j] = shared[code + (v - old) * d]
+            old, v = value[code], value[new]
+            if old == v:
+                self._steps += 2 + stop_charge(levels, codes)
+                return
+        self._steps += 2 + len(levels)
 
     def query(self):
         """Membership bit for the current word."""

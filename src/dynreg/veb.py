@@ -44,6 +44,10 @@ probes. How the operations charge probes:
 
 The scans add the cells read in one step, not one by one, so the counts are
 those of a cell-by-cell scan at a fraction of its interpreter cost.
+
+Keys: every operation takes an int key, or a numpy integer as the int it
+equals; any other key, 2.5, 3.0 or "3", raises KeyRangeError before a probe
+is charged or a cell read.
 """
 
 from __future__ import annotations
@@ -69,6 +73,16 @@ def _items(seq):
     """The items of a sequence; a numpy array's as Python numbers, read one
     at a time through its buffer."""
     return seq.data if isinstance(seq, np.ndarray) else seq
+
+
+def _key(key):
+    """key as an int: a numpy integer as the int it equals, since bucket
+    indices must be ints; a float, 3.0 too, or a str is no key and raises
+    KeyRangeError. Every operation calls it on a key that is not an int."""
+    try:
+        return index(key)
+    except TypeError:
+        raise KeyRangeError(f"key {key!r} is not an integer") from None
 
 
 def _widened(cells):
@@ -265,10 +279,8 @@ class VebMap:
         return KeyRangeError(f"key {key} outside 1..{self.span}")
 
     def insert(self, key, label):
-        try:
-            key = index(key)   # a numpy int as an int; a float is no key
-        except TypeError:
-            raise KeyRangeError(f"key {key!r} is not an integer") from None
+        if type(key) is not int:
+            key = _key(key)
         if not 1 <= key <= self.span:
             raise self._range_error(key)
         if self.labels[key]:
@@ -301,7 +313,8 @@ class VebMap:
             self.labels[key] = label + 1
 
     def delete(self, key):
-        key = index(key)   # bucket indices must be ints, not numpy scalars
+        if type(key) is not int:
+            key = _key(key)
         if not 1 <= key <= self.span:
             raise self._range_error(key)
         self.probes += 1
@@ -317,6 +330,8 @@ class VebMap:
             self.occupied.delete(b, self)
 
     def retrieve(self, key):
+        if type(key) is not int:
+            key = _key(key)
         if not 1 <= key <= self.span:
             raise self._range_error(key)
         self.probes += 1
@@ -325,6 +340,8 @@ class VebMap:
 
     def update(self, key, label):
         """Relabel an existing key in O(1)."""
+        if type(key) is not int:
+            key = _key(key)
         if not 1 <= key <= self.span:
             raise self._range_error(key)
         self.probes += 1
@@ -335,7 +352,8 @@ class VebMap:
 
     def find_prev(self, key):
         """Largest present key <= key, or None."""
-        key = index(key)
+        if type(key) is not int:
+            key = _key(key)
         if key < 1:
             return None
         if key > self.span:
@@ -367,7 +385,8 @@ class VebMap:
 
     def find_next(self, key):
         """Smallest present key >= key, or None."""
-        key = index(key)
+        if type(key) is not int:
+            key = _key(key)
         if key > self.span:
             return None
         if key < 1:

@@ -1,7 +1,8 @@
 """Shared test utilities: fast fold oracle, gallery-wide engine setup,
 small-semigroup enumeration, a reference window plan search, a decoder
 for the window plans' packed keys, a k-ary tree at a chosen branching
-factor, and the L_U1 and L_U2 membership reductions."""
+factor, the Cayley DFA of S3, and the L_U1 and L_U2 membership
+reductions."""
 
 import itertools
 
@@ -13,6 +14,12 @@ from dynreg.engines.base import make_naive_engine
 from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append
 from dynreg.gadgets import MembershipViaPrefix
 from dynreg.gallery import u1, u2
+from dynreg.syntactic.dfa import Dfa
+
+# The Cayley DFA of S3, accepting the identity: outside Q_SG, and its
+# syntactic monoid is a group, so every edit that changes a letter changes
+# every node above it in a k-ary tree
+S3_DFA = Dfa("ab", [[2, 3], [3, 2], [0, 5], [1, 4], [5, 0], [4, 1]], 0, {0})
 
 
 def membership_l_u1(word):

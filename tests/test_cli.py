@@ -32,6 +32,20 @@ def files(tmp_path):
     return tmp_path
 
 
+def test_out_of_memory_is_exit_2_and_one_line(files, monkeypatch, capsys):
+    # in process: a command that runs out of memory ends like bad input
+    from dynreg import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_classify", exhausted)
+    assert cli.main(["classify", str(files / "abstar.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: out of memory in classify")
+    assert err.count("\n") == 1
+
+
 def test_classify_ab_star(files):
     r = run_cli(["classify", str(files / "abstar.json")])
     assert r.returncode == 0

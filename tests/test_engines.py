@@ -4,18 +4,20 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import FoldOracle, kary_tree_at, run_differential
+from helpers import S3_DFA, FoldOracle, kary_tree_at, run_differential
 
 from dynreg.algebra.core import adjoin_identity, direct_product
 from dynreg.algebra.varieties import check_variety
 from dynreg.engines import (
     CountEngine,
     DivisionEngine,
+    KaryLanguageEngine,
     NilpotentEngine,
     ProductEngine,
     eligible_engines,
     make_auto_engine,
     make_kary_engine,
+    make_language_engine,
     make_naive_engine,
     make_prefix_engine,
     make_semidirect_engine,
@@ -37,6 +39,7 @@ from dynreg.errors import (
     TupleArity,
 )
 from dynreg.gallery import ab_star_semigroup, cyclic, u1, u2, zg_monoid5
+from dynreg.syntactic import analyze_dfa
 from dynreg.veb import VebMap
 
 
@@ -242,15 +245,31 @@ def test_branching_on_s3_and_the_trivial_monoid(gal):
 
 def test_kary_levels_share_one_object_per_code(gal):
     # k = 3 codes (n = 2^14) stay below 257, CPython's cached small ints;
-    # k = 5 codes (n = 2^18) do not
+    # k = 5 codes (n = 2^18) do not. Both trees, the bare one and the
+    # language engine's over the S3 language (the same monoid, so the same
+    # k), still share after a few thousand edits that each change a letter:
+    # S3 is a group, so each one rewrites a code at every level
     s = gal["S3"]
+    m, sd, rep = analyze_dfa(S3_DFA)
     rng = random.Random(zlib.crc32(b"kary-shared-codes"))
     word = [rng.randrange(s.size) for _ in range(2**18)]
+    letters = rng.choices("ab", k=2**18)
     for n, k in ((2**14, 3), (2**18, 5)):
-        eng = make_kary_engine(s, word[:n])
-        assert eng.k == k
-        for codes in eng.levels:
-            assert len({id(c) for c in codes}) == len(set(codes)) <= s.size**k
+        bare = make_kary_engine(s, word[:n])
+        lang_word = letters[:n]
+        lang = make_language_engine(m, sd, rep, list(lang_word))
+        assert type(lang) is KaryLanguageEngine and bare.k == lang.k == k
+        for edits in (0, 3000):
+            for _ in range(edits):
+                p = rng.randrange(n)
+                bare.update(p, (bare.word[p] + rng.randrange(1, s.size)) % s.size)
+                p = rng.randrange(n)
+                lang_word[p] = "b" if lang_word[p] == "a" else "a"
+                lang.update(p, lang_word[p])
+            for eng in (bare, lang):
+                for codes in eng.levels:
+                    assert len({id(c) for c in codes}) == len(set(codes)) <= s.size**k, (n, edits)
+        assert lang.snapshot() == tuple(lang_word)
 
 
 # -- count ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from dynreg.engines import (
     LanguageEngine,
     WindowLanguageEngine,
     WindowStatsEngine,
+    make_kary_engine,
     make_language_engine,
     make_naive_engine,
     make_windowstats_engine,
@@ -27,7 +28,7 @@ from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
 from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex, classify_language, stable_data
 from dynreg.syntactic.dfa import Dfa
 from dynreg.syntactic.monoid import Morphism
-from helpers import FoldOracle, decoded_recovery, kary_tree_at, reference_window_search, semigroup_tables
+from helpers import S3_DFA, FoldOracle, decoded_recovery, kary_tree_at, reference_window_search, semigroup_tables
 
 
 def test_window_plan_for_ab_star_semigroup():
@@ -88,8 +89,6 @@ def _assert_kept_key(eng):
 FIRST_LETTER_DFA = Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1})  # window plan keyed on the first letter
 # An even number of a's and ends with b, (b+ab*a)*b: Q_LZG, no window plan
 EVEN_A_DFA = Dfa("ab", [[2, 1], [2, 1], [0, 3], [0, 3]], 0, {1})
-# The Cayley DFA of S3, accepting the identity: outside Q_SG
-S3_DFA = Dfa("ab", [[2, 3], [3, 2], [0, 5], [1, 4], [5, 0], [4, 1]], 0, {0})
 
 
 @pytest.mark.parametrize("which", ["ab_star", "first_letter"])
@@ -604,6 +603,60 @@ def test_kary_language_engine_over_a_one_letter_alphabet():
             with pytest.raises(error):
                 eng.update(p, c)
         assert eng.snapshot() == ("a",) * n and eng.query() is want, n
+
+
+def _node_values(levels, value, b, k):
+    """A k-ary tree's node values bottom up, the leaves first: the digits of
+    the bottom level's codes, then value[code] for each level's codes."""
+    leaves = [code // b**i % b for code in levels[0] for i in range(k)]
+    return [leaves] + [[value[code] for code in codes] for codes in levels]
+
+
+# (language, n, forced block length): S3 is a group, so a changed leaf
+# changes every node above it; edit-sg's monoid has a zero, where a climb
+# stops; blocks of 5 letters make a word of 4 letters all tail
+CLIMB_WORDS = {"S3": ("S3", 2**12, None), "edit-sg": ("edit-sg", 2**12, None),
+               "tail only": ("edit-sg", 4, 5)}
+
+
+@pytest.mark.parametrize("tree", ["kary", "language[kary]"])
+@pytest.mark.parametrize("case", CLIMB_WORDS)
+def test_climb_charges_by_the_reference_rule(case, tree, monkeypatch):
+    # each edit's charge against the rule read off snapshots of the levels
+    # taken before and after it: the climb charges 1 plus the number of
+    # bottom-up levels, the leaves first, whose node value changed, at most
+    # the height; the language kind adds 2, and charges that 2 alone when
+    # its leaf keeps its value
+    name, n, forced = CLIMB_WORDS[case]
+    m, sd, rep = KARY_LANGUAGES[name]()
+    if forced:
+        monkeypatch.setattr(language, "block_length", lambda base, n: forced)
+    rng = random.Random(zlib.crc32(f"climb charges {case} {tree}".encode()))
+    word = rng.choices(m.alphabet, k=n)
+    if tree == "kary":
+        eng = make_kary_engine(m.target, [m.eta[c] for c in word])
+    else:
+        eng = make_language_engine(m, sd, rep, word)
+        assert type(eng) is KaryLanguageEngine and (eng.blocks == 0) == bool(forced)
+    b, k, height = adjoin_identity(m.target).size, eng.k, len(eng.levels)
+    nodes = _node_values(eng.levels, eng.value, b, k)
+    climbs = []
+    for _ in range(300):
+        p, c = rng.randrange(n), rng.choice(m.alphabet)
+        ops = eng.op_count
+        eng.update(p, m.eta[c] if tree == "kary" else c)
+        before, nodes = nodes, _node_values(eng.levels, eng.value, b, k)
+        changed = [x != y for x, y in zip(before, nodes)]
+        climb = min(1 + sum(changed), height)
+        want = climb if tree == "kary" else 2 + climb if changed[0] else 2
+        assert eng.op_count - ops == want, (p, c, changed)
+        if changed[0]:
+            climbs.append(climb)
+    # every case climbs: S3's to the top each time, edit-sg's at 2^12 also
+    # stopping below it
+    assert climbs
+    if case != "tail only":
+        assert (set(climbs) == {height}) == (case == "S3"), sorted(set(climbs))
 
 
 def test_language_constant_cost_for_q_lzg():

@@ -353,6 +353,27 @@ def test_insert_refuses_non_integer_keys():
     assert (len(m), m.items(), m.bucket_count) == (0, [], VebMap(8).bucket_count)
 
 
+@pytest.mark.parametrize("call", [
+    lambda m, key: m.delete(key),
+    lambda m, key: m.retrieve(key),
+    lambda m, key: m.update(key, 1),
+    lambda m, key: m.find_prev(key),
+    lambda m, key: m.find_next(key),
+], ids=["delete", "retrieve", "update", "find_prev", "find_next"])
+def test_every_operation_refuses_non_integer_keys(call):
+    # the check insert makes: 2.5 is no key, not key 2, and neither is "3"
+    m = VebMap.build(8, [2, 3, 5], [1, 2, 3])
+    for key in (2.5, 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(KeyRangeError, match="not an integer"):
+            call(m, key)
+    assert (m.items(), m.probes, list(m.bucket_count)) == (
+        [(2, 1), (3, 2), (5, 3)], 0, list(VebMap.build(8, [2, 3, 5], [1, 2, 3]).bucket_count))
+    # a numpy integer is the key it equals, at the same probes as the int
+    plain = VebMap.build(8, [2, 3, 5], [1, 2, 3])
+    assert call(m, np.int64(3)) == call(plain, 3)
+    assert (m.items(), m.probes) == (plain.items(), plain.probes)
+
+
 def test_numpy_integer_keys_are_keys():
     m = VebMap.build(8, np.array([2, 5], dtype=np.int64), np.array([1, 2], dtype=np.uint8))
     m.insert(np.int64(3), 7)
