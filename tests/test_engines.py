@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import S3_DFA, FoldOracle, kary_tree_at, run_differential
+from test_semidirect import translation_action_spec
 
 from dynreg.algebra.core import adjoin_identity, direct_product
 from dynreg.algebra.varieties import check_variety
@@ -14,6 +15,7 @@ from dynreg.engines import (
     KaryLanguageEngine,
     NilpotentEngine,
     ProductEngine,
+    SemidirectSpec,
     eligible_engines,
     make_auto_engine,
     make_kary_engine,
@@ -492,6 +494,86 @@ def test_prefix_engine_builds_its_map_in_bulk():
                 if a != m.identity:
                     one_by_one.insert(i + 1, a)
             assert e.map.items() == one_by_one.items(), (m, n)
+
+
+# -- pinned counts: seeded streams charge exactly what they charged ----------
+
+# name -> (factory, the gallery semigroup or spec it builds on)
+PINNED_ENGINES = {
+    "kary S3": (make_kary_engine, "S3"),
+    "kary abstar": (make_kary_engine, "abstar"),
+    "prefix U1": (make_prefix_engine, "U1"),
+    "prefix U2": (make_prefix_engine, "U2"),
+    "semidirect translation": (make_semidirect_engine, translation_action_spec),
+    "zg Z2xzg5": (make_zg_engine, "Z2xzg5"),
+    "zg nilnc": (make_zg_engine, "nilnc"),
+    "windowstats abstar": (make_windowstats_engine, "abstar"),
+    "naive Z4": (make_naive_engine, "Z4"),
+}
+
+# (op_count, crc32 of the answers) after the build and 300 update+query
+# pairs; an engine with prefix or infix queries gets them mixed in
+PINNED_ENGINE_COUNTS = {
+    ("kary S3", 1): (655, 927556690),
+    ("kary S3", 300): (3456, 1398256583),
+    ("kary S3", 4096): (3446, 2668651018),
+    ("kary abstar", 1): (648, 790604119),
+    ("kary abstar", 300): (1908, 1532838100),
+    ("kary abstar", 4096): (1995, 1467995779),
+    ("prefix U1", 1): (1886, 1629504167),
+    ("prefix U1", 300): (2270, 173317990),
+    ("prefix U1", 4096): (2359, 718468623),
+    ("prefix U2", 1): (2247, 1735529053),
+    ("prefix U2", 300): (2383, 4282138134),
+    ("prefix U2", 4096): (2330, 925218967),
+    ("semidirect translation", 1): (2705, 2125129012),
+    ("semidirect translation", 300): (3602, 998524965),
+    ("semidirect translation", 4096): (3605, 2465400797),
+    ("zg Z2xzg5", 1): (6013, 856954083),
+    ("zg Z2xzg5", 300): (6013, 274262844),
+    ("zg Z2xzg5", 4096): (6013, 242676299),
+    ("zg nilnc", 1): (1803, 1195844107),
+    ("zg nilnc", 300): (1803, 3515397911),
+    ("zg nilnc", 4096): (1803, 3515397911),
+    ("windowstats abstar", 1): (3909, 3905619972),
+    ("windowstats abstar", 300): (3909, 1467995779),
+    ("windowstats abstar", 4096): (3909, 1467995779),
+    ("naive Z4", 1): (558, 2782597466),
+    ("naive Z4", 300): (56264, 2492214086),
+    ("naive Z4", 4096): (764201, 917549278),
+}
+
+
+def _pinned_stream(gal, name, n):
+    make, target = PINNED_ENGINES[name]
+    arg = gal[target] if isinstance(target, str) else target()
+    s = arg.product_semigroup() if isinstance(arg, SemidirectSpec) else arg
+    rng = random.Random(zlib.crc32(f"engine pinned counts {name} {n}".encode()))
+    word = [rng.randrange(s.size) for _ in range(n)]
+    eng = make(arg, list(word))
+    kinds = ["query"] + [q for q in ("prefix", "infix") if hasattr(eng, q)]
+    answers = [eng.query()]
+    for _ in range(300):
+        pos, letter = rng.randrange(n), rng.randrange(s.size)
+        eng.update(pos, letter)
+        word[pos] = letter
+        q = rng.choice(kinds)
+        if q == "query":
+            answers.append(eng.query())
+        elif q == "prefix":
+            answers.append(eng.prefix(rng.randint(0, n)))
+        else:
+            answers.append(eng.infix(*sorted((rng.randrange(n), rng.randrange(n)))))
+    counts = (eng.op_count, zlib.crc32(repr(answers).encode()))
+    assert eng.query() == make_naive_engine(s, word).query(), name
+    return counts
+
+
+@pytest.mark.parametrize("name,n", list(PINNED_ENGINE_COUNTS))
+def test_seeded_engine_streams_repeat_their_exact_counts(gal, name, n):
+    # op counts are each engine's contract: a change to a build, an edit or
+    # a query rule that moves a single step shows here
+    assert _pinned_stream(gal, name, n) == PINNED_ENGINE_COUNTS[name, n]
 
 
 # -- cross-engine oracle equivalence (scaled-down; acceptance runs the full set) --

@@ -132,6 +132,12 @@ def test_window_code_follows_the_counts_under_each_cap(gal, threshold, period):
                 _assert_kept_key(eng)
 
 
+def test_semigroup_tables_yields_one_table_per_isomorphism_class():
+    # OEIS A027851: the semigroups of orders 1-4 up to isomorphism, which
+    # the order <= 3 sweeps below rely on reaching
+    assert [sum(1 for _ in semigroup_tables(order)) for order in (1, 2, 3, 4)] == [1, 5, 24, 188]
+
+
 def _order_le_3_window_semigroups():
     """Semigroups of order <= 3, up to isomorphism, that reach the window
     rung of the Q_LZG ladder: in LOCAL(ZG), refused by the zg factory."""

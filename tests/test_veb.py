@@ -452,3 +452,66 @@ def test_wide_labels_differential_against_dict():
             assert isinstance(m.labels, array)
     assert len(m) == len(ref)
     assert m.items() == sorted(ref.items())
+
+
+# -- pinned probes: a seeded mix of every operation charges what it charged --
+
+# span -> (crc32 of each op's probe delta, crc32 of items()) after 600 ops
+PINNED_VEB_PROBES = {
+    1: (654529617, 1564887777),
+    2: (3037393951, 3330178358),
+    63: (2159628629, 943763825),
+    64: (3731430041, 4021808274),
+    65: (2976900121, 3109241762),
+    4096: (939608613, 1800849526),
+    2**16: (2970300311, 1465025006),
+}
+
+
+def _pinned_mix(span):
+    """The probes each op of one seeded mix charges, and the map after it:
+    insert, delete, retrieve and update, which raise on a key outside
+    1..span, on a present or missing key, and find_prev and find_next, on
+    keys on both sides of the span too; half the keys fall near an earlier
+    one, so scans hit within a bucket as well as through the summary."""
+    rng = random.Random(zlib.crc32(f"veb pinned probes {span}".encode()))
+    m, ref, keys, deltas = VebMap(span), {}, [1], []
+    for _ in range(600):
+        if rng.random() < 0.5:
+            key = rng.randint(-2, span + 3)
+        else:
+            key = rng.choice(keys) + rng.randint(-3, 3)
+        keys.append(key)
+        op, label, before = rng.randrange(6), rng.randrange(300), m.probes
+        try:
+            if op == 0:
+                m.insert(key, label)
+                ref[key] = label
+            elif op == 1:
+                m.delete(key)
+                del ref[key]
+            elif op == 2:
+                assert m.retrieve(key) == ref.get(key)
+            elif op == 3:
+                m.update(key, label)
+                ref[key] = label
+            elif op == 4:
+                assert m.find_prev(key) == max((x for x in ref if x <= key), default=None)
+            else:
+                assert m.find_next(key) == min((x for x in ref if x >= key), default=None)
+        except KeyRangeError:
+            assert not 1 <= key <= span, (span, op, key)
+        except DuplicateKey:
+            assert op == 0 and key in ref
+        except MissingKey:
+            assert op in (1, 3) and key not in ref
+        deltas.append(m.probes - before)
+    assert m.items() == sorted(ref.items())
+    return deltas, m.items()
+
+
+@pytest.mark.parametrize("span", [1, 2, 63, 64, 65, 4096, 2**16])
+def test_seeded_op_mix_repeats_its_exact_probes(span):
+    deltas, items = _pinned_mix(span)
+    assert (zlib.crc32(repr(deltas).encode()), zlib.crc32(repr(items).encode())) == (
+        PINNED_VEB_PROBES[span])
