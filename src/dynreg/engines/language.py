@@ -32,14 +32,16 @@ with a block, what a WindowStatsEngine update and query charge. No charge
 grows with n but the climb.
 
 Every language outside Q_LZG, and a Q_LZG one that dispatch.route
-downgrades, is a KaryLanguageEngine (dispatch.py says why). The leaves of a
-k-ary tree over the monoid (kary.py, k = branching(|M|, n)) are the blocks'
-values, then one per tail letter. An update rewrites its block's code and
-reads the old and new codes' values, or a tail letter's old and new monoid
-ids; only when the leaf's value changes does it climb, with those two
-values, as KaryEngine.update does, and charge the climb as that does. A
-query reads the top code's value and one accept bit, one per monoid
-element.
+downgrades, is a KaryLanguageEngine (dispatch.py says why). kary.plant
+plants its k-ary tree over the monoid (k = branching(|M|, n)), whose leaves
+are the blocks' values, then one per tail letter, as it plants KaryEngine's.
+An update rewrites its block's code and reads the old and new codes'
+values, or a tail letter's old and new monoid ids; only when the leaf's
+value changes does it climb, with those two values, as KaryEngine.update
+does, and charge the climb as that does. The climb loop is written here
+again, inline, not shared with KaryEngine: a shared climb function measured
+slower on edit-kary and edit-sg (kary.py). A query reads the top code's
+value and one accept bit, one per monoid element.
 
 In Q_LZG, where route picks zg, LanguageEngine runs a zg engine over the
 block images. Where it picks window, WindowLanguageEngine runs the verified
@@ -96,7 +98,7 @@ from ..errors import InternalError, PositionOutOfRange, RangeError
 from ..syntactic.classify import Q_LZG
 from .base import Engine
 from .dispatch import route
-from .kary import _tables, branching, build_levels, stop_charge
+from .kary import plant, stop_charge
 from .windowstats import _slot_delta, _word_counts
 from .zg import make_zg_engine
 
@@ -218,19 +220,13 @@ class KaryLanguageEngine(ChunkedEngine):
 
     def __init__(self, morphism, word):
         monoid = adjoin_identity(morphism.target)
-        n = len(word)
         values = self._build(morphism, word, 1, None)
         tail = np.array([self._ids[a] for a in self._tail_indices()], dtype=values.dtype)
-        self.k = k = branching(monoid.size, max(n, 1))
-        b = monoid.size
-        self._pow = [b**i for i in range(k)]
-        # update stores the shared code objects, not fresh ints
-        self.value, _, _, self._shared = _tables(monoid, k)
-        self.levels = build_levels(monoid, k, np.concatenate([values, tail]))
+        plant(self, monoid, np.concatenate([values, tail]), self.n)
         # the top level's one code; an empty word reads as identity digits
         self._top = self.levels[-1] if self.levels else [monoid.identity * sum(self._pow)]
         accept = morphism.accept
-        self._accepts = [v in accept for v in range(b)]  # monoid value -> membership bit
+        self._accepts = [v in accept for v in range(monoid.size)]  # monoid value -> membership bit
 
     def update(self, pos, letter):
         if not (0 <= pos < self.n):

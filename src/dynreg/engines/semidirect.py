@@ -1,10 +1,15 @@
 """Engine for semidirect products T o S with S definite.
 
-The second component of the evaluation is read off the last k letters (k the
-definiteness window). The first component is the evaluation of the transformed
-word t_1, act(s_1, t_2), act(s_1 s_2, t_3), ... maintained in an inner engine
-for T; an update at position i rewrites the transformed cell at i plus at most
-k following cells, each recomputed from the k preceding S-letters.
+The engine keeps the word of product letters alone; SemidirectSpec owns
+their layout, and pair_of splits a letter into its T- and S-letter where
+one is read. The second component of the evaluation is read off the last k
+letters (k the definiteness window). The first component is the evaluation
+of the transformed word t_1, act(s_1, t_2), act(s_1 s_2, t_3), ...
+maintained in an inner engine for T; an update at position i rewrites the
+transformed cell at i plus at most k following cells, each recomputed from
+the k preceding S-letters. One product over a window of S-letters,
+_s_product, serves both reads. An update charges 1 plus k per cell
+rewritten, a query k, plus the inner engine's count.
 """
 
 from __future__ import annotations
@@ -83,38 +88,26 @@ class SemidirectEngine(Engine):
         product = spec.product_semigroup()
         super().__init__(product, word)
         self.k = spec.window
-        self.t_letters = []
-        self.s_letters = []
-        for a in word:
-            tv, sv = spec.pair_of(a)
-            self.t_letters.append(tv)
-            self.s_letters.append(sv)
-        transformed = [self._transformed(i) for i in range(self.n)]
-        self.inner = make_auto_engine(spec.t_part, transformed)
+        self.inner = make_auto_engine(spec.t_part, self.transformed_snapshot())
 
-    def _s_prefix(self, i):
-        """Product of s-letters before position i, clipped to the window."""
-        lo = max(0, i - self.k)
-        seg = self.s_letters[lo:i]
-        if not seg:
-            return None
-        acc = seg[0]
-        t = self.spec.s_part.table
-        for x in seg[1:]:
-            acc = t[acc][x]
+    def _s_product(self, lo, hi):
+        """Product of the S-letters at positions lo..hi - 1, lo clipped to 0;
+        None when there are none."""
+        pair_of, t = self.spec.pair_of, self.spec.s_part.table
+        acc = None
+        for a in self.word[max(0, lo):hi]:
+            sv = pair_of(a)[1]
+            acc = sv if acc is None else t[acc][sv]
         return acc
 
     def _transformed(self, i):
-        p = self._s_prefix(i)
-        tv = self.t_letters[i]
+        p = self._s_product(i - self.k, i)
+        tv = self.spec.pair_of(self.word[i])[0]
         return tv if p is None else self.spec.act[p][tv]
 
     def update(self, pos, letter):
         self._check(pos, letter)
         self.word[pos] = letter
-        tv, sv = self.spec.pair_of(letter)
-        self.t_letters[pos] = tv
-        self.s_letters[pos] = sv
         self._steps += 1
         for j in range(pos, min(pos + self.k, self.n - 1) + 1):
             self._steps += self.k
@@ -125,17 +118,8 @@ class SemidirectEngine(Engine):
             return None
         self._steps += self.k
         t_val = self.inner.query()
-        s_val = self._s_suffix()
+        s_val = self._s_product(self.n - self.k, self.n)
         return self.spec.letter_of(t_val, s_val)
-
-    def _s_suffix(self):
-        lo = max(0, self.n - self.k)
-        seg = self.s_letters[lo:]
-        acc = seg[0]
-        t = self.spec.s_part.table
-        for x in seg[1:]:
-            acc = t[acc][x]
-        return acc
 
     def transformed_snapshot(self):
         return [self._transformed(i) for i in range(self.n)]

@@ -19,17 +19,24 @@ def _strings(value):
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _field(obj, key, what):
+    """obj[key], or a RangeError naming the key when obj, the `what` JSON,
+    is no object or lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise RangeError(f"{what} needs the field {key!r}")
+    return obj[key]
+
+
 def semigroup_from_json(obj):
-    if not isinstance(obj, dict) or "table" not in obj:
-        raise RangeError("semigroup JSON needs a 'table'")
+    table = _field(obj, "table", "semigroup JSON")
     names = obj.get("elements")
     if names is not None and not _strings(names):
         raise RangeError("'elements' must be a list of strings")
-    return build_semigroup(obj["table"], names=names)
+    return build_semigroup(table, names=names)
 
 
 def congruence_from_json(obj):
-    return Congruence(obj["blocks"])
+    return Congruence(_field(obj, "blocks", "congruence JSON"))
 
 
 def language_from_json(obj):
@@ -47,10 +54,12 @@ def language_from_json(obj):
         d = obj["dfa"]
         if not isinstance(d, dict):
             raise RangeError("'dfa' must be an object")
-        if not isinstance(d["finals"], list):
+        states, delta, initial, finals = (
+            _field(d, key, "'dfa'") for key in ("states", "delta", "initial", "finals"))
+        if not isinstance(finals, list):
             raise RangeError("'finals' must be a list of states")
-        dfa = Dfa(alphabet, d["delta"], d["initial"], d["finals"])
-        if dfa.states != d["states"]:
+        dfa = Dfa(alphabet, delta, initial, finals)
+        if dfa.states != states:
             raise RangeError("dfa state count mismatch")
         return dfa
     raise RangeError("language JSON needs 'regex' or 'dfa'")

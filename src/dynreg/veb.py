@@ -275,14 +275,16 @@ class VebMap:
 
     # -- core operations ---------------------------------------------------
 
-    def _range_error(self, key):
-        return KeyRangeError(f"key {key} outside 1..{self.span}")
-
-    def insert(self, key, label):
+    def _slot(self, key):
+        """key as an int in 1..span, else KeyRangeError."""
         if type(key) is not int:
             key = _key(key)
         if not 1 <= key <= self.span:
-            raise self._range_error(key)
+            raise KeyRangeError(f"key {key} outside 1..{self.span}")
+        return key
+
+    def insert(self, key, label):
+        key = self._slot(key)
         if self.labels[key]:
             raise DuplicateKey(f"key {key} already present")
         self._store(key, label)
@@ -313,10 +315,7 @@ class VebMap:
             self.labels[key] = label + 1
 
     def delete(self, key):
-        if type(key) is not int:
-            key = _key(key)
-        if not 1 <= key <= self.span:
-            raise self._range_error(key)
+        key = self._slot(key)
         self.probes += 1
         if not self.labels[key]:
             raise MissingKey(f"key {key} not present")
@@ -330,20 +329,14 @@ class VebMap:
             self.occupied.delete(b, self)
 
     def retrieve(self, key):
-        if type(key) is not int:
-            key = _key(key)
-        if not 1 <= key <= self.span:
-            raise self._range_error(key)
+        key = self._slot(key)
         self.probes += 1
         v = self.labels[key]
         return v - 1 if v else None
 
     def update(self, key, label):
         """Relabel an existing key in O(1)."""
-        if type(key) is not int:
-            key = _key(key)
-        if not 1 <= key <= self.span:
-            raise self._range_error(key)
+        key = self._slot(key)
         self.probes += 1
         if not self.labels[key]:
             raise MissingKey(f"key {key} not present")
@@ -358,30 +351,18 @@ class VebMap:
             return None
         if key > self.span:
             key = self.span
-        labels, width = self.labels, self.width
+        width = self.width
         b = (key + width - 1) // width
-        lo = (b - 1) * width + 1
-        x = key
-        while x >= lo:
-            if labels[x]:
-                self.probes += key - x + 1
-                return x
-            x -= 1
-        self.probes += key - lo + 1
+        x = self._scan(key, (b - 1) * width, -1)
+        if x is not None:
+            return x
         p = self.occupied.pred_lt(b, self)
         if not p:  # None, or the never-occupied bucket 0
             return None
-        hi = p * width
-        if hi > self.span:
-            hi = self.span
-        x = hi
-        stop = (p - 1) * width
-        while x > stop:
-            if labels[x]:
-                self.probes += hi - x + 1
-                return x
-            x -= 1
-        raise InternalError(f"bucket {p} marked occupied but empty")
+        x = self._scan(min(p * width, self.span), (p - 1) * width, -1)
+        if x is None:
+            raise InternalError(f"bucket {p} marked occupied but empty")
+        return x
 
     def find_next(self, key):
         """Smallest present key >= key, or None."""
@@ -391,32 +372,30 @@ class VebMap:
             return None
         if key < 1:
             key = 1
-        labels, width = self.labels, self.width
+        width = self.width
         b = (key + width - 1) // width
-        hi = b * width
-        if hi > self.span:
-            hi = self.span
-        x = key
-        while x <= hi:
-            if labels[x]:
-                self.probes += x - key + 1
-                return x
-            x += 1
-        self.probes += hi - key + 1
+        x = self._scan(key, min(b * width, self.span) + 1, 1)
+        if x is not None:
+            return x
         s = self.occupied.succ_gt(b, self)
         if s is None:
             return None
-        lo = (s - 1) * width + 1
-        hi = s * width
-        if hi > self.span:
-            hi = self.span
-        x = lo
-        while x <= hi:
+        x = self._scan((s - 1) * width + 1, min(s * width, self.span) + 1, 1)
+        if x is None:
+            raise InternalError(f"bucket {s} marked occupied but empty")
+        return x
+
+    def _scan(self, start, stop, step):
+        """The first present key from start toward stop, exclusive, or None.
+        Charges d + 1 probes for a hit d cells from start and one per cell
+        of the range for a miss, the counts of a cell-by-cell scan."""
+        labels = self.labels
+        for x in range(start, stop, step):
             if labels[x]:
-                self.probes += x - lo + 1
+                self.probes += (x - start) * step + 1
                 return x
-            x += 1
-        raise InternalError(f"bucket {s} marked occupied but empty")
+        self.probes += (stop - start) * step
+        return None
 
     # -- bulk construction ---------------------------------------------------
 

@@ -202,6 +202,9 @@ def test_json_round_trips():
     assert s2.table == s.table and s2.names == s.names
     c = congruence_from_json({"blocks": [[0, 2], [1, 3]]})
     assert c.block_of[2] == 0
+    for obj in ({}, [[0, 2], [1, 3]]):
+        with pytest.raises(RangeError, match="congruence JSON needs the field 'blocks'"):
+            congruence_from_json(obj)
 
 
 def test_associativity_holds_for_every_gallery_table(gal):

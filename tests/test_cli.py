@@ -263,6 +263,13 @@ BAD_SHAPES = {
     "list_name": ("algebra", {"elements": ["a", ["b"]], "table": [[0, 1], [1, 1]]}),
 }
 
+# DFA JSON missing one field: the field -> content. Not in BAD_SHAPES, whose
+# entries sit mid-way through the matrix below and would renumber its ids
+MISSING_DFA_FIELDS = {
+    "finals": {"alphabet": "ab", "dfa": {"states": 2, "delta": [[0, 1], [1, 0]], "initial": 0}},
+    "states": {"alphabet": "ab", "dfa": {"delta": [[0, 1], [1, 0]], "initial": 0, "finals": [0]}},
+}
+
 # malformed bench configs: file name -> content
 BAD_BENCH = {
     "bench_top_level_list": [{"engine": "zg", "gallery": "zg5", "ns": [64]}],
@@ -330,6 +337,14 @@ def test_bad_input_matrix_exit_code_2(files, args, stream):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", list(MISSING_DFA_FIELDS))
+def test_missing_dfa_field_is_named(tmp_path, field):
+    (tmp_path / "dfa.json").write_text(json.dumps(MISSING_DFA_FIELDS[field]))
+    r = run_cli(["classify", str(tmp_path / "dfa.json")])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == f"error: 'dfa' needs the field '{field}'\n"
 
 
 @pytest.mark.parametrize("word,stream", [("a x", "Q\n"), ("a b", "U 0 x\n")])
