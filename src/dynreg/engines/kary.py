@@ -30,9 +30,9 @@ narrowest dtype that holds every id, the adjoined identity included: a level
 is padded in that dtype, and its codes are built digit column by digit
 column (Horner's rule, in place) in one int64 array of one entry per node,
 so the build makes no full-length int64 copy of the leaves. The two climbs
-stay inline in each update: a build with one shared climb function lost
-6 of 6 alternating benchmark pairs, 4.6 % of edit-kary's edits per second
-and 2.8 % of edit-sg's.
+stay inline in each update: with one shared climb function edit-kary ran
+about 4 % fewer edits per second, in alternating benchmark pairs on a
+2-vCPU Xeon under CPython 3.11.7.
 
 KaryEngine's letters are the caller's ids: update checks them by
 Engine._check, so a float, 1.0 too, raises RangeError before any state

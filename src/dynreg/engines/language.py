@@ -40,8 +40,8 @@ values, or a tail letter's old and new monoid ids; only when the leaf's
 value changes does it climb, with those two values, as KaryEngine.update
 does, and charge the climb as that does. The climb loop is written here
 again, inline, not shared with KaryEngine: a shared climb function measured
-slower on edit-kary and edit-sg (kary.py). A query reads the top code's
-value and one accept bit, one per monoid element.
+slower on edit-kary (kary.py). A query reads the top code's value and one
+accept bit, one per monoid element.
 
 In Q_LZG, where route picks zg, LanguageEngine runs a zg engine over the
 block images. Where it picks window, WindowLanguageEngine runs the verified
