@@ -1,8 +1,13 @@
-"""Congruences of a finite semigroup and their exhaustive enumeration."""
+"""Congruences of a finite semigroup and their exhaustive enumeration.
+
+A congruence is kept as its block key, a tuple of sorted blocks ordered by
+least element; closures and joins both end by reading it off a union-find.
+"""
 
 from __future__ import annotations
 
 from ..errors import InvalidCongruence, TooLarge
+from .core import reach
 
 DEFAULT_ENUM_BOUND = 12
 
@@ -66,6 +71,7 @@ class _UnionFind:
         return x
 
     def union(self, x, y):
+        """Merge the classes of x and y; False when they were one already."""
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return False
@@ -74,68 +80,55 @@ class _UnionFind:
         self.parent[ry] = rx
         return True
 
+    def blocks(self):
+        """The classes as a block-key tuple: each block sorted, the blocks
+        ordered by least element."""
+        groups = {}
+        for x in range(len(self.parent)):
+            groups.setdefault(self.find(x), []).append(x)
+        return tuple(map(tuple, groups.values()))
+
 
 def _close(s, pairs):
-    """Least congruence containing the given pairs, as a block-key tuple."""
+    """Least congruence containing the given pairs, as a block-key tuple.
+
+    reach walks the pairs that merge two classes; each one's translates
+    (zx, zy) and (xz, yz) are merged in turn, and those that merge
+    something are walked next."""
     uf = _UnionFind(s.size)
-    queue = []
-    for x, y in pairs:
-        if uf.union(x, y):
-            queue.append((x, y))
     t = s.table
-    n = s.size
-    while queue:
-        x, y = queue.pop()
-        for z in range(n):
-            for a, b in ((t[z][x], t[z][y]), (t[x][z], t[y][z])):
-                ra, rb = uf.find(a), uf.find(b)
-                if ra != rb:
-                    uf.union(ra, rb)
-                    queue.append((ra, rb))
-    groups = {}
-    for x in range(n):
-        groups.setdefault(uf.find(x), []).append(x)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+    n = range(s.size)
 
+    def step(pair):
+        x, y = pair
+        return [(a, b) for z in n for a, b in ((t[z][x], t[z][y]), (t[x][z], t[y][z]))
+                if uf.union(a, b)]
 
-def enumerate_congruences(s):
-    """All congruences, as joins of principal congruences.
-
-    The join of two congruences is the transitive closure of their union,
-    which is again a congruence, so closing the principal congruences under
-    pairwise join yields the full lattice. A semigroup of more than
-    DEFAULT_ENUM_BOUND elements raises TooLarge.
-    """
-    if s.size > DEFAULT_ENUM_BOUND:
-        raise TooLarge(f"size {s.size} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
-    trivial = tuple((x,) for x in range(s.size))
-    keys = {trivial}
-    principals = set()
-    for x in range(s.size):
-        for y in range(x + 1, s.size):
-            principals.add(_close(s, [(x, y)]))
-    keys |= principals
-    frontier = list(principals)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(keys):
-                j = _join(s, a, b)
-                if j not in keys:
-                    keys.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return [Congruence(k) for k in sorted(keys)]
+    reach([p for p in pairs if uf.union(*p)], step)
+    return uf.blocks()
 
 
 def _join(s, key_a, key_b):
-    pairs = []
-    for blk in key_a + key_b:
-        pairs.extend((blk[0], x) for x in blk[1:])
     uf = _UnionFind(s.size)
-    for x, y in pairs:
-        uf.union(x, y)
-    groups = {}
-    for x in range(s.size):
-        groups.setdefault(uf.find(x), []).append(x)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+    for blk in key_a + key_b:
+        for x in blk[1:]:
+            uf.union(blk[0], x)
+    return uf.blocks()
+
+
+def enumerate_congruences(s):
+    """All congruences, reached from the trivial one by joining with a
+    principal congruence.
+
+    Every congruence is the join of the principal congruences of its pairs,
+    and the join of two congruences (the transitive closure of their union)
+    is again one, so this reaches the whole lattice. A semigroup of more
+    than DEFAULT_ENUM_BOUND elements raises TooLarge.
+    """
+    if s.size > DEFAULT_ENUM_BOUND:
+        raise TooLarge(f"size {s.size} exceeds enumeration bound {DEFAULT_ENUM_BOUND}")
+    n = s.size
+    principals = sorted({_close(s, [(x, y)]) for x in range(n) for y in range(x + 1, n)})
+    trivial = tuple((x,) for x in range(n))
+    keys = reach([trivial], lambda a: [_join(s, a, b) for b in principals])
+    return [Congruence(k) for k in sorted(keys)]

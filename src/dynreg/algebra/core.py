@@ -39,6 +39,8 @@ class FiniteSemigroup:
     """
 
     def __init__(self, table, names=None, validate=True):
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise RangeError("table must be a list of rows, each a list")
         self.size = len(table)
         if self.size == 0:
             raise RangeError("empty table")
@@ -209,8 +211,30 @@ def quotient(s, cong):
     return FiniteSemigroup(table, names=names, validate=False)
 
 
+def reach(seed, step):
+    """The seed and everything step reaches from it, each element once, in
+    FIFO breadth-first order: the seed in its own order, then the
+    successors of each element in the order step(x) lists them.
+
+    Elements must be hashable. step is called once per element, in the
+    order of the result, so a step that records what it computes sees the
+    elements in that order too. Every graph walk of the analysis layer runs
+    here: subsemigroup closure, Green's ideals, subset construction and
+    minimization, the transition monoid and the congruence lattice.
+    """
+    order = list(dict.fromkeys(seed))
+    seen = set(order)
+    for x in order:
+        for y in step(x):
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
 def generated_subsemigroup(s, seed):
-    """Closure of a seed set under composition.
+    """Closure of a seed set under composition: <X> = X^+, every product
+    of generators reached by right multiplications.
 
     Returns (subsemigroup, inclusion) where inclusion[i] is the id in s of
     the i-th element of the subsemigroup.
@@ -218,18 +242,8 @@ def generated_subsemigroup(s, seed):
     seed = sorted(set(seed))
     if not seed:
         raise RangeError("seed must be non-empty")
-    present = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(present):
-                for v in (s.table[x][y], s.table[y][x]):
-                    if v not in present:
-                        present.add(v)
-                        nxt.append(v)
-        frontier = nxt
-    return restriction(s, sorted(present))
+    t = s.table
+    return restriction(s, reach(seed, lambda x: [t[x][g] for g in seed]))
 
 
 def restriction(s, subset):

@@ -1,42 +1,27 @@
-"""Green's J-order machinery: classes, order, maximality, local monoids."""
+"""Green's relations: J-classes and their order, R- and L-classes, local
+monoids.
+
+Each relation compares principal ideals: x J y when S^1 x S^1 = S^1 y S^1,
+x R y when xS^1 = yS^1, x L y when S^1 x = S^1 y. An ideal is what reach
+gets to from x by multiplying on the allowed sides.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import restriction
+from .core import reach, restriction
 
 
-def _two_sided_ideal(s, x):
-    """S^1 x S^1 as a frozenset, by closure under one-sided multiplications."""
-    seen = {x}
-    stack = [x]
+def _ideal(s, x, left, right):
+    """The principal ideal of x as a frozenset: S^1 x S^1 with both sides,
+    xS^1 with right alone, S^1 x with left alone."""
     t = s.table
-    n = s.size
-    while stack:
-        v = stack.pop()
-        row = t[v]
-        for u in range(n):
-            for w in (row[u], t[u][v]):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return frozenset(seen)
 
+    def step(v):
+        return (t[v] if right else []) + ([row[v] for row in t] if left else [])
 
-def _one_sided_ideal(s, x, right):
-    seen = {x}
-    stack = [x]
-    t = s.table
-    n = s.size
-    while stack:
-        v = stack.pop()
-        for u in range(n):
-            w = t[v][u] if right else t[u][v]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return frozenset(reach([x], step))
 
 
 @dataclass
@@ -49,34 +34,17 @@ class JStructure:
 
 
 def green_j(s):
-    """J-classes via materialized two-sided ideals."""
-    ideals = [_two_sided_ideal(s, x) for x in range(s.size)]
-    classes = []
+    """J-classes via materialized two-sided ideals, ordered by least element."""
+    ideals = {x: _ideal(s, x, True, True) for x in range(s.size)}
+    classes = _partition_by(ideals, range(s.size))
     class_of = [None] * s.size
-    ideal_of_class = []
-    index = {}
-    for x in range(s.size):
-        key = ideals[x]
-        if key not in index:
-            index[key] = len(classes)
-            classes.append([])
-            ideal_of_class.append(key)
-        cid = index[key]
-        class_of[x] = cid
-        classes[cid].append(x)
-    # deterministic class ids: order by smallest element id
-    order = sorted(range(len(classes)), key=lambda c: classes[c][0])
-    remap = {old: new for new, old in enumerate(order)}
-    classes = [tuple(sorted(classes[old])) for old in order]
-    ideal_of_class = [ideal_of_class[old] for old in order]
-    class_of = [remap[c] for c in class_of]
-
-    less = set()
+    for cid, cls in enumerate(classes):
+        for x in cls:
+            class_of[x] = cid
+    ideal_of_class = [ideals[cls[0]] for cls in classes]
     m = len(classes)
-    for c1 in range(m):
-        for c2 in range(m):
-            if c1 != c2 and ideal_of_class[c1] < ideal_of_class[c2]:
-                less.add((c1, c2))
+    less = {(c1, c2) for c1 in range(m) for c2 in range(m)
+            if ideal_of_class[c1] < ideal_of_class[c2]}
     maximal = [c for c in range(m) if not any((c, d) in less for d in range(m))]
     idem = set(s.idempotents)
     regular = [any(x in idem for x in cls) for cls in classes]
@@ -85,12 +53,12 @@ def green_j(s):
 
 def r_equivalent_classes(s, elements):
     """Partition of the given elements by xS^1 = yS^1, ordered by least id."""
-    ideals = {x: _one_sided_ideal(s, x, right=True) for x in elements}
+    ideals = {x: _ideal(s, x, False, True) for x in elements}
     return _partition_by(ideals, elements)
 
 
 def l_equivalent_classes(s, elements):
-    ideals = {x: _one_sided_ideal(s, x, right=False) for x in elements}
+    ideals = {x: _ideal(s, x, True, False) for x in elements}
     return _partition_by(ideals, elements)
 
 

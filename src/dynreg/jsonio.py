@@ -48,6 +48,8 @@ def language_from_json(obj):
     if not alphabet or not (isinstance(alphabet, str) or _strings(alphabet)):
         raise RangeError("language JSON needs an 'alphabet': a string or a list of strings")
     if "regex" in obj:
+        if not isinstance(obj["regex"], str):
+            raise RangeError("'regex' must be a string")
         ast = parse_regex(obj["regex"], alphabet)
         return regex_to_dfa(ast, alphabet)
     if "dfa" in obj:

@@ -2,6 +2,8 @@
 
 States are 0-based with the canonical ordering given by BFS from the initial
 state over the alphabet in order, so minimal DFAs are unique on the nose.
+Both walks, the subset construction's and minimization's, are reach's
+breadth-first order.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from numbers import Integral
 
+from ..algebra.core import reach
 from ..errors import RangeError
 
 
@@ -99,38 +102,25 @@ def _thompson(ast, alphabet):
 
 
 def regex_to_dfa(ast, alphabet):
-    """Subset construction; the result is complete (dead state included)."""
+    """Subset construction; the result is complete (dead state included).
+
+    The subsets are the epsilon-closed ones reach gets to from the closure
+    of the start state, numbered in breadth-first order over the alphabet.
+    """
     eps, moves, start, accept = _thompson(ast, alphabet)
 
     def closure(states):
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            q = stack.pop()
-            for r in eps[q]:
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return frozenset(seen)
+        return frozenset(reach(states, eps.__getitem__))
 
-    init = closure({start})
-    index = {init: 0}
-    order = [init]
-    delta = []
-    i = 0
-    while i < len(order):
-        cur = order[i]
-        row = []
-        for a in alphabet:
-            nxt = closure(
-                {t for q in cur for t in moves[q].get(a, ())}
-            )
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-            row.append(index[nxt])
-        delta.append(row)
-        i += 1
+    rows = []
+
+    def step(cur):
+        rows.append([closure({t for q in cur for t in moves[q].get(a, ())}) for a in alphabet])
+        return rows[-1]
+
+    order = reach([closure([start])], step)
+    index = {st: i for i, st in enumerate(order)}
+    delta = [[index[st] for st in row] for row in rows]
     finals = {i for i, st in enumerate(order) if accept in st}
     return Dfa(alphabet, delta, 0, finals)
 
@@ -138,17 +128,11 @@ def regex_to_dfa(ast, alphabet):
 def minimize_dfa(d):
     """Unique minimal complete DFA with BFS-canonical state numbering."""
     # drop unreachable states
-    reach = [d.initial]
-    seen = {d.initial}
-    for q in reach:
-        for v in d.delta[q]:
-            if v not in seen:
-                seen.add(v)
-                reach.append(v)
-    ids = {q: i for i, q in enumerate(reach)}
-    delta = [[ids[d.delta[q][a]] for a in range(len(d.alphabet))] for q in reach]
+    live = reach([d.initial], d.delta.__getitem__)
+    ids = {q: i for i, q in enumerate(live)}
+    delta = [[ids[v] for v in d.delta[q]] for q in live]
     finals = {ids[q] for q in d.finals if q in ids}
-    n = len(reach)
+    n = len(live)
 
     # Moore refinement
     block = [1 if q in finals else 0 for q in range(n)]
@@ -164,26 +148,14 @@ def minimize_dfa(d):
             break
         block = nxt
 
+    # canonical BFS order over the blocks, each read off its first state
     reps = {}
     for q in range(n):
         reps.setdefault(block[q], q)
-    # canonical BFS order over blocks
-    bfs = [block[0]]
-    seen_b = {block[0]}
-    out_delta = []
-    for b in bfs:
-        q = reps[b]
-        row = []
-        for a in range(len(d.alphabet)):
-            tb = block[delta[q][a]]
-            if tb not in seen_b:
-                seen_b.add(tb)
-                bfs.append(tb)
-            row.append(tb)
-        out_delta.append(row)
+    bfs = reach([block[0]], lambda b: [block[v] for v in delta[reps[b]]])
     order = {b: i for i, b in enumerate(bfs)}
-    final_delta = [[order[v] for v in row] for row in out_delta]
-    final_finals = {order[b] for b in set(block) if reps[b] in finals}
+    final_delta = [[order[block[v]] for v in delta[reps[b]]] for b in bfs]
+    final_finals = {order[b] for b in bfs if reps[b] in finals}
     return Dfa(d.alphabet, final_delta, 0, final_finals)
 
 

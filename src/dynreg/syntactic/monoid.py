@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..algebra.core import FiniteSemigroup
+from ..algebra.core import FiniteSemigroup, reach
 from .dfa import minimize_dfa
 
 
@@ -39,42 +39,38 @@ def syntactic_monoid(d):
 
     The DFA is minimized first; minimization is canonical, so a minimal input
     gives the same morphism. Elements are state transformations of the
-    minimal DFA, closed under composition and including the identity; element
-    names are shortest words achieving each transformation (the identity is
+    minimal DFA, reached from the identity by the letters' transformations:
+    ids follow reach's breadth-first order, and each element is named by the
+    first word that reaches it, which is a shortest one (the identity is
     named "1").
     """
     d = minimize_dfa(d)
-    n = d.states
-    ident = tuple(range(n))
-    letter_tf = {
-        a: tuple(d.delta[q][i] for q in range(n)) for i, a in enumerate(d.alphabet)
-    }
+    letters = [tuple(col) for col in zip(*d.delta)]  # letter i as a transformation
+    succ = []  # succ[i][a]: element i followed by letter a, as a transformation
 
-    index = {ident: 0}
-    elems = [ident]
-    words = {ident: ""}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for tf in frontier:
-            for a in d.alphabet:
-                la = letter_tf[a]
-                comp = tuple(la[tf[q]] for q in range(n))
-                if comp not in index:
-                    index[comp] = len(elems)
-                    elems.append(comp)
-                    words[comp] = words[tf] + a
-                    nxt.append(comp)
-        frontier = nxt
+    def step(tf):
+        succ.append([tuple([la[q] for q in tf]) for la in letters])
+        return succ[-1]
 
-    size = len(elems)
-    table = [[None] * size for _ in range(size)]
-    for i, tf in enumerate(elems):
-        for j, tg in enumerate(elems):
-            comp = tuple(tg[tf[q]] for q in range(n))
-            table[i][j] = index[comp]
-    names = [words[tf] if words[tf] else "1" for tf in elems]
-    target = FiniteSemigroup(table, names=names, validate=False)
+    elems = reach([tuple(range(d.states))], step)
+    index = {tf: i for i, tf in enumerate(elems)}
+    right = [[index[tf] for tf in row] for row in succ]
+    # The scan below meets each element first where reach did, so a new
+    # element always takes the next id; made lists, for the elements after
+    # the identity in id order, the (i, a) with the element equal to i*a
+    words, made = [""], []
+    for i, row in enumerate(right):
+        for a, j in enumerate(row):
+            if j == len(words):
+                words.append(words[i] + d.alphabet[a])
+                made.append((i, a))
+    # x*j = (x*i)*a with i < j: each row fills from the identity's column
+    table = []
+    for x in range(len(elems)):
+        row = [x]
+        for i, a in made:
+            row.append(right[row[i]][a])
+        table.append(row)
+    target = FiniteSemigroup(table, names=[w or "1" for w in words], validate=False)
     accept = {i for i, tf in enumerate(elems) if tf[d.initial] in d.finals}
-    eta = {a: index[letter_tf[a]] for a in d.alphabet}
-    return Morphism(target, eta, accept, d.alphabet)
+    return Morphism(target, dict(zip(d.alphabet, right[0])), accept, d.alphabet)

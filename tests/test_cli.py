@@ -270,6 +270,21 @@ MISSING_DFA_FIELDS = {
     "states": {"alphabet": "ab", "dfa": {"delta": [[0, 1], [1, 0]], "initial": 0, "finals": [0]}},
 }
 
+# a table, a table row or a regex of the wrong JSON type: name -> (command,
+# content, error line). Not in BAD_SHAPES, for the reason MISSING_DFA_FIELDS
+# is not; the cases are named by their keys
+TABLE_ERROR = "error: table must be a list of rows, each a list\n"
+REGEX_ERROR = "error: 'regex' must be a string\n"
+BAD_TYPES = {
+    "table_number": ("algebra", {"table": 5}, TABLE_ERROR),
+    "table_null": ("algebra", {"table": None}, TABLE_ERROR),
+    "table_row_number": ("algebra", {"table": [0]}, TABLE_ERROR),
+    "table_second_row_number": ("algebra", {"table": [[0, 0], 1]}, TABLE_ERROR),
+    "regex_number": ("classify", {"alphabet": "ab", "regex": 5}, REGEX_ERROR),
+    "regex_null": ("classify", {"alphabet": "ab", "regex": None}, REGEX_ERROR),
+    "regex_list": ("classify", {"alphabet": "ab", "regex": ["a"]}, REGEX_ERROR),
+}
+
 # malformed bench configs: file name -> content
 BAD_BENCH = {
     "bench_top_level_list": [{"engine": "zg", "gallery": "zg5", "ns": [64]}],
@@ -337,6 +352,15 @@ def test_bad_input_matrix_exit_code_2(files, args, stream):
     assert r.returncode == 2, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", list(BAD_TYPES))
+def test_bad_json_type_exit_code_2(tmp_path, name):
+    cmd, obj, error = BAD_TYPES[name]
+    (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    r = run_cli([cmd, str(tmp_path / f"{name}.json")])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == error
 
 
 @pytest.mark.parametrize("field", list(MISSING_DFA_FIELDS))
