@@ -35,7 +35,7 @@ class JStructure:
 
 def green_j(s):
     """J-classes via materialized two-sided ideals, ordered by least element."""
-    ideals = {x: _ideal(s, x, True, True) for x in range(s.size)}
+    ideals = {x: _ideal(s, x, left=True, right=True) for x in range(s.size)}
     classes = _partition_by(ideals, range(s.size))
     class_of = [None] * s.size
     for cid, cls in enumerate(classes):
@@ -53,12 +53,12 @@ def green_j(s):
 
 def r_equivalent_classes(s, elements):
     """Partition of the given elements by xS^1 = yS^1, ordered by least id."""
-    ideals = {x: _ideal(s, x, False, True) for x in elements}
+    ideals = {x: _ideal(s, x, left=False, right=True) for x in elements}
     return _partition_by(ideals, elements)
 
 
 def l_equivalent_classes(s, elements):
-    ideals = {x: _ideal(s, x, True, False) for x in elements}
+    ideals = {x: _ideal(s, x, left=True, right=False) for x in elements}
     return _partition_by(ideals, elements)
 
 
