@@ -48,7 +48,7 @@ class FiniteSemigroup:
             if len(row) != self.size:
                 raise RangeError("table is not square")
             for v in row:
-                if not isinstance(v, int) or not (0 <= v < self.size):
+                if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < self.size):
                     raise RangeError(f"table entry {v!r} out of range")
         self.table = [list(row) for row in table]
         if names is None:

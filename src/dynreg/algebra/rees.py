@@ -15,12 +15,8 @@ ZERO = None  # sandwich-matrix entry for products leaving the class
 
 
 class ReesRepresentation:
-    def __init__(self, base, class_elements, group, group_elems, i_count, j_count,
-                 matrix, coord, uncoord):
-        self.base = base                  # the ambient semigroup
-        self.class_elements = class_elements  # sorted tuple of ids in the class
+    def __init__(self, group, i_count, j_count, matrix, coord, uncoord):
         self.group = group                # structuring group (re-indexed)
-        self.group_elems = group_elems    # group id -> ambient element id
         self.i_count = i_count
         self.j_count = j_count
         self.matrix = matrix              # j_count x i_count of group ids or ZERO
@@ -50,15 +46,6 @@ class ReesRepresentation:
 
     def g_inv(self, x):
         return self._g_inverse[x]
-
-    def product(self, a, b):
-        """Product of two class elements in Rees coordinates; None if it leaves C."""
-        i, g, j = self.coord[a]
-        i2, g2, j2 = self.coord[b]
-        p = self.matrix[j][i2]
-        if p is ZERO:
-            return None
-        return self.uncoord[(i, self.g_mul(g, p, g2), j2)]
 
 
 def rees_decompose(s, class_id, jstructure=None, require_maximal=True):
@@ -119,10 +106,7 @@ def rees_decompose(s, class_id, jstructure=None, require_maximal=True):
         raise InternalError("Rees coordinates are not a bijection")
 
     return ReesRepresentation(
-        base=s,
-        class_elements=tuple(cls),
         group=group,
-        group_elems=group_elems,
         i_count=len(r_classes),
         j_count=len(l_classes),
         matrix=matrix,

@@ -113,9 +113,8 @@ def cmd_run(args):
         def answer_query(tag, positions):
             needed = {"P": "prefix", "I": "infix"}.get(tag)
             if needed and not hasattr(engine, needed):
-                raise ValueError(
-                    f"engine kind {engine.kind!r} does not answer {tag} queries"
-                )
+                raise ValueError(f"engine kind {engine.kind!r} does not answer {tag} "
+                                 "queries; --engine kary answers them")
             if tag == "Q":
                 got = engine.query()
                 want = oracle.query() if oracle else got

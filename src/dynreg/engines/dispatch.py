@@ -8,13 +8,14 @@ and nilpotent engines have no row of their own: a commutative or
 nilpotent-plus-identity monoid is a one-factor zg certificate, so the zg row
 builds them. ENGINES maps each name, and "auto", to its factory.
 
-route() alone picks, for make_auto_engine and for a Q_LZG language
-(language.make_language_engine): zg where the memoized certificate search
-certifies the semigroup; else, for a language, the fused window engine where
-a window plan is verified; else the k-ary tree over the caller's letters
-(for a language, over the values of its blocks of letters).
-It alone logs a downgrade, the k-ary tree built where the constant-time
-class held but no plan was found.
+route() is the one ladder for a semigroup in LOCAL ZG, the constant-time
+class: zg where the memoized certificate search certifies it, else the
+window engine where a window plan is verified, else the k-ary tree, of kind
+kary-downgraded, with a warning logged. Each caller gates the class with the
+verdict it holds: make_auto_engine with the memoized LOCAL ZG check on the
+semigroup, a language (language.make_language_engine) with its Q_LZG class
+on the stable semigroup. Outside the class both build the k-ary tree over
+their own letters (for a language, over the values of its blocks of letters).
 
 route() never picks sg, by measurement: from n = 2^10 to 2^20 log log n
 and log n / log log n stay within 10 % of each other, and on the Q_SG_ONLY
@@ -26,12 +27,13 @@ from __future__ import annotations
 
 import logging
 
+from ..algebra.varieties import check_variety
 from ..errors import NotApplicable, NotZg
 from .base import make_naive_engine
 from .kary import make_kary_engine
 from .prefix import make_prefix_engine
 from .sg import make_sg_engine
-from .windowstats import synthesize_window_plan
+from .windowstats import WindowStatsEngine, synthesize_window_plan
 from .zg import make_zg_engine, zg_certificate
 
 logger = logging.getLogger(__name__)
@@ -41,32 +43,29 @@ REGISTRY = (
     ("prefix", make_prefix_engine), ("naive", make_naive_engine))
 
 
-def route(semigroup, window=False):
-    """(tag, plan): ("zg", None) when the certificate search certifies
-    semigroup; else, with window, ("window", plan) when a window plan is
-    verified; else ("kary", None), or ("kary-downgraded", None), logged,
-    when the constant-time class held: semigroup is in ZG, or, with window,
-    is a Q_LZG language's stable semigroup."""
+def route(semigroup):
+    """(tag, plan) for a semigroup in LOCAL ZG: ("zg", None) when the
+    certificate search certifies it, else ("window", plan) when a window
+    plan is verified, else ("kary-downgraded", None), logged."""
     cert = zg_certificate(semigroup)
     if cert is not None and not isinstance(cert, NotZg):
         return "zg", None
-    plan = synthesize_window_plan(semigroup) if window else None
+    plan = synthesize_window_plan(semigroup)
     if plan is not None:
         return "window", plan
-    if isinstance(cert, NotZg) and not window:
-        return "kary", None
     logger.warning(
-        "no zg certificate%s for the %d-element semigroup; built the kary engine "
-        "instead, answers stay exact", " and no window plan" if window else "", semigroup.size)
+        "no zg certificate and no window plan for the %d-element semigroup; built the "
+        "kary engine instead, answers stay exact", semigroup.size)
     return "kary-downgraded", None
 
 
 def make_auto_engine(semigroup, word):
-    """The zg engine where route picks it, else the k-ary tree, of kind
-    kary-downgraded where the zg class held."""
-    tag, _ = route(semigroup)
+    """What route picks in LOCAL ZG, else the k-ary tree."""
+    tag, plan = route(semigroup) if check_variety(semigroup, ("LOCAL", "ZG")) else ("kary", None)
     if tag == "zg":
         return make_zg_engine(semigroup, word)
+    if tag == "window":
+        return WindowStatsEngine(semigroup, word, plan)
     engine = make_kary_engine(semigroup, word)
     engine.kind = tag
     return engine

@@ -584,7 +584,7 @@ def make_language_engine(morphism, sd, report, word):
     """One k-ary tree outside Q_LZG. In Q_LZG, what dispatch.route picks
     for the stable semigroup: the zg facade, the window engine with its
     plan, or the k-ary tree of kind language[kary-downgraded]."""
-    tag, plan = route(sd.stable, window=True) if report.cls == Q_LZG else ("kary", None)
+    tag, plan = route(sd.stable) if report.cls == Q_LZG else ("kary", None)
     if tag == "window":
         return WindowLanguageEngine(morphism, sd, word, plan)
     if tag == "zg":

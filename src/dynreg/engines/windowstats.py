@@ -13,10 +13,11 @@ depends only on the (previous, old, new, next) letters: _slot_delta gives
 each slot's net change by the same per-position rule as the bulk count and
 the plan search, without the slots whose changes cancel. Updates and queries
 are therefore constant time, with word-length-independent step counts.
-WindowStatsEngine runs a plan over a word of semigroup elements; it is the
-reference for the language engines' window kind
-(language.WindowLanguageEngine), which runs every verified plan on its
-block images itself, the exact counts as fields of one int.
+WindowStatsEngine runs a plan over a word of semigroup elements: auto builds
+it where dispatch.route picks window, and it is the reference for the
+language engines' window kind (language.WindowLanguageEngine), which runs
+every verified plan on its block images itself, the exact counts as fields
+of one int.
 
 Whether the key determines the evaluation is decided by exhaustive
 reachability over the capped-statistic automaton, carrying the true

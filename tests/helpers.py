@@ -1,14 +1,15 @@
 """Shared test utilities: fast fold oracle, gallery-wide engine setup,
-small-semigroup enumeration, a reference window plan search, a decoder
-for the window plans' packed keys, a k-ary tree at a chosen branching
-factor, the Cayley DFA of S3, and the L_U1 and L_U2 membership
-reductions."""
+small-semigroup enumeration, the Rees matrix product, a reference window
+plan search, a decoder for the window plans' packed keys, a k-ary tree at a
+chosen branching factor, the Cayley DFA of S3, and the L_U1 and L_U2
+membership reductions."""
 
 import itertools
 
 import numpy as np
 import pytest
 
+from dynreg.algebra.rees import ZERO
 from dynreg.engines import kary
 from dynreg.engines.base import make_naive_engine
 from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append
@@ -159,6 +160,16 @@ def semigroup_tables(order):
         t[x][y] = None
 
     yield from fill(0)
+
+
+def rees_product(r, a, b):
+    """The product of two elements of r's J-class by the Rees matrix rule,
+    (i, g, j)(i', g', j') = (i, g P[j][i'] g', j'): None where P[j][i'] is
+    ZERO, the product leaving the class."""
+    i, g, j = r.coord[a]
+    i2, g2, j2 = r.coord[b]
+    p = r.matrix[j][i2]
+    return None if p is ZERO else r.uncoord[(i, r.g_mul(g, p, g2), j2)]
 
 
 def reference_window_search(s, first, threshold, period, state_cap):

@@ -48,6 +48,9 @@ def test_build_rejects_bad_entries():
         build_semigroup([[0, 2], [1, 0]])
     with pytest.raises(RangeError):
         build_semigroup([[0, 1], [1]])
+    # JSON true and false are no element ids, as they are no DFA states
+    with pytest.raises(RangeError):
+        build_semigroup([[0, 1], [True, 1]])
 
 
 def test_omega_examples():

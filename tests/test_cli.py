@@ -155,6 +155,20 @@ def test_run_infix_on_wrong_engine_is_input_error(files, tmp_path):
         "--word", "a a b b", "--stream", str(stream), "--engine", "sg",
     ])
     assert r.returncode == 2
+    assert r.stderr == ("error: engine kind 'sg' does not answer I queries; "
+                        "--engine kary answers them\n")
+
+
+def test_run_prefix_under_auto_names_the_kary_engine(files, tmp_path):
+    # auto runs abse, in LOCAL ZG, on the window engine, which answers Q alone
+    stream = tmp_path / "bad_p.txt"
+    stream.write_text("Q\nP 2\n")
+    r = run_cli([
+        "run", str(files / "abse.json"), "--word", "a a b b", "--stream", str(stream),
+    ])
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == ("error: engine kind 'windowstats' does not answer P queries; "
+                        "--engine kary answers them\n")
 
 
 def test_run_deterministic_output(files):
@@ -208,11 +222,11 @@ def test_bench_csv(tmp_path):
 
 
 def test_bench_builds_kary_under_auto_and_sg_by_name(tmp_path):
-    # auto on a swap-equation semigroup builds the k-ary tree, as the
-    # language facade does; the vEB engine is still built when named
+    # auto on a semigroup in SG but not in LOCAL ZG builds the k-ary tree, as
+    # the language facade does; the vEB engine is still built when named
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"cells": [
-        {"engine": engine, "gallery": "abstar", "ns": [64], "ops": 20} for engine in ("auto", "sg")]}))
+        {"engine": engine, "gallery": "U2", "ns": [64], "ops": 20} for engine in ("auto", "sg")]}))
     r = run_cli(["bench", str(cfg)])
     assert r.returncode == 0, r.stderr
     rows = [line.split(",") for line in r.stdout.splitlines()[2:]]
@@ -280,6 +294,8 @@ BAD_TYPES = {
     "table_null": ("algebra", {"table": None}, TABLE_ERROR),
     "table_row_number": ("algebra", {"table": [0]}, TABLE_ERROR),
     "table_second_row_number": ("algebra", {"table": [[0, 0], 1]}, TABLE_ERROR),
+    "table_entry_bool": ("algebra", {"table": [[0, 1], [True, 1]]},
+                         "error: table entry True out of range\n"),
     "regex_number": ("classify", {"alphabet": "ab", "regex": 5}, REGEX_ERROR),
     "regex_null": ("classify", {"alphabet": "ab", "regex": None}, REGEX_ERROR),
     "regex_list": ("classify", {"alphabet": "ab", "regex": ["a"]}, REGEX_ERROR),
@@ -331,6 +347,9 @@ BAD_BENCH = {
     (["run", "{dir}/sgonly.json", "--word", "abxc"], "U 1 z\nQ\n"),
     (["run", "{dir}/sgonly.json", "--word", "abxc"], "U 4 a\nQ\n"),
     (["run", "{dir}/sgonly.json", "--word", "abzc"], "Q\n"),
+    # P and I records under auto on abse, whose window engine answers Q alone
+    (["run", "{dir}/abse.json", "--word", "a b"], "P 1\n"),
+    (["run", "{dir}/abse.json", "--word", "a b"], "I 0 1\n"),
 ])
 def test_bad_input_matrix_exit_code_2(files, args, stream):
     (files / "nonassoc.json").write_text(json.dumps({"table": [[1, 0], [1, 1]]}))

@@ -418,8 +418,8 @@ def test_zg_engine_downgrades_above_the_congruence_search_bound(gal):
     # zg5 x Z3 is in ZG but not commutative; with 15 elements it is above
     # the congruence search's bound, so no certificate is found: the zg
     # factory raises, and so does the window factory, so route picks the
-    # k-ary tree for auto and for a Q_LZG language over it (which tries
-    # window next), and its answers stay exact
+    # k-ary tree for auto and for a Q_LZG language over it, and its answers
+    # stay exact
     s = direct_product(gal["zg5"], gal["Z3"])
     assert s.size == 15
     assert check_variety(s, "ZG") and not check_variety(s, "COM")
