@@ -58,11 +58,13 @@ first_place // last_place, refreshed only when the image of block 0 or of
 the last block changes. Counts are capped only when a query reads a key.
 For a plan of presence bits (threshold 1, period 1) the key is one SWAR
 test, (x + M) & H, with 2^(w-1) - 1 in every field of M and the guard bits
-in H: a field's guard bit is set exactly when its count is not 0. A query
-on a cleared bit reads that key plus _ends in the engine's own dict, and
-on a miss packs the key in the plan's layout and reads plan.recovery once.
-For a counted plan a query on a cleared bit decodes the nslots fields,
-packs their caps by plan.pack and reads plan.recovery.
+in H: a field's guard bit is set exactly when its count is not 0. For a
+counted plan the key is the nslots fields decoded and packed by plan.pack.
+A query on a cleared bit reads its key in the engine's own dict, _evals,
+and on a miss packs the key in the plan's layout and reads it once through
+plan.evaluation, the plan's one lookup: the recovery entry, or for a key
+that shows the stable semigroup's zero, which the plan search does not
+keep, the zero (windowstats.py, the zero rule).
 
 Q_LZG membership composes the blocks' evaluation with the tail's value in
 the syntactic monoid and tests the accept set, by one list of accept bits,
@@ -356,9 +358,8 @@ class WindowLanguageEngine(ChunkedEngine):
         # read from the images so that a dict code table stays unread
         if len(images):
             self._ends = int(images[-1]) * self._last_at + int(images[0]) * self._first_at
-            # key -> evaluation: the SWAR key's, filled from plan.recovery on
-            # first read, or for a counted plan plan.recovery itself
-            self._evals = {} if self._h else plan.recovery
+            # query's key -> evaluation, filled from plan.evaluation on first read
+            self._evals = {}
             self._eval_steps = 2 + nslots + 1
         else:  # no block: the key is 0, and its one entry reads the tail's bit
             self._ends, self._evals, self._eval_steps = 0, {0: -1}, 2
@@ -416,14 +417,13 @@ class WindowLanguageEngine(ChunkedEngine):
         if bit is None:
             self._steps += self._eval_steps
             h = self._h
-            if h:  # presence bits: the key by one SWAR test, packed on its first read
-                key = ((self._x + self._m) & h) + self._ends
-                try:
-                    ev = self._evals[key]
-                except KeyError:
-                    ev = self._evals[key] = self.plan.recovery[self._packed()]
-            else:  # counts: decoded and capped at every read
-                ev = self._evals[self._packed()]
+            # presence bits: the key by one SWAR test, packed on its first
+            # read; counts: decoded and capped at every read
+            key = ((self._x + self._m) & h) + self._ends if h else self._packed()
+            try:
+                ev = self._evals[key]
+            except KeyError:
+                ev = self._evals[key] = self.plan.evaluation(self._packed() if h else key)
             bit = self._bit = (self._accepts or self._accept_list())[ev]
         else:
             self._steps += 2

@@ -22,12 +22,21 @@ of one int.
 Whether the key determines the evaluation is decided by exhaustive
 reachability over the capped-statistic automaton, carrying the true
 evaluation along: if no two reachable states share a key with different
-evaluations, the recovery table is total and the engine is exact for every
-word length. This covers stable semigroups whose local monoids are in ZG but
-which are not in ZG themselves (the counters play the commutative part, the
-last letter the definite part, the first letter the reverse-definite part,
-as the length-1 prefix and suffix of local testability); when every plan
-fails, `dispatch.route` picks the k-ary tree instead.
+evaluations, the recovery table is exact for every word length. This covers
+stable semigroups whose local monoids are in ZG but which are not in ZG
+themselves (the counters play the commutative part, the last letter the
+definite part, the first letter the reverse-definite part, as the length-1
+prefix and suffix of local testability); when every plan fails,
+`dispatch.route` picks the k-ary tree instead.
+
+The zero rule. A word that has the zero z as a letter, or an adjacent pair
+whose product is z, evaluates to z, and a slot's capped digit is above 0
+exactly when its count is; so a key with z's letter slot or z's pair slot
+nonzero is the key of words that all evaluate to z, and takes part in no
+conflict. Every successor of such a key shows z too, and a key without z
+is reached only through keys without z. The search therefore keeps only the
+zero-free states, and WindowStatsPlan.evaluation reads a key that is not in
+the recovery table as z. A semigroup with no zero keeps a total table.
 """
 
 from __future__ import annotations
@@ -42,16 +51,19 @@ from ..errors import NoWindowPlan
 from ..memo import memo
 from .base import Engine
 
-STATE_CAP = 300_000  # reachable states explored before a plan gives up
+STATE_CAP = 300_000  # zero-free reachable states explored before a plan gives up
 
 
 class WindowStatsPlan:
     """A key is one int: the capped count of slot i as a digit at radix**i,
     radix = threshold + period, then the last letter at last_place, then,
-    in plans with `first`, the first letter at first_place (0 otherwise)."""
+    in plans with `first`, the first letter at first_place (0 otherwise).
+    The recovery table holds the zero-free keys; evaluation(key) is the one
+    lookup of a key."""
 
-    def __init__(self, first, threshold, period, nslots):
+    def __init__(self, first, threshold, period, nslots, zero=None):
         self.first = first  # whether the first letter joins the recovery key
+        self.zero = zero  # the semigroup's zero, the evaluation of every key not in recovery
         self.threshold = threshold
         self.period = period
         self.nslots = nslots
@@ -60,7 +72,7 @@ class WindowStatsPlan:
         self.last_place = radix**nslots
         # above the last letter, one of the nslots // 2 letters (see _nslots)
         self.first_place = self.last_place * (nslots // 2) if first else 0
-        self.recovery = {}  # key -> element
+        self.recovery = {}  # zero-free key -> element
 
         def cap(c):
             return c if c < threshold else threshold + (c - threshold) % period
@@ -70,6 +82,14 @@ class WindowStatsPlan:
     def pack(self, counts):
         """The key of exact slot counts, letters aside: each capped count at its place."""
         return sum(map(mul, map(self.cap, counts), self.places))
+
+    def evaluation(self, key):
+        """The evaluation of every word with this key: its recovery entry,
+        else the zero (a key the search did not keep shows the zero). With
+        no zero the table is total, and a missing key raises KeyError."""
+        if self.zero is None:
+            return self.recovery[key]
+        return self.recovery.get(key, self.zero)
 
 
 def _exponent(s):
@@ -140,11 +160,15 @@ def synthesize_window_plan(s):
 def _verify_plan(s, first, threshold, period):
     """The plan for one key if reachability proves it exact, else None.
 
-    Breadth-first search, one layer at a time, over the states (capped
-    counts, first letter, last letter, evaluation) of all nonempty words,
-    giving up at the start of a layer once more than STATE_CAP states are
-    seen. The plan fails as soon as two reachable states share a key
-    (capped counts, first letter, last letter) but not an evaluation.
+    Breadth-first search, one layer at a time, over the zero-free states
+    (capped counts, first letter, last letter, evaluation) of all nonempty
+    words, giving up at the start of a layer once more than STATE_CAP
+    states are seen. The plan fails as soon as two reachable states share a
+    key (capped counts, first letter, last letter) but not an evaluation.
+    A state is zero-free when its word has neither the zero as a letter nor
+    an adjacent pair whose product is the zero (the module's zero rule): the
+    seeds leave the zero out, and moves[last] leaves out every letter a that
+    is the zero or whose product with last is.
 
     Each key is one int in the plan's layout (see WindowStatsPlan). Until
     the plan fails a key has one evaluation, so `seen`, a dict from key to
@@ -153,19 +177,22 @@ def _verify_plan(s, first, threshold, period):
     the cap of its successor at the slot's place, for its own slot and for
     the pair slot size + t[last][a].
     """
-    plan = WindowStatsPlan(first, threshold, period, _nslots(s))
+    z = s.zero
+    plan = WindowStatsPlan(first, threshold, period, _nslots(s), z)
     size, nslots, cap, t = s.size, plan.nslots, plan.cap, s.table
     radix, last_place, first_place, place = plan.radix, plan.last_place, plan.first_place, plan.places
     bump = [[(cap(d + 1) - d) * p for d in range(radix)] for p in place]
-    # moves[last][a]: the place and bumps of a's slot and of the pair slot, a as last letter
-    moves = [[(place[a], bump[a], place[p], bump[p], a * last_place)
-              for a, p in enumerate(size + x for x in row)] for row in t]
+    # moves[last]: (a, then the place and bumps of a's slot and of the pair
+    # slot, a as last letter) for each letter a that keeps the word zero-free
+    moves = [[(a, place[a], bump[a], place[size + x], bump[size + x], a * last_place)
+              for a, x in enumerate(row) if a != z and x != z] for row in t]
     seen = {}  # key -> evaluation
     frontier = []
     for a in range(size):
-        key = place[a] + a * last_place + a * first_place
-        seen[key] = a
-        frontier.append(key)
+        if a != z:
+            key = place[a] + a * last_place + a * first_place
+            seen[key] = a
+            frontier.append(key)
     get = seen.get
     while frontier:
         if len(seen) > STATE_CAP:
@@ -176,7 +203,7 @@ def _verify_plan(s, first, threshold, period):
             last = key // last_place % size
             key -= last * last_place
             # key // place % radix is a count digit: first_place is a multiple of radix * place
-            for a, (pa, ba, pp, bp, la) in enumerate(moves[last]):
+            for a, pa, ba, pp, bp, la in moves[last]:
                 key2 = key + ba[key // pa % radix] + bp[key // pp % radix] + la
                 ev = row[a]
                 old = get(key2)
@@ -214,7 +241,7 @@ class WindowStatsEngine(Engine):
             return None
         plan, word = self.plan, self.word
         self._steps += plan.nslots + 1
-        return plan.recovery[plan.pack(self.counts) + word[-1] * plan.last_place + word[0] * plan.first_place]
+        return plan.evaluation(plan.pack(self.counts) + word[-1] * plan.last_place + word[0] * plan.first_place)
 
 
 def make_windowstats_engine(semigroup, word):

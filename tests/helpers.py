@@ -1,8 +1,9 @@
 """Shared test utilities: fast fold oracle, gallery-wide engine setup,
 small-semigroup enumeration, the Rees matrix product, a reference window
-plan search, a decoder for the window plans' packed keys, a k-ary tree at a
-chosen branching factor, the Cayley DFA of S3, and the L_U1 and L_U2
-membership reductions."""
+plan search, a decoder and an encoder for the window plans' packed keys, the
+route memos' reset, a k-ary tree at a chosen branching factor, the Cayley
+DFA of S3, the first-letter DFA, and the L_U1 and L_U2 membership
+reductions."""
 
 import itertools
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from dynreg.algebra.rees import ZERO
-from dynreg.engines import kary
+from dynreg.engines import kary, synthesize_window_plan, zg
 from dynreg.engines.base import make_naive_engine
 from dynreg.engines.windowstats import WindowStatsPlan, _nslots, _slots_of_append
 from dynreg.gadgets import MembershipViaPrefix
@@ -21,6 +22,10 @@ from dynreg.syntactic.dfa import Dfa
 # syntactic monoid is a group, so every edit that changes a letter changes
 # every node above it in a k-ary tree
 S3_DFA = Dfa("ab", [[2, 3], [3, 2], [0, 5], [1, 4], [5, 0], [4, 1]], 0, {0})
+
+# A Q_LZG DFA whose stable semigroup (5 elements, with a zero) is not in ZG
+# and whose window plan keys on the first letter; perfbench's corpus pins it
+FIRST_LETTER_DFA = Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1})
 
 
 def membership_l_u1(word):
@@ -65,6 +70,13 @@ class FoldOracle:
             if odd is not None:
                 cur = np.concatenate([cur, odd])
         return int(cur[0])
+
+
+def clear_route_memos():
+    """Forget every memoized zg certificate and window plan, so that the
+    next build runs both searches."""
+    zg._certificate.cache_clear()
+    synthesize_window_plan.cache_clear()
 
 
 def kary_tree_at(semigroup, word, k):
@@ -172,11 +184,14 @@ def rees_product(r, a, b):
     return None if p is ZERO else r.uncoord[(i, r.g_mul(g, p, g2), j2)]
 
 
-def reference_window_search(s, first, threshold, period, state_cap):
+def reference_window_search(s, first, threshold, period, state_cap, zero_free=True):
     """The window plan search over tuple states, as a reference for
     windowstats._verify_plan: the same layer-by-layer search, cap test and
     conflict rule, with each state a (counts tuple, first letter or None,
-    last letter, evaluation) tuple.
+    last letter, evaluation) tuple. With zero_free, as _verify_plan, it
+    leaves out every state whose word has the zero as a letter or an
+    adjacent pair whose product is the zero (windowstats.py, the zero
+    rule); without, it searches every state, the oracle for that rule.
 
     Returns (recovery, states): the recovery table, or None if the key
     fails or more than state_cap states are seen at the start of a layer,
@@ -184,9 +199,12 @@ def reference_window_search(s, first, threshold, period, state_cap):
     """
     plan = WindowStatsPlan(first, threshold, period, _nslots(s))
     cap, recovery = plan.cap, plan.recovery
+    t, z = s.table, s.zero if zero_free else None
     seen = set()
     frontier = []
     for a in range(s.size):
+        if a == z:
+            continue
         counts = [0] * plan.nslots
         for slot in _slots_of_append(s, None, a):
             counts[slot] = 1
@@ -194,13 +212,14 @@ def reference_window_search(s, first, threshold, period, state_cap):
         recovery[st[:3]] = a
         seen.add(st)
         frontier.append(st)
-    t = s.table
     while frontier:
         if len(seen) > state_cap:
             return None, len(seen)
         nxt = []
         for counts, f, last, ev in frontier:
             for a in range(s.size):
+                if z is not None and z in (a, t[last][a]):
+                    continue
                 c2 = list(counts)
                 for slot in _slots_of_append(s, last, a):
                     c2[slot] = cap(c2[slot] + 1)
@@ -226,3 +245,10 @@ def decoded_recovery(plan):
         last, code = divmod(key, plan.last_place)
         table[tuple(code // plan.radix**i % plan.radix for i in range(plan.nslots)), f, last] = ev
     return table
+
+
+def packed_key(plan, counts, f, last):
+    """The key in the plan's packed layout of a key as decoded_recovery and
+    the reference search give it: capped counts tuple, first letter or None,
+    last letter."""
+    return plan.pack(counts) + last * plan.last_place + (f or 0) * plan.first_place

@@ -277,16 +277,16 @@ BAD_SHAPES = {
     "list_name": ("algebra", {"elements": ["a", ["b"]], "table": [[0, 1], [1, 1]]}),
 }
 
-# DFA JSON missing one field: the field -> content. Not in BAD_SHAPES, whose
-# entries sit mid-way through the matrix below and would renumber its ids
+# DFA JSON missing one field: the field -> content, for a test of its own
+# whose cases are named by these keys
 MISSING_DFA_FIELDS = {
     "finals": {"alphabet": "ab", "dfa": {"states": 2, "delta": [[0, 1], [1, 0]], "initial": 0}},
     "states": {"alphabet": "ab", "dfa": {"delta": [[0, 1], [1, 0]], "initial": 0, "finals": [0]}},
 }
 
 # a table, a table row or a regex of the wrong JSON type: name -> (command,
-# content, error line). Not in BAD_SHAPES, for the reason MISSING_DFA_FIELDS
-# is not; the cases are named by their keys
+# content, error line), for a test of its own whose cases are named by these
+# keys
 TABLE_ERROR = "error: table must be a list of rows, each a list\n"
 REGEX_ERROR = "error: 'regex' must be a string\n"
 BAD_TYPES = {
@@ -310,46 +310,58 @@ BAD_BENCH = {
 }
 
 
+def _case(number, args, stream):
+    """A bad-input case, its id its own number and its stream record:
+    written with the case, not taken from its place in the list, so that
+    inserting a case renames no other. A new case takes the next unused
+    number; a new BAD_DFAS, BAD_SHAPES or BAD_BENCH entry needs its number
+    written in the zip below, which fails at collection until it is."""
+    return pytest.param(args, stream, id=f"args{number}-{stream}")
+
+
 @pytest.mark.parametrize("args,stream", [
     # non-associative table: AssociativityViolation
-    (["algebra", "{dir}/nonassoc.json"], None),
-    (["algebra", "{dir}/abstar.json"], None),
-    (["run", "{dir}/nonassoc.json", "--word", "0"], "Q\n"),
+    _case(0, ["algebra", "{dir}/nonassoc.json"], None),
+    _case(1, ["algebra", "{dir}/abstar.json"], None),
+    _case(2, ["run", "{dir}/nonassoc.json", "--word", "0"], "Q\n"),
     # update or initial letter outside the alphabet: RangeError
-    (["run", "{dir}/abstar.json", "--word", "aaaa"], "U 1 c\nQ\n"),
-    (["run", "{dir}/abstar.json", "--word", "abca"], "Q\n"),
-    (["run", "{dir}/abse.json", "--word", "a x"], "Q\n"),
-    (["run", "{dir}/abse.json", "--word", "a b"], "U 0 x\n"),
-    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "P 9\n"),
-    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "I 1 0\n"),
-    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "zg"], "Q\n"),
-    (["run", "{dir}/abstar.json", "--word", "aaaa"], "X 1\n"),
-    (["classify", "{dir}/missing.json"], None),
+    _case(3, ["run", "{dir}/abstar.json", "--word", "aaaa"], "U 1 c\nQ\n"),
+    _case(4, ["run", "{dir}/abstar.json", "--word", "abca"], "Q\n"),
+    _case(5, ["run", "{dir}/abse.json", "--word", "a x"], "Q\n"),
+    _case(6, ["run", "{dir}/abse.json", "--word", "a b"], "U 0 x\n"),
+    _case(7, ["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "P 9\n"),
+    _case(8, ["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "I 1 0\n"),
+    _case(9, ["run", "{dir}/abse.json", "--word", "a b", "--engine", "zg"], "Q\n"),
+    _case(10, ["run", "{dir}/abstar.json", "--word", "aaaa"], "X 1\n"),
+    _case(11, ["classify", "{dir}/missing.json"], None),
     # an engine named for language input, which picks its own
-    (["run", "{dir}/abstar.json", "--word", "ab", "--engine", "naive"], "Q\n"),
+    _case(12, ["run", "{dir}/abstar.json", "--word", "ab", "--engine", "naive"], "Q\n"),
     # malformed DFAs and semigroups: RangeError from the constructors
-    *[(["classify", f"{{dir}}/{name}.json"], None) for name in BAD_DFAS],
-    (["run", "{dir}/repeated_names.json", "--word", "a a"], "Q\n"),
-    (["algebra", "{dir}/repeated_names.json"], None),
+    *[_case(k, ["classify", f"{{dir}}/{name}.json"], None)
+      for k, name in zip((13, 14, 15, 16, 17, 18, 19), BAD_DFAS, strict=True)],
+    _case(20, ["run", "{dir}/repeated_names.json", "--word", "a a"], "Q\n"),
+    _case(21, ["algebra", "{dir}/repeated_names.json"], None),
     # JSON of the wrong shape: RangeError from jsonio
-    *[([cmd, f"{{dir}}/{name}.json"], None) for name, (cmd, _) in BAD_SHAPES.items()],
-    (["run", "{dir}/top_level_list.json", "--word", "a"], "Q\n"),
+    *[_case(k, [cmd, f"{{dir}}/{name}.json"], None)
+      for k, (name, (cmd, _)) in zip((22, 23, 24, 25), BAD_SHAPES.items(), strict=True)],
+    _case(26, ["run", "{dir}/top_level_list.json", "--word", "a"], "Q\n"),
     # stream records with the wrong number of fields
-    (["run", "{dir}/abstar.json", "--word", "aaaa"], "U 1\n"),
-    (["run", "{dir}/abstar.json", "--word", "aaaa"], "U 1 a b\n"),
-    (["run", "{dir}/abstar.json", "--word", "aaaa"], "Q 1\n"),
-    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "P\n"),
-    (["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "I 1\n"),
+    _case(27, ["run", "{dir}/abstar.json", "--word", "aaaa"], "U 1\n"),
+    _case(28, ["run", "{dir}/abstar.json", "--word", "aaaa"], "U 1 a b\n"),
+    _case(29, ["run", "{dir}/abstar.json", "--word", "aaaa"], "Q 1\n"),
+    _case(30, ["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "P\n"),
+    _case(31, ["run", "{dir}/abse.json", "--word", "a b", "--engine", "kary"], "I 1\n"),
     # bench configs of the wrong shape, and an empty word: RangeError
-    *[(["bench", f"{{dir}}/{name}.json"], None) for name in BAD_BENCH],
+    *[_case(k, ["bench", f"{{dir}}/{name}.json"], None)
+      for k, name in zip((32, 33, 34, 35), BAD_BENCH, strict=True)],
     # a language outside Q_LZG: the k-ary engine's own letter and position
     # checks, and the initial word's
-    (["run", "{dir}/sgonly.json", "--word", "abxc"], "U 1 z\nQ\n"),
-    (["run", "{dir}/sgonly.json", "--word", "abxc"], "U 4 a\nQ\n"),
-    (["run", "{dir}/sgonly.json", "--word", "abzc"], "Q\n"),
+    _case(36, ["run", "{dir}/sgonly.json", "--word", "abxc"], "U 1 z\nQ\n"),
+    _case(37, ["run", "{dir}/sgonly.json", "--word", "abxc"], "U 4 a\nQ\n"),
+    _case(38, ["run", "{dir}/sgonly.json", "--word", "abzc"], "Q\n"),
     # P and I records under auto on abse, whose window engine answers Q alone
-    (["run", "{dir}/abse.json", "--word", "a b"], "P 1\n"),
-    (["run", "{dir}/abse.json", "--word", "a b"], "I 0 1\n"),
+    _case(39, ["run", "{dir}/abse.json", "--word", "a b"], "P 1\n"),
+    _case(40, ["run", "{dir}/abse.json", "--word", "a b"], "I 0 1\n"),
 ])
 def test_bad_input_matrix_exit_code_2(files, args, stream):
     (files / "nonassoc.json").write_text(json.dumps({"table": [[1, 0], [1, 1]]}))

@@ -28,7 +28,7 @@ from dynreg.gallery import ab_star_semigroup, cyclic, gallery, s3
 from dynreg.syntactic import Q_LZG, Q_SG_ONLY, analyze_dfa, analyze_regex, classify_language, stable_data
 from dynreg.syntactic.dfa import Dfa
 from dynreg.syntactic.monoid import Morphism
-from helpers import S3_DFA, FoldOracle, decoded_recovery, kary_tree_at, reference_window_search, semigroup_tables
+from helpers import FIRST_LETTER_DFA, S3_DFA, FoldOracle, decoded_recovery, kary_tree_at, reference_window_search, semigroup_tables
 
 
 def test_window_plan_for_ab_star_semigroup():
@@ -86,7 +86,6 @@ def _assert_kept_key(eng):
     assert plan.pack(counts) == sum((c if c < t else t + (c - t) % p) * plan.radix**i for i, c in enumerate(counts))
 
 
-FIRST_LETTER_DFA = Dfa("ab", [[1, 2], [1, 1], [0, 2]], 0, {1})  # window plan keyed on the first letter
 # An even number of a's and ends with b, (b+ab*a)*b: Q_LZG, no window plan
 EVEN_A_DFA = Dfa("ab", [[2, 1], [2, 1], [0, 3], [0, 3]], 0, {1})
 
@@ -184,7 +183,8 @@ def _window_keys(s):
 
 @pytest.mark.parametrize("semigroups, outcomes", [
     pytest.param(_order_le_3_window_semigroups, {"plan", "conflict"}, id="order <= 3"),
-    pytest.param(lambda: [ab_star_semigroup()], {"plan", "cap"}, id="ab_star"),
+    # every a*b* key finds a plan once the states that show the zero are left out
+    pytest.param(lambda: [ab_star_semigroup()], {"plan"}, id="ab_star"),
     pytest.param(lambda: [analyze_dfa(FIRST_LETTER_DFA)[1].stable], {"plan", "conflict", "cap"}, id="first letter"),
     pytest.param(lambda: [analyze_dfa(EVEN_A_DFA)[1].stable], {"conflict", "cap"}, id="even a"),
     # Z2 is in ZG and never reaches the window rung; it is here for its

@@ -3,11 +3,13 @@ import tracemalloc
 
 import pytest
 
+from helpers import FIRST_LETTER_DFA, clear_route_memos
+
 from dynreg.engines import make_language_engine
 from dynreg.engines.kary import make_kary_engine
 from dynreg.engines.sg import make_sg_engine
 from dynreg.gallery import s3
-from dynreg.syntactic import analyze_regex
+from dynreg.syntactic import analyze_dfa, analyze_regex
 
 N = 2**16
 
@@ -116,6 +118,34 @@ def test_window_language_build_peak_stays_near_its_held_bytes():
         tracemalloc.stop()
     assert engine.kind == "language[window]"
     assert peak / N <= 6, f"build peak {peak / N:.1f} B per letter"
+
+
+@pytest.mark.parametrize("analyze, alphabet, budget", [
+    # the first-letter DFA of perfbench's corpus: 3.1 B per letter, 5.0
+    # when the search kept the 2,020 states that show the zero
+    pytest.param(lambda: analyze_dfa(FIRST_LETTER_DFA), "ab", 4, id="first letter"),
+    # LJ1: 4.6 B per letter, 1,571 when its unpruned searches ran to the
+    # state cap and failed
+    pytest.param(lambda: analyze_regex("((abc)(abc))*((acb)(acb))*", "abc"), "abc", 6, id="LJ1"),
+])
+def test_first_window_build_peak_includes_the_plan_search(analyze, alphabet, budget):
+    # with the route memos cleared, the build runs the zg certificate and
+    # window plan searches, and its peak includes theirs. The failed
+    # search of (b+ab*a)*b is not here: it peaks at about 22 MB, 335 B per
+    # letter, and takes about 20 s under tracemalloc
+    m, sd, rep = analyze()
+    rng = random.Random(16)
+    word = [rng.choice(alphabet) for _ in range(N)]
+    clear_route_memos()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        engine = make_language_engine(m, sd, rep, word)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert engine.kind == "language[window]"
+    assert peak / N <= budget, f"first build peak {peak / N:.1f} B per letter"
 
 
 def test_kary_memory_stays_flat_under_edits():
